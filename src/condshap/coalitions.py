@@ -239,6 +239,8 @@ class WlsSolver:
         self.cm = cm
         self.method = method
         self.condition_number = float("nan")
+        self._empty_row = cm.coalitions.index(())
+        self._full_row = cm.coalitions.index(tuple(range(cm.m)))
         if method == "penalized":
             self._prepare_penalized()
         else:
@@ -304,9 +306,8 @@ class WlsSolver:
             sol = self.projection @ vec
             phi0, phi = float(sol[0]), sol[1:]
         else:
-            idx = cm.row_index()
-            v_empty = vec[idx[()]]
-            v_full = vec[idx[tuple(range(cm.m))]]
+            v_empty = vec[self._empty_row]
+            v_full = vec[self._full_row]
             total = v_full - v_empty
             phi0 = float(v_empty)
             if cm.m == 1:
@@ -318,7 +319,7 @@ class WlsSolver:
         return Explanation(
             phi0=phi0,
             phi=phi,
-            prediction=float(vec[cm.row_index()[tuple(range(cm.m))]]),
+            prediction=float(vec[self._full_row]),
             estimator_id=estimator_id,
             seed=seed,
             sample_budget=sample_budget,

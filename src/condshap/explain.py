@@ -1,9 +1,10 @@
 """End-to-end explanation pipeline: coalition design + sampler + WLS solve.
 
 One :class:`Explainer` holds everything reusable across instances (the
-coalition design, the solver factorization, the fitted sampler state, AICc
-bandwidth tables), so explaining a batch of predictions costs one v-vector
-estimation per instance.  Randomness is derived per (seed, instance,
+coalition design, the solver factorization, the fitted sampler state and the
+mean training prediction), so explaining a batch of predictions costs one
+v-vector estimation per instance; AICc bandwidths depend on the instance and
+are searched afresh for each one.  Randomness is derived per (seed, instance,
 coalition row), which makes parallel and serial runs identical.
 """
 
@@ -23,13 +24,12 @@ from .coalitions import (
     enumerate_coalitions,
     sample_coalitions,
 )
-from .errors import DiagnosticWarning, EfficiencyViolationError
+from .errors import ConfigError, DiagnosticWarning, EfficiencyViolationError
 from .samplers import (
     FittedSampler,
     Predictor,
     SamplerSpec,
     TrainingMatrix,
-    aicc_bandwidth,
     call_predictor,
     mean_training_prediction,
 )
@@ -42,7 +42,11 @@ WORKERS_ENV = "CONDSHAP_WORKERS"
 def _workers(explicit: int | None) -> int:
     if explicit is not None:
         return max(1, explicit)
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
 
 
 class Explainer:
@@ -93,45 +97,6 @@ class Explainer:
         self.solver = WlsSolver(cm, method=solve_method)
         self.sampler = FittedSampler(spec, train)
         self.mean_prediction = mean_training_prediction(train, predictor)
-        self._proper_rows = [
-            (i, s) for i, s in enumerate(cm.coalitions) if 0 < len(s) < m
-        ]
-
-    # -- per-instance bandwidths -------------------------------------------
-
-    def _sigma_for_instance(self, x_star: np.ndarray) -> dict:
-        """AICc bandwidth per coalition (exact mode) or per size (approx)."""
-        spec = self.spec
-        table: dict = {}
-        if spec.bandwidth_mode == "fixed" or spec.kind in (
-            "independence",
-            "gaussian",
-            "copula",
-        ):
-            return table
-        needs = [
-            s
-            for _, s in self._proper_rows
-            if spec.kind == "empirical" or len(s) <= spec.d_star
-        ]
-        if spec.bandwidth_mode == "aicc_exact":
-            for s in needs:
-                table[s] = self.sampler.bandwidth_for(self.predictor, s, x_star)
-        else:
-            for size in sorted({len(s) for s in needs}):
-                sigma = aicc_bandwidth(
-                    self.train,
-                    self.predictor,
-                    size,
-                    x_star,
-                    sigma_grid=spec.aicc_grid,
-                    n_aicc=spec.n_aicc,
-                    phi_form=spec.phi_form,
-                )
-                for s in needs:
-                    if len(s) == size:
-                        table[s] = sigma
-        return table
 
     # -- explanation ---------------------------------------------------------
 
@@ -140,7 +105,7 @@ class Explainer:
         x_star = np.asarray(x_star, float).reshape(-1)
         cm = self.cm
         v = np.empty(cm.n_rows)
-        sigma_table = self._sigma_for_instance(x_star)
+        sigmas = self.sampler.bandwidths(self.predictor, cm.coalitions, x_star)
         f_star = float(call_predictor(self.predictor, x_star[None, :])[0])
         for i, s in enumerate(cm.coalitions):
             if len(s) == 0:
@@ -154,7 +119,7 @@ class Explainer:
                     x_star,
                     self.k,
                     rng_seed=[self.seed, instance_index, i],
-                    sigma=sigma_table.get(s),
+                    sigma=sigmas.get(s),
                 )
         return v
 

@@ -8,10 +8,12 @@ are the sums of their members' values, which preserves efficiency exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import stats
 
 from .coalitions import Explanation
 from .errors import DiagnosticWarning
@@ -30,40 +32,6 @@ def kendall_tau_naive(xj: np.ndarray, xk: np.ndarray) -> float:
     return float(np.sum(sj * sk) / (n * (n - 1)))
 
 
-def _merge_count_inversions(values: np.ndarray) -> int:
-    """Strict inversions (values[i] > values[j] for i < j) by merge sort."""
-    values = list(values)
-    n = len(values)
-    buf = [0.0] * n
-    count = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if values[i] <= values[j]:
-                    buf[k] = values[i]
-                    i += 1
-                else:
-                    buf[k] = values[j]
-                    count += mid - i
-                    j += 1
-                k += 1
-            while i < mid:
-                buf[k] = values[i]
-                i += 1
-                k += 1
-            while j < hi:
-                buf[k] = values[j]
-                j += 1
-                k += 1
-            values[lo:hi] = buf[lo:hi]
-        width *= 2
-    return count
-
-
 def _tie_pairs(values: np.ndarray) -> int:
     _, counts = np.unique(values, return_counts=True)
     return int(np.sum(counts * (counts - 1) // 2))
@@ -73,23 +41,22 @@ def kendall_tau(xj: np.ndarray, xk: np.ndarray) -> float:
     """Kendall's tau (no tie correction) in O(n log n).
 
     Equals the definitional sum with sign(0) = 0: ties in either variable
-    contribute nothing and the denominator stays n(n-1).
+    contribute nothing and the denominator stays n(n-1).  scipy's tau-b is
+    rescaled to the integer concordant-minus-discordant count, so the result
+    is exactly (C - D) / n0; a constant column gives 0.
     """
     xj = np.asarray(xj, float).reshape(-1)
     xk = np.asarray(xk, float).reshape(-1)
     n = xj.shape[0]
     if n < 2 or xk.shape[0] != n:
         raise ValueError("need two equal-length vectors with n >= 2")
-    order = np.lexsort((xk, xj))
-    yj, yk = xj[order], xk[order]
-    discordant = _merge_count_inversions(yk)
     n0 = n * (n - 1) // 2
     n1 = _tie_pairs(xj)
     n2 = _tie_pairs(xk)
-    both = np.rec.fromarrays([xj, xk])
-    n3 = _tie_pairs(both)
-    concordant = n0 - n1 - n2 + n3 - discordant
-    return (concordant - discordant) / n0
+    if n1 == n0 or n2 == n0:
+        return 0.0
+    tau_b = stats.kendalltau(xj, xk).statistic
+    return round(tau_b * math.sqrt((n0 - n1) * (n0 - n2))) / n0
 
 
 @dataclass
@@ -125,10 +92,7 @@ def dissimilarity(train: TrainingMatrix) -> DissimilarityMatrix:
     d = np.zeros((m, m))
     for j in range(m):
         for k in range(j + 1, m):
-            if j in constant or k in constant:
-                d[j, k] = d[k, j] = 1.0
-                continue
-            tau = kendall_tau(data[:, j], data[:, k])
+            tau = kendall_tau(data[:, j], data[:, k])  # 0 for a constant column
             d[j, k] = d[k, j] = 1.0 - abs(tau)
     return DissimilarityMatrix(d=np.clip(d, 0.0, 1.0), column_names=train.column_names)
 

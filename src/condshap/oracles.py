@@ -359,7 +359,7 @@ def true_shapley_mc(
     v_est: dict[Coalition, float] = {}
     v_var: dict[Coalition, float] = {}
     for idx, s in enumerate(subsets):
-        rng = np.random.default_rng([_seed_int(rng_seed), idx])
+        rng = np.random.default_rng([fold_seed(rng_seed), idx])
         if len(s) == m:
             v_est[s] = float(call_predictor(predictor, x_star[None, :])[0])
             v_var[s] = 0.0
@@ -389,10 +389,10 @@ def true_shapley_mc(
     )
 
 
-def _seed_int(rng_seed) -> int:
+def fold_seed(rng_seed) -> int:
+    """Fold an int or a sequence of ints into one stable integer seed."""
     if isinstance(rng_seed, (int, np.integer)):
         return int(rng_seed)
-    # Fold a sequence of ints into one stable integer.
     acc = 0
     for part in rng_seed:
         acc = (acc * 1000003 + int(part)) % (2 ** 63)

@@ -398,6 +398,14 @@ class EmpiricalWeights:
     order: np.ndarray  # permutation sorting weights non-increasing
 
 
+def _whiten(
+    train: TrainingMatrix, s: Coalition, diff: np.ndarray, context: str
+) -> np.ndarray:
+    """L^{-1} diff^T for the Cholesky factor L of Sigma_SS: one column per row of diff."""
+    block = _regularize_block(train.covariance[np.ix_(s, s)], context)
+    return np.linalg.solve(np.linalg.cholesky(block), diff.T)
+
+
 def scaled_mahalanobis(
     train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray
 ) -> np.ndarray:
@@ -406,12 +414,8 @@ def scaled_mahalanobis(
     if not s:
         raise ValueError("distance needs a non-empty conditioning set")
     x_star = np.asarray(x_star, float).reshape(-1)
-    block = _regularize_block(
-        train.covariance[np.ix_(s, s)], "empirical distance"
-    )
     diff = train.data[:, list(s)] - x_star[list(s)][None, :]
-    chol = np.linalg.cholesky(block)
-    white = np.linalg.solve(chol, diff.T)
+    white = _whiten(train, s, diff, "empirical distance")
     d2 = np.sum(white ** 2, axis=0) / len(s)
     return np.sqrt(np.maximum(d2, 0.0))
 
@@ -535,10 +539,7 @@ def _aicc_criterion_for_coalition(
     sub = train.data[idx]
     x_star = np.asarray(x_star, float).reshape(-1)
     responses = call_predictor(predictor, _splice(sub, s, x_star))
-    block = _regularize_block(train.covariance[np.ix_(s, s)], "aicc distance")
-    diff = sub[:, list(s)]
-    chol = np.linalg.cholesky(block)
-    white = np.linalg.solve(chol, diff.T).T  # (n_sub, |s|)
+    white = _whiten(train, s, sub[:, list(s)], "aicc distance").T  # (n_sub, |s|)
     sq = np.sum(white ** 2, axis=1)
     d2 = (sq[:, None] + sq[None, :] - 2.0 * (white @ white.T)) / len(s)
     d2 = np.maximum(d2, 0.0)
@@ -691,7 +692,7 @@ class SamplerSpec:
 
 
 class FittedSampler:
-    """A sampler spec bound to training data, with per-coalition caches.
+    """A sampler spec bound to training data (and its fitted copula, if any).
 
     Immutable after construction; contribution estimates for distinct
     coalitions or instances may run concurrently.
@@ -701,33 +702,46 @@ class FittedSampler:
         self.spec = spec
         self.train = train
         self.copula: CopulaState | None = None
-        if spec.kind == "copula" or (
-            spec.kind == "combined" and spec.parametric_backend == "copula"
-        ):
+        parametric = spec.parametric_backend if spec.kind == "combined" else spec.kind
+        if parametric == "copula":
             self.copula = fit_copula(train)
-        if spec.kind in ("gaussian",) or (
-            spec.kind == "combined" and spec.parametric_backend == "gaussian"
-        ):
+        if parametric == "gaussian":
             _check_psd(train.covariance)
 
     # -- bandwidth ---------------------------------------------------------
 
-    def bandwidth_for(
-        self, predictor: Predictor, s: Coalition, x_star: np.ndarray
-    ) -> float:
+    def bandwidths(
+        self, predictor: Predictor, coalitions: Iterable[Coalition], x_star: np.ndarray
+    ) -> dict[Coalition, float]:
+        """Kernel bandwidth of every coalition the empirical part estimates.
+
+        That is every proper coalition for the empirical kind and those with
+        |S| <= d_star for the combined kind; other kinds get an empty table.
+        AICc runs once per coalition (``aicc_exact``) or once per coalition
+        size (``aicc_approx``).
+        """
         spec = self.spec
+        m = self.train.m
+        max_size = {"empirical": m - 1, "combined": min(spec.d_star, m - 1)}.get(spec.kind, 0)
+        needs = [s for s in coalitions if 0 < len(s) <= max_size]
         if spec.bandwidth_mode == "fixed":
-            return spec.sigma
-        target: Coalition | int = s if spec.bandwidth_mode == "aicc_exact" else len(s)
-        return aicc_bandwidth(
-            self.train,
-            predictor,
-            target,
-            x_star,
-            sigma_grid=spec.aicc_grid,
-            n_aicc=spec.n_aicc,
-            phi_form=spec.phi_form,
-        )
+            return {s: spec.sigma for s in needs}
+
+        def aicc(target: Coalition | int) -> float:
+            return aicc_bandwidth(
+                self.train,
+                predictor,
+                target,
+                x_star,
+                sigma_grid=spec.aicc_grid,
+                n_aicc=spec.n_aicc,
+                phi_form=spec.phi_form,
+            )
+
+        if spec.bandwidth_mode == "aicc_exact":
+            return {s: aicc(s) for s in needs}
+        by_size = {size: aicc(size) for size in sorted({len(s) for s in needs})}
+        return {s: by_size[len(s)] for s in needs}
 
     # -- v(S) --------------------------------------------------------------
 
@@ -753,31 +767,27 @@ class FittedSampler:
             kind = "empirical" if len(s) <= self.spec.d_star else self.spec.parametric_backend
         if kind == "independence":
             return estimate_v_independent(self.train, predictor, s, x_star, k, rng_seed)
+        if kind == "empirical":
+            if sigma is None:
+                sigma = self.bandwidths(predictor, [s], x_star)[s]
+            return estimate_v_empirical(
+                self.train,
+                predictor,
+                s,
+                x_star,
+                sigma=sigma,
+                eta=self.spec.eta,
+                k_cap=min(self.spec.k_cap, k),
+            )
         if kind == "gaussian":
             cond = gaussian_conditional(self.train, s, x_star)
             draws = sample_gaussian_conditional(cond, k, rng_seed)
-            synth = np.tile(x_star, (k, 1))
-            synth[:, list(cond.sbar)] = draws
-            return float(call_predictor(predictor, synth).mean())
-        if kind == "copula":
+        else:
             assert self.copula is not None
-            sbar = tuple(j for j in range(m) if j not in s)
             draws = sample_copula_conditional(self.copula, s, x_star, k, rng_seed)
-            synth = np.tile(x_star, (k, 1))
-            synth[:, list(sbar)] = draws
-            return float(call_predictor(predictor, synth).mean())
-        # empirical
-        if sigma is None:
-            sigma = self.bandwidth_for(predictor, s, x_star)
-        return estimate_v_empirical(
-            self.train,
-            predictor,
-            s,
-            x_star,
-            sigma=sigma,
-            eta=self.spec.eta,
-            k_cap=min(self.spec.k_cap, k),
-        )
+        synth = np.tile(x_star, (k, 1))
+        synth[:, [j for j in range(m) if j not in s]] = draws
+        return float(call_predictor(predictor, synth).mean())
 
 
 def estimate_v(

@@ -1,24 +1,21 @@
 """Command-line interface: explain, simulate, cluster.
 
-Exit codes: 0 success, 2 schema or configuration problems, 3 external model
-protocol failures.
+Exit codes: 0 success, 1 an explanation that fails the efficiency identity,
+2 schema, configuration or other package errors, 3 external model protocol
+failures.  Each failure prints one ``error:`` line and no traceback.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
 
 import click
 
-from ..errors import (
-    ConfigError,
-    EfficiencyViolationError,
-    ModelProtocolError,
-    SchemaError,
-)
+from ..errors import CondShapError, EfficiencyViolationError, ModelProtocolError
 from ..grouping import complete_linkage, dissimilarity, kgs_cut
 from ..samplers import SamplerSpec, TrainingMatrix
 from ..simlab.experiment import run_experiment
@@ -33,8 +30,38 @@ def main() -> None:
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {' '.join(message.splitlines())}", err=True)
     sys.exit(code)
+
+
+# First match wins; CondShapError covers every remaining package error.
+EXIT_CODES = ((ModelProtocolError, 3), (EfficiencyViolationError, 1), (CondShapError, 2))
+
+
+def _exit_code(exc: BaseException | None) -> int | None:
+    """Exit code of a package error, looking through ``raise ... from`` wrappers."""
+    while exc is not None:
+        for kind, code in EXIT_CODES:
+            if isinstance(exc, kind):
+                return code
+        exc = exc.__cause__
+    return None
+
+
+def _exit_codes(command):
+    """End a subcommand that raised a package error with its exit code."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except Exception as exc:
+            code = _exit_code(exc)
+            if code is None:
+                raise
+            _fail(code, str(exc))
+
+    return run
 
 
 @main.command()
@@ -64,6 +91,7 @@ def _fail(code: int, message: str) -> None:
 @click.option("--k-cap", default=5000, show_default=True)
 @click.option("--coalition-draws", default=2048, show_default=True)
 @click.option("--timeout", default=60.0, show_default=True, help="model protocol timeout (s)")
+@_exit_codes
 def explain(
     train_path,
     test_path,
@@ -98,29 +126,20 @@ def explain(
             coalition_draws=coalition_draws,
             timeout=timeout,
         )
-    except (ValueError, SchemaError) as exc:
+    except ValueError as exc:
         _fail(2, str(exc))
-    try:
-        csv_path, json_path = run_explain(request)
-        click.echo(f"wrote {csv_path} and {json_path}")
-    except SchemaError as exc:
-        _fail(2, str(exc))
-    except ModelProtocolError as exc:
-        _fail(3, str(exc))
-    except EfficiencyViolationError as exc:
-        _fail(1, str(exc))
+    csv_path, json_path = run_explain(request)
+    click.echo(f"wrote {csv_path} and {json_path}")
 
 
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True))
 @click.option("--output-dir", default=".", show_default=True)
 @click.option("--workers", default=None, type=int, help="explanation worker threads")
+@_exit_codes
 def simulate(config_path, output_dir, workers) -> None:
     """Run the experiment described by a flat key-value config file."""
-    try:
-        config = parse_simulation_config(config_path)
-    except ConfigError as exc:
-        _fail(2, str(exc))
+    config = parse_simulation_config(config_path)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = run_experiment(config, workers=workers)
@@ -147,17 +166,15 @@ def simulate(config_path, output_dir, workers) -> None:
 @click.argument("train_path", type=click.Path(exists=True))
 @click.option("--alpha", default=1.0, show_default=True, help="penalty scale")
 @click.option("--output", default="clusters", show_default=True, help="output prefix")
+@_exit_codes
 def cluster(train_path, alpha, output) -> None:
     """Cluster features by rank dependence and write the assignment."""
-    try:
-        header, matrix = read_numeric_csv(train_path)
-        if matrix.shape[1] < 2:
-            _fail(2, f"{train_path}: need at least two numeric columns")
-        train = TrainingMatrix.from_data(matrix, header)
-        dmat = dissimilarity(train)
-        assignment = kgs_cut(complete_linkage(dmat), alpha=alpha, dmatrix=dmat)
-    except SchemaError as exc:
-        _fail(2, str(exc))
+    header, matrix = read_numeric_csv(train_path)
+    if matrix.shape[1] < 2:
+        _fail(2, f"{train_path}: need at least two numeric columns")
+    train = TrainingMatrix.from_data(matrix, header)
+    dmat = dissimilarity(train)
+    assignment = kgs_cut(complete_linkage(dmat), alpha=alpha, dmatrix=dmat)
     prefix = Path(output)
     json_path = prefix.parent / (prefix.name + ".json")
     json_path.write_text(

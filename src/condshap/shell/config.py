@@ -36,24 +36,6 @@ from ..errors import ConfigError
 from ..samplers import SamplerSpec
 from ..simlab.experiment import ExperimentConfig, FeatureFamily
 
-_STR_KEYS = {"name", "features", "model", "estimators"}
-_INT_KEYS = {
-    "dimension",
-    "n_train",
-    "n_test",
-    "batches",
-    "k",
-    "seed",
-    "quadrature_points",
-    "n_mc",
-    "d_star",
-    "k_cap",
-    "n_aicc",
-}
-_FLOAT_KEYS = {"rho", "kappa", "gamma", "noise_sd", "eta"}
-_BOOL_KEYS = {"quadrature_refine"}
-KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS
-
 _DEFAULTS = {
     "name": "",
     "dimension": 3,
@@ -80,19 +62,17 @@ _DEFAULTS = {
 
 
 def _parse_value(key: str, raw: str, path: str, line_no: int):
+    """Parse ``raw`` as the type of the key's default value."""
     raw = raw.strip()
+    kind = type(_DEFAULTS[key])
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if raw.lower() in ("true", "yes", "1"):
                 return True
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(
             f"{path}:{line_no}: cannot parse {key} = {raw!r}"
@@ -112,7 +92,7 @@ def parse_simulation_config(path: str | Path) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in _DEFAULTS:
             unknown.append(key)
             continue
         if key in seen:

@@ -90,8 +90,8 @@ def write_numeric_csv(path: str | Path, header: list[str], matrix: np.ndarray) -
 class ExplanationRecord:
     """One explained instance as persisted by the CLI.
 
-    Wall-clock timing stays in memory only; serialized outputs must be
-    byte-identical across reruns with the same seed.
+    Holds no wall-clock data; serialized outputs must be byte-identical
+    across reruns with the same seed.
     """
 
     instance_id: int
@@ -104,7 +104,6 @@ class ExplanationRecord:
     estimator_id: str = ""
     seed: int | None = None
     sample_budget: int | None = None
-    timing_s: float | None = None
 
     def check_efficiency(self) -> None:
         gap = abs(self.phi0 + float(np.sum(self.phi)) - self.prediction)

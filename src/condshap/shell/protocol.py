@@ -186,9 +186,3 @@ class ExternalModel:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def external_model_protocol(
-    command: str | Sequence[str], timeout: float = 60.0
-) -> ExternalModel:
-    """Start a model process and return a predictor honoring the contract."""
-    return ExternalModel(command, timeout=timeout)

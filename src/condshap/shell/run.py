@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,9 +105,7 @@ def run_explain(request: ExplainRequest) -> tuple[Path, Path]:
             )
 
         records = []
-        for i, x_star in enumerate(test_x):
-            t0 = time.perf_counter()
-            expl = explainer.explain_one(x_star, instance_index=i)
+        for i, expl in enumerate(explainer.explain(test_x)):
             group_phi, group_labels = None, ()
             if assignment is not None:
                 grouped = aggregate_shapley(expl, assignment)
@@ -125,7 +122,6 @@ def run_explain(request: ExplainRequest) -> tuple[Path, Path]:
                     estimator_id=request.estimator.label,
                     seed=request.seed,
                     sample_budget=request.k,
-                    timing_s=time.perf_counter() - t0,
                 )
             )
         return write_explanations(request.output_path, records)

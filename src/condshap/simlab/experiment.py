@@ -21,6 +21,7 @@ from ..explain import Explainer
 from ..oracles import (
     GridSpec,
     TrueShapleyResult,
+    fold_seed,
     quadrature_mean_prediction,
     true_shapley_mc,
     true_shapley_quadrature,
@@ -247,14 +248,14 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
                     )
             timings[f"batch{batch}_truth_s"] = time.perf_counter() - t0
 
-            for spec, label in zip(config.estimators, labels):
+            for index, (spec, label) in enumerate(zip(config.estimators, labels)):
                 t1 = time.perf_counter()
                 explainer = Explainer(
                     train,
                     predictor,
                     spec,
                     k=config.k,
-                    seed=_fold_seed([config.seed, batch, 4, _label_index(labels, label)]),
+                    seed=fold_seed([config.seed, batch, 4, index]),
                 )
                 explanations = explainer.explain(test_x, workers=workers)
                 batch_errs = [
@@ -307,13 +308,3 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
         missing_batches=missing,
     )
 
-
-def _label_index(labels: tuple[str, ...], label: str) -> int:
-    return labels.index(label)
-
-
-def _fold_seed(parts: list[int]) -> int:
-    acc = 0
-    for part in parts:
-        acc = (acc * 1000003 + int(part)) % (2 ** 63)
-    return acc

@@ -60,7 +60,7 @@ from condshap.simlab import (
     sample_gig,
 )
 from condshap.simlab.distributions import GaussianFeatures, gig_mean, gig_variance
-from condshap.simlab.experiment import _fold_seed
+from condshap.oracles import fold_seed
 
 
 @contextmanager
@@ -323,7 +323,7 @@ def _tilt_matched_skills(report) -> dict:
     Rebuilds every batch of a Gaussian-feature linear ``report`` from the
     runner's stream layout: training set [seed, batch, 0], response
     [seed, batch, 1], instances [seed, batch, 2], and explainer seed
-    ``_fold_seed([seed, batch, 4, label_index])``.  The canonical seeds must
+    ``fold_seed([seed, batch, 4, label_index])``.  The canonical seeds must
     reproduce the report's MAEs exactly.
 
     For estimator X, replicate r is scored against
@@ -388,7 +388,7 @@ def _tilt_matched_skills(report) -> dict:
                     predictor,
                     SamplerSpec.from_label(label),
                     k=cfg["k"],
-                    seed=_fold_seed(parts),
+                    seed=fold_seed(parts),
                 )
                 phi[label] = np.stack([e.phi for e in explainer.explain(test_x)])
                 err[label][r].extend(

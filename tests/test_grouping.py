@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condshap.coalitions import Explanation
@@ -24,6 +24,18 @@ def dmatrix(d, names=None):
     d = np.asarray(d, float)
     names = names or tuple(f"x{i + 1}" for i in range(d.shape[0]))
     return DissimilarityMatrix(d=d, column_names=tuple(names))
+
+
+def _edge_pairs():
+    """A constant column, and tie-heavy columns at n=2000 (a few distinct values)."""
+    rng = np.random.default_rng(3)
+    constant = (np.full(30, 2.5), rng.standard_normal(30))
+    x = rng.integers(0, 5, size=2000).astype(float)
+    y = np.clip(x + rng.integers(-1, 2, size=2000), 0, 4).astype(float)
+    return [constant, (x, y)]
+
+
+EDGE_PAIRS = _edge_pairs()
 
 
 class TestKendallTau:
@@ -50,7 +62,9 @@ class TestKendallTau:
             n = int(rng.integers(2, 40))
             x = rng.standard_normal(n)
             y = rng.standard_normal(n)
-            assert kendall_tau(x, y) == pytest.approx(kendall_tau_naive(x, y), abs=1e-12)
+            assert kendall_tau(x, y) == kendall_tau_naive(x, y)
+        for x, y in EDGE_PAIRS:
+            assert kendall_tau(x, y) == kendall_tau_naive(x, y)
 
     def test_fast_equals_naive_with_ties(self):
         rng = np.random.default_rng(1)
@@ -58,18 +72,22 @@ class TestKendallTau:
             n = int(rng.integers(2, 40))
             x = rng.integers(0, 4, size=n).astype(float)
             y = rng.integers(0, 3, size=n).astype(float)
-            assert kendall_tau(x, y) == pytest.approx(kendall_tau_naive(x, y), abs=1e-12)
+            assert kendall_tau(x, y) == kendall_tau_naive(x, y)
+        for x, y in EDGE_PAIRS:
+            assert kendall_tau(y, x) == kendall_tau_naive(y, x)
 
     @given(
         data=st.lists(
             st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=2, max_size=30
         )
     )
+    @example(data=[(3, b) for b in range(-5, 6)])
+    @example(data=[(i % 7 - 3, (i * i) % 5 - 2) for i in range(2000)])
     @settings(max_examples=80, deadline=None)
     def test_fast_equals_naive_property(self, data):
         x = np.array([a for a, _ in data], float)
         y = np.array([b for _, b in data], float)
-        assert kendall_tau(x, y) == pytest.approx(kendall_tau_naive(x, y), abs=1e-12)
+        assert kendall_tau(x, y) == kendall_tau_naive(x, y)
 
 
 class TestDissimilarity:

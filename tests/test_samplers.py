@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from condshap import samplers
+from condshap.coalitions import enumerate_coalitions
 from condshap.errors import DiagnosticWarning, InvalidCovarianceError
 from condshap.samplers import (
     EmpiricalWeights,
+    FittedSampler,
     SamplerSpec,
     TrainingMatrix,
     aicc_bandwidth,
@@ -604,3 +607,59 @@ class TestEstimateVDispatch:
         rows[:, 0] = x_star[0]
         expected = float(np.dot(w, f(rows)) / w.sum())
         assert v == pytest.approx(expected)
+
+
+class TestBandwidths:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        rng = np.random.default_rng(21)
+        cov = np.array([[1.0, 0.5, 0.2, 0.0], [0.5, 1.0, 0.3, 0.1],
+                        [0.2, 0.3, 1.0, 0.4], [0.0, 0.1, 0.4, 1.0]])
+        train = TrainingMatrix.from_data(rng.multivariate_normal(np.zeros(4), cov, size=300))
+        beta = np.array([1.0, -2.0, 0.5, 1.5])
+        f = lambda X: np.atleast_2d(X) @ beta + np.sin(np.atleast_2d(X)[:, 0])
+        return train, f, train.data[7] * 0.8, enumerate_coalitions(4).coalitions
+
+    @pytest.mark.parametrize("kind", ["empirical", "combined"])
+    @pytest.mark.parametrize("mode", ["aicc_exact", "aicc_approx"])
+    def test_equals_direct_aicc_calls(self, setup, kind, mode, monkeypatch):
+        train, f, x_star, coalitions = setup
+        spec = SamplerSpec(kind=kind, bandwidth_mode=mode, d_star=2, n_aicc=80)
+        max_size = 3 if kind == "empirical" else 2
+        covered = [s for s in coalitions if 0 < len(s) <= max_size]
+        exact = mode == "aicc_exact"
+        direct = {
+            s: aicc_bandwidth(train, f, s if exact else len(s), x_star, n_aicc=80)
+            for s in covered
+        }
+        targets = []
+        original = samplers.aicc_bandwidth
+
+        def counting(train_, predictor, s_or_size, *args, **kwargs):
+            targets.append(s_or_size)
+            return original(train_, predictor, s_or_size, *args, **kwargs)
+
+        monkeypatch.setattr(samplers, "aicc_bandwidth", counting)
+        table = FittedSampler(spec, train).bandwidths(f, coalitions, x_star)
+        assert table == direct
+        if exact:
+            assert sorted(targets) == sorted(covered)  # one search per coalition
+        else:
+            assert targets == list(range(1, max_size + 1))  # one search per size
+
+    def test_fixed_and_parametric_kinds(self, setup):
+        train, f, x_star, coalitions = setup
+        fixed = FittedSampler(SamplerSpec(kind="combined", sigma=0.3, d_star=1), train)
+        assert fixed.bandwidths(f, coalitions, x_star) == {(0,): 0.3, (1,): 0.3, (2,): 0.3, (3,): 0.3}
+        for kind in ("independence", "gaussian", "copula"):
+            sampler = FittedSampler(SamplerSpec(kind=kind, bandwidth_mode="aicc_exact"), train)
+            assert sampler.bandwidths(f, coalitions, x_star) == {}
+
+    def test_contribution_falls_back_to_bandwidths(self, setup):
+        train, f, x_star, _ = setup
+        sampler = FittedSampler(SamplerSpec(kind="empirical", bandwidth_mode="aicc_approx", n_aicc=80), train)
+        s = (0, 2)
+        sigma = sampler.bandwidths(f, [s], x_star)[s]
+        assert sampler.contribution(f, s, x_star, 200, 0) == sampler.contribution(
+            f, s, x_star, 200, 0, sigma=sigma
+        )

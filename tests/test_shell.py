@@ -15,9 +15,10 @@ from condshap.errors import (
     ConfigError,
     EfficiencyViolationError,
     ModelProtocolError,
+    QuadratureConvergenceError,
     SchemaError,
 )
-from condshap.shell.cli import main
+from condshap.shell.cli import _exit_code, main
 from condshap.shell.config import parse_simulation_config
 from condshap.shell.io import ExplanationRecord, read_numeric_csv, write_explanations
 from condshap.shell.protocol import ExternalModel
@@ -549,6 +550,22 @@ class TestCliSimulate:
         assert result.exit_code == 2
         assert "volume" in result.output
 
+    def test_oracle_failure_exits_2_without_traceback(self, tmp_path):
+        # The mean-prediction quadrature of this fitted stump model does not
+        # converge; run_experiment wraps the error and the CLI maps it.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "dimension = 3\nfeatures = gaussian\nrho = 0.5\nmodel = piecewise\n"
+            "n_test = 2\nbatches = 1\nseed = 0\n",
+            encoding="utf-8",
+        )
+        runner = CliRunner()
+        result = runner.invoke(main, ["simulate", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+
     def test_ten_dim_gh_piecewise_summary_rows(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
@@ -623,3 +640,14 @@ class TestCliCluster:
         assert header == ["a", "b", "c"]
         assert np.all(np.diag(tau) == 1.0)
         assert np.all((tau >= 0.0) & (tau <= 1.0))
+
+
+class TestExitCodes:
+    def test_mapping(self):
+        wrapped = RuntimeError("experiment failed in batch 0")
+        wrapped.__cause__ = QuadratureConvergenceError("not converged")
+        assert _exit_code(ModelProtocolError("bad line")) == 3
+        assert _exit_code(EfficiencyViolationError("gap")) == 1
+        assert _exit_code(SchemaError("columns")) == 2
+        assert _exit_code(wrapped) == 2
+        assert _exit_code(ValueError("not ours")) is None

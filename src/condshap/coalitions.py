@@ -19,6 +19,7 @@ import scipy.linalg
 
 from .errors import (
     DegenerateDesignError,
+    EfficiencyViolationError,
     EnumerationTooLargeError,
     IncompleteContributionError,
     InfiniteWeightCoalitionError,
@@ -26,11 +27,14 @@ from .errors import (
 
 Coalition = tuple[int, ...]
 
-#: Default stand-in for the infinite kernel weight of the empty/full coalition.
+#: Stand-in for the infinite kernel weight of the empty/full coalition.
 DEFAULT_C = 1e6
 
 #: Full enumeration is refused above this feature count (2^13 = 8192 rows).
 ENUMERATION_CAP = 13
+
+#: Relative tolerance of the efficiency identity phi0 + sum(phi) = f(x*).
+EFFICIENCY_RTOL = 1e-6
 
 
 def shapley_kernel_weight(m: int, s: int) -> float:
@@ -65,7 +69,6 @@ class CoalitionMatrix:
     z: np.ndarray
     weights: np.ndarray
     includes_empty_and_full: bool
-    c_constant: float = DEFAULT_C
 
     @property
     def n_rows(self) -> int:
@@ -97,21 +100,19 @@ def _build_z(m: int, coalitions: Iterable[Coalition]) -> np.ndarray:
     return z
 
 
-def enumerate_coalitions(
-    m: int, c_constant: float = DEFAULT_C, cap: int = ENUMERATION_CAP
-) -> CoalitionMatrix:
+def enumerate_coalitions(m: int) -> CoalitionMatrix:
     """Build the full 2^m coalition design in size-then-lexicographic order."""
     if m < 1:
         raise ValueError(f"feature count must be >= 1, got {m}")
-    if m > cap:
+    if m > ENUMERATION_CAP:
         raise EnumerationTooLargeError(
-            f"enumeration too large for m={m} (cap {cap}); use sample_coalitions"
+            f"enumeration too large for m={m} (cap {ENUMERATION_CAP}); use sample_coalitions"
         )
     coalitions = tuple(_ordered_subsets(m))
     weights = np.empty(len(coalitions))
     for i, s in enumerate(coalitions):
         if len(s) in (0, m):
-            weights[i] = c_constant
+            weights[i] = DEFAULT_C
         else:
             weights[i] = shapley_kernel_weight(m, len(s))
     return CoalitionMatrix(
@@ -120,16 +121,10 @@ def enumerate_coalitions(
         z=_build_z(m, coalitions),
         weights=weights,
         includes_empty_and_full=True,
-        c_constant=c_constant,
     )
 
 
-def sample_coalitions(
-    m: int,
-    n_draws: int,
-    rng_seed: int,
-    c_constant: float = DEFAULT_C,
-) -> CoalitionMatrix:
+def sample_coalitions(m: int, n_draws: int, rng_seed: int) -> CoalitionMatrix:
     """Sample proper coalitions with probability proportional to k(m,|S|).
 
     Draws are with replacement; duplicate rows are merged and their
@@ -159,7 +154,7 @@ def sample_coalitions(
     sampled = sorted(counts, key=lambda c: (len(c), c))
     coalitions: list[Coalition] = [()] + sampled + [tuple(range(m))]
     weights = np.array(
-        [c_constant] + [float(counts[c]) for c in sampled] + [c_constant]
+        [DEFAULT_C] + [float(counts[c]) for c in sampled] + [DEFAULT_C]
     )
     return CoalitionMatrix(
         m=m,
@@ -167,7 +162,6 @@ def sample_coalitions(
         z=_build_z(m, coalitions),
         weights=weights,
         includes_empty_and_full=True,
-        c_constant=c_constant,
     )
 
 
@@ -219,6 +213,15 @@ class Explanation:
 
     def efficiency_gap(self) -> float:
         return abs(self.total - self.prediction)
+
+    def check_efficiency(self) -> None:
+        """Raise EfficiencyViolationError if the gap exceeds the tolerance."""
+        gap = self.efficiency_gap()
+        tol = EFFICIENCY_RTOL * max(1.0, abs(self.prediction))
+        if gap > tol:
+            raise EfficiencyViolationError(
+                f"efficiency violated: |phi0 + sum(phi) - f(x*)| = {gap:.3e} > {tol:.3e}"
+            )
 
 
 class WlsSolver:

@@ -24,7 +24,7 @@ from .coalitions import (
     enumerate_coalitions,
     sample_coalitions,
 )
-from .errors import ConfigError, DiagnosticWarning, EfficiencyViolationError
+from .errors import ConfigError, DiagnosticWarning
 from .samplers import (
     FittedSampler,
     Predictor,
@@ -33,8 +33,6 @@ from .samplers import (
     call_predictor,
     mean_training_prediction,
 )
-
-EFFICIENCY_RTOL = 1e-6
 
 WORKERS_ENV = "CONDSHAP_WORKERS"
 
@@ -72,8 +70,6 @@ class Explainer:
         seed: int = 0,
         coalition_matrix: CoalitionMatrix | None = None,
         coalition_draws: int = 2048,
-        solve_method: str = "constrained",
-        enumeration_cap: int = ENUMERATION_CAP,
     ):
         self.train = train
         self.predictor = predictor
@@ -83,18 +79,18 @@ class Explainer:
         m = train.m
         if coalition_matrix is not None:
             cm = coalition_matrix
-        elif m <= enumeration_cap:
+        elif m <= ENUMERATION_CAP:
             cm = enumerate_coalitions(m)
         else:
             warnings.warn(
-                f"m={m} exceeds the enumeration cap {enumeration_cap}; "
+                f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}; "
                 f"sampling {coalition_draws} coalitions",
                 DiagnosticWarning,
                 stacklevel=2,
             )
             cm = sample_coalitions(m, coalition_draws, rng_seed=seed)
         self.cm = cm
-        self.solver = WlsSolver(cm, method=solve_method)
+        self.solver = WlsSolver(cm)
         self.sampler = FittedSampler(spec, train)
         self.mean_prediction = mean_training_prediction(train, predictor)
 
@@ -131,12 +127,7 @@ class Explainer:
             seed=self.seed,
             sample_budget=self.k,
         )
-        gap = expl.efficiency_gap()
-        tol = EFFICIENCY_RTOL * max(1.0, abs(expl.prediction))
-        if gap > tol:
-            raise EfficiencyViolationError(
-                f"efficiency violated: |phi0 + sum(phi) - f(x*)| = {gap:.3e} > {tol:.3e}"
-            )
+        expl.check_efficiency()
         return expl
 
     def explain(

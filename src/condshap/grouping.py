@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .coalitions import Explanation
-from .errors import DiagnosticWarning
+from .errors import ConfigError, DiagnosticWarning, SchemaError
 from .samplers import TrainingMatrix
 
 
@@ -80,7 +80,7 @@ def dissimilarity(train: TrainingMatrix) -> DissimilarityMatrix:
     data = train.data
     n, m = data.shape
     if n < 2:
-        raise ValueError("need at least two rows")
+        raise SchemaError("need at least two rows")
     constant = [j for j in range(m) if np.ptp(data[:, j]) == 0.0]
     if constant:
         warnings.warn(
@@ -221,9 +221,7 @@ def _order_groups(groups: list[tuple[int, ...]], dendrogram: Dendrogram) -> list
 
 
 def kgs_cut(
-    dendrogram: Dendrogram,
-    alpha: float = 1.0,
-    dmatrix: DissimilarityMatrix | None = None,
+    dendrogram: Dendrogram, alpha: float = 1.0, *, dmatrix: DissimilarityMatrix
 ) -> ClusterAssignment:
     """Cut by minimizing the Kelley-Gardner-Sutcliffe penalty.
 
@@ -234,11 +232,9 @@ def kgs_cut(
     height zero) collapse to a single cluster; m < 3 has no level to scan and
     returns its only nontrivial cut.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:
+        raise ConfigError(f"alpha must be positive, got {alpha}")
     m = dendrogram.m
-    if dmatrix is None:
-        raise ValueError("kgs_cut needs the dissimilarity matrix for spreads")
     d = dmatrix.d
 
     def finish(groups: list[tuple[int, ...]], table: list[dict]) -> ClusterAssignment:

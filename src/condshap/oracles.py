@@ -154,15 +154,20 @@ def linear_dependent_shapley(
 # ---------------------------------------------------------------------------
 
 
+#: Half-width of a component's integration box, in its standard deviations.
+HALF_WIDTH_SDS = 8.0
+#: Largest change the doubled grid may make (to any phi_j, or to E[f(x)]).
+REFINE_TOL = 1e-4
+#: Largest integration dimension the tensor grid is used for.
+MAX_DIM = 3
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Tensor Gauss-Legendre quadrature settings."""
 
     points_per_axis: int = 64
-    half_width_sds: float = 8.0
     refine: bool = True
-    refine_tol: float = 1e-4
-    max_dim: int = 3
 
 
 def _component_integral(
@@ -172,7 +177,6 @@ def _component_integral(
     comp: QuadratureComponent,
     m: int,
     points: int,
-    half_width: float,
 ) -> float:
     """Integral of f(x_sbar, x_s*) times the component density over its box."""
     sbar = [j for j in range(m) if j not in s]
@@ -181,8 +185,8 @@ def _component_integral(
     tail_nodes, tail_weights = np.polynomial.legendre.leggauss(max(points // 2, 8))
     axes_nodes, axes_weights = [], []
     for i in range(d):
-        core_lo = comp.center[i] - half_width * comp.sd[i]
-        core_hi = comp.center[i] + half_width * comp.sd[i]
+        core_lo = comp.center[i] - HALF_WIDTH_SDS * comp.sd[i]
+        core_hi = comp.center[i] + HALF_WIDTH_SDS * comp.sd[i]
         lo = comp.lo[i] if comp.lo is not None else core_lo
         hi = comp.hi[i] if comp.hi is not None else core_hi
         core_lo, core_hi = max(lo, core_lo), min(hi, core_hi)
@@ -214,7 +218,6 @@ def _quadrature_v_table(
     predictor: Predictor,
     x_star: np.ndarray,
     points: int,
-    half_width: float,
     v_empty: float | None = None,
 ) -> dict[Coalition, float]:
     m = dist.dim
@@ -231,7 +234,7 @@ def _quadrature_v_table(
         total = 0.0
         for comp in comps:
             total += comp.weight * _component_integral(
-                predictor, s, x_star, comp, m, points, half_width
+                predictor, s, x_star, comp, m, points
             )
         table[s] = total
     return table
@@ -253,16 +256,14 @@ def quadrature_mean_prediction(
         comps = dist.conditional_components((), np.empty(0))
         return sum(
             comp.weight
-            * _component_integral(
-                predictor, (), np.zeros(m), comp, m, points, grid_spec.half_width_sds
-            )
+            * _component_integral(predictor, (), np.zeros(m), comp, m, points)
             for comp in comps
         )
 
     value = integral(grid_spec.points_per_axis)
     if grid_spec.refine:
         fine = integral(2 * grid_spec.points_per_axis)
-        if abs(fine - value) >= grid_spec.refine_tol:
+        if abs(fine - value) >= REFINE_TOL:
             raise QuadratureConvergenceError(
                 f"mean-prediction quadrature not converged: shift {abs(fine - value):.3e}",
                 {(): abs(fine - value)},
@@ -282,46 +283,30 @@ def true_shapley_quadrature(
     by the combinatorial Shapley formula.
 
     With ``refine`` enabled the grid is doubled once and the run fails if any
-    phi_j moves by more than ``refine_tol``.  ``v_empty`` injects a
+    phi_j moves by more than ``REFINE_TOL``.  ``v_empty`` injects a
     precomputed mean prediction (it is instance-independent; see
     :func:`quadrature_mean_prediction`).
     """
     m = dist.dim
-    if m - 1 > grid_spec.max_dim:
-        raise ValueError(
-            f"quadrature limited to integration dimension {grid_spec.max_dim}"
-        )
+    if m - 1 > MAX_DIM:
+        raise ValueError(f"quadrature limited to integration dimension {MAX_DIM}")
     x_star = np.asarray(x_star, float).reshape(-1)
-    table = _quadrature_v_table(
-        dist,
-        predictor,
-        x_star,
-        grid_spec.points_per_axis,
-        grid_spec.half_width_sds,
-        v_empty,
-    )
+    table = _quadrature_v_table(dist, predictor, x_star, grid_spec.points_per_axis, v_empty)
     ex = exact_shapley(ContributionVector(m=m, values=table), m)
     grid_meta = {
         "points_per_axis": grid_spec.points_per_axis,
-        "half_width_sds": grid_spec.half_width_sds,
+        "half_width_sds": HALF_WIDTH_SDS,
         "refined": False,
     }
     if grid_spec.refine:
-        fine = _quadrature_v_table(
-            dist,
-            predictor,
-            x_star,
-            2 * grid_spec.points_per_axis,
-            grid_spec.half_width_sds,
-            v_empty,
-        )
+        fine = _quadrature_v_table(dist, predictor, x_star, 2 * grid_spec.points_per_axis, v_empty)
         ex_fine = exact_shapley(ContributionVector(m=m, values=fine), m)
         delta = np.abs(ex_fine.phi - ex.phi)
-        if np.max(delta) >= grid_spec.refine_tol:
+        if np.max(delta) >= REFINE_TOL:
             residuals = {s: abs(fine[s] - table[s]) for s in table}
             raise QuadratureConvergenceError(
                 f"quadrature not converged: max phi shift {np.max(delta):.3e} "
-                f">= {grid_spec.refine_tol:g}",
+                f">= {REFINE_TOL:g}",
                 residuals,
             )
         ex = ex_fine

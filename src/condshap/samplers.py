@@ -20,8 +20,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
-from .errors import DiagnosticWarning, InvalidCovarianceError, ModelProtocolError
+from .errors import DiagnosticWarning, InvalidCovarianceError, ModelProtocolError, SchemaError
 from .coalitions import Coalition
 
 Predictor = Callable[[np.ndarray], np.ndarray]
@@ -319,7 +320,7 @@ class CopulaState:
 def fit_copula(train: TrainingMatrix) -> CopulaState:
     """Gaussianize each margin by its empirical CDF and correlate the result."""
     if train.n < 20:
-        raise ValueError(f"copula fit needs n >= 20 training rows, got {train.n}")
+        raise SchemaError(f"copula fit needs n >= 20 training rows, got {train.n}")
     n, m = train.n, train.m
     latent = np.empty((n, m))
     degenerate = []
@@ -330,7 +331,7 @@ def fit_copula(train: TrainingMatrix) -> CopulaState:
             latent[:, j] = 0.0
             continue
         ranks = stats.rankdata(col, method="average")
-        latent[:, j] = stats.norm.ppf(ranks / (n + 1))
+        latent[:, j] = ndtri(ranks / (n + 1))
     corr = np.eye(m)
     active = [j for j in range(m) if j not in degenerate]
     if len(active) >= 2:
@@ -367,16 +368,14 @@ def sample_copula_conditional(
     m = state.m
     sbar = tuple(j for j in range(m) if j not in s)
     x_star = np.asarray(x_star, float).reshape(-1)
-    v_star = np.array(
-        [stats.norm.ppf(state.cdf(j, x_star[j])) for j in s], float
-    )
+    v_star = ndtri(np.array([state.cdf(j, x_star[j]) for j in s], float))
     mu, sig = conditional_moments(
         np.zeros(m), state.latent_correlation, s, v_star, context="copula conditional"
     )
     latent = sample_gaussian_conditional(
         GaussianConditional(mu_cond=mu, sigma_cond=sig, s=s, sbar=sbar), k, rng_seed
     )
-    u = stats.norm.cdf(latent)
+    u = ndtr(latent)
     out = np.empty_like(latent)
     for pos, j in enumerate(sbar):
         out[:, pos] = state.quantile(j, u[:, pos])
@@ -533,7 +532,6 @@ def _aicc_criterion_for_coalition(
     x_star: np.ndarray,
     sigma_grid: Sequence[float],
     n_aicc: int,
-    phi_form: str,
 ) -> np.ndarray:
     idx = _aicc_subsample(train.n, n_aicc)
     sub = train.data[idx]
@@ -546,7 +544,7 @@ def _aicc_criterion_for_coalition(
     out = np.empty(len(sigma_grid))
     for g, sigma in enumerate(sigma_grid):
         w = np.exp(-d2 / (2.0 * sigma ** 2))
-        tau_sq, phi_h, _ = aicc_components(w, responses, phi_form)
+        tau_sq, phi_h, _ = aicc_components(w, responses)
         if not np.isfinite(phi_h):
             out[g] = math.inf
         else:
@@ -561,7 +559,6 @@ def aicc_bandwidth(
     x_star: np.ndarray,
     sigma_grid: Sequence[float] = DEFAULT_AICC_GRID,
     n_aicc: int = DEFAULT_N_AICC,
-    phi_form: str = "corrected",
 ) -> float:
     """Grid minimizer of log(tau^2) + Phi(H) for the kernel smoother.
 
@@ -579,7 +576,7 @@ def aicc_bandwidth(
         total = np.zeros(len(sigma_grid))
         for s in combinations(range(train.m), size):
             total += _aicc_criterion_for_coalition(
-                train, predictor, s, x_star, sigma_grid, n_aicc, phi_form
+                train, predictor, s, x_star, sigma_grid, n_aicc
             )
         criteria = total
     else:
@@ -587,7 +584,7 @@ def aicc_bandwidth(
         if not (0 < len(s) < train.m):
             raise ValueError("coalition must be proper and non-empty")
         criteria = _aicc_criterion_for_coalition(
-            train, predictor, s, x_star, sigma_grid, n_aicc, phi_form
+            train, predictor, s, x_star, sigma_grid, n_aicc
         )
     if not np.any(np.isfinite(criteria)):
         raise ValueError("AICc criterion infinite on the whole bandwidth grid")
@@ -617,9 +614,7 @@ class SamplerSpec:
     parametric_backend: str = "gaussian"
     eta: float = 0.9
     k_cap: int = 5000
-    aicc_grid: tuple[float, ...] = DEFAULT_AICC_GRID
     n_aicc: int = DEFAULT_N_AICC
-    phi_form: str = "corrected"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -728,15 +723,7 @@ class FittedSampler:
             return {s: spec.sigma for s in needs}
 
         def aicc(target: Coalition | int) -> float:
-            return aicc_bandwidth(
-                self.train,
-                predictor,
-                target,
-                x_star,
-                sigma_grid=spec.aicc_grid,
-                n_aicc=spec.n_aicc,
-                phi_form=spec.phi_form,
-            )
+            return aicc_bandwidth(self.train, predictor, target, x_star, n_aicc=spec.n_aicc)
 
         if spec.bandwidth_mode == "aicc_exact":
             return {s: aicc(s) for s in needs}

@@ -1,14 +1,13 @@
 """CLI, configuration, data ingestion, result persistence, and the
 external-model prediction protocol."""
 
-from .io import ExplanationRecord, read_numeric_csv, write_explanations
+from .io import read_numeric_csv, write_explanations
 from .protocol import ExternalModel
 from .config import parse_simulation_config
 from .run import ExplainRequest, run_explain
 
 __all__ = [
     "ExplainRequest",
-    "ExplanationRecord",
     "ExternalModel",
     "parse_simulation_config",
     "read_numeric_csv",

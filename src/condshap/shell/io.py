@@ -10,14 +10,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from ..errors import EfficiencyViolationError, SchemaError
-
-EFFICIENCY_RTOL = 1e-6
+from ..coalitions import Explanation
+from ..errors import SchemaError
+from ..grouping import ClusterAssignment, aggregate_shapley
 
 
 def _fmt(x: float) -> str:
@@ -86,87 +86,63 @@ def write_numeric_csv(path: str | Path, header: list[str], matrix: np.ndarray) -
             writer.writerow([_fmt(x) for x in row])
 
 
-@dataclass
-class ExplanationRecord:
-    """One explained instance as persisted by the CLI.
-
-    Holds no wall-clock data; serialized outputs must be byte-identical
-    across reruns with the same seed.
-    """
-
-    instance_id: int
-    prediction: float
-    phi0: float
-    phi: np.ndarray
-    feature_names: tuple[str, ...]
-    group_phi: np.ndarray | None = None
-    group_labels: tuple[str, ...] = ()
-    estimator_id: str = ""
-    seed: int | None = None
-    sample_budget: int | None = None
-
-    def check_efficiency(self) -> None:
-        gap = abs(self.phi0 + float(np.sum(self.phi)) - self.prediction)
-        tol = EFFICIENCY_RTOL * max(1.0, abs(self.prediction))
-        if gap > tol:
-            raise EfficiencyViolationError(
-                f"record {self.instance_id}: efficiency gap {gap:.3e} exceeds {tol:.3e}"
-            )
-
-    def to_dict(self) -> dict:
-        out = {
-            "instance_id": self.instance_id,
-            "prediction": self.prediction,
-            "phi0": self.phi0,
-            "phi": {name: float(v) for name, v in zip(self.feature_names, self.phi)},
-            "estimator": self.estimator_id,
-            "seed": self.seed,
-            "sample_budget": self.sample_budget,
-        }
-        if self.group_phi is not None:
-            out["group_phi"] = {
-                label: float(v) for label, v in zip(self.group_labels, self.group_phi)
-            }
-        return out
-
-
 def write_explanations(
-    output_prefix: str | Path, records: list[ExplanationRecord]
+    output_prefix: str | Path,
+    explanations: list[Explanation],
+    feature_names: Sequence[str],
+    assignment: ClusterAssignment | None = None,
 ) -> tuple[Path, Path]:
-    """Write records to <prefix>.csv and <prefix>.json.
+    """Write explanations to <prefix>.csv and <prefix>.json.
 
-    Every record is efficiency-checked first; a violation is a hard error and
-    nothing is written.
+    Record i is test row i; with an ``assignment`` each record also carries
+    its group sums.  Every explanation is efficiency-checked first; a
+    violation is a hard error and nothing is written.  The files hold no
+    wall-clock data, so reruns with the same seed are byte-identical.
     """
-    if not records:
-        raise ValueError("no records to write")
-    for record in records:
-        record.check_efficiency()
-    first = records[0]
+    if not explanations:
+        raise ValueError("no explanations to write")
+    for expl in explanations:
+        expl.check_efficiency()
+    labels, group_phi = [], [None] * len(explanations)
+    if assignment is not None:
+        labels = assignment.labels
+        group_phi = [aggregate_shapley(e, assignment).group_phi for e in explanations]
+    first = explanations[0]
     prefix = Path(output_prefix)
     csv_path = prefix.parent / (prefix.name + ".csv")
     json_path = prefix.parent / (prefix.name + ".json")
 
     header = (
         ["instance_id", "prediction", "phi0"]
-        + [f"phi_{name}" for name in first.feature_names]
-        + [f"group_{label}" for label in first.group_labels]
+        + [f"phi_{name}" for name in feature_names]
+        + [f"group_{label}" for label in labels]
     )
+    records = []
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for record in records:
-            row = [str(record.instance_id), _fmt(record.prediction), _fmt(record.phi0)]
-            row += [_fmt(v) for v in record.phi]
-            if record.group_phi is not None:
-                row += [_fmt(v) for v in record.group_phi]
+        for i, (expl, sums) in enumerate(zip(explanations, group_phi)):
+            row = [str(i), _fmt(expl.prediction), _fmt(expl.phi0)] + [_fmt(v) for v in expl.phi]
+            record = {
+                "instance_id": i,
+                "prediction": expl.prediction,
+                "phi0": expl.phi0,
+                "phi": {name: float(v) for name, v in zip(feature_names, expl.phi)},
+                "estimator": expl.estimator_id,
+                "seed": expl.seed,
+                "sample_budget": expl.sample_budget,
+            }
+            if sums is not None:
+                row += [_fmt(v) for v in sums]
+                record["group_phi"] = {label: float(v) for label, v in zip(labels, sums)}
             writer.writerow(row)
+            records.append(record)
 
     payload = {
         "estimator": first.estimator_id,
         "seed": first.seed,
         "sample_budget": first.sample_budget,
-        "records": [record.to_dict() for record in records],
+        "records": records,
     }
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
     return csv_path, json_path

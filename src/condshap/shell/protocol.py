@@ -42,7 +42,6 @@ class ExternalModel:
         command: str | Sequence[str],
         timeout: float = 60.0,
         batch_rows: int = MAX_BATCH_ROWS,
-        handshake: bool = True,
     ):
         self.command = command
         self.timeout = timeout
@@ -67,12 +66,9 @@ class ExternalModel:
         self._lines: queue.Queue[str | None] = queue.Queue()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
-        if handshake:
-            empty = self._transact(HANDSHAKE_ID, [])
-            if empty != []:
-                raise ModelProtocolError(
-                    f"handshake returned {len(empty)} predictions for 0 rows"
-                )
+        # Handshake: an empty request must get an empty answer (checked in _receive).
+        self._send(HANDSHAKE_ID, [])
+        self._receive(HANDSHAKE_ID, 0)
 
     def _read_loop(self) -> None:
         try:
@@ -147,10 +143,6 @@ class ExternalModel:
             raise ModelProtocolError(
                 f"id {request_id}: non-numeric prediction in {_excerpt(str(preds))!r}"
             ) from None
-
-    def _transact(self, request_id: int, rows: list) -> list:
-        self._send(request_id, rows)
-        return self._receive(request_id, len(rows))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, float))

@@ -7,15 +7,13 @@ from pathlib import Path
 
 from ..errors import SchemaError
 from ..explain import Explainer
-from ..grouping import aggregate_shapley, complete_linkage, dissimilarity, kgs_cut
+from ..grouping import complete_linkage, dissimilarity, kgs_cut
 from ..samplers import SamplerSpec, TrainingMatrix
 from ..simlab.models import fit_ols, fit_stump_ensemble
-from .io import ExplanationRecord, read_numeric_csv, write_explanations
+from .io import read_numeric_csv, write_explanations
 from .protocol import ExternalModel
 
-MODEL_SOURCES = ("builtin_ols", "builtin_stumps", "external_command")
-
-_SOURCE_ALIASES = {"ols": "builtin_ols", "stumps": "builtin_stumps", "external": "external_command"}
+MODEL_SOURCES = ("ols", "stumps", "external")
 
 
 @dataclass
@@ -25,7 +23,7 @@ class ExplainRequest:
     train_path: Path
     test_path: Path
     estimator: SamplerSpec
-    model_source: str = "builtin_ols"
+    model_source: str = "ols"
     model_command: str | None = None
     response: str | None = None
     seed: int = 0
@@ -38,16 +36,15 @@ class ExplainRequest:
     def __post_init__(self):
         self.train_path = Path(self.train_path)
         self.test_path = Path(self.test_path)
-        self.model_source = _SOURCE_ALIASES.get(self.model_source, self.model_source)
         if self.model_source not in MODEL_SOURCES:
             raise ValueError(f"unknown model source {self.model_source!r}")
         if not self.train_path.exists():
             raise SchemaError(f"training CSV not found: {self.train_path}")
         if not self.test_path.exists():
             raise SchemaError(f"test CSV not found: {self.test_path}")
-        if self.model_source == "external_command" and not self.model_command:
-            raise ValueError("external_command model source needs model_command")
-        if self.model_source != "external_command" and self.response is None:
+        if self.model_source == "external" and not self.model_command:
+            raise ValueError("external model source needs model_command")
+        if self.model_source != "external" and self.response is None:
             raise ValueError(f"{self.model_source} requires a response column name")
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -79,9 +76,9 @@ def run_explain(request: ExplainRequest) -> tuple[Path, Path]:
 
     train = TrainingMatrix.from_data(train_x, train_names)
     model_handle = None
-    if request.model_source == "builtin_ols":
+    if request.model_source == "ols":
         predictor = fit_ols(train, y)
-    elif request.model_source == "builtin_stumps":
+    elif request.model_source == "stumps":
         predictor = fit_stump_ensemble(train, y)
     else:
         predictor = model_handle = ExternalModel(
@@ -103,28 +100,9 @@ def run_explain(request: ExplainRequest) -> tuple[Path, Path]:
             assignment = kgs_cut(
                 complete_linkage(dmat), alpha=request.cluster_alpha, dmatrix=dmat
             )
-
-        records = []
-        for i, expl in enumerate(explainer.explain(test_x)):
-            group_phi, group_labels = None, ()
-            if assignment is not None:
-                grouped = aggregate_shapley(expl, assignment)
-                group_phi, group_labels = grouped.group_phi, tuple(grouped.labels)
-            records.append(
-                ExplanationRecord(
-                    instance_id=i,
-                    prediction=expl.prediction,
-                    phi0=expl.phi0,
-                    phi=expl.phi,
-                    feature_names=tuple(train_names),
-                    group_phi=group_phi,
-                    group_labels=group_labels,
-                    estimator_id=request.estimator.label,
-                    seed=request.seed,
-                    sample_budget=request.k,
-                )
-            )
-        return write_explanations(request.output_path, records)
+        return write_explanations(
+            request.output_path, explainer.explain(test_x), train_names, assignment
+        )
     finally:
         if model_handle is not None:
             model_handle.close()

@@ -223,15 +223,14 @@ class GHParams:
         return self.mu.shape[0]
 
     @classmethod
-    def from_kappa(cls, m: int, kappa: float, lam: float = 1.0, omega: float = 0.5) -> "GHParams":
-        """Skewness ladder used by the 3-D experiments: beta = (kappa/4) 1,
-        location shifted so the distribution has mean zero."""
+    def from_kappa(cls, m: int, kappa: float) -> "GHParams":
+        """Skewness ladder used by the 3-D experiments: lam = 1, omega = 0.5,
+        beta = (kappa/4) 1, location shifted so the distribution has mean zero."""
         beta = (kappa / 4.0) * np.ones(m)
-        mean_w = gig_mean(lam, omega, omega)
         return cls(
-            lam=lam,
-            omega=omega,
-            mu=-mean_w * beta,
+            lam=1.0,
+            omega=0.5,
+            mu=-gig_mean(1.0, 0.5, 0.5) * beta,
             sigma=np.eye(m),
             beta_skew=beta,
         )
@@ -386,7 +385,6 @@ class GHFeatures:
     """GH feature distribution exposing the oracle handle protocol."""
 
     params: GHParams
-    psi_form: str = "inverse"
 
     @property
     def dim(self) -> int:
@@ -401,8 +399,7 @@ class GHFeatures:
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        cond = gh_conditional(self.params, s, x_s, psi_form=self.psi_form)
-        return _sample_gh_star(cond, n, rng)
+        return _sample_gh_star(gh_conditional(self.params, s, x_s), n, rng)
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
@@ -412,7 +409,7 @@ class GHFeatures:
             # skewed ridge along the mixing direction); decompose it into
             # Gaussians over mixing-variable quadrature nodes instead.
             return _gh_mixing_components(self.star())
-        cond = gh_conditional(self.params, s, x_s, psi_form=self.psi_form)
+        cond = gh_conditional(self.params, s, x_s)
         center = cond.mean()
         sd = np.sqrt(np.clip(np.diag(cond.covariance()), 1e-300, None))
         lo, hi = _gh_quadrature_box(cond, center, sd)
@@ -433,19 +430,17 @@ class GHFeatures:
 # ---------------------------------------------------------------------------
 
 
-def _gh_mixing_components(
-    star: GHStarParams, n_nodes: int = 48, tail_exponent: float = 25.0
-) -> list[QuadratureComponent]:
+def _gh_mixing_components(star: GHStarParams) -> list[QuadratureComponent]:
     """Gaussian-mixture decomposition of a GH law over its mixing variable.
 
     X | W=w is N(mu + w beta, w Sigma); the mixing density is discretized by
-    Gauss-Legendre in log w between the points where its left/right
-    exponential tails reach ``tail_exponent``.  The weights sum to 1 up to
-    the (tiny) truncation error, which the refinement check would surface.
+    48-node Gauss-Legendre in log w between the points where its left/right
+    exponential tails reach 25.  The weights sum to 1 up to the (tiny)
+    truncation error, which the refinement check would surface.
     """
-    lo = math.log(star.chi / (2.0 * tail_exponent))
-    hi = math.log(2.0 * tail_exponent / star.psi)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    lo = math.log(star.chi / 50.0)
+    hi = math.log(50.0 / star.psi)
+    nodes, weights = np.polynomial.legendre.leggauss(48)
     t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     glw = 0.5 * (hi - lo) * weights
     w = np.exp(t)
@@ -469,17 +464,14 @@ def _gh_mixing_components(
 
 
 def _gh_quadrature_box(
-    star: GHStarParams,
-    center: np.ndarray,
-    sd: np.ndarray,
-    tail_exponent: float = 20.0,
+    star: GHStarParams, center: np.ndarray, sd: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Asymmetric integration bounds covering the semi-heavy GH tails.
 
     The marginal of coordinate i decays like exp(-a |z|) with
     a = sqrt((psi + beta_i^2/S_ii)/S_ii) -/+ beta_i/S_ii on the right/left;
-    the box extends to where that exponent reaches ``tail_exponent``
-    (relative mass ~ 2e-9), and never less than eight sds.
+    the box extends to where that exponent reaches 20 (relative mass
+    ~ 2e-9), and never less than eight sds.
     """
     s_diag = np.clip(np.diag(star.sigma), 1e-12, None)
     beta = star.beta_skew
@@ -487,8 +479,8 @@ def _gh_quadrature_box(
     a_right = np.clip(root - beta / s_diag, 1e-9, None)
     a_left = np.clip(root + beta / s_diag, 1e-9, None)
     mu = star.mu
-    hi = np.maximum(center + 8.0 * sd, mu + tail_exponent / a_right)
-    lo = np.minimum(center - 8.0 * sd, mu - tail_exponent / a_left)
+    hi = np.maximum(center + 8.0 * sd, mu + 20.0 / a_right)
+    lo = np.minimum(center - 8.0 * sd, mu - 20.0 / a_left)
     return lo, hi
 
 
@@ -508,14 +500,15 @@ class MixtureParams:
             raise ValueError("mixture weights must sum to 1")
 
     @classmethod
-    def from_gamma(cls, gamma: float, m: int = 3, base_rho: float = 0.2) -> "MixtureParams":
-        """Mode-separation parameterization: mu1 = gamma*(1,-0.5,1), mu2 = -mu1."""
+    def from_gamma(cls, gamma: float, m: int = 3) -> "MixtureParams":
+        """Mode-separation parameterization: mu1 = gamma*(1,-0.5,1), mu2 = -mu1,
+        and a common equicorrelated covariance with rho = 0.2."""
         pattern = np.resize(np.array([1.0, -0.5, 1.0]), m)
         mu1 = gamma * pattern
         return cls(
             gamma=gamma,
             means=np.stack([mu1, -mu1]),
-            cov=EquicorrelatedCov(m, base_rho).matrix(),
+            cov=EquicorrelatedCov(m, 0.2).matrix(),
         )
 
     @property

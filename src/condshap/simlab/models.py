@@ -1,7 +1,7 @@
 """Sampling models y|x and the two built-in predictors.
 
-The piecewise response sums three step functions; their breakpoints are
-module-level defaults that experiment configs may override.  Both predictors
+The piecewise response sums three step functions with fixed breakpoints
+(``fun1``-``fun3``).  Both predictors
 satisfy the package-wide contract: a deterministic vectorized map from an
 (n, m) matrix to n reals.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DiagnosticWarning
+from ..errors import DiagnosticWarning, SchemaError
 from ..samplers import TrainingMatrix
 
 
@@ -47,6 +47,13 @@ LINEAR_ACTIVE = {3: (0, 1, 2), 10: tuple(range(9))}
 
 NOISE_SD = 0.1
 
+#: Boosting settings of the stump-ensemble predictor.
+N_ROUNDS = 50
+MAX_DEPTH = 3
+LEARNING_RATE = 0.1
+N_BINS = 256
+MIN_LEAF = 5
+
 
 def _check_dim(x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, float))
@@ -66,15 +73,13 @@ def linear_sampling_model(x: np.ndarray, rng_seed, noise_sd: float = NOISE_SD) -
     return x[:, list(active)].sum(axis=1) + noise_sd * rng.standard_normal(len(x))
 
 
-def piecewise_sampling_model(
-    x: np.ndarray, rng_seed, noise_sd: float = NOISE_SD, funs=PIECEWISE_FUNS
-) -> np.ndarray:
+def piecewise_sampling_model(x: np.ndarray, rng_seed, noise_sd: float = NOISE_SD) -> np.ndarray:
     """Sum of step functions applied to feature groups plus Gaussian noise."""
     x = _check_dim(x)
     groups = PIECEWISE_GROUPS[x.shape[1]]
     rng = np.random.default_rng(rng_seed)
     y = np.zeros(len(x))
-    for fun, group in zip(funs, groups):
+    for fun, group in zip(PIECEWISE_FUNS, groups):
         for j in group:
             y += fun(x[:, j])
     return y + noise_sd * rng.standard_normal(len(x))
@@ -102,7 +107,7 @@ def fit_ols(train: TrainingMatrix | np.ndarray, y: np.ndarray) -> OlsModel:
     y = np.asarray(y, float).reshape(-1)
     n, m = x.shape
     if n <= m:
-        raise ValueError(f"need more rows ({n}) than features ({m}) to fit")
+        raise SchemaError(f"need more rows ({n}) than features ({m}) to fit")
     design = np.column_stack([np.ones(n), x])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < m + 1:
@@ -133,12 +138,11 @@ class StumpEnsembleModel:
 
     Squared-error boosting: each round fits a depth-limited tree to the
     current residuals on quantile-binned features, and the prediction
-    accumulates learning_rate times the leaf means.  Fully deterministic.
+    accumulates LEARNING_RATE times the leaf means.  Fully deterministic.
     """
 
-    def __init__(self, bin_edges: list[np.ndarray], learning_rate: float, base: float):
+    def __init__(self, bin_edges: list[np.ndarray], base: float):
         self.bin_edges = bin_edges
-        self.learning_rate = learning_rate
         self.base = base
         self.trees: list[list[_TreeNode]] = []
 
@@ -167,12 +171,12 @@ class StumpEnsembleModel:
         binned = self._bin(x)
         pred = np.full(len(binned), self.base)
         for nodes in self.trees:
-            pred += self.learning_rate * self._tree_predict(nodes, binned)
+            pred += LEARNING_RATE * self._tree_predict(nodes, binned)
         return pred
 
 
 def _best_split(
-    binned: np.ndarray, residual: np.ndarray, idx: np.ndarray, n_bins: int, min_leaf: int
+    binned: np.ndarray, residual: np.ndarray, idx: np.ndarray
 ) -> tuple[int, int, float] | None:
     """Greedy variance-reduction split over all features and bin cuts."""
     total_sum = residual[idx].sum()
@@ -180,11 +184,11 @@ def _best_split(
     best_gain, best = 1e-12, None
     base_score = total_sum * total_sum / total_cnt
     for j in range(binned.shape[1]):
-        cnt = np.bincount(binned[idx, j], minlength=n_bins)
-        sm = np.bincount(binned[idx, j], weights=residual[idx], minlength=n_bins)
+        cnt = np.bincount(binned[idx, j], minlength=N_BINS)
+        sm = np.bincount(binned[idx, j], weights=residual[idx], minlength=N_BINS)
         c_cnt = np.cumsum(cnt)[:-1]
         c_sum = np.cumsum(sm)[:-1]
-        valid = (c_cnt >= min_leaf) & (total_cnt - c_cnt >= min_leaf)
+        valid = (c_cnt >= MIN_LEAF) & (total_cnt - c_cnt >= MIN_LEAF)
         if not np.any(valid):
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,22 +207,16 @@ def _best_split(
     return best[0], best[1], best_gain
 
 
-def _grow_tree(
-    binned: np.ndarray,
-    residual: np.ndarray,
-    max_depth: int,
-    n_bins: int,
-    min_leaf: int,
-) -> list[_TreeNode]:
+def _grow_tree(binned: np.ndarray, residual: np.ndarray) -> list[_TreeNode]:
     nodes: list[_TreeNode] = [_TreeNode()]
     work = [(0, np.arange(len(binned)), 0)]
     while work:
         node_id, idx, depth = work.pop()
         node = nodes[node_id]
-        if depth >= max_depth or len(idx) < 2 * min_leaf:
+        if depth >= MAX_DEPTH or len(idx) < 2 * MIN_LEAF:
             node.value = float(residual[idx].mean())
             continue
-        split = _best_split(binned, residual, idx, n_bins, min_leaf)
+        split = _best_split(binned, residual, idx)
         if split is None:
             node.value = float(residual[idx].mean())
             continue
@@ -235,31 +233,23 @@ def _grow_tree(
     return nodes
 
 
-def fit_stump_ensemble(
-    train: TrainingMatrix | np.ndarray,
-    y: np.ndarray,
-    n_rounds: int = 50,
-    max_depth: int = 3,
-    learning_rate: float = 0.1,
-    n_bins: int = 256,
-    min_leaf: int = 5,
-) -> StumpEnsembleModel:
+def fit_stump_ensemble(train: TrainingMatrix | np.ndarray, y: np.ndarray) -> StumpEnsembleModel:
     """Boosted histogram regression trees with squared-error loss."""
     x = train.data if isinstance(train, TrainingMatrix) else np.asarray(train, float)
     y = np.asarray(y, float).reshape(-1)
     n, m = x.shape
     if n <= m:
-        raise ValueError(f"need more rows ({n}) than features ({m}) to fit")
+        raise SchemaError(f"need more rows ({n}) than features ({m}) to fit")
     bin_edges = []
     for j in range(m):
-        qs = np.quantile(x[:, j], np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+        qs = np.quantile(x[:, j], np.linspace(0.0, 1.0, N_BINS + 1)[1:-1])
         bin_edges.append(np.unique(qs))
-    model = StumpEnsembleModel(bin_edges, learning_rate, base=float(y.mean()))
+    model = StumpEnsembleModel(bin_edges, base=float(y.mean()))
     binned = model._bin(x)
     pred = np.full(n, model.base)
-    for _ in range(n_rounds):
+    for _ in range(N_ROUNDS):
         residual = y - pred
-        nodes = _grow_tree(binned, residual, max_depth, n_bins, min_leaf)
+        nodes = _grow_tree(binned, residual)
         model.trees.append(nodes)
-        pred += learning_rate * model._tree_predict(nodes, binned)
+        pred += LEARNING_RATE * model._tree_predict(nodes, binned)
     return model

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from condshap.coalitions import (
     ContributionVector,
     DEFAULT_C,
+    EFFICIENCY_RTOL,
+    Explanation,
     WlsSolver,
     enumerate_coalitions,
     exact_shapley,
@@ -20,6 +22,7 @@ from condshap.coalitions import (
 )
 from condshap.errors import (
     DegenerateDesignError,
+    EfficiencyViolationError,
     EnumerationTooLargeError,
     IncompleteContributionError,
     InfiniteWeightCoalitionError,
@@ -224,6 +227,15 @@ class TestExactShapley:
         v = random_table(4, rng)
         e = exact_shapley(v)
         assert e.total == pytest.approx(v.value((0, 1, 2, 3)), abs=1e-10)
+
+    @pytest.mark.parametrize("prediction", [0.5, 1000.0])
+    def test_check_efficiency_tolerance(self, prediction):
+        # The tolerance is relative above |f(x*)| = 1 and absolute below it.
+        tol = EFFICIENCY_RTOL * max(1.0, prediction)
+        phi = np.array([prediction - 0.25, 0.25])
+        Explanation(phi0=0.9 * tol, phi=phi, prediction=prediction).check_efficiency()
+        with pytest.raises(EfficiencyViolationError, match="efficiency violated"):
+            Explanation(phi0=1.1 * tol, phi=phi, prediction=prediction).check_efficiency()
 
     def test_missing_value_raises(self):
         v = ContributionVector(m=2, values={(): 0.0, (0,): 1.0, (0, 1): 2.0})

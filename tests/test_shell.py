@@ -20,7 +20,9 @@ from condshap.errors import (
 )
 from condshap.shell.cli import _exit_code, main
 from condshap.shell.config import parse_simulation_config
-from condshap.shell.io import ExplanationRecord, read_numeric_csv, write_explanations
+from condshap.coalitions import Explanation, WlsSolver
+from condshap.grouping import ClusterAssignment
+from condshap.shell.io import read_numeric_csv, write_explanations
 from condshap.shell.protocol import ExternalModel
 
 
@@ -167,44 +169,45 @@ class TestCsv:
 
 class TestExplanationRecords:
     @staticmethod
-    def record(phi0=1.0, phi=(0.5, -0.5), prediction=1.0):
-        return ExplanationRecord(
-            instance_id=0,
-            prediction=prediction,
+    def explanation(phi0=1.0, phi=(0.5, -0.5), prediction=1.0):
+        return Explanation(
             phi0=phi0,
             phi=np.asarray(phi, float),
-            feature_names=("a", "b"),
+            prediction=prediction,
             estimator_id="gaussian",
             seed=0,
             sample_budget=100,
         )
 
     def test_write_and_content(self, tmp_path):
-        csv_path, json_path = write_explanations(tmp_path / "out", [self.record()])
+        csv_path, json_path = write_explanations(
+            tmp_path / "out", [self.explanation()], ("a", "b")
+        )
         header, matrix = read_numeric_csv(csv_path)
         assert header == ["instance_id", "prediction", "phi0", "phi_a", "phi_b"]
         payload = json.loads(json_path.read_text())
         assert payload["records"][0]["phi"] == {"a": 0.5, "b": -0.5}
+        assert payload["estimator"] == "gaussian" and payload["sample_budget"] == 100
 
     def test_efficiency_violation_is_fatal(self, tmp_path):
-        bad = self.record(phi0=1.0, phi=(0.5, -0.5), prediction=9.9)
+        good = self.explanation()
+        bad = self.explanation(phi0=1.0, phi=(0.5, -0.5), prediction=9.9)
         with pytest.raises(EfficiencyViolationError):
-            write_explanations(tmp_path / "out", [bad])
+            write_explanations(tmp_path / "out", [good, bad], ("a", "b"))
         assert not (tmp_path / "out.csv").exists()
 
     def test_group_columns(self, tmp_path):
-        rec = ExplanationRecord(
-            instance_id=3,
-            prediction=2.0,
-            phi0=1.0,
-            phi=np.array([0.25, 0.75]),
-            feature_names=("a", "b"),
-            group_phi=np.array([1.0]),
-            group_labels=("g1",),
+        expl = self.explanation(phi0=1.0, phi=(0.25, 0.75), prediction=2.0)
+        assignment = ClusterAssignment(groups=[(0, 1)], labels=["g1"], column_names=("a", "b"))
+        csv_path, json_path = write_explanations(
+            tmp_path / "grouped", [expl, expl], ("a", "b"), assignment
         )
-        csv_path, _ = write_explanations(tmp_path / "grouped", [rec])
-        header, _ = read_numeric_csv(csv_path)
+        header, matrix = read_numeric_csv(csv_path)
         assert header[-1] == "group_g1"
+        assert matrix[:, 0].tolist() == [0.0, 1.0]
+        assert matrix[:, -1].tolist() == [1.0, 1.0]
+        payload = json.loads(json_path.read_text())
+        assert payload["records"][1]["group_phi"] == {"g1": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +353,12 @@ class TestExplainRequest:
         spec = SamplerSpec(kind="gaussian")
         with pytest.raises(ValueError, match="model source"):
             ExplainRequest(train, test, spec, model_source="oracle", response="target")
+        with pytest.raises(ValueError, match="model source"):
+            ExplainRequest(train, test, spec, model_source="builtin_ols", response="target")
         with pytest.raises(ValueError, match="model_command"):
-            ExplainRequest(train, test, spec, model_source="external_command")
+            ExplainRequest(train, test, spec, model_source="external")
         with pytest.raises(ValueError, match="response"):
-            ExplainRequest(train, test, spec, model_source="builtin_ols")
+            ExplainRequest(train, test, spec, model_source="ols")
         with pytest.raises(SchemaError, match="not found"):
             ExplainRequest(tmp_path / "nope.csv", test, spec, response="target")
 
@@ -366,13 +371,12 @@ class TestExplainRequest:
             train_path=train,
             test_path=test,
             estimator=SamplerSpec(kind="gaussian"),
-            model_source="ols",  # alias for builtin_ols
+            model_source="ols",
             response="target",
             k=200,
             seed=3,
             output_path=str(tmp_path / "direct"),
         )
-        assert request.model_source == "builtin_ols"
         csv_path, json_path = run_explain(request)
         header, matrix = read_numeric_csv(csv_path)
         assert header[:3] == ["instance_id", "prediction", "phi0"]
@@ -640,6 +644,86 @@ class TestCliCluster:
         assert header == ["a", "b", "c"]
         assert np.all(np.diag(tau) == 1.0)
         assert np.all((tau >= 0.0) & (tau <= 1.0))
+
+
+class TestCliBadInput:
+    """Bad input ends in exit code 2 and one error line, never a traceback."""
+
+    @staticmethod
+    def write_csv(path, header, rows):
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return path
+
+    @staticmethod
+    def assert_clean_exit(result, code):
+        assert result.exit_code == code, result.output
+        assert "Traceback" not in result.output
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+
+    def explain(self, tmp_path, train, test, *extra):
+        return CliRunner().invoke(
+            main,
+            ["explain", "--train", str(train), "--test", str(test), "--response", "target",
+             "--k", "50", "--output", str(tmp_path / "x"), *extra],
+        )
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan"])
+    def test_cluster_non_positive_alpha(self, tmp_path, alpha):
+        rows = [[1, 2, 3], [2, 1, 3], [3, 4, 1], [4, 3, 2]]
+        path = self.write_csv(tmp_path / "four.csv", ["a", "b", "c"], rows)
+        result = CliRunner().invoke(
+            main, ["cluster", str(path), "--alpha", alpha, "--output", str(tmp_path / "cl")]
+        )
+        self.assert_clean_exit(result, 2)
+        assert "alpha" in result.output
+        assert not (tmp_path / "cl.json").exists()
+
+    def test_cluster_one_row(self, tmp_path):
+        path = self.write_csv(tmp_path / "one.csv", ["a", "b", "c"], [[1, 2, 3]])
+        result = CliRunner().invoke(main, ["cluster", str(path), "--output", str(tmp_path / "cl")])
+        self.assert_clean_exit(result, 2)
+        assert "two rows" in result.output
+
+    def test_explain_one_training_row(self, tmp_path):
+        _, test = make_dataset(tmp_path)
+        one = self.write_csv(tmp_path / "one.csv", ["f1", "f2", "f3", "target"], [[1, 2, 3, 4]])
+        result = self.explain(tmp_path, one, test)
+        self.assert_clean_exit(result, 2)
+        assert "more rows" in result.output
+
+    def test_explain_zero_cluster_alpha(self, tmp_path):
+        train, test = make_dataset(tmp_path)
+        result = self.explain(tmp_path, train, test, "--cluster-alpha", "0")
+        self.assert_clean_exit(result, 2)
+        assert "alpha" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_explain_copula_on_four_rows(self, tmp_path):
+        _, test = make_dataset(tmp_path)
+        rows = [[1, 2, 3, 1], [2, 1, 3, 2], [3, 4, 1, 0], [4, 3, 2, 1]]
+        train = self.write_csv(tmp_path / "four.csv", ["f1", "f2", "f3", "target"], rows)
+        result = self.explain(tmp_path, train, test, "--estimator", "copula")
+        self.assert_clean_exit(result, 2)
+        assert "n >= 20" in result.output
+
+    def test_efficiency_violation_exits_1(self, tmp_path, monkeypatch):
+        solve = WlsSolver.solve
+
+        def broken(self, *args, **kwargs):
+            expl = solve(self, *args, **kwargs)
+            expl.phi0 += 1.0
+            return expl
+
+        monkeypatch.setattr(WlsSolver, "solve", broken)
+        train, test = make_dataset(tmp_path)
+        result = self.explain(tmp_path, train, test)
+        self.assert_clean_exit(result, 1)
+        assert "efficiency" in result.output
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
 class TestExitCodes:

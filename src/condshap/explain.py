@@ -1,11 +1,14 @@
 """End-to-end explanation pipeline: coalition design + sampler + WLS solve.
 
-One :class:`Explainer` holds everything reusable across instances (the
-coalition design, the solver factorization, the fitted sampler state and the
-mean training prediction), so explaining a batch of predictions costs one
-v-vector estimation per instance; AICc bandwidths depend on the instance and
-are searched afresh for each one.  Randomness is derived per (seed, instance,
-coalition row), which makes parallel and serial runs identical.
+One :class:`Explainer` holds everything reusable across instances: the
+coalition design, the solver factorization, the mean training prediction and
+the fitted sampler.  The sampler's Gaussian and copula parts keep one
+conditioning plan per coalition (ridge and eigen-factor of the conditional
+covariance), built by the first instance that meets the coalition, so later
+instances only solve for the conditional mean and draw.  AICc bandwidths
+depend on the instance and are searched afresh for each one.  Randomness is
+derived per (seed, instance, coalition row), so parallel and serial runs, and
+runs that build the plans in any order, give identical results.
 """
 
 from __future__ import annotations

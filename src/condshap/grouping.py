@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .coalitions import Explanation
 from .errors import ConfigError, DiagnosticWarning, SchemaError
@@ -55,7 +54,9 @@ def kendall_tau(xj: np.ndarray, xk: np.ndarray) -> float:
     n2 = _tie_pairs(xk)
     if n1 == n0 or n2 == n0:
         return 0.0
-    tau_b = stats.kendalltau(xj, xk).statistic
+    from scipy.stats import kendalltau
+
+    tau_b = kendalltau(xj, xk).statistic
     return round(tau_b * math.sqrt((n0 - n1) * (n0 - n2))) / n0
 
 
@@ -220,6 +221,12 @@ def _order_groups(groups: list[tuple[int, ...]], dendrogram: Dendrogram) -> list
     return sorted(groups, key=lambda g: min(position[j] for j in g))
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a KGS penalty scale that is not positive (NaN included)."""
+    if not alpha > 0:
+        raise ConfigError(f"alpha must be positive, got {alpha}")
+
+
 def kgs_cut(
     dendrogram: Dendrogram, alpha: float = 1.0, *, dmatrix: DissimilarityMatrix
 ) -> ClusterAssignment:
@@ -232,8 +239,7 @@ def kgs_cut(
     height zero) collapse to a single cluster; m < 3 has no level to scan and
     returns its only nontrivial cut.
     """
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     m = dendrogram.m
     d = dmatrix.d
 

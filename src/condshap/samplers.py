@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 from scipy.special import ndtr, ndtri
 
 from .errors import DiagnosticWarning, InvalidCovarianceError, ModelProtocolError, SchemaError
@@ -67,12 +67,20 @@ def call_predictor(predictor: Predictor, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainingMatrix:
-    """Training data with its exact sample mean and covariance (1/(n-1))."""
+    """Training data with its exact sample mean and covariance (1/(n-1)).
+
+    ``plans`` holds one :class:`ConditioningPlan` per coalition for the
+    Gaussian on these moments, filled by the samplers on first use and
+    shared by every sampler fitted to this matrix.
+    """
 
     data: np.ndarray
     column_names: tuple[str, ...]
     mean: np.ndarray
     covariance: np.ndarray
+    plans: dict[Coalition, ConditioningPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_data(
@@ -101,20 +109,33 @@ class TrainingMatrix:
     def m(self) -> int:
         return self.data.shape[1]
 
+    @cached_property
+    def checked_covariance(self) -> np.ndarray:
+        """The covariance, checked once to be symmetric positive semi-definite."""
+        _check_psd(self.covariance)
+        return self.covariance
+
 
 # ---------------------------------------------------------------------------
 # Gaussian conditioning
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianConditional:
-    """Conditional mean and covariance of the complement block."""
+    """Conditional law N(mu_cond, factor factor^T) of the complement block.
+
+    ``ridge`` is the ridge that conditioning added to the diagonal of
+    Sigma_SS (0.0 when none).
+    """
 
     mu_cond: np.ndarray
-    sigma_cond: np.ndarray
-    s: Coalition
-    sbar: Coalition
+    factor: np.ndarray
+    ridge: float = 0.0
+
+    @property
+    def sigma_cond(self) -> np.ndarray:
+        return self.factor @ self.factor.T
 
 
 def _check_psd(cov: np.ndarray, label: str = "covariance") -> None:
@@ -130,22 +151,42 @@ def _check_psd(cov: np.ndarray, label: str = "covariance") -> None:
         )
 
 
-def _regularize_block(block: np.ndarray, context: str) -> np.ndarray:
-    """Ridge the diagonal when the block is near-singular (cond > 1e8)."""
+def _ridge(block: np.ndarray, context: str) -> float:
+    """Diagonal ridge for a near-singular block (cond > 1e8), else 0.0."""
     if block.size == 0:
-        return block
+        return 0.0
     cond = np.linalg.cond(block)
     if np.isfinite(cond) and cond <= 1e8:
-        return block
-    d = block.shape[0]
-    lam = max(1e-8 * float(np.trace(block)) / d, 1e-12)
+        return 0.0
+    lam = max(1e-8 * float(np.trace(block)) / block.shape[0], 1e-12)
     warnings.warn(
         f"near-singular covariance block in {context} "
         f"(cond {cond:.3e}); ridge {lam:.3e} added",
         DiagnosticWarning,
         stacklevel=3,
     )
-    return block + lam * np.eye(d)
+    return lam
+
+
+def _ridged(block: np.ndarray, ridge: float) -> np.ndarray:
+    return block + ridge * np.eye(block.shape[0]) if ridge else block
+
+
+def _solve_blocks(
+    mean: np.ndarray, cov: np.ndarray, s: np.ndarray, sbar: np.ndarray, ridge: float, x_s
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma_{S,Sbar} and Sigma_SS^{-1} [Sigma_{S,Sbar}, x_s - mean_S] in one solve.
+
+    ``s`` and ``sbar`` are index arrays; the blocks are gathered as
+    ``np.ix_`` would, so they are C-ordered and every product that follows
+    runs on the same operands whichever caller solves.
+    """
+    rows = s[:, None]
+    cross = cov[rows, sbar]
+    solved = np.linalg.solve(
+        _ridged(cov[rows, s], ridge), np.column_stack([cross, x_s - mean[s]])
+    )
+    return cross, solved
 
 
 def conditional_moments(
@@ -154,58 +195,44 @@ def conditional_moments(
     s: Iterable[int],
     x_s: np.ndarray,
     context: str = "gaussian conditional",
+    *,
+    ridge: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block conditional moments of a Gaussian given coordinates ``s``.
 
     mu_cond = mu_sbar + Sigma_{sbar,s} Sigma_{ss}^{-1} (x_s - mu_s)
     Sigma_cond = Sigma_{sbar,sbar} - Sigma_{sbar,s} Sigma_{ss}^{-1} Sigma_{s,sbar}
+
+    ``ridge`` is added to the diagonal of Sigma_ss; by default it is chosen
+    here, with a warning naming ``context`` when the block is near-singular.
     """
     mean = np.asarray(mean, float)
     cov = np.asarray(cov, float)
     m = mean.shape[0]
-    s = tuple(sorted(s))
-    sbar = tuple(j for j in range(m) if j not in s)
+    s = sorted(s)
+    sbar = np.array([j for j in range(m) if j not in s], dtype=np.intp)
+    s = np.array(s, dtype=np.intp)
     x_s = np.asarray(x_s, float).reshape(-1)
     if x_s.shape[0] != len(s):
         raise ValueError("conditioning values do not match coalition size")
-    if not sbar:
+    if not len(sbar):
         return np.empty(0), np.empty((0, 0))
-    if not s:
-        return mean[list(sbar)], cov[np.ix_(sbar, sbar)]
-    sigma_ss = _regularize_block(cov[np.ix_(s, s)], context)
-    cross = cov[np.ix_(s, sbar)]
-    solved = np.linalg.solve(sigma_ss, np.column_stack([cross, x_s - mean[list(s)]]))
+    if not len(s):
+        return mean[sbar], cov[np.ix_(sbar, sbar)]
+    if ridge is None:
+        ridge = _ridge(cov[np.ix_(s, s)], context)
+    cross, solved = _solve_blocks(mean, cov, s, sbar, ridge, x_s)
     b, shift = solved[:, :-1], solved[:, -1]
-    mu_cond = mean[list(sbar)] + cross.T @ shift
+    mu_cond = mean[sbar] + cross.T @ shift
     sigma_cond = cov[np.ix_(sbar, sbar)] - cross.T @ b
     sigma_cond = 0.5 * (sigma_cond + sigma_cond.T)
     return mu_cond, sigma_cond
 
 
-def gaussian_conditional(
-    train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray
-) -> GaussianConditional:
-    """Conditional law of the unknown features under a fitted Gaussian."""
-    _check_psd(train.covariance)
-    s = tuple(sorted(s))
-    sbar = tuple(j for j in range(train.m) if j not in s)
-    x_star = np.asarray(x_star, float).reshape(-1)
-    mu, sig = conditional_moments(train.mean, train.covariance, s, x_star[list(s)])
-    return GaussianConditional(mu_cond=mu, sigma_cond=sig, s=s, sbar=sbar)
-
-
-def sample_gaussian_conditional(
-    cond: GaussianConditional, k: int, rng_seed
-) -> np.ndarray:
-    """Draw k rows from the conditional via a symmetric eigenfactorization."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    d = cond.mu_cond.shape[0]
-    if d == 0:
-        return np.empty((k, 0))
+def _eigen_factor(sigma: np.ndarray) -> np.ndarray:
+    """F with F F^T = sigma, negative eigenvalues clipped to zero."""
     try:
-        vals, vecs = np.linalg.eigh(cond.sigma_cond)
+        vals, vecs = np.linalg.eigh(sigma)
     except np.linalg.LinAlgError as exc:
         raise InvalidCovarianceError(
             "conditional covariance factorization failed"
@@ -217,12 +244,100 @@ def sample_gaussian_conditional(
         warnings.warn(
             f"conditional covariance clipped (min eigenvalue {vals[0]:.3e})",
             DiagnosticWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     vals = np.clip(vals, 0.0, None)
-    factor = vecs * np.sqrt(vals)[None, :]
-    z = rng.standard_normal((k, d))
-    return cond.mu_cond[None, :] + z @ factor.T
+    return vecs * np.sqrt(vals)[None, :]
+
+
+def _conditional_law(
+    mean: np.ndarray, cov: np.ndarray, s: Coalition, x_s: np.ndarray, context: str
+) -> GaussianConditional:
+    """Condition N(mean, cov) on x_S = x_s and eigen-factor the result."""
+    ridge = _ridge(cov[np.ix_(s, s)], context)
+    mu, sigma = conditional_moments(mean, cov, s, x_s, context, ridge=ridge)
+    return GaussianConditional(mu_cond=mu, factor=_eigen_factor(sigma), ridge=ridge)
+
+
+def gaussian_conditional(
+    train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray
+) -> GaussianConditional:
+    """Conditional law of the unknown features under a fitted Gaussian."""
+    cov = train.checked_covariance
+    s = tuple(sorted(s))
+    x_star = np.asarray(x_star, float).reshape(-1)
+    return _conditional_law(train.mean, cov, s, x_star[list(s)], "gaussian conditional")
+
+
+def sample_gaussian_conditional(
+    cond: GaussianConditional, k: int, rng_seed
+) -> np.ndarray:
+    """Draw k rows from the conditional through its eigen-factor."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    z = np.random.default_rng(rng_seed).standard_normal((k, cond.mu_cond.shape[0]))
+    return cond.mu_cond[None, :] + z @ cond.factor.T
+
+
+@dataclass(frozen=True, slots=True)
+class ConditioningPlan:
+    """The part of conditioning a Gaussian on coalition S that x_S leaves alone.
+
+    That is the indices of S and then of its complement in one array, the
+    ridge added to Sigma_SS (0.0 when none) and the eigen-factor of the
+    conditional covariance.  Only the conditional mean depends on x_S.
+    """
+
+    order: np.ndarray
+    size: int
+    ridge: float
+    factor: np.ndarray
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.order[: self.size]
+
+    @property
+    def sbar(self) -> np.ndarray:
+        return self.order[self.size :]
+
+    def conditional(
+        self, mean: np.ndarray, cov: np.ndarray, x_s: np.ndarray
+    ) -> GaussianConditional:
+        """The law at x_s, by the solve that ``conditional_moments`` makes."""
+        sbar = self.sbar
+        cross, solved = _solve_blocks(mean, cov, self.s, sbar, self.ridge, x_s)
+        return GaussianConditional(
+            mu_cond=mean[sbar] + cross.T @ solved[:, -1], factor=self.factor, ridge=self.ridge
+        )
+
+
+def _planned(
+    plans: dict[Coalition, ConditioningPlan],
+    s: Coalition,
+    m: int,
+    mean: np.ndarray,
+    cov: np.ndarray,
+    x_s: np.ndarray,
+    build: Callable[[], GaussianConditional],
+) -> tuple[ConditioningPlan, GaussianConditional]:
+    """The conditional law at x_s through the plan for s; ``build()`` makes it on first use.
+
+    Check-then-store without a lock: threads that miss at once each build
+    the plan, the plans are equal, and the last one stored is kept.
+    """
+    plan = plans.get(s)
+    if plan is not None:
+        return plan, plan.conditional(mean, cov, x_s)
+    cond = build()
+    plan = ConditioningPlan(
+        order=np.array(s + tuple(j for j in range(m) if j not in s), dtype=np.intp),
+        size=len(s),
+        ridge=cond.ridge,
+        factor=cond.factor,
+    )
+    plans[s] = plan
+    return plan, cond
 
 
 # ---------------------------------------------------------------------------
@@ -280,29 +395,35 @@ def mean_training_prediction(train: TrainingMatrix, predictor: Predictor) -> flo
 
 @dataclass
 class CopulaState:
-    """Sorted per-feature samples and the latent Gaussian correlation."""
+    """Sorted training columns, the latent Gaussian correlation and its plans.
 
-    sorted_columns: tuple[np.ndarray, ...]
+    Row j of ``sorted_columns`` holds feature j's training values in
+    ascending order.  ``plans`` holds one latent :class:`ConditioningPlan`
+    per coalition, filled by :func:`sample_copula_conditional` on first use.
+    """
+
+    sorted_columns: np.ndarray
     latent_correlation: np.ndarray
     degenerate: tuple[int, ...] = ()
+    plans: dict[Coalition, ConditioningPlan] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
-        return self.sorted_columns[0].shape[0]
+        return self.sorted_columns.shape[1]
 
     @property
     def m(self) -> int:
-        return len(self.sorted_columns)
+        return self.sorted_columns.shape[0]
 
-    def cdf(self, j: int, x: np.ndarray) -> np.ndarray:
-        """Empirical CDF with the rank/(n+1) convention, never 0 or 1."""
-        col = self.sorted_columns[j]
-        n = col.shape[0]
-        rank = np.searchsorted(col, np.asarray(x, float), side="right")
-        return np.clip(rank, 1, n) / (n + 1)
+    def cdf(self, cols: Sequence[int], x: np.ndarray) -> np.ndarray:
+        """Empirical CDF of feature cols[i] at x[i]: rank/(n+1), never 0 or 1."""
+        rank = [self.sorted_columns[j].searchsorted(v, side="right") for j, v in zip(cols, x)]
+        return np.minimum(np.maximum(rank, 1), self.n) / (self.n + 1)
 
-    def quantile(self, j: int, u: np.ndarray) -> np.ndarray:
-        """Left-continuous inverse: order-statistic lookup.
+    def quantiles(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Left-continuous inverse of feature cols[i]'s CDF on column i of u.
 
         With x_(1) <= ... <= x_(n) the sorted column, u in
         ((i-1)/(n+1), i/(n+1)] maps to x_(i) for i = 1..n, and u > n/(n+1)
@@ -311,14 +432,16 @@ class CopulaState:
         that top bin is intended is not settled by the method description;
         it is kept because changing it changes every copula draw.
         """
-        col = self.sorted_columns[j]
-        n = col.shape[0]
-        idx = np.clip(np.ceil(np.asarray(u, float) * (n + 1)).astype(int), 1, n) - 1
-        return col[idx]
+        n = self.n
+        rank = np.minimum(np.maximum(np.ceil(np.asarray(u, float) * (n + 1)).astype(np.intp), 1), n)
+        # One gather: row cols[i] of the row-major (m, n) matrix starts at cols[i] * n.
+        return self.sorted_columns.take(rank + (np.asarray(cols) * n - 1))
 
 
 def fit_copula(train: TrainingMatrix) -> CopulaState:
     """Gaussianize each margin by its empirical CDF and correlate the result."""
+    from scipy.stats import rankdata
+
     if train.n < 20:
         raise SchemaError(f"copula fit needs n >= 20 training rows, got {train.n}")
     n, m = train.n, train.m
@@ -330,8 +453,7 @@ def fit_copula(train: TrainingMatrix) -> CopulaState:
             degenerate.append(j)
             latent[:, j] = 0.0
             continue
-        ranks = stats.rankdata(col, method="average")
-        latent[:, j] = ndtri(ranks / (n + 1))
+        latent[:, j] = ndtri(rankdata(col, method="average") / (n + 1))
     corr = np.eye(m)
     active = [j for j in range(m) if j not in degenerate]
     if len(active) >= 2:
@@ -344,9 +466,8 @@ def fit_copula(train: TrainingMatrix) -> CopulaState:
             DiagnosticWarning,
             stacklevel=2,
         )
-    sorted_cols = tuple(np.sort(train.data[:, j]) for j in range(m))
     return CopulaState(
-        sorted_columns=sorted_cols,
+        sorted_columns=np.sort(train.data.T, axis=1),
         latent_correlation=corr,
         degenerate=tuple(degenerate),
     )
@@ -361,25 +482,21 @@ def sample_copula_conditional(
 ) -> np.ndarray:
     """Sample the complement features through the latent Gaussian copula.
 
+    The latent conditional goes through the state's plan for ``s``.
     Returned values for each feature always lie inside that feature's
     training range (inverse empirical CDF lookup).
     """
     s = tuple(sorted(s))
     m = state.m
-    sbar = tuple(j for j in range(m) if j not in s)
     x_star = np.asarray(x_star, float).reshape(-1)
-    v_star = ndtri(np.array([state.cdf(j, x_star[j]) for j in s], float))
-    mu, sig = conditional_moments(
-        np.zeros(m), state.latent_correlation, s, v_star, context="copula conditional"
+    v_star = ndtri(state.cdf(s, x_star[list(s)]))
+    zero, corr = np.zeros(m), state.latent_correlation
+    plan, cond = _planned(
+        state.plans, s, m, zero, corr, v_star,
+        lambda: _conditional_law(zero, corr, s, v_star, "copula conditional"),
     )
-    latent = sample_gaussian_conditional(
-        GaussianConditional(mu_cond=mu, sigma_cond=sig, s=s, sbar=sbar), k, rng_seed
-    )
-    u = ndtr(latent)
-    out = np.empty_like(latent)
-    for pos, j in enumerate(sbar):
-        out[:, pos] = state.quantile(j, u[:, pos])
-    return out
+    latent = sample_gaussian_conditional(cond, k, rng_seed)
+    return state.quantiles(plan.sbar, ndtr(latent))
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +518,8 @@ def _whiten(
     train: TrainingMatrix, s: Coalition, diff: np.ndarray, context: str
 ) -> np.ndarray:
     """L^{-1} diff^T for the Cholesky factor L of Sigma_SS: one column per row of diff."""
-    block = _regularize_block(train.covariance[np.ix_(s, s)], context)
-    return np.linalg.solve(np.linalg.cholesky(block), diff.T)
+    block = train.covariance[np.ix_(s, s)]
+    return np.linalg.solve(np.linalg.cholesky(_ridged(block, _ridge(block, context))), diff.T)
 
 
 def scaled_mahalanobis(
@@ -689,8 +806,14 @@ class SamplerSpec:
 class FittedSampler:
     """A sampler spec bound to training data (and its fitted copula, if any).
 
-    Immutable after construction; contribution estimates for distinct
-    coalitions or instances may run concurrently.
+    The Gaussian and copula parts condition through one
+    :class:`ConditioningPlan` per coalition: data-space plans kept on the
+    training matrix, latent plans kept on the copula state.  Plans are
+    filled lazily, on a coalition's first use, and idempotently: a plan is a
+    function of the training data and the coalition alone, so threads that
+    build one at once build equal plans.  Contribution estimates for
+    distinct coalitions or instances may therefore run concurrently, as
+    under the explain thread pool.
     """
 
     def __init__(self, spec: SamplerSpec, train: TrainingMatrix):
@@ -701,7 +824,7 @@ class FittedSampler:
         if parametric == "copula":
             self.copula = fit_copula(train)
         if parametric == "gaussian":
-            _check_psd(train.covariance)
+            train.checked_covariance  # an invalid covariance fails the fit
 
     # -- bandwidth ---------------------------------------------------------
 
@@ -767,13 +890,18 @@ class FittedSampler:
                 k_cap=min(self.spec.k_cap, k),
             )
         if kind == "gaussian":
-            cond = gaussian_conditional(self.train, s, x_star)
+            train = self.train
+            plan, cond = _planned(
+                train.plans, s, m, train.mean, train.covariance, x_star[list(s)],
+                lambda: gaussian_conditional(train, s, x_star),
+            )
             draws = sample_gaussian_conditional(cond, k, rng_seed)
         else:
             assert self.copula is not None
             draws = sample_copula_conditional(self.copula, s, x_star, k, rng_seed)
-        synth = np.tile(x_star, (k, 1))
-        synth[:, [j for j in range(m) if j not in s]] = draws
+            plan = self.copula.plans[s]
+        synth = np.repeat(x_star[None, :], k, axis=0)
+        synth[:, plan.sbar] = draws
         return float(call_predictor(predictor, synth).mean())
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from ..errors import CondShapError, EfficiencyViolationError, ModelProtocolError
-from ..grouping import complete_linkage, dissimilarity, kgs_cut
+from ..grouping import check_alpha, complete_linkage, dissimilarity, kgs_cut
 from ..samplers import SamplerSpec, TrainingMatrix
 from ..simlab.experiment import run_experiment
 from .config import parse_simulation_config
@@ -169,6 +169,7 @@ def simulate(config_path, output_dir, workers) -> None:
 @_exit_codes
 def cluster(train_path, alpha, output) -> None:
     """Cluster features by rank dependence and write the assignment."""
+    check_alpha(alpha)
     header, matrix = read_numeric_csv(train_path)
     if matrix.shape[1] < 2:
         _fail(2, f"{train_path}: need at least two numeric columns")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from ..errors import SchemaError
 from ..explain import Explainer
-from ..grouping import complete_linkage, dissimilarity, kgs_cut
+from ..grouping import check_alpha, complete_linkage, dissimilarity, kgs_cut
 from ..samplers import SamplerSpec, TrainingMatrix
 from ..simlab.models import fit_ols, fit_stump_ensemble
 from .io import read_numeric_csv, write_explanations
@@ -48,6 +48,8 @@ class ExplainRequest:
             raise ValueError(f"{self.model_source} requires a response column name")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.cluster_alpha is not None:
+            check_alpha(self.cluster_alpha)
 
 
 def _load_features(path: Path, response: str | None):

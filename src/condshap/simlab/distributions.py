@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.special import kve
 
 from ..coalitions import Coalition
@@ -171,9 +170,11 @@ def sample_gig(lam: float, chi: float, psi: float, n: int, rng_seed) -> np.ndarr
     scale reduction W = sqrt(chi/psi) V with V ~ GIG(lam, w, w), w=sqrt(chi psi).
     """
     _check_gig_params(lam, chi, psi)
+    from scipy.stats import geninvgauss
+
     rng = np.random.default_rng(rng_seed)
     omega = math.sqrt(chi * psi)
-    v = stats.geninvgauss.rvs(p=lam, b=omega, size=n, random_state=rng)
+    v = geninvgauss.rvs(p=lam, b=omega, size=n, random_state=rng)
     return math.sqrt(chi / psi) * v
 
 
@@ -296,8 +297,10 @@ def sample_gh(params: GHParams, n: int, rng_seed) -> TrainingMatrix:
 
 
 def _sample_gh_star(star: GHStarParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    from scipy.stats import geninvgauss
+
     omega = math.sqrt(star.chi * star.psi)
-    v = stats.geninvgauss.rvs(p=star.lam, b=omega, size=n, random_state=rng)
+    v = geninvgauss.rvs(p=star.lam, b=omega, size=n, random_state=rng)
     w = math.sqrt(star.chi / star.psi) * v
     u = _sample_gaussian(np.zeros(star.dim), star.sigma, n, rng)
     return star.mu[None, :] + w[:, None] * star.beta_skew[None, :] + np.sqrt(w)[:, None] * u

@@ -304,7 +304,7 @@ def _copula_conditional_mean(state, s, x_s):
     """
     m = state.m
     sbar = [j for j in range(m) if j not in s]
-    v_s = stats.norm.ppf([state.cdf(j, x) for j, x in zip(s, x_s)])
+    v_s = stats.norm.ppf(state.cdf(s, x_s))
     mu, cov = conditional_moments(np.zeros(m), state.latent_correlation, s, v_s)
     sd = np.sqrt(np.diag(cov))
     means = []

@@ -1,5 +1,7 @@
 """End-to-end explanation pipeline behavior."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,33 @@ class TestExplainer:
         threaded = explainer.explain(x, workers=4)
         for e1, e2 in zip(serial, threaded):
             assert np.array_equal(e1.phi, e2.phi)
+
+    @pytest.mark.parametrize("label", ["gaussian", "copula", "empirical-0.1+gaussian"])
+    def test_plans_built_by_threads_match_serial(self, label):
+        rng = np.random.default_rng(12)
+        data = rng.standard_normal((400, 6)) @ (np.eye(6) + 0.3 * rng.standard_normal((6, 6)))
+        beta = rng.standard_normal(6)
+        predictor = lambda X: np.atleast_2d(X) @ beta
+        spec = SamplerSpec.from_label(label, d_star=2)
+
+        def fresh():
+            return Explainer(TrainingMatrix.from_data(data), predictor, spec, k=100, seed=5)
+
+        serial = fresh().explain(data[:8], workers=1)
+        threaded = fresh()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = threaded.explain(data[:8], workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for e1, e2 in zip(serial, parallel):
+            assert np.array_equal(e1.phi, e2.phi)
+        sampler = threaded.sampler
+        plans = sampler.train.plans if sampler.copula is None else sampler.copula.plans
+        parametric = [s for s in threaded.cm.coalitions
+                      if 0 < len(s) < 6 and (spec.kind != "combined" or len(s) > spec.d_star)]
+        assert sorted(plans) == sorted(parametric)
 
     def test_instance_index_drives_randomness(self, fitted):
         train, predictor = fitted

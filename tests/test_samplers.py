@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from condshap import samplers
 from condshap.coalitions import enumerate_coalitions
@@ -190,12 +191,7 @@ class TestGaussianSampling:
     def test_degenerate_covariance_returns_mean(self):
         from condshap.samplers import GaussianConditional
 
-        cond = GaussianConditional(
-            mu_cond=np.array([1.0, -2.0]),
-            sigma_cond=np.zeros((2, 2)),
-            s=(0,),
-            sbar=(1, 2),
-        )
+        cond = GaussianConditional(mu_cond=np.array([1.0, -2.0]), factor=np.zeros((2, 2)))
         draws = sample_gaussian_conditional(cond, 50, 0)
         assert np.allclose(draws, [1.0, -2.0])
 
@@ -663,3 +659,117 @@ class TestBandwidths:
         assert sampler.contribution(f, s, x_star, 200, 0) == sampler.contribution(
             f, s, x_star, 200, 0, sigma=sigma
         )
+
+
+def _copula_draws_by_column(state, s, x_star, k, rng_seed):
+    """Copula draws one feature at a time, each quantity rebuilt per call.
+
+    The slow reference for ``sample_copula_conditional``: a scalar CDF per
+    conditioning feature, the conditional moments, an eigen-factor and a
+    per-column order-statistic lookup, with the same operations in the same
+    order on each value.
+    """
+    m, n = state.m, state.n
+    sbar = [j for j in range(m) if j not in s]
+    ranks = [np.searchsorted(state.sorted_columns[j], x_star[j], side="right") for j in s]
+    v_star = ndtri(np.array([np.clip(r, 1, n) / (n + 1) for r in ranks], float))
+    mu, sigma = conditional_moments(np.zeros(m), state.latent_correlation, s, v_star)
+    vals, vecs = np.linalg.eigh(sigma)
+    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+    z = np.random.default_rng(rng_seed).standard_normal((k, len(sbar)))
+    u = ndtr(mu[None, :] + z @ factor.T)
+    out = np.empty_like(u)
+    for pos, j in enumerate(sbar):
+        idx = np.clip(np.ceil(u[:, pos] * (n + 1)).astype(int), 1, n) - 1
+        out[:, pos] = state.sorted_columns[j][idx]
+    return out
+
+
+class TestPlansMatchPerCallReference:
+    """Plan-based contributions equal the per-call reference bit for bit.
+
+    Plans are built by the first instance that meets a coalition and reused
+    by the next, in both instance orders.  The reference keeps nothing
+    between calls: ``gaussian_conditional`` + ``sample_gaussian_conditional``
+    on a fresh training matrix, ``sample_copula_conditional`` on a freshly
+    fitted copula, and the empirical estimator below ``d_star``.
+    """
+
+    K = 64
+    BETA = np.array([1.0, -2.0, 0.5, 1.5, 0.7])
+
+    @staticmethod
+    def data(case: str) -> np.ndarray:
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((300, 5)) @ (np.eye(5) + 0.4 * rng.standard_normal((5, 5)))
+        if case == "ridge":  # a near-collinear pair: blocks holding both are ridged
+            x[:, 4] = x[:, 0] + 1e-9 * rng.standard_normal(300)
+        if case == "degenerate":  # a constant margin
+            x[:, 2] = 1.5
+        return x
+
+    def predictor(self, x):
+        x = np.atleast_2d(x)
+        return x @ self.BETA + np.sin(x[:, 1])
+
+    def reference(self, data, spec, s, x_star, seed) -> float:
+        train = TrainingMatrix.from_data(data)
+        kind = spec.kind
+        if kind == "combined":
+            kind = "empirical" if len(s) <= spec.d_star else spec.parametric_backend
+        if kind == "empirical":
+            return estimate_v_empirical(train, self.predictor, s, x_star, sigma=spec.sigma,
+                                        eta=spec.eta, k_cap=min(spec.k_cap, self.K))
+        if kind == "gaussian":
+            cond = gaussian_conditional(train, s, x_star)
+            draws = sample_gaussian_conditional(cond, self.K, seed)
+        else:
+            draws = sample_copula_conditional(fit_copula(train), s, x_star, self.K, seed)
+        synth = np.tile(x_star, (self.K, 1))
+        synth[:, [j for j in range(5) if j not in s]] = draws
+        return float(self.predictor(synth).mean())
+
+    @pytest.mark.parametrize("label,case", [
+        ("gaussian", "plain"),
+        ("gaussian", "ridge"),
+        ("copula", "plain"),
+        ("copula", "ridge"),
+        ("copula", "degenerate"),
+        ("empirical-0.1+gaussian", "plain"),
+        ("empirical-0.1+copula", "degenerate"),
+    ])
+    def test_every_coalition_in_both_instance_orders(self, label, case):
+        data = self.data(case)
+        spec = SamplerSpec.from_label(label, d_star=2)
+        x = 0.8 * data[:2] + 0.1
+        coalitions = [s for s in enumerate_coalitions(5).coalitions if 0 < len(s) < 5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            expected = {(i, s): self.reference(data, spec, s, x[i], [7, i, r])
+                        for i in (0, 1) for r, s in enumerate(coalitions)}
+            for order in ((0, 1), (1, 0)):
+                train = TrainingMatrix.from_data(data)
+                sampler = FittedSampler(spec, train)
+                for i in order:
+                    for r, s in enumerate(coalitions):
+                        v = sampler.contribution(self.predictor, s, x[i], self.K, [7, i, r])
+                        assert v == expected[(i, s)], (order, i, s)
+        plans = train.plans if sampler.copula is None else sampler.copula.plans
+        parametric = [s for s in coalitions if spec.kind != "combined" or len(s) > spec.d_star]
+        assert sorted(plans) == sorted(parametric)
+        if case == "ridge":
+            assert any(plan.ridge > 0 for plan in plans.values())
+            assert all(plan.ridge == 0 for s, plan in plans.items() if not {0, 4} <= set(s))
+
+    @pytest.mark.parametrize("case", ["plain", "degenerate"])
+    def test_copula_draws_equal_column_by_column_reference(self, case):
+        data = self.data(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            state = fit_copula(TrainingMatrix.from_data(data))
+        coalitions = [s for s in enumerate_coalitions(5).coalitions if 0 < len(s) < 5]
+        for i, x_star in enumerate(0.8 * data[:2] + 0.1):
+            for r, s in enumerate(coalitions):
+                draws = sample_copula_conditional(state, s, x_star, self.K, [3, i, r])
+                expected = _copula_draws_by_column(state, s, x_star, self.K, [3, i, r])
+                assert np.array_equal(draws, expected), (i, s)

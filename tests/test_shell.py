@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -361,6 +362,9 @@ class TestExplainRequest:
             ExplainRequest(train, test, spec, model_source="ols")
         with pytest.raises(SchemaError, match="not found"):
             ExplainRequest(tmp_path / "nope.csv", test, spec, response="target")
+        for alpha in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError, match="alpha must be positive"):
+                ExplainRequest(train, test, spec, response="target", cluster_alpha=alpha)
 
     def test_programmatic_run(self, tmp_path):
         from condshap.samplers import SamplerSpec
@@ -702,6 +706,26 @@ class TestCliBadInput:
         assert "alpha" in result.output
         assert not (tmp_path / "x.csv").exists()
 
+    def test_explain_bad_alpha_before_model_start(self, tmp_path):
+        train, test = make_dataset(tmp_path)
+        result = self.explain(
+            tmp_path, train, test, "--model", "external",
+            "--model-command", "condshap-test-no-such-program", "--cluster-alpha", "0",
+        )
+        self.assert_clean_exit(result, 2)
+        assert "alpha must be positive" in result.output
+
+    def test_cluster_bad_alpha_before_kendall(self, tmp_path, monkeypatch):
+        def kendall_matrix(train):
+            raise AssertionError("dissimilarity computed before the alpha check")
+
+        monkeypatch.setattr("condshap.shell.cli.dissimilarity", kendall_matrix)
+        rows = [[1, 2, 3], [2, 1, 3], [3, 4, 1]]
+        path = self.write_csv(tmp_path / "three.csv", ["a", "b", "c"], rows)
+        result = CliRunner().invoke(main, ["cluster", str(path), "--alpha", "0"])
+        self.assert_clean_exit(result, 2)
+        assert "alpha must be positive" in result.output
+
     def test_explain_copula_on_four_rows(self, tmp_path):
         _, test = make_dataset(tmp_path)
         rows = [[1, 2, 3, 1], [2, 1, 3, 2], [3, 4, 1, 0], [4, 3, 2, 1]]
@@ -724,6 +748,14 @@ class TestCliBadInput:
         self.assert_clean_exit(result, 1)
         assert "efficiency" in result.output
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, condshap.shell.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestExitCodes:

@@ -1,0 +1,241 @@
+"""Print one SHA-256 digest per condshap output, to compare two source trees.
+
+Usage::
+
+    python3 scripts/output_digests.py --src src > after.txt
+    python3 scripts/output_digests.py --src ../parent/src > before.txt
+    diff before.txt after.txt
+
+The inputs are made with numpy alone, from fixed seeds, so both trees see
+the same bytes.  The outputs are:
+
+- ``condshap explain`` CSV and JSON (``--cluster-alpha 1.0 --d-star 1``):
+  every estimator family with the OLS model, the parametric and AICc
+  estimators with the stump model and with an external JSON-lines model, and
+  a ``CONDSHAP_WORKERS=2`` copula run;
+- ``condshap cluster`` on a tie-heavy CSV;
+- ``condshap simulate`` reports for a Gaussian, a mixture and a piecewise
+  config;
+- in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
+  in reverse order, two-worker runs, near-singular and constant-margin
+  training sets, and the AICc estimators explained as a block, with two
+  workers and one instance at a time.  The texts of the warnings each case
+  raises get their own digest.
+
+Every file is written to a fresh temporary directory (``--keep DIR`` writes
+there instead and leaves the files).  One line per output goes to standard
+output, ``<sha256>  <name>``, sorted by name.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+COLUMNS = ("a", "b", "c")
+EXTERNAL_MODEL = '''\
+import json, sys
+for line in sys.stdin:
+    if not line.strip():
+        continue
+    req = json.loads(line)
+    preds = [0.3 + a - 0.5 * b + 2.0 * c + 0.5 * a * b for a, b, c in req["rows"]]
+    print(json.dumps({"id": req["id"], "predictions": preds}), flush=True)
+'''
+SIMULATIONS = {
+    "sim-gaussian": {"features": "gaussian", "rho": 0.5,
+                     "estimators": "original,gaussian,copula,empirical-0.1,empirical-aicc-exact"},
+    "sim-mixture": {"features": "mixture", "gamma": 1.0, "estimators": "original,gaussian,copula"},
+    "sim-piecewise": {"features": "gaussian", "rho": 0.3, "model": "piecewise",
+                      "quadrature_refine": "false",
+                      "estimators": "original,copula,empirical-aicc-approx+gaussian"},
+}
+SIMULATION_COMMON = {"n_train": 300, "n_test": 3, "batches": 2, "k": 200, "seed": 5,
+                     "quadrature_points": 24, "n_aicc": 120, "d_star": 1}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_csv(path: Path, header, matrix: np.ndarray) -> None:
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in matrix]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def correlated(rng: np.random.Generator, cov: np.ndarray, n: int) -> np.ndarray:
+    return rng.standard_normal((n, cov.shape[0])) @ np.linalg.cholesky(cov).T
+
+
+class Run:
+    """One source tree, one working directory and the digests gathered so far."""
+
+    def __init__(self, src: Path, work: Path):
+        self.work = work
+        self.digests: dict[str, str] = {}
+        self.env = {k: v for k, v in os.environ.items() if k != "CONDSHAP_WORKERS"}
+        self.env["PYTHONPATH"] = str(src)
+
+    def cli(self, name: str, args: list[str], outputs: list[str], workers: int | None = None):
+        env = dict(self.env)
+        if workers is not None:
+            env["CONDSHAP_WORKERS"] = str(workers)
+        done = subprocess.run([sys.executable, "-m", "condshap.shell.cli", *args],
+                              cwd=self.work, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"{name}: exit {done.returncode}: {done.stderr.strip()[-400:]}")
+        for out in outputs:
+            self.digests[f"{name}/{out}"] = sha256((self.work / out).read_bytes())
+
+    def explanations(self, name: str, make) -> None:
+        """Digest the phi0/phi bytes of ``make()`` and, apart, its warnings."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            explanations = make()
+        self.digests[name] = sha256(b"".join(
+            np.float64(e.phi0).tobytes() + np.asarray(e.phi, float).tobytes()
+            for e in explanations))
+        if caught:
+            self.digests[f"{name}.warnings"] = sha256(
+                "\n".join(f"{w.category.__name__}: {w.message}" for w in caught).encode())
+
+
+def cli_outputs(run: Run) -> None:
+    work = run.work
+    rng = np.random.default_rng(7)
+    cov = np.array([[1.0, 0.7, 0.2], [0.7, 1.0, 0.1], [0.2, 0.1, 1.0]])
+    x_train, x_test = correlated(rng, cov, 600), correlated(rng, cov, 6)
+    y = x_train @ [1.0, -0.5, 2.0] + np.sin(x_train[:, 0]) + 0.1 * rng.standard_normal(600)
+    write_csv(work / "train.csv", COLUMNS + ("y",), np.column_stack([x_train, y]))
+    write_csv(work / "train_x.csv", COLUMNS, x_train)
+    write_csv(work / "test.csv", COLUMNS, x_test)
+    (work / "model.py").write_text(EXTERNAL_MODEL, encoding="utf-8")
+    base = ["explain", "--test", "test.csv", "--k", "300", "--seed", "3",
+            "--cluster-alpha", "1.0", "--d-star", "1"]
+    models = {
+        "ols": ["--train", "train.csv", "--model", "ols", "--response", "y"],
+        "stumps": ["--train", "train.csv", "--model", "stumps", "--response", "y"],
+        "external": ["--train", "train_x.csv", "--model", "external",
+                     "--model-command", f"{sys.executable} model.py"],
+    }
+    labels = {
+        "ols": ("original", "gaussian", "copula", "empirical-0.1", "empirical-aicc-exact",
+                "empirical-aicc-approx+gaussian", "empirical-aicc-exact+copula"),
+        "stumps": ("gaussian", "copula", "empirical-0.1+copula", "empirical-aicc-approx"),
+        "external": ("gaussian", "copula", "empirical-0.1+copula", "empirical-aicc-exact",
+                     "empirical-aicc-approx+copula"),
+    }
+    for model, names in labels.items():
+        for label in names:
+            prefix = f"explain-{model}-{label}"
+            run.cli(prefix, base + models[model] + ["--estimator", label, "--output", prefix],
+                    [prefix + ".csv", prefix + ".json"])
+    prefix = "explain-ols-copula-workers2"
+    run.cli(prefix, base + models["ols"] + ["--estimator", "copula", "--output", prefix],
+            [prefix + ".csv", prefix + ".json"], workers=2)
+
+    ties = np.column_stack([rng.integers(0, 3, 400), rng.integers(0, 2, 400),
+                            np.round(rng.standard_normal(400), 1), rng.standard_normal(400)])
+    write_csv(work / "ties.csv", ("p", "q", "r", "s"), ties)
+    run.cli("cluster", ["cluster", "ties.csv", "--alpha", "1.0", "--output", "clusters"],
+            ["clusters.json", "clusters_tau.csv"])
+
+    for name, keys in SIMULATIONS.items():
+        config = work / f"{name}.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in
+                                  {"name": name, **SIMULATION_COMMON, **keys}.items()),
+                          encoding="utf-8")
+        run.cli(name, ["simulate", config.name, "--output-dir", name],
+                [f"{name}/report.json", f"{name}/report.csv", f"{name}/summary.txt"])
+
+
+def one_by_one(explainer, rows: np.ndarray, order) -> list:
+    return [explainer.explain_one(rows[i], i) for i in order]
+
+
+def in_process_outputs(run: Run) -> None:
+    from condshap import Explainer, SamplerSpec, TrainingMatrix
+    from condshap.simlab import fit_ols, fit_stump_ensemble
+
+    def explainer(train, model, label, k=300, seed=11, **overrides):
+        return Explainer(train, model, SamplerSpec.from_label(label, **overrides), k=k, seed=seed)
+
+    rng = np.random.default_rng(10)
+    cov10 = np.full((10, 10), 0.5) + 0.5 * np.eye(10)
+    x10 = correlated(rng, cov10, 2000)
+    train10 = TrainingMatrix.from_data(x10)
+    ols10 = fit_ols(train10, x10[:, :9].sum(axis=1) + 0.1 * rng.standard_normal(2000))
+    test10 = correlated(rng, cov10, 2)
+    for label in ("original", "gaussian", "copula", "empirical-0.1+gaussian", "empirical-0.1",
+                  "empirical-0.1+copula"):
+        run.explanations(f"m10-{label}", lambda: explainer(train10, ols10, label).explain(test10))
+    run.explanations("m10-copula-reversed",
+                     lambda: one_by_one(explainer(train10, ols10, "copula"), test10, (1, 0)))
+    run.explanations("m10-gaussian-workers2",
+                     lambda: explainer(train10, ols10, "gaussian").explain(test10, workers=2))
+    run.explanations("m10-empirical-aicc-exact+gaussian", lambda: explainer(
+        train10, ols10, "empirical-aicc-exact+gaussian", d_star=1).explain(test10))
+
+    x5 = correlated(rng, np.eye(5) + 0.3 * (1 - np.eye(5)), 800)
+    x5[:, 4] = x5[:, 3] + 1e-7 * rng.standard_normal(800)  # near-singular: ridged blocks
+    train5 = TrainingMatrix.from_data(x5)
+    ols5 = fit_ols(train5, x5 @ [1.0, 2.0, -1.0, 0.5, 0.5])
+    for label in ("gaussian", "copula", "empirical-0.1+gaussian"):
+        run.explanations(f"m5-ridged-{label}",
+                         lambda: explainer(train5, ols5, label, k=200).explain(x5[:3]))
+    x4 = correlated(rng, np.eye(4) + 0.4 * (1 - np.eye(4)), 500)
+    x4[:, 2] = 1.5  # constant margin
+    train4 = TrainingMatrix.from_data(x4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the constant column makes the design rank-deficient
+        ols4 = fit_ols(train4, x4 @ [1.0, -1.0, 0.0, 2.0] + 0.1 * rng.standard_normal(500))
+    run.explanations("m4-constant-copula",
+                     lambda: explainer(train4, ols4, "copula", k=200).explain(x4[:3]))
+
+    x3 = correlated(rng, np.array([[1.0, 0.8, 0.1], [0.8, 1.0, 0.1], [0.1, 0.1, 1.0]]), 600)
+    train3 = TrainingMatrix.from_data(x3)
+    y3 = x3 @ [1.0, -0.5, 2.0] + np.cos(x3[:, 1]) + 0.1 * rng.standard_normal(600)
+    test3 = correlated(rng, np.eye(3), 7)
+    models3 = {"ols": fit_ols(train3, y3), "stumps": fit_stump_ensemble(train3, y3)}
+    for model_name, model in models3.items():
+        for label in ("empirical-aicc-exact", "empirical-aicc-approx",
+                      "empirical-aicc-exact+gaussian", "empirical-aicc-approx+copula"):
+            name = f"m3-{model_name}-{label}"
+            make = lambda: explainer(train3, model, label, k=200, n_aicc=150, d_star=1)
+            run.explanations(f"{name}-block", lambda: make().explain(test3, workers=1))
+            run.explanations(f"{name}-workers2", lambda: make().explain(test3, workers=2))
+            run.explanations(f"{name}-one-by-one",
+                             lambda: one_by_one(make(), test3, range(len(test3))))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, type=Path, help="the tree's src/ directory")
+    parser.add_argument("--keep", type=Path, help="write the outputs here and keep them")
+    args = parser.parse_args()
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import condshap
+
+    if not Path(condshap.__file__).resolve().is_relative_to(src):
+        sys.exit(f"condshap was imported from {condshap.__file__}, not from {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.keep.resolve() if args.keep else Path(tmp)
+        work.mkdir(parents=True, exist_ok=True)
+        run = Run(src, work)
+        cli_outputs(run)
+        in_process_outputs(run)
+    for name in sorted(run.digests):
+        print(f"{run.digests[name]}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,9 +6,12 @@ the fitted sampler.  The sampler's Gaussian and copula parts keep one
 conditioning plan per coalition (ridge and eigen-factor of the conditional
 covariance), built by the first instance that meets the coalition, so later
 instances only solve for the conditional mean and draw.  AICc bandwidths
-depend on the instance and are searched afresh for each one.  Randomness is
-derived per (seed, instance, coalition row), so parallel and serial runs, and
-runs that build the plans in any order, give identical results.
+depend on the instance; :meth:`Explainer.explain` searches them for a block
+of instances at once, coalition by coalition, so that each kernel and hat
+matrix is built once per block, and then explains the block's rows one by
+one.  Randomness is derived per (seed, instance, coalition row), so parallel
+and serial runs, blocked and one-by-one runs, and runs that build the plans
+in any order, give identical results.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .coalitions import (
+    Coalition,
     CoalitionMatrix,
     ENUMERATION_CAP,
     Explanation,
@@ -99,12 +103,22 @@ class Explainer:
 
     # -- explanation ---------------------------------------------------------
 
-    def contribution_vector(self, x_star: np.ndarray, instance_index: int = 0) -> np.ndarray:
-        """Estimated v(S) for every coalition row of the design."""
+    def contribution_vector(
+        self,
+        x_star: np.ndarray,
+        instance_index: int = 0,
+        sigmas: dict[Coalition, float] | None = None,
+    ) -> np.ndarray:
+        """Estimated v(S) for every coalition row of the design.
+
+        ``sigmas`` are the instance's kernel bandwidths when already searched
+        (as :meth:`explain` does per block); by default they are searched here.
+        """
         x_star = np.asarray(x_star, float).reshape(-1)
         cm = self.cm
         v = np.empty(cm.n_rows)
-        sigmas = self.sampler.bandwidths(self.predictor, cm.coalitions, x_star)
+        if sigmas is None:
+            sigmas = self.sampler.bandwidths(self.predictor, cm.coalitions, x_star)
         f_star = float(call_predictor(self.predictor, x_star[None, :])[0])
         for i, s in enumerate(cm.coalitions):
             if len(s) == 0:
@@ -122,8 +136,13 @@ class Explainer:
                 )
         return v
 
-    def explain_one(self, x_star: np.ndarray, instance_index: int = 0) -> Explanation:
-        v = self.contribution_vector(x_star, instance_index)
+    def explain_one(
+        self,
+        x_star: np.ndarray,
+        instance_index: int = 0,
+        sigmas: dict[Coalition, float] | None = None,
+    ) -> Explanation:
+        v = self.contribution_vector(x_star, instance_index, sigmas)
         expl = self.solver.solve(
             v,
             estimator_id=self.spec.label,
@@ -136,10 +155,22 @@ class Explainer:
     def explain(
         self, x: np.ndarray, workers: int | None = None
     ) -> list[Explanation]:
-        """Explain each row of x; result order matches the input order."""
+        """Explain each row of x; result order matches the input order.
+
+        Rows go in blocks of ``sampler.aicc_block``: the block's bandwidths
+        are searched together, then each row is explained on its own.
+        """
         x = np.atleast_2d(np.asarray(x, float))
         n_workers = _workers(workers)
-        if n_workers == 1 or len(x) == 1:
-            return [self.explain_one(row, i) for i, row in enumerate(x)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(self.explain_one, x, range(len(x))))
+        step = self.sampler.aicc_block
+        out: list[Explanation] = []
+        for start in range(0, len(x), step):
+            block = x[start : start + step]
+            sigmas = self.sampler.bandwidths(self.predictor, self.cm.coalitions, block)
+            jobs = (block, range(start, start + len(block)), sigmas)
+            if n_workers == 1 or len(block) == 1:
+                out.extend(map(self.explain_one, *jobs))
+            else:
+                with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                    out.extend(pool.map(self.explain_one, *jobs))
+        return out

@@ -29,6 +29,12 @@ Predictor = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_AICC_GRID = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
 DEFAULT_N_AICC = 400
+# Most rows in the synthetic batch of one blocked AICc search (one coalition).
+AICC_BATCH_ROWS = 2 ** 15
+# A covariance block is ridged above RIDGE_COND; a whole matrix at or below
+# WELL_CONDITIONED spares its blocks the check.
+RIDGE_COND = 1e8
+WELL_CONDITIONED = 1e7
 
 
 class PredictorError(RuntimeError):
@@ -115,6 +121,11 @@ class TrainingMatrix:
         _check_psd(self.covariance)
         return self.covariance
 
+    @cached_property
+    def well_conditioned(self) -> bool:
+        """Whether no block of the covariance needs a ridge (one check per matrix)."""
+        return _well_conditioned(self.covariance)
+
 
 # ---------------------------------------------------------------------------
 # Gaussian conditioning
@@ -151,12 +162,28 @@ def _check_psd(cov: np.ndarray, label: str = "covariance") -> None:
         )
 
 
-def _ridge(block: np.ndarray, context: str) -> float:
-    """Diagonal ridge for a near-singular block (cond > 1e8), else 0.0."""
-    if block.size == 0:
+def _well_conditioned(matrix: np.ndarray) -> bool:
+    """Whether cond(matrix) <= 1e7, so that no principal block needs a ridge.
+
+    For a positive semi-definite matrix, Cauchy interlacing gives
+    cond(Sigma_SS) <= cond(Sigma) for every principal block Sigma_SS; a
+    bound ten times below the ridge threshold of :func:`_ridge` leaves room
+    for rounding in either condition number.
+    """
+    cond = np.linalg.cond(matrix) if matrix.size else math.inf
+    return bool(np.isfinite(cond) and cond <= WELL_CONDITIONED)
+
+
+def _ridge(block: np.ndarray, context: str, well_conditioned: bool = False) -> float:
+    """Diagonal ridge for a near-singular block (cond > 1e8), else 0.0.
+
+    ``well_conditioned`` says that the matrix the block was taken from
+    passed :func:`_well_conditioned`; the block's own check is then skipped.
+    """
+    if block.size == 0 or well_conditioned:
         return 0.0
     cond = np.linalg.cond(block)
-    if np.isfinite(cond) and cond <= 1e8:
+    if np.isfinite(cond) and cond <= RIDGE_COND:
         return 0.0
     lam = max(1e-8 * float(np.trace(block)) / block.shape[0], 1e-12)
     warnings.warn(
@@ -251,10 +278,15 @@ def _eigen_factor(sigma: np.ndarray) -> np.ndarray:
 
 
 def _conditional_law(
-    mean: np.ndarray, cov: np.ndarray, s: Coalition, x_s: np.ndarray, context: str
+    mean: np.ndarray,
+    cov: np.ndarray,
+    s: Coalition,
+    x_s: np.ndarray,
+    context: str,
+    well_conditioned: bool,
 ) -> GaussianConditional:
     """Condition N(mean, cov) on x_S = x_s and eigen-factor the result."""
-    ridge = _ridge(cov[np.ix_(s, s)], context)
+    ridge = _ridge(cov[np.ix_(s, s)], context, well_conditioned)
     mu, sigma = conditional_moments(mean, cov, s, x_s, context, ridge=ridge)
     return GaussianConditional(mu_cond=mu, factor=_eigen_factor(sigma), ridge=ridge)
 
@@ -266,7 +298,9 @@ def gaussian_conditional(
     cov = train.checked_covariance
     s = tuple(sorted(s))
     x_star = np.asarray(x_star, float).reshape(-1)
-    return _conditional_law(train.mean, cov, s, x_star[list(s)], "gaussian conditional")
+    return _conditional_law(
+        train.mean, cov, s, x_star[list(s)], "gaussian conditional", train.well_conditioned
+    )
 
 
 def sample_gaussian_conditional(
@@ -417,6 +451,11 @@ class CopulaState:
     def m(self) -> int:
         return self.sorted_columns.shape[0]
 
+    @cached_property
+    def well_conditioned(self) -> bool:
+        """Whether no block of the latent correlation needs a ridge."""
+        return _well_conditioned(self.latent_correlation)
+
     def cdf(self, cols: Sequence[int], x: np.ndarray) -> np.ndarray:
         """Empirical CDF of feature cols[i] at x[i]: rank/(n+1), never 0 or 1."""
         rank = [self.sorted_columns[j].searchsorted(v, side="right") for j, v in zip(cols, x)]
@@ -493,7 +532,9 @@ def sample_copula_conditional(
     zero, corr = np.zeros(m), state.latent_correlation
     plan, cond = _planned(
         state.plans, s, m, zero, corr, v_star,
-        lambda: _conditional_law(zero, corr, s, v_star, "copula conditional"),
+        lambda: _conditional_law(
+            zero, corr, s, v_star, "copula conditional", state.well_conditioned
+        ),
     )
     latent = sample_gaussian_conditional(cond, k, rng_seed)
     return state.quantiles(plan.sbar, ndtr(latent))
@@ -519,7 +560,8 @@ def _whiten(
 ) -> np.ndarray:
     """L^{-1} diff^T for the Cholesky factor L of Sigma_SS: one column per row of diff."""
     block = train.covariance[np.ix_(s, s)]
-    return np.linalg.solve(np.linalg.cholesky(_ridged(block, _ridge(block, context))), diff.T)
+    ridge = _ridge(block, context, train.well_conditioned)
+    return np.linalg.solve(np.linalg.cholesky(_ridged(block, ridge)), diff.T)
 
 
 def scaled_mahalanobis(
@@ -605,6 +647,29 @@ def estimate_v_empirical(
 # ---------------------------------------------------------------------------
 
 
+def _smooth(w: np.ndarray, phi_form: str = "corrected") -> tuple[float, float]:
+    """Normalize the rows of kernel matrix ``w`` in place; return (tr(H), Phi(H)).
+
+    ``w`` then holds the hat matrix H.  The trace is read off the kernel's
+    diagonal before the rows are normalized.  A row that sums to zero gives
+    (inf, inf) and leaves ``w`` as it was; Phi(H) is inf when the penalty
+    denominator is not positive.
+    """
+    n = w.shape[0]
+    row_sums = w.sum(axis=1)
+    if np.any(row_sums <= 0.0):
+        return math.inf, math.inf
+    trace = float(np.sum(np.diag(w) / row_sums))
+    np.divide(w, row_sums[:, None], out=w)
+    if phi_form == "corrected":
+        denom = 1.0 - (trace + 2.0) / n
+    else:
+        denom = 1.0 - (trace + 2.0) / 2.0
+    if denom <= 0.0:
+        return trace, math.inf
+    return trace, (1.0 + trace / n) / denom
+
+
 def aicc_components(
     weight_matrix: np.ndarray, responses: np.ndarray, phi_form: str = "corrected"
 ) -> tuple[float, float, float]:
@@ -616,22 +681,11 @@ def aicc_components(
     """
     if phi_form not in ("corrected", "printed"):
         raise ValueError(f"unknown phi_form {phi_form!r}")
-    w = np.asarray(weight_matrix, float)
-    n = w.shape[0]
-    row_sums = w.sum(axis=1)
-    if np.any(row_sums <= 0.0):
+    h = np.array(weight_matrix, float)
+    trace, phi_h = _smooth(h, phi_form)
+    if math.isinf(trace):
         return math.inf, math.inf, math.inf
-    h = w / row_sums[:, None]
-    fitted = h @ responses
-    tau_sq = float(np.mean((responses - fitted) ** 2))
-    trace = float(np.sum(np.diag(w) / row_sums))
-    if phi_form == "corrected":
-        denom = 1.0 - (trace + 2.0) / n
-    else:
-        denom = 1.0 - (trace + 2.0) / 2.0
-    if denom <= 0.0:
-        return tau_sq, math.inf, trace
-    phi_h = (1.0 + trace / n) / denom
+    tau_sq = float(np.mean((responses - h @ responses) ** 2))
     return tau_sq, phi_h, trace
 
 
@@ -650,22 +704,43 @@ def _aicc_criterion_for_coalition(
     sigma_grid: Sequence[float],
     n_aicc: int,
 ) -> np.ndarray:
-    idx = _aicc_subsample(train.n, n_aicc)
-    sub = train.data[idx]
-    x_star = np.asarray(x_star, float).reshape(-1)
-    responses = call_predictor(predictor, _splice(sub, s, x_star))
-    white = _whiten(train, s, sub[:, list(s)], "aicc distance").T  # (n_sub, |s|)
+    """log(tau^2) + Phi(H) on the grid: one row per instance of the (n, m) block.
+
+    One predictor call covers the spliced subsample of every instance.  The
+    distances, and for each sigma the kernel, hat matrix, trace and Phi(H),
+    depend on s and sigma alone and are built once.  Each instance's
+    responses then go through their own matvec ``h @ r``: unlike one
+    ``H @ R`` product, that keeps every tau^2 bit-identical to a search over
+    that instance alone.
+    """
+    sub = train.data[_aicc_subsample(train.n, n_aicc)]
+    cols = list(s)
+    synth = np.tile(sub, (len(x_star), 1))
+    synth[:, cols] = np.repeat(x_star[:, cols], len(sub), axis=0)
+    responses = call_predictor(predictor, synth).reshape(len(x_star), len(sub))
+    white = _whiten(train, s, sub[:, cols], "aicc distance").T  # (n_sub, |s|)
     sq = np.sum(white ** 2, axis=1)
-    d2 = (sq[:, None] + sq[None, :] - 2.0 * (white @ white.T)) / len(s)
-    d2 = np.maximum(d2, 0.0)
-    out = np.empty(len(sigma_grid))
+    # d2 = max((sq_i + sq_j - 2 <w_i, w_j>) / |s|, 0).  Two n_sub x n_sub
+    # matrices in all: h holds 2 <w_i, w_j>, then each sigma's kernel and
+    # hat matrix.
+    h = white @ white.T
+    np.multiply(h, 2.0, out=h)
+    d2 = np.add(sq[:, None], sq[None, :])
+    np.subtract(d2, h, out=d2)
+    np.divide(d2, len(s), out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    out = np.empty((len(x_star), len(sigma_grid)))
     for g, sigma in enumerate(sigma_grid):
-        w = np.exp(-d2 / (2.0 * sigma ** 2))
-        tau_sq, phi_h, _ = aicc_components(w, responses)
+        np.negative(d2, out=h)
+        np.divide(h, 2.0 * sigma ** 2, out=h)
+        np.exp(h, out=h)
+        _, phi_h = _smooth(h)
         if not np.isfinite(phi_h):
-            out[g] = math.inf
-        else:
-            out[g] = math.log(max(tau_sq, 1e-300)) + phi_h
+            out[:, g] = math.inf
+            continue
+        for i, r in enumerate(responses):
+            tau_sq = float(np.mean((r - h @ r) ** 2))
+            out[i, g] = math.log(max(tau_sq, 1e-300)) + phi_h
     return out
 
 
@@ -676,36 +751,46 @@ def aicc_bandwidth(
     x_star: np.ndarray,
     sigma_grid: Sequence[float] = DEFAULT_AICC_GRID,
     n_aicc: int = DEFAULT_N_AICC,
-) -> float:
+) -> float | np.ndarray:
     """Grid minimizer of log(tau^2) + Phi(H) for the kernel smoother.
 
     Passing a coalition selects the per-coalition ("exact") criterion;
     passing an integer size sums the criteria over every coalition of that
-    size and shares one bandwidth across them ("approx").
+    size and shares one bandwidth across them ("approx").  ``x_star`` is one
+    instance (m,), which gives a float, or a block of instances (n, m),
+    which gives one bandwidth per row; a block shares one predictor call and
+    one set of hat matrices per coalition.
     """
     sigma_grid = list(sigma_grid)
     if not sigma_grid or any(s <= 0 for s in sigma_grid):
         raise ValueError("sigma_grid must be non-empty and positive")
+    one = np.ndim(x_star) == 1
+    block = np.asarray(x_star, float).reshape(-1, train.m)
     if isinstance(s_or_size, (int, np.integer)):
         size = int(s_or_size)
         if not (0 < size < train.m):
             raise ValueError("coalition size must be proper")
-        total = np.zeros(len(sigma_grid))
+        criteria = np.zeros((len(block), len(sigma_grid)))
         for s in combinations(range(train.m), size):
-            total += _aicc_criterion_for_coalition(
-                train, predictor, s, x_star, sigma_grid, n_aicc
+            criteria += _aicc_criterion_for_coalition(
+                train, predictor, s, block, sigma_grid, n_aicc
             )
-        criteria = total
     else:
         s = tuple(sorted(s_or_size))
         if not (0 < len(s) < train.m):
             raise ValueError("coalition must be proper and non-empty")
         criteria = _aicc_criterion_for_coalition(
-            train, predictor, s, x_star, sigma_grid, n_aicc
+            train, predictor, s, block, sigma_grid, n_aicc
         )
-    if not np.any(np.isfinite(criteria)):
-        raise ValueError("AICc criterion infinite on the whole bandwidth grid")
-    return float(sigma_grid[int(np.argmin(criteria))])
+    hopeless = ~np.isfinite(criteria).any(axis=1)
+    if hopeless.any():
+        x_bad = block[int(np.argmax(hopeless))]
+        raise ValueError(
+            "AICc criterion infinite on the whole bandwidth grid "
+            f"for x* = {np.array2string(x_bad, precision=6)}"
+        )
+    sigmas = np.asarray(sigma_grid, float)[np.argmin(criteria, axis=1)]
+    return float(sigmas[0]) if one else sigmas
 
 
 # ---------------------------------------------------------------------------
@@ -828,30 +913,41 @@ class FittedSampler:
 
     # -- bandwidth ---------------------------------------------------------
 
+    @property
+    def aicc_block(self) -> int:
+        """Instances searched together by AICc: at most AICC_BATCH_ROWS synthetic rows."""
+        return max(1, AICC_BATCH_ROWS // max(1, min(self.train.n, self.spec.n_aicc)))
+
     def bandwidths(
         self, predictor: Predictor, coalitions: Iterable[Coalition], x_star: np.ndarray
-    ) -> dict[Coalition, float]:
+    ) -> dict[Coalition, float] | list[dict[Coalition, float]]:
         """Kernel bandwidth of every coalition the empirical part estimates.
 
         That is every proper coalition for the empirical kind and those with
         |S| <= d_star for the combined kind; other kinds get an empty table.
         AICc runs once per coalition (``aicc_exact``) or once per coalition
-        size (``aicc_approx``).
+        size (``aicc_approx``), for all of ``x_star`` at once: one instance
+        (m,) gives one table, a block (n, m) one table per row.
         """
         spec = self.spec
         m = self.train.m
         max_size = {"empirical": m - 1, "combined": min(spec.d_star, m - 1)}.get(spec.kind, 0)
         needs = [s for s in coalitions if 0 < len(s) <= max_size]
         if spec.bandwidth_mode == "fixed":
-            return {s: spec.sigma for s in needs}
+            table = {s: spec.sigma for s in needs}
+        else:
+            def aicc(target: Coalition | int) -> float | np.ndarray:
+                return aicc_bandwidth(self.train, predictor, target, x_star, n_aicc=spec.n_aicc)
 
-        def aicc(target: Coalition | int) -> float:
-            return aicc_bandwidth(self.train, predictor, target, x_star, n_aicc=spec.n_aicc)
-
-        if spec.bandwidth_mode == "aicc_exact":
-            return {s: aicc(s) for s in needs}
-        by_size = {size: aicc(size) for size in sorted({len(s) for s in needs})}
-        return {s: by_size[len(s)] for s in needs}
+            if spec.bandwidth_mode == "aicc_exact":
+                table = {s: aicc(s) for s in needs}
+            else:
+                by_size = {size: aicc(size) for size in sorted({len(s) for s in needs})}
+                table = {s: by_size[len(s)] for s in needs}
+        if np.ndim(x_star) == 1:
+            return table
+        rows = {s: np.broadcast_to(sigma, len(x_star)) for s, sigma in table.items()}
+        return [{s: float(sigma[i]) for s, sigma in rows.items()} for i in range(len(x_star))]
 
     # -- v(S) --------------------------------------------------------------
 

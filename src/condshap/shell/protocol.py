@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ModelProtocolError
 
-MAX_BATCH_ROWS = 10_000
+MAX_BATCH_ROWS = 2_000
 HANDSHAKE_ID = 0
 
 

@@ -1,10 +1,12 @@
 """End-to-end explanation pipeline behavior."""
 
+import re
 import sys
 
 import numpy as np
 import pytest
 
+from condshap import samplers
 from condshap.coalitions import sample_coalitions
 from condshap.errors import DiagnosticWarning
 from condshap.explain import Explainer
@@ -133,3 +135,69 @@ class TestExplainer:
         explainer = Explainer(train, predictor, spec, k=200, seed=8)
         table = explainer.sampler.bandwidths(predictor, explainer.cm.coalitions, train.data[0])
         assert set(table) == {(0,), (1,), (2,)}
+
+
+AICC_LABELS = ["empirical-aicc-exact", "empirical-aicc-approx",
+               "empirical-aicc-exact+gaussian", "empirical-aicc-approx+copula"]
+
+
+class TestBlockedAicc:
+    """explain(X) searches AICc bandwidths per block; explain_one is a block of one."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((300, 4)) @ (np.eye(4) + 0.4 * rng.standard_normal((4, 4)))
+        beta = np.array([1.0, -2.0, 0.5, 1.5])
+        return x, lambda X: np.atleast_2d(X) @ beta + np.sin(np.atleast_2d(X)[:, 0])
+
+    @staticmethod
+    def fresh(data, label, predictor=None):
+        x, f = data
+        spec = SamplerSpec.from_label(label, d_star=2, n_aicc=80)
+        return Explainer(TrainingMatrix.from_data(x), predictor or f, spec, k=50, seed=3)
+
+    @staticmethod
+    def as_bytes(explanations) -> list[bytes]:
+        return [np.float64(e.phi0).tobytes() + e.phi.tobytes() for e in explanations]
+
+    @pytest.mark.parametrize("label", AICC_LABELS)
+    def test_explain_equals_explain_one(self, data, label):
+        rows = data[0][:7] * 0.8
+        explainer = self.fresh(data, label)
+        one_by_one = self.as_bytes(explainer.explain_one(x, i) for i, x in enumerate(rows))
+        for workers in (1, 2):
+            blocked = self.fresh(data, label).explain(rows, workers=workers)
+            assert self.as_bytes(blocked) == one_by_one
+
+    @pytest.mark.parametrize("batch_rows", [samplers.AICC_BATCH_ROWS, 160])
+    def test_one_aicc_predictor_call_per_coalition_per_block(self, data, monkeypatch, batch_rows):
+        monkeypatch.setattr(samplers, "AICC_BATCH_ROWS", batch_rows)
+        sizes = []
+
+        def counting(X):
+            sizes.append(len(X))
+            return data[1](X)
+
+        rows = data[0][:7] * 0.8
+        explainer = self.fresh(data, "empirical-aicc-exact+gaussian", counting)
+        sizes.clear()  # the mean training prediction
+        blocked = explainer.explain(rows)
+        block = explainer.sampler.aicc_block
+        assert block == batch_rows // 80
+        block_sizes = [len(rows[i : i + block]) for i in range(0, 7, block)]
+        # 10 coalitions with |S| <= d_star = 2; other calls hold 1 row (f(x*))
+        # or k = 50 rows at most.
+        assert [n for n in sizes if n >= 80] == [80 * b for b in block_sizes for _ in range(10)]
+        one_by_one = [explainer.explain_one(x, i) for i, x in enumerate(rows)]
+        assert self.as_bytes(blocked) == self.as_bytes(one_by_one)
+
+    def test_infinite_grid_names_the_instance(self, data):
+        x, f = data
+        rows = x[:3].copy()
+        rows[1, 0] = 1e6
+        nan_far = lambda X: np.where(np.atleast_2d(X)[:, 0] > 1e5, np.nan, f(X))
+        explainer = self.fresh(data, "empirical-aicc-exact", nan_far)
+        named = re.escape(np.array2string(rows[1], precision=6))
+        with pytest.raises(ValueError, match="infinite on the whole bandwidth grid.*" + named):
+            explainer.explain(rows)

@@ -2,7 +2,9 @@
 empirical, AICc bandwidths, and the combined dispatch."""
 
 import math
+import re
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -487,6 +489,17 @@ class TestAicc:
         sigma = aicc_bandwidth(train, f, 1, np.array([0.1, 0.2, 0.3]))
         assert sigma in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
 
+    def test_infinite_grid_names_the_instance(self, bivariate_train):
+        f = lambda X: np.where(X[:, 0] > 1e5, np.nan, X.sum(axis=1))
+        block = np.array([[0.1, 0.2], [2e5, 0.3], [0.4, -0.1]])
+        named = re.escape(np.array2string(block[1], precision=6))
+        with pytest.raises(ValueError, match="infinite on the whole bandwidth grid.*" + named):
+            aicc_bandwidth(bivariate_train, f, (0,), block)
+        with pytest.raises(ValueError, match=named):
+            aicc_bandwidth(bivariate_train, f, 1, block[1])
+        good = aicc_bandwidth(bivariate_train, f, (0,), block[[0, 2]])
+        assert good.tolist() == [aicc_bandwidth(bivariate_train, f, (0,), x) for x in block[[0, 2]]]
+
     def test_grid_validation(self, bivariate_train):
         f = lambda X: X.sum(axis=1)
         with pytest.raises(ValueError):
@@ -643,6 +656,30 @@ class TestBandwidths:
         else:
             assert targets == list(range(1, max_size + 1))  # one search per size
 
+    @pytest.mark.parametrize("kind", ["empirical", "combined"])
+    @pytest.mark.parametrize("mode", ["aicc_exact", "aicc_approx"])
+    def test_block_equals_per_instance_reference(self, setup, kind, mode):
+        train, f, _, coalitions = setup
+        grid = samplers.DEFAULT_AICC_GRID
+        block = train.data[10:17] * 0.9
+        spec = SamplerSpec(kind=kind, bandwidth_mode=mode, d_star=2, n_aicc=80)
+        sampler = FittedSampler(spec, train)
+        tables = sampler.bandwidths(f, coalitions, block)
+        covered = [s for s in coalitions if 0 < len(s) <= (3 if kind == "empirical" else 2)]
+        assert len(tables) == len(block)
+        for x, table in zip(block, tables):
+            assert list(table) == covered
+            assert table == sampler.bandwidths(f, coalitions, x)
+            reference = {
+                s: _aicc_reference(train, f, s if mode == "aicc_exact" else len(s), x, 80)
+                for s in covered
+            }
+            assert table == {s: grid[int(np.argmin(reference[s]))] for s in covered}
+        for s in covered:  # the criteria themselves, bit for bit
+            criteria = samplers._aicc_criterion_for_coalition(train, f, s, block, grid, 80)
+            for x, row in zip(block, criteria):
+                assert row.tolist() == _aicc_reference(train, f, s, x, 80).tolist()
+
     def test_fixed_and_parametric_kinds(self, setup):
         train, f, x_star, coalitions = setup
         fixed = FittedSampler(SamplerSpec(kind="combined", sigma=0.3, d_star=1), train)
@@ -659,6 +696,34 @@ class TestBandwidths:
         assert sampler.contribution(f, s, x_star, 200, 0) == sampler.contribution(
             f, s, x_star, 200, 0, sigma=sigma
         )
+
+
+def _aicc_reference(train, f, s_or_size, x_star, n_aicc, grid=samplers.DEFAULT_AICC_GRID):
+    """One instance's AICc criteria on the grid, coalition by coalition and sigma by sigma.
+
+    The slow reference for ``aicc_bandwidth``: a fresh spliced subsample and
+    whitening per coalition, a fresh kernel per sigma, and log(tau^2) + Phi
+    from ``aicc_components``.
+    """
+    if isinstance(s_or_size, int):
+        coalitions = list(combinations(range(train.m), s_or_size))
+    else:
+        coalitions = [s_or_size]
+    total = np.zeros(len(grid))
+    for s in coalitions:
+        s = list(s)
+        sub = train.data[samplers._aicc_subsample(train.n, n_aicc)]
+        synth = sub.copy()
+        synth[:, s] = x_star[s]
+        y = f(synth)
+        chol = np.linalg.cholesky(train.covariance[np.ix_(s, s)])
+        white = np.linalg.solve(chol, sub[:, s].T).T
+        sq = np.sum(white ** 2, axis=1)
+        d2 = np.maximum((sq[:, None] + sq[None, :] - 2.0 * (white @ white.T)) / len(s), 0.0)
+        for g, sigma in enumerate(grid):
+            tau_sq, phi_h, _ = aicc_components(np.exp(-d2 / (2.0 * sigma ** 2)), y)
+            total[g] += math.log(max(tau_sq, 1e-300)) + phi_h if np.isfinite(phi_h) else math.inf
+    return total
 
 
 def _copula_draws_by_column(state, s, x_star, k, rng_seed):
@@ -773,3 +838,53 @@ class TestPlansMatchPerCallReference:
                 draws = sample_copula_conditional(state, s, x_star, self.K, [3, i, r])
                 expected = _copula_draws_by_column(state, s, x_star, self.K, [3, i, r])
                 assert np.array_equal(draws, expected), (i, s)
+
+
+class TestRidgeDecidedOncePerMatrix:
+    """A well-conditioned matrix settles every block's ridge with one cond call."""
+
+    @staticmethod
+    def count_cond_calls(monkeypatch) -> list:
+        shapes = []
+        original = np.linalg.cond
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        return shapes
+
+    @staticmethod
+    def explainers(data) -> list:
+        """Four explainers on one fresh training matrix; their solvers' cond calls are made."""
+        from condshap.explain import Explainer
+
+        train = TrainingMatrix.from_data(data)
+        f = lambda X: np.atleast_2d(X) @ np.arange(1.0, data.shape[1] + 1)
+        labels = ("gaussian", "copula", "empirical-aicc-exact+gaussian", "empirical-0.1")
+        return [Explainer(train, f, SamplerSpec.from_label(label, d_star=2, n_aicc=60), k=50)
+                for label in labels]
+
+    def test_well_conditioned_fit_checks_no_block(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        data = rng.standard_normal((300, 4)) @ (np.eye(4) + 0.3 * np.ones((4, 4)))
+        explainers = self.explainers(data)
+        shapes = self.count_cond_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DiagnosticWarning)
+            for explainer in explainers:
+                explainer.explain(data[:2])
+        assert [shape for shape in shapes if shape[0] < 4] == []
+        assert shapes == [(4, 4), (4, 4)]  # the covariance and the latent correlation
+
+    def test_near_collinear_fit_checks_each_block(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        data = rng.standard_normal((300, 4))
+        data[:, 3] = data[:, 2] + 1e-7 * rng.standard_normal(300)
+        explainers = self.explainers(data)
+        shapes = self.count_cond_calls(monkeypatch)
+        with pytest.warns(DiagnosticWarning, match="near-singular covariance block"):
+            for explainer in explainers:
+                explainer.explain(data[:2])
+        assert any(shape[0] < 4 for shape in shapes)

@@ -44,6 +44,23 @@ MEAN_MODEL = textwrap.dedent(
     """
 )
 
+# MEAN_MODEL that also appends each request's row count to the file named by argv[1].
+LOGGING_MEAN_MODEL = textwrap.dedent(
+    """
+    import json, sys
+    log = open(sys.argv[1], "a")
+    for line in sys.stdin:
+        line = line.strip()
+        if not line:
+            continue
+        req = json.loads(line)
+        log.write(f"{len(req['rows'])}\\n")
+        log.flush()
+        preds = [sum(r) / len(r) if r else 0.0 for r in req["rows"]]
+        print(json.dumps({"id": req["id"], "predictions": preds}), flush=True)
+    """
+)
+
 CONSTANT_MODEL = textwrap.dedent(
     """
     import json, sys
@@ -277,6 +294,14 @@ class TestProtocol:
         with ExternalModel(model_command(MEAN_MODEL), timeout=15) as model:
             x_star = np.array([[1.0, 2.0, 6.0]])
             assert model(x_star) == pytest.approx([3.0])
+
+    def test_default_budget_splits_large_calls(self, tmp_path):
+        log = tmp_path / "requests.txt"
+        x = np.random.default_rng(3).standard_normal((4001, 3))
+        with ExternalModel(model_command(LOGGING_MEAN_MODEL) + [str(log)], timeout=15) as model:
+            out = model(x)
+        assert log.read_text().split() == ["0", "2000", "2000", "1"]  # handshake, 3 requests
+        assert out.tolist() == [sum(row) / len(row) for row in x.tolist()]
 
     def test_out_of_order_ids_matched(self):
         with ExternalModel(

@@ -14,8 +14,8 @@ the same bytes.  The outputs are:
   estimators with the stump model and with an external JSON-lines model, and
   a ``CONDSHAP_WORKERS=2`` copula run;
 - ``condshap cluster`` on a tie-heavy CSV;
-- ``condshap simulate`` reports for a Gaussian, a mixture and a piecewise
-  config;
+- ``condshap simulate`` reports for a Gaussian, a mixture, a piecewise and
+  a GH config;
 - in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
   in reverse order, two-worker runs, near-singular and constant-margin
   training sets, and the AICc estimators explained as a block, with two
@@ -57,6 +57,10 @@ SIMULATIONS = {
     "sim-piecewise": {"features": "gaussian", "rho": 0.3, "model": "piecewise",
                       "quadrature_refine": "false",
                       "estimators": "original,copula,empirical-aicc-approx+gaussian"},
+    # GH truth: tail panels on every conditional grid, and the 48-component
+    # GIG mixture for the mean prediction.
+    "sim-gh": {"features": "gh", "kappa": 2.0, "quadrature_refine": "false", "n_train": 150,
+               "estimators": "original,gaussian,empirical-0.1"},
 }
 SIMULATION_COMMON = {"n_train": 300, "n_test": 3, "batches": 2, "k": 200, "seed": 5,
                      "quadrature_points": 24, "n_aicc": 120, "d_star": 1}

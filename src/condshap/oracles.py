@@ -3,12 +3,16 @@
 Three routes: closed forms for linear predictors, tensor-product
 Gauss-Legendre quadrature of the conditional-expectation integral for low
 dimensions, and Monte Carlo integration with exact conditional samplers for
-moderate dimensions.  Feature distributions enter through a small handle
-protocol (see :mod:`condshap.simlab.distributions`).
+moderate dimensions.  Quadrature grids go to the model in chunks of at most
+``CHUNK_ROWS`` (32,768) rows, so memory no longer grows with points**3
+beyond one float per grid point.  Feature distributions enter through a
+small handle protocol (see :mod:`condshap.simlab.distributions`).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
@@ -160,6 +164,8 @@ HALF_WIDTH_SDS = 8.0
 REFINE_TOL = 1e-4
 #: Largest integration dimension the tensor grid is used for.
 MAX_DIM = 3
+#: Most grid rows sent to a component density or the model in one call.
+CHUNK_ROWS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,18 @@ class GridSpec:
     refine: bool = True
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``points``-node Gauss-Legendre rule on [-1, 1], built once per count.
+
+    Every caller shares the arrays, so they are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _component_integral(
     predictor: Predictor,
     s: Coalition,
@@ -178,11 +196,16 @@ def _component_integral(
     m: int,
     points: int,
 ) -> float:
-    """Integral of f(x_sbar, x_s*) times the component density over its box."""
+    """Integral of f(x_sbar, x_s*) times the component density over its box.
+
+    The tensor grid goes to the density and the model ``CHUNK_ROWS`` rows at
+    a time; the weighted terms are summed once, over the whole grid, so the
+    value does not depend on the chunk size.
+    """
     sbar = [j for j in range(m) if j not in s]
     d = len(sbar)
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    tail_nodes, tail_weights = np.polynomial.legendre.leggauss(max(points // 2, 8))
+    nodes, weights = gauss_legendre(points)
+    tail_nodes, tail_weights = gauss_legendre(max(points // 2, 8))
     axes_nodes, axes_weights = [], []
     for i in range(d):
         core_lo = comp.center[i] - HALF_WIDTH_SDS * comp.sd[i]
@@ -202,15 +225,21 @@ def _component_integral(
             ws.append(0.5 * (b - a) * pw)
         axes_nodes.append(np.concatenate(xs))
         axes_weights.append(np.concatenate(ws))
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    pts = np.column_stack([g.reshape(-1) for g in mesh])
-    wmesh = np.meshgrid(*axes_weights, indexing="ij")
-    wts = np.prod(np.column_stack([g.reshape(-1) for g in wmesh]), axis=1)
-    dens = np.asarray(comp.density(pts), float).reshape(-1)
-    synth = np.tile(x_star, (len(pts), 1))
-    synth[:, sbar] = pts
-    preds = call_predictor(predictor, synth)
-    return float(np.sum(wts * dens * preds))
+    shape = tuple(len(axis) for axis in axes_nodes)
+    size = math.prod(shape)
+    terms = np.empty(size)
+    for start in range(0, size, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, size)
+        # Grid rows in C order: the last axis varies fastest.
+        index = np.unravel_index(np.arange(start, stop), shape)
+        pts = np.column_stack([axis[k] for axis, k in zip(axes_nodes, index)])
+        # Tensor weights multiplied axis by axis: ((w0 * w1) * w2).
+        wts = functools.reduce(np.multiply, [axis[k] for axis, k in zip(axes_weights, index)])
+        dens = np.asarray(comp.density(pts), float).reshape(-1)
+        synth = np.tile(x_star, (stop - start, 1))
+        synth[:, sbar] = pts
+        terms[start:stop] = wts * dens * call_predictor(predictor, synth)
+    return float(np.sum(terms))
 
 
 def _quadrature_v_table(

@@ -552,7 +552,27 @@ class EmpiricalWeights:
     distances: np.ndarray
     weights: np.ndarray
     sigma: float
-    order: np.ndarray  # permutation sorting weights non-increasing
+
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        """The weights sorted non-increasing."""
+        return -np.sort(-self.weights)
+
+    def top(self, k: int) -> np.ndarray:
+        """Rows of the ``k`` largest weights, heaviest first, ties by row index.
+
+        The same rows in the same order as ``argsort(-weights, kind="stable")[:k]``,
+        without ranking every row: only the rows at or above the k-th weight
+        are sorted.
+        """
+        w = self.weights
+        k = min(k, w.size)
+        if k <= 0:
+            return np.empty(0, dtype=np.intp)
+        cut = self.ranked[k - 1]
+        above = np.flatnonzero(w > cut)
+        rows = np.concatenate([above, np.flatnonzero(w == cut)[: k - above.size]])
+        return rows[np.argsort(-w[rows], kind="stable")]
 
 
 def _whiten(
@@ -586,8 +606,7 @@ def empirical_weights(
         raise ValueError("bandwidth sigma must be positive")
     d = scaled_mahalanobis(train, s, x_star)
     w = np.exp(-(d ** 2) / (2.0 * sigma ** 2))
-    order = np.argsort(-w, kind="stable")
-    return EmpiricalWeights(distances=d, weights=w, sigma=float(sigma), order=order)
+    return EmpiricalWeights(distances=d, weights=w, sigma=float(sigma))
 
 
 def select_k(weights: EmpiricalWeights, eta: float, k_cap: int) -> int:
@@ -596,7 +615,7 @@ def select_k(weights: EmpiricalWeights, eta: float, k_cap: int) -> int:
         raise ValueError("eta must be in (0, 1)")
     if k_cap < 1:
         raise ValueError("k_cap must be >= 1")
-    w = weights.weights[weights.order]
+    w = weights.ranked
     total = float(w.sum())
     if total <= 0.0:
         return min(k_cap, w.shape[0])
@@ -635,7 +654,7 @@ def estimate_v_empirical(
         )
         return estimate_v_independent_full(train, predictor, s, x_star)
     k = select_k(ew, eta, k_cap)
-    top = ew.order[:k]
+    top = ew.top(k)
     w = ew.weights[top]
     synth = _splice(train.data[top], s, x_star)
     preds = call_predictor(predictor, synth)

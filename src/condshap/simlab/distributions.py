@@ -16,7 +16,7 @@ from scipy.special import kve
 
 from ..coalitions import Coalition
 from ..errors import InvalidCovarianceError
-from ..oracles import QuadratureComponent
+from ..oracles import QuadratureComponent, gauss_legendre
 from ..samplers import TrainingMatrix, conditional_moments
 
 
@@ -443,7 +443,7 @@ def _gh_mixing_components(star: GHStarParams) -> list[QuadratureComponent]:
     """
     lo = math.log(star.chi / 50.0)
     hi = math.log(50.0 / star.psi)
-    nodes, weights = np.polynomial.legendre.leggauss(48)
+    nodes, weights = gauss_legendre(48)
     t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     glw = 0.5 * (hi - lo) * weights
     w = np.exp(t)

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from condshap import oracles
 from condshap.coalitions import ContributionVector, exact_shapley
 from condshap.errors import QuadratureConvergenceError
 from condshap.oracles import (
+    HALF_WIDTH_SDS,
     GridSpec,
     LinearModelSpec,
+    gauss_legendre,
     linear_dependent_shapley,
     linear_dependent_v,
     linear_independent_shapley,
+    quadrature_mean_prediction,
     true_shapley_mc,
     true_shapley_quadrature,
 )
@@ -161,6 +165,133 @@ class TestQuadrature:
         quad = true_shapley_quadrature(dist, predictor, x_star, GridSpec(points_per_axis=32))
         mc = true_shapley_mc(dist, predictor, x_star, 200_000, rng_seed=1)
         assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.mc_std_error + 1e-6)
+
+
+def _reference_component_integral(predictor, s, x_star, comp, m, points):
+    """The whole tensor grid in one batch: meshgrid, column_stack and tile.
+
+    The slow reference for ``oracles._component_integral``, with a fresh
+    ``leggauss`` rule per call.
+    """
+    sbar = [j for j in range(m) if j not in s]
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    tail_nodes, tail_weights = np.polynomial.legendre.leggauss(max(points // 2, 8))
+    axes_nodes, axes_weights = [], []
+    for i in range(len(sbar)):
+        core_lo = comp.center[i] - HALF_WIDTH_SDS * comp.sd[i]
+        core_hi = comp.center[i] + HALF_WIDTH_SDS * comp.sd[i]
+        lo = comp.lo[i] if comp.lo is not None else core_lo
+        hi = comp.hi[i] if comp.hi is not None else core_hi
+        core_lo, core_hi = max(lo, core_lo), min(hi, core_hi)
+        panels = [(core_lo, core_hi, nodes, weights)]
+        if lo < core_lo:
+            panels.insert(0, (lo, core_lo, tail_nodes, tail_weights))
+        if hi > core_hi:
+            panels.append((core_hi, hi, tail_nodes, tail_weights))
+        axes_nodes.append(np.concatenate([0.5 * (b - a) * pn + 0.5 * (b + a)
+                                          for a, b, pn, _ in panels]))
+        axes_weights.append(np.concatenate([0.5 * (b - a) * pw for a, b, _, pw in panels]))
+    mesh = np.meshgrid(*axes_nodes, indexing="ij")
+    pts = np.column_stack([g.reshape(-1) for g in mesh])
+    wmesh = np.meshgrid(*axes_weights, indexing="ij")
+    wts = np.prod(np.column_stack([g.reshape(-1) for g in wmesh]), axis=1)
+    dens = np.asarray(comp.density(pts), float).reshape(-1)
+    synth = np.tile(x_star, (len(pts), 1))
+    synth[:, sbar] = pts
+    preds = predictor(synth)
+    return float(np.sum(wts * dens * preds))
+
+
+def _nonlinear(X):
+    return 0.3 + X[:, 0] - 0.5 * X[:, 1] ** 2 + np.tanh(X[:, 2]) + 0.2 * X[:, 0] * X[:, 2]
+
+
+DISTRIBUTIONS = {
+    "gaussian": lambda: GaussianFeatures.equicorrelated(3, 0.6),
+    "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.0)),
+    "gh": lambda: GHFeatures(GHParams.from_kappa(3, kappa=2.0)),
+}
+
+
+class TestChunkedQuadrature:
+    """The chunked tensor grid against the one-batch reference, bit for bit."""
+
+    X_STAR = np.array([0.7, -1.2, 0.4])
+
+    @pytest.mark.parametrize("chunk", [1000, 7, None])
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    @pytest.mark.parametrize("s", [(0, 1), (2,), ()], ids=["d1", "d2", "d3"])
+    def test_component_integral_equals_reference(self, monkeypatch, name, s, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
+        dist = DISTRIBUTIONS[name]()
+        comps = dist.conditional_components(s, self.X_STAR[list(s)])
+        if name == "gh" and s:
+            assert comps[0].lo is not None  # the tail panels are exercised
+        if name == "gh" and not s:
+            assert len(comps) == 48  # the GIG mixing decomposition
+        for comp in comps[:: max(1, len(comps) // 3)]:
+            points = 11 if len(s) == 0 else 40  # grids of 40 to 6,400 rows: ragged chunks
+            got = oracles._component_integral(_nonlinear, s, self.X_STAR, comp, 3, points)
+            expected = _reference_component_integral(
+                _nonlinear, s, self.X_STAR, comp, 3, points
+            )
+            assert got == expected
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    def test_oracle_values_do_not_depend_on_chunk_size(self, monkeypatch, name):
+        dist = DISTRIBUTIONS[name]()
+        spec = GridSpec(points_per_axis=8, refine=False)
+
+        def run():
+            mean = quadrature_mean_prediction(dist, _nonlinear, spec)
+            res = true_shapley_quadrature(dist, _nonlinear, self.X_STAR, spec)
+            return mean, res.phi0, res.phi.tobytes()
+
+        default = run()
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", 1000)
+        assert run() == default
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", 7)
+        assert run() == default
+
+    @pytest.mark.parametrize("chunk", [1000, None])
+    def test_predictor_never_sees_more_than_a_chunk(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
+        batches = []
+
+        def counting(X):
+            batches.append(len(X))
+            return _nonlinear(X)
+
+        dist = GaussianFeatures.equicorrelated(3, 0.5)
+        # 40**3 = 64,000 grid rows at the base resolution, 80**3 when refined.
+        quadrature_mean_prediction(dist, counting, GridSpec(points_per_axis=40))
+        assert max(batches) == oracles.CHUNK_ROWS
+        assert sum(batches) == 40 ** 3 + 80 ** 3
+        batches.clear()
+        true_shapley_quadrature(dist, counting, self.X_STAR, GridSpec(points_per_axis=40))
+        assert max(batches) <= oracles.CHUNK_ROWS
+
+    def test_default_chunk(self):
+        assert oracles.CHUNK_ROWS == 2 ** 15
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("points", [8, 48, 64, 128])
+    def test_equals_leggauss(self, points):
+        nodes, weights = gauss_legendre(points)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(points)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+
+    def test_built_once_and_read_only(self):
+        nodes, weights = gauss_legendre(16)
+        assert gauss_legendre(16)[0] is nodes
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            weights *= 2.0
 
 
 class TestMixtureConditionalDensity:

@@ -288,7 +288,7 @@ class TestEmpiricalWeights:
         ew = empirical_weights(bivariate_train, (0, 1), x_star, sigma=0.1)
         assert ew.distances[17] == pytest.approx(0.0, abs=1e-8)
         assert ew.weights[17] == pytest.approx(1.0)
-        assert ew.order[0] == 17 or ew.weights[ew.order[0]] == pytest.approx(1.0)
+        assert ew.top(1)[0] == 17 or ew.weights[ew.top(1)[0]] == pytest.approx(1.0)
 
     def test_scalar_unit_variance_distance(self):
         data = exact_moment_data([0.0], [[1.0]], 500, seed=9)
@@ -316,8 +316,8 @@ class TestEmpiricalWeights:
 
     def test_order_sorts_descending(self, bivariate_train):
         ew = empirical_weights(bivariate_train, (1,), np.array([0.0, 0.4]), sigma=0.2)
-        sorted_w = ew.weights[ew.order]
-        assert np.all(np.diff(sorted_w) <= 0.0)
+        assert np.all(np.diff(ew.ranked) <= 0.0)
+        assert np.array_equal(ew.weights[ew.top(len(ew.weights))], ew.ranked)
 
     def test_sigma_must_be_positive(self, bivariate_train):
         with pytest.raises(ValueError):
@@ -332,7 +332,6 @@ class TestSelectK:
             distances=np.zeros_like(w),
             weights=w,
             sigma=1.0,
-            order=np.argsort(-w, kind="stable"),
         )
 
     def test_equal_weights_085(self):
@@ -369,6 +368,77 @@ class TestSelectK:
         assert select_k(ew, hi, 7) <= min(7, 50)
 
 
+def _stable_order(w):
+    """The full ranking the top-K selection replaces: a stable argsort of -w."""
+    return np.argsort(-w, kind="stable")
+
+
+def _reference_v_empirical(train, predictor, s, x_star, sigma, eta=0.9, k_cap=5000):
+    """``estimate_v_empirical`` with the top-K rows taken from the full ranking."""
+    ew = empirical_weights(train, s, x_star, sigma)
+    order = _stable_order(ew.weights)
+    w_sorted = ew.weights[order]
+    frac = np.cumsum(w_sorted) / float(w_sorted.sum())
+    hits = np.nonzero(frac > eta)[0]
+    k = min(int(hits[0]) + 1 if hits.size else len(order), k_cap, len(order))
+    top = order[:k]
+    w = ew.weights[top]
+    synth = np.array(train.data[top], copy=True)
+    synth[:, list(s)] = x_star[list(s)]
+    return float(np.dot(w, predictor(synth)) / w.sum())
+
+
+class TestTopK:
+    """``EmpiricalWeights.ranked`` and ``top`` against the full stable argsort."""
+
+    CASES = {
+        "distinct": np.random.default_rng(0).random(40),
+        "ties-at-boundary": np.array([0.5, 0.9, 0.5, 0.2, 0.9, 0.5, 0.5, 0.1, 0.5, 0.9]),
+        "zero-tail": np.array([0.0, 0.3, 0.0, 0.0, 0.7, 0.0, 0.3, 0.0]),
+        "all-zero": np.zeros(6),
+        "all-equal": np.full(7, 0.25),
+        "single": np.array([0.4]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_k_matches_stable_argsort(self, name):
+        w = self.CASES[name]
+        ew = EmpiricalWeights(distances=np.zeros_like(w), weights=w, sigma=1.0)
+        order = _stable_order(w)
+        assert np.array_equal(ew.ranked, w[order])
+        for k in range(1, len(w) + 1):  # up to K = n
+            assert np.array_equal(ew.top(k), order[:k]), k
+        assert np.array_equal(ew.top(len(w) + 3), order)
+        assert ew.top(0).size == 0
+
+    @given(
+        levels=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=60),
+        k=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_heavy_ties_match_stable_argsort(self, levels, k):
+        # Few distinct levels, zero among them: ties straddle every boundary.
+        w = np.exp(-np.asarray(levels, float)) * (np.asarray(levels) < 4)
+        ew = EmpiricalWeights(distances=np.zeros_like(w), weights=w, sigma=1.0)
+        order = _stable_order(w)
+        assert np.array_equal(ew.ranked, w[order])
+        assert np.array_equal(ew.top(k), order[:k])
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 2.0])
+    def test_estimator_equals_full_ranking_reference(self, bivariate_train, sigma):
+        f = lambda X: X[:, 0] ** 2 - 0.5 * X[:, 1]
+        for x_star in (np.array([0.3, -0.2]), bivariate_train.data[5]):
+            for s in ((0,), (1,)):
+                for k_cap in (5000, 25):
+                    expected = _reference_v_empirical(
+                        bivariate_train, f, s, x_star, sigma, k_cap=k_cap
+                    )
+                    got = estimate_v_empirical(
+                        bivariate_train, f, s, x_star, sigma, k_cap=k_cap
+                    )
+                    assert got == expected
+
+
 class TestEmpiricalEstimator:
     def test_constant_predictor(self, bivariate_train):
         f = lambda X: np.full(len(X), -1.5)
@@ -397,7 +467,7 @@ class TestEmpiricalEstimator:
         # Weighted-mean standard error from the kernel weights.
         ew = empirical_weights(train, (0,), x_star, 0.1)
         k = select_k(ew, 0.9, 5000)
-        top = ew.order[:k]
+        top = ew.top(k)
         w = ew.weights[top]
         fx = f(np.column_stack([np.full(k, x_star[0]), train.data[top, 1]]))
         vhat = float(np.dot(w, fx) / w.sum())
@@ -610,7 +680,7 @@ class TestEstimateVDispatch:
         v = estimate_v(spec, train, f, (0,), x_star, 50, 0)
         ew = empirical_weights(train, (0,), x_star, 5.0)
         k = select_k(ew, spec.eta, 50)
-        top = ew.order[:k]
+        top = ew.top(k)
         w = ew.weights[top]
         rows = np.array(train.data[top], copy=True)
         rows[:, 0] = x_star[0]

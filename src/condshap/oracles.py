@@ -5,8 +5,11 @@ Gauss-Legendre quadrature of the conditional-expectation integral for low
 dimensions, and Monte Carlo integration with exact conditional samplers for
 moderate dimensions.  Quadrature grids go to the model in chunks of at most
 ``CHUNK_ROWS`` (32,768) rows, so memory no longer grows with points**3
-beyond one float per grid point.  Feature distributions enter through a
-small handle protocol (see :mod:`condshap.simlab.distributions`).
+beyond one float per grid point.  Each chunk is written straight into one
+model batch, and the component densities it is weighted by are factored
+once per component, when the distribution builds them; the base and the
+doubled grid share one set of components.  Feature distributions enter
+through a small handle protocol (see :mod:`condshap.simlab.distributions`).
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class QuadratureComponent:
     weight: float
     center: np.ndarray  # per-coordinate location used for the grid box
     sd: np.ndarray  # per-coordinate spread used for the grid box
-    density: Callable[[np.ndarray], np.ndarray]  # vectorized pdf on points
+    density: Callable[[np.ndarray], np.ndarray]  # vectorized pdf on (n, d) points
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
 
@@ -228,44 +231,55 @@ def _component_integral(
     shape = tuple(len(axis) for axis in axes_nodes)
     size = math.prod(shape)
     terms = np.empty(size)
+    # One model batch, reused by every chunk: the x*_S columns are set once.
+    batch = np.empty((min(CHUNK_ROWS, size), m))
+    batch[:, list(s)] = x_star[list(s)]
     for start in range(0, size, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, size)
+        synth = batch[: stop - start]
         # Grid rows in C order: the last axis varies fastest.
         index = np.unravel_index(np.arange(start, stop), shape)
-        pts = np.column_stack([axis[k] for axis, k in zip(axes_nodes, index)])
+        for col, axis, k in zip(sbar, axes_nodes, index):
+            synth[:, col] = axis[k]
         # Tensor weights multiplied axis by axis: ((w0 * w1) * w2).
         wts = functools.reduce(np.multiply, [axis[k] for axis, k in zip(axes_weights, index)])
-        dens = np.asarray(comp.density(pts), float).reshape(-1)
-        synth = np.tile(x_star, (stop - start, 1))
-        synth[:, sbar] = pts
+        dens = np.asarray(comp.density(synth[:, sbar]), float).reshape(-1)
         terms[start:stop] = wts * dens * call_predictor(predictor, synth)
     return float(np.sum(terms))
 
 
+def _coalition_components(
+    dist: FeatureDistribution, x_star: np.ndarray, v_empty: float | None
+) -> dict[Coalition, list[QuadratureComponent]]:
+    """The components of every coalition that needs an integral, built once
+    and shared by the base and the doubled grid."""
+    m = dist.dim
+    return {
+        s: dist.conditional_components(s, x_star[list(s)])
+        for s in _ordered_subsets(m)
+        if len(s) < m and (s or v_empty is None)
+    }
+
+
 def _quadrature_v_table(
-    dist: FeatureDistribution,
     predictor: Predictor,
     x_star: np.ndarray,
+    components: dict[Coalition, list[QuadratureComponent]],
     points: int,
-    v_empty: float | None = None,
+    v_empty: float | None,
 ) -> dict[Coalition, float]:
-    m = dist.dim
+    m = x_star.shape[0]
     table: dict[Coalition, float] = {}
     for s in _ordered_subsets(m):
         if len(s) == m:
             table[s] = float(call_predictor(predictor, x_star[None, :])[0])
-            continue
-        if len(s) == 0 and v_empty is not None:
-            table[s] = v_empty
-            continue
-        x_s = x_star[list(s)] if s else np.empty(0)
-        comps = dist.conditional_components(s, x_s)
-        total = 0.0
-        for comp in comps:
-            total += comp.weight * _component_integral(
-                predictor, s, x_star, comp, m, points
+        elif s in components:
+            table[s] = sum(
+                comp.weight * _component_integral(predictor, s, x_star, comp, m, points)
+                for comp in components[s]
             )
-        table[s] = total
+        else:
+            table[s] = v_empty
     return table
 
 
@@ -280,9 +294,9 @@ def quadrature_mean_prediction(
     if the value has not stabilized.
     """
     m = dist.dim
+    comps = dist.conditional_components((), np.empty(0))
 
     def integral(points: int) -> float:
-        comps = dist.conditional_components((), np.empty(0))
         return sum(
             comp.weight
             * _component_integral(predictor, (), np.zeros(m), comp, m, points)
@@ -320,7 +334,10 @@ def true_shapley_quadrature(
     if m - 1 > MAX_DIM:
         raise ValueError(f"quadrature limited to integration dimension {MAX_DIM}")
     x_star = np.asarray(x_star, float).reshape(-1)
-    table = _quadrature_v_table(dist, predictor, x_star, grid_spec.points_per_axis, v_empty)
+    components = _coalition_components(dist, x_star, v_empty)
+    table = _quadrature_v_table(
+        predictor, x_star, components, grid_spec.points_per_axis, v_empty
+    )
     ex = exact_shapley(ContributionVector(m=m, values=table), m)
     grid_meta = {
         "points_per_axis": grid_spec.points_per_axis,
@@ -328,7 +345,9 @@ def true_shapley_quadrature(
         "refined": False,
     }
     if grid_spec.refine:
-        fine = _quadrature_v_table(dist, predictor, x_star, 2 * grid_spec.points_per_axis, v_empty)
+        fine = _quadrature_v_table(
+            predictor, x_star, components, 2 * grid_spec.points_per_axis, v_empty
+        )
         ex_fine = exact_shapley(ContributionVector(m=m, values=fine), m)
         delta = np.abs(ex_fine.phi - ex.phi)
         if np.max(delta) >= REFINE_TOL:

@@ -4,6 +4,11 @@ Three families, each with exact conditional samplers and densities so the
 oracles can compute reference Shapley values: equicorrelated Gaussian,
 generalized hyperbolic (a normal mean-variance mixture with a generalized
 inverse Gaussian mixing variable), and a two-component Gaussian mixture.
+
+A component density is factored once, when its law is fixed:
+:class:`GaussianDensity` and :class:`GHDensity` hold the whitening matrix
+(the inverse Cholesky factor) and every constant, so evaluating one on a
+block of points takes a few elementwise passes over the points.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 from scipy.special import kve
 
 from ..coalitions import Coalition
@@ -45,17 +51,68 @@ class EquicorrelatedCov:
         return cov
 
 
-def _gaussian_logpdf(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    points = np.atleast_2d(points)
-    d = points.shape[1]
-    if d == 0:
-        return np.zeros(points.shape[0])
+def _whitening(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """The inverse of the lower Cholesky factor of ``cov``, and log det(cov)."""
     chol = np.linalg.cholesky(cov)
-    diff = points - mean[None, :]
-    white = np.linalg.solve(chol, diff.T)
-    quad = np.sum(white ** 2, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + quad)
+    if not chol.size:
+        return chol, 0.0
+    # LAPACK's triangular inverse: the factor's diagonal is positive, so it
+    # cannot fail, and the result is exactly lower triangular.
+    whiten, _ = dtrtri(chol, lower=1)
+    return whiten, 2.0 * np.sum(np.log(np.diag(chol)))
+
+
+def _centered(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """(points - mean).T as a C-ordered (d, n) block.
+
+    Transposing first makes every step run along the n points, not along the
+    d <= 3 coordinates; the values are the same.
+    """
+    rows = np.ascontiguousarray(np.atleast_2d(np.asarray(points, float)).T)
+    return rows - mean[:, None]
+
+
+def _mahalanobis(whiten: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """|W diff|^2 for each column of the (d, n) block ``diff``.
+
+    W is lower triangular.  Each whitened row is summed term by term, not by
+    a BLAS product: a BLAS kernel may round one column differently depending
+    on how many columns come with it, and a point's density must not depend
+    on the chunk of the grid it arrives in.
+    """
+    total = np.zeros(diff.shape[1])
+    for i, row in enumerate(whiten):
+        white = row[0] * diff[0]
+        for k in range(1, i + 1):
+            white = white + row[k] * diff[k]
+        total += white * white
+    return total
+
+
+@dataclass(frozen=True)
+class GaussianDensity:
+    """The N(mean, cov) density, factored once.
+
+    ``whiten`` is the inverse Cholesky factor W, so W (x - mean) is standard
+    normal; ``offset`` is d log(2 pi) + log det(cov), minus twice the log
+    normaliser.
+    """
+
+    mean: np.ndarray
+    whiten: np.ndarray
+    offset: float
+
+    @classmethod
+    def from_moments(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":
+        mean = np.asarray(mean, float).reshape(-1)
+        whiten, logdet = _whitening(cov)
+        return cls(mean, whiten, mean.shape[0] * math.log(2.0 * math.pi) + logdet)
+
+    def logpdf(self, points: np.ndarray) -> np.ndarray:
+        return -0.5 * (self.offset + _mahalanobis(self.whiten, _centered(points, self.mean)))
+
+    def pdf(self, points: np.ndarray) -> np.ndarray:
+        return np.exp(self.logpdf(points))
 
 
 def _sample_gaussian(
@@ -116,9 +173,7 @@ class GaussianFeatures:
                 weight=1.0,
                 center=mu,
                 sd=sd,
-                density=lambda pts, mu=mu, sig=sig: np.exp(
-                    _gaussian_logpdf(pts, mu, sig)
-                ),
+                density=GaussianDensity.from_moments(mu, sig).pdf,
             )
         ]
 
@@ -355,32 +410,53 @@ def gh_conditional(
     )
 
 
-def gh_star_logpdf(points: np.ndarray, star: GHStarParams) -> np.ndarray:
-    """Log density of the (lam, chi, psi) GH law at the given points."""
-    pts = np.atleast_2d(np.asarray(points, float))
-    d = star.dim
-    chol = np.linalg.cholesky(star.sigma)
-    diff = pts - star.mu[None, :]
-    white = np.linalg.solve(chol, diff.T)
-    delta = np.sum(white ** 2, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    beta_white = np.linalg.solve(chol, star.beta_skew)
-    q = float(beta_white @ beta_white)  # beta' Sigma^{-1} beta
-    skew_term = diff @ np.linalg.solve(star.sigma, star.beta_skew)
-    nu = star.lam - d / 2.0
-    arg = np.sqrt((star.chi + delta) * (star.psi + q))
-    log_k_nu = np.log(kve(nu, arg)) - arg
-    omega = math.sqrt(star.chi * star.psi)
-    log_k_lam = math.log(kve(star.lam, omega)) - omega
-    return (
-        (nu / 2.0) * (np.log(star.chi + delta) - math.log(star.psi + q))
-        + (star.lam / 2.0) * (math.log(star.psi) - math.log(star.chi))
-        + log_k_nu
-        - (d / 2.0) * math.log(2.0 * math.pi)
-        - 0.5 * logdet
-        - log_k_lam
-        + skew_term
-    )
+@dataclass(frozen=True)
+class GHDensity:
+    """The density of one (lam, chi, psi) GH law, factored once.
+
+    Everything that does not depend on the points is computed when the law
+    is fixed: the whitening matrix W (the inverse Cholesky factor of Sigma),
+    q = beta' Sigma^{-1} beta, Sigma^{-1} beta, and the log normaliser with
+    its log K_lam(omega).  Each evaluation then only whitens the points and
+    evaluates K_nu at them.
+    """
+
+    star: GHStarParams
+    whiten: np.ndarray
+    q: float
+    skew: np.ndarray  # Sigma^{-1} beta
+    log_norm: float
+
+    @classmethod
+    def from_law(cls, star: GHStarParams) -> "GHDensity":
+        whiten, logdet = _whitening(star.sigma)
+        beta_white = whiten @ star.beta_skew
+        omega = math.sqrt(star.chi * star.psi)
+        log_k_lam = math.log(kve(star.lam, omega)) - omega
+        log_norm = (
+            (star.lam / 2.0) * (math.log(star.psi) - math.log(star.chi))
+            - (star.dim / 2.0) * math.log(2.0 * math.pi)
+            - 0.5 * logdet
+            - log_k_lam
+        )
+        return cls(star, whiten, float(beta_white @ beta_white), whiten.T @ beta_white, log_norm)
+
+    def logpdf(self, points: np.ndarray) -> np.ndarray:
+        star = self.star
+        nu = star.lam - star.dim / 2.0
+        diff = _centered(points, star.mu)
+        delta = _mahalanobis(self.whiten, diff)
+        arg = np.sqrt((star.chi + delta) * (star.psi + self.q))
+        log_k_nu = np.log(kve(nu, arg)) - arg
+        return (
+            (nu / 2.0) * (np.log(star.chi + delta) - math.log(star.psi + self.q))
+            + log_k_nu
+            + self.log_norm
+            + np.sum(self.skew[:, None] * diff, axis=0)
+        )
+
+    def pdf(self, points: np.ndarray) -> np.ndarray:
+        return np.exp(self.logpdf(points))
 
 
 @dataclass
@@ -421,7 +497,7 @@ class GHFeatures:
                 weight=1.0,
                 center=center,
                 sd=sd,
-                density=lambda pts, cond=cond: np.exp(gh_star_logpdf(pts, cond)),
+                density=GHDensity.from_law(cond).pdf,
                 lo=lo,
                 hi=hi,
             )
@@ -458,9 +534,7 @@ def _gh_mixing_components(star: GHStarParams) -> list[QuadratureComponent]:
                 weight=float(pk),
                 center=mean,
                 sd=sd,
-                density=lambda pts, mean=mean, cov=cov: np.exp(
-                    _gaussian_logpdf(pts, mean, cov)
-                ),
+                density=GaussianDensity.from_moments(mean, cov).pdf,
             )
         )
     return comps
@@ -545,7 +619,9 @@ class MixtureFeatures:
         logs = np.array(
             [
                 math.log(p.weights[k])
-                + _gaussian_logpdf(x_s, p.means[k][s_idx], p.cov[np.ix_(s_idx, s_idx)])[0]
+                + GaussianDensity.from_moments(
+                    p.means[k][s_idx], p.cov[np.ix_(s_idx, s_idx)]
+                ).logpdf(x_s)[0]
                 for k in range(2)
             ]
         )
@@ -582,9 +658,7 @@ class MixtureFeatures:
                     weight=float(post[k]),
                     center=mu,
                     sd=sd,
-                    density=lambda pts, mu=mu, sig=sig: np.exp(
-                        _gaussian_logpdf(pts, mu, sig)
-                    ),
+                    density=GaussianDensity.from_moments(mu, sig).pdf,
                 )
             )
         return comps

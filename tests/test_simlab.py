@@ -35,7 +35,8 @@ from condshap.simlab import (
     sample_mixture,
     skill_score,
 )
-from condshap.simlab.distributions import gig_variance
+from condshap import oracles
+from condshap.simlab.distributions import GaussianDensity, GHDensity, gig_variance
 from condshap.oracles import TrueShapleyResult
 from condshap.coalitions import Explanation
 
@@ -190,6 +191,163 @@ class TestGHConditional:
         draws = dist.conditional_sample((0,), x_s, 200_000, np.random.default_rng(11))
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - cond.mean()[0]) <= 5 * se
+
+
+def _reference_gh_logpdf(points, star):
+    """The per-call GH log density: a fresh Cholesky and LU solves each call.
+
+    The slow reference for ``GHDensity``, which factors a law once.
+    """
+    from scipy.special import kve
+
+    pts = np.atleast_2d(np.asarray(points, float))
+    d = star.dim
+    chol = np.linalg.cholesky(star.sigma)
+    diff = pts - star.mu[None, :]
+    white = np.linalg.solve(chol, diff.T)
+    delta = np.sum(white ** 2, axis=0)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    beta_white = np.linalg.solve(chol, star.beta_skew)
+    q = float(beta_white @ beta_white)
+    skew_term = diff @ np.linalg.solve(star.sigma, star.beta_skew)
+    nu = star.lam - d / 2.0
+    arg = np.sqrt((star.chi + delta) * (star.psi + q))
+    log_k_nu = np.log(kve(nu, arg)) - arg
+    omega = math.sqrt(star.chi * star.psi)
+    log_k_lam = math.log(kve(star.lam, omega)) - omega
+    return (
+        (nu / 2.0) * (np.log(star.chi + delta) - math.log(star.psi + q))
+        + (star.lam / 2.0) * (math.log(star.psi) - math.log(star.chi))
+        + log_k_nu
+        - (d / 2.0) * math.log(2.0 * math.pi)
+        - 0.5 * logdet
+        - log_k_lam
+        + skew_term
+    )
+
+
+def _correlated_gh(m=3):
+    """A skewed GH law with correlated Sigma, so conditionals are not diagonal."""
+    scale = np.sqrt([1.0, 2.0, 0.5])[:m]
+    return GHParams(
+        lam=1.0,
+        omega=0.5,
+        mu=np.array([0.2, -0.1, 0.3])[:m],
+        sigma=EquicorrelatedCov(m, 0.6).matrix() * np.outer(scale, scale),
+        beta_skew=np.array([0.5, -0.25, 0.75])[:m],
+    )
+
+
+def _gaussian_laws():
+    """(mean, cov) pairs for d = 1, 2, 3, and a rho = 0.95 conditional law."""
+    from condshap.samplers import conditional_moments
+
+    rng = np.random.default_rng(31)
+    laws = {}
+    for d in (1, 2, 3):
+        a = rng.standard_normal((d, d))
+        laws[f"d{d}"] = (rng.standard_normal(d), a @ a.T + 0.3 * np.eye(d))
+    cov95 = EquicorrelatedCov(4, 0.95).matrix()
+    laws["rho95-conditional"] = conditional_moments(
+        np.zeros(4), cov95, (1,), np.array([0.8])
+    )
+    return laws
+
+
+def _density_grid(d, per_axis):
+    """A tensor grid of points in C order, the layout the oracle walks."""
+    axis = np.linspace(-3.0, 3.0, per_axis)
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.column_stack([g.reshape(-1) for g in mesh])
+
+
+class TestGaussianDensity:
+    @pytest.mark.parametrize("law", ["d1", "d2", "d3", "rho95-conditional"])
+    def test_matches_scipy(self, law):
+        mean, cov = _gaussian_laws()[law]
+        d = mean.shape[0]
+        rng = np.random.default_rng(32)
+        points = mean + rng.standard_normal((500, d)) @ np.linalg.cholesky(cov).T * 2.0
+        got = GaussianDensity.from_moments(mean, cov).logpdf(points)
+        expected = stats.multivariate_normal(mean, cov).logpdf(points).reshape(-1)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_whiten_is_the_inverse_cholesky_factor(self):
+        _, cov = _gaussian_laws()["d3"]
+        dens = GaussianDensity.from_moments(np.zeros(3), cov)
+        assert np.allclose(dens.whiten @ np.linalg.cholesky(cov), np.eye(3), atol=1e-14)
+        assert np.all(np.triu(dens.whiten, 1) == 0.0)
+
+
+def _densities():
+    mean, cov = _gaussian_laws()["rho95-conditional"]
+    star = gh_conditional(_correlated_gh(), (0,), np.array([0.4]))
+    return {
+        "gaussian": GaussianDensity.from_moments(mean, cov),
+        "gh": GHDensity.from_law(GHFeatures(_correlated_gh()).star()),
+        "gh-conditional": GHDensity.from_law(star),
+    }
+
+
+class TestDensitySlices:
+    """A density gives the same bits on a block of points whatever the block."""
+
+    @pytest.mark.parametrize("name", ["gaussian", "gh", "gh-conditional"])
+    def test_grid_slices_and_rows(self, name):
+        dens = _densities()[name]
+        points = _density_grid(dens.whiten.shape[0], 20)
+        whole = dens.logpdf(points)
+        for size in (1000, 7):
+            for start in range(0, len(points), size):
+                part = dens.logpdf(points[start : start + size])
+                assert np.array_equal(part, whole[start : start + size])
+        for row in range(0, len(points), 97):
+            assert np.array_equal(dens.logpdf(points[row]), whole[row : row + 1])
+            assert np.array_equal(dens.logpdf(points[row : row + 1]), whole[row : row + 1])
+
+    def test_mean_prediction_factors_once_per_component(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", 7)
+        dist = MixtureFeatures(MixtureParams.from_gamma(1.0))
+        value = oracles.quadrature_mean_prediction(
+            dist, lambda X: 0.3 + X @ np.array([1.0, -0.5, 2.0]), oracles.GridSpec(20)
+        )
+        assert value == pytest.approx(0.3, abs=1e-9)
+        # Two components, each factored once for both resolutions; the 20**3
+        # and 40**3 grids go in 10,286 chunks of at most 7 rows.
+        assert calls == [(3, 3), (3, 3)]
+
+
+class TestGHDensity:
+    @pytest.mark.parametrize("s", [(0, 1), (2,), ()], ids=["d1", "d2", "d3"])
+    def test_matches_per_call_reference(self, s):
+        x_s = np.array([0.4, -0.9, 1.3])[list(s)]
+        star = gh_conditional(_correlated_gh(), s, x_s)
+        d = star.dim
+        assert d == 3 - len(s)
+        rng = np.random.default_rng(33)
+        points = star.mean() + 2.0 * rng.standard_normal((400, d))
+        got = GHDensity.from_law(star).logpdf(points)
+        np.testing.assert_allclose(got, _reference_gh_logpdf(points, star), rtol=1e-12, atol=0)
+
+    def test_one_dimensional_law_integrates_to_one(self):
+        star = gh_conditional(_correlated_gh(), (0, 2), np.array([0.4, 1.3]))
+        assert star.dim == 1
+        dens = GHDensity.from_law(star)
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        edges = np.linspace(-120.0, 120.0, 601)
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            x = 0.5 * (b - a) * nodes + 0.5 * (b + a)
+            total += float(np.sum(0.5 * (b - a) * weights * dens.pdf(x[:, None])))
+        assert abs(total - 1.0) < 1e-8
 
 
 class TestMixture:

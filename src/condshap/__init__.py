@@ -16,7 +16,6 @@ from .samplers import (
     FittedSampler,
     SamplerSpec,
     TrainingMatrix,
-    estimate_v,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "TrainingMatrix",
     "WlsSolver",
     "enumerate_coalitions",
-    "estimate_v",
     "exact_shapley",
     "sample_coalitions",
     "shapley_kernel_weight",

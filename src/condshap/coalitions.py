@@ -215,10 +215,10 @@ class Explanation:
         return abs(self.total - self.prediction)
 
     def check_efficiency(self) -> None:
-        """Raise EfficiencyViolationError if the gap exceeds the tolerance."""
+        """Raise EfficiencyViolationError unless the gap is within the tolerance (NaN is not)."""
         gap = self.efficiency_gap()
         tol = EFFICIENCY_RTOL * max(1.0, abs(self.prediction))
-        if gap > tol:
+        if not gap <= tol:
             raise EfficiencyViolationError(
                 f"efficiency violated: |phi0 + sum(phi) - f(x*)| = {gap:.3e} > {tol:.3e}"
             )

@@ -2,14 +2,15 @@
 
 One :class:`Explainer` holds everything reusable across instances: the
 coalition design, the solver factorization, the mean training prediction and
-the fitted sampler.  The sampler's Gaussian and copula parts keep one
+the fitted sampler.  v(empty) and v(N) are exact and set here; the sampler
+estimates the proper coalitions.  Its Gaussian and copula parts keep one
 conditioning plan per coalition (ridge and eigen-factor of the conditional
 covariance), built by the first instance that meets the coalition, so later
 instances only solve for the conditional mean and draw.  AICc bandwidths
 depend on the instance; :meth:`Explainer.explain` searches them for a block
-of instances at once, coalition by coalition, so that each kernel and hat
-matrix is built once per block, and then explains the block's rows one by
-one.  Randomness is derived per (seed, instance, coalition row), so parallel
+of instances at once (:meth:`Explainer.explain_one` for a block of one),
+coalition by coalition, so that each kernel and hat matrix is built once per
+block.  Randomness is derived per (seed, instance, coalition row), so parallel
 and serial runs, blocked and one-by-one runs, and runs that build the plans
 in any order, give identical results.
 """
@@ -118,7 +119,7 @@ class Explainer:
         cm = self.cm
         v = np.empty(cm.n_rows)
         if sigmas is None:
-            sigmas = self.sampler.bandwidths(self.predictor, cm.coalitions, x_star)
+            sigmas = self.sampler.bandwidths(self.predictor, cm.coalitions, x_star)[0]
         f_star = float(call_predictor(self.predictor, x_star[None, :])[0])
         for i, s in enumerate(cm.coalitions):
             if len(s) == 0:

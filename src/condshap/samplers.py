@@ -134,19 +134,10 @@ class TrainingMatrix:
 
 @dataclass(frozen=True)
 class GaussianConditional:
-    """Conditional law N(mu_cond, factor factor^T) of the complement block.
-
-    ``ridge`` is the ridge that conditioning added to the diagonal of
-    Sigma_SS (0.0 when none).
-    """
+    """Conditional law N(mu_cond, factor factor^T) of the complement block."""
 
     mu_cond: np.ndarray
     factor: np.ndarray
-    ridge: float = 0.0
-
-    @property
-    def sigma_cond(self) -> np.ndarray:
-        return self.factor @ self.factor.T
 
 
 def _check_psd(cov: np.ndarray, label: str = "covariance") -> None:
@@ -277,30 +268,16 @@ def _eigen_factor(sigma: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals)[None, :]
 
 
-def _conditional_law(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    s: Coalition,
-    x_s: np.ndarray,
-    context: str,
-    well_conditioned: bool,
-) -> GaussianConditional:
-    """Condition N(mean, cov) on x_S = x_s and eigen-factor the result."""
-    ridge = _ridge(cov[np.ix_(s, s)], context, well_conditioned)
-    mu, sigma = conditional_moments(mean, cov, s, x_s, context, ridge=ridge)
-    return GaussianConditional(mu_cond=mu, factor=_eigen_factor(sigma), ridge=ridge)
-
-
 def gaussian_conditional(
     train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray
 ) -> GaussianConditional:
-    """Conditional law of the unknown features under a fitted Gaussian."""
-    cov = train.checked_covariance
+    """Conditional law of the unknown features under a fitted Gaussian, by the plan for s."""
     s = tuple(sorted(s))
     x_star = np.asarray(x_star, float).reshape(-1)
-    return _conditional_law(
-        train.mean, cov, s, x_star[list(s)], "gaussian conditional", train.well_conditioned
-    )
+    return _conditioned(
+        train.plans, train.mean, train.checked_covariance, s, x_star[list(s)],
+        "gaussian conditional", train.well_conditioned,
+    )[1]
 
 
 def sample_gaussian_conditional(
@@ -317,61 +294,45 @@ def sample_gaussian_conditional(
 class ConditioningPlan:
     """The part of conditioning a Gaussian on coalition S that x_S leaves alone.
 
-    That is the indices of S and then of its complement in one array, the
-    ridge added to Sigma_SS (0.0 when none) and the eigen-factor of the
-    conditional covariance.  Only the conditional mean depends on x_S.
+    That is the indices of S and of its complement, the ridge added to
+    Sigma_SS (0.0 when none) and the eigen-factor of the conditional
+    covariance.  Only the conditional mean depends on x_S.
     """
 
-    order: np.ndarray
-    size: int
+    s: np.ndarray
+    sbar: np.ndarray
     ridge: float
     factor: np.ndarray
 
-    @property
-    def s(self) -> np.ndarray:
-        return self.order[: self.size]
 
-    @property
-    def sbar(self) -> np.ndarray:
-        return self.order[self.size :]
-
-    def conditional(
-        self, mean: np.ndarray, cov: np.ndarray, x_s: np.ndarray
-    ) -> GaussianConditional:
-        """The law at x_s, by the solve that ``conditional_moments`` makes."""
-        sbar = self.sbar
-        cross, solved = _solve_blocks(mean, cov, self.s, sbar, self.ridge, x_s)
-        return GaussianConditional(
-            mu_cond=mean[sbar] + cross.T @ solved[:, -1], factor=self.factor, ridge=self.ridge
-        )
-
-
-def _planned(
+def _conditioned(
     plans: dict[Coalition, ConditioningPlan],
-    s: Coalition,
-    m: int,
     mean: np.ndarray,
     cov: np.ndarray,
+    s: Coalition,
     x_s: np.ndarray,
-    build: Callable[[], GaussianConditional],
+    context: str,
+    well_conditioned: bool,
 ) -> tuple[ConditioningPlan, GaussianConditional]:
-    """The conditional law at x_s through the plan for s; ``build()`` makes it on first use.
+    """The plan for s and the law of N(mean, cov) given x_S = x_s.
 
+    A miss decides the ridge, conditions by :func:`conditional_moments` and
+    eigen-factors the result into a new plan; a hit solves for the mean only.
     Check-then-store without a lock: threads that miss at once each build
     the plan, the plans are equal, and the last one stored is kept.
     """
     plan = plans.get(s)
-    if plan is not None:
-        return plan, plan.conditional(mean, cov, x_s)
-    cond = build()
-    plan = ConditioningPlan(
-        order=np.array(s + tuple(j for j in range(m) if j not in s), dtype=np.intp),
-        size=len(s),
-        ridge=cond.ridge,
-        factor=cond.factor,
-    )
-    plans[s] = plan
-    return plan, cond
+    if plan is None:
+        ridge = _ridge(cov[np.ix_(s, s)], context, well_conditioned)
+        mu, sigma = conditional_moments(mean, cov, s, x_s, context, ridge=ridge)
+        sbar = [j for j in range(len(mean)) if j not in s]
+        plan = ConditioningPlan(
+            np.array(s, np.intp), np.array(sbar, np.intp), ridge, _eigen_factor(sigma)
+        )
+        plans[s] = plan
+        return plan, GaussianConditional(mu, plan.factor)
+    cross, solved = _solve_blocks(mean, cov, plan.s, plan.sbar, plan.ridge, x_s)
+    return plan, GaussianConditional(mean[plan.sbar] + cross.T @ solved[:, -1], plan.factor)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +487,11 @@ def sample_copula_conditional(
     training range (inverse empirical CDF lookup).
     """
     s = tuple(sorted(s))
-    m = state.m
     x_star = np.asarray(x_star, float).reshape(-1)
     v_star = ndtri(state.cdf(s, x_star[list(s)]))
-    zero, corr = np.zeros(m), state.latent_correlation
-    plan, cond = _planned(
-        state.plans, s, m, zero, corr, v_star,
-        lambda: _conditional_law(
-            zero, corr, s, v_star, "copula conditional", state.well_conditioned
-        ),
+    plan, cond = _conditioned(
+        state.plans, np.zeros(state.m), state.latent_correlation, s, v_star,
+        "copula conditional", state.well_conditioned,
     )
     latent = sample_gaussian_conditional(cond, k, rng_seed)
     return state.quantiles(plan.sbar, ndtr(latent))
@@ -602,8 +559,8 @@ def empirical_weights(
     train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray, sigma: float
 ) -> EmpiricalWeights:
     """Gaussian kernel weights exp(-D^2 / (2 sigma^2)) over training rows."""
-    if sigma <= 0:
-        raise ValueError("bandwidth sigma must be positive")
+    if not sigma > 0:
+        raise ValueError(f"bandwidth sigma must be positive, got {sigma}")
     d = scaled_mahalanobis(train, s, x_star)
     w = np.exp(-(d ** 2) / (2.0 * sigma ** 2))
     return EmpiricalWeights(distances=d, weights=w, sigma=float(sigma))
@@ -770,20 +727,19 @@ def aicc_bandwidth(
     x_star: np.ndarray,
     sigma_grid: Sequence[float] = DEFAULT_AICC_GRID,
     n_aicc: int = DEFAULT_N_AICC,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Grid minimizer of log(tau^2) + Phi(H) for the kernel smoother.
 
     Passing a coalition selects the per-coalition ("exact") criterion;
     passing an integer size sums the criteria over every coalition of that
-    size and shares one bandwidth across them ("approx").  ``x_star`` is one
-    instance (m,), which gives a float, or a block of instances (n, m),
-    which gives one bandwidth per row; a block shares one predictor call and
-    one set of hat matrices per coalition.
+    size and shares one bandwidth across them ("approx").  ``x_star`` is a
+    block of instances (n, m), or one instance (m,) as a block of one; the
+    result holds one bandwidth per row.  A block shares one predictor call
+    and one set of hat matrices per coalition.
     """
     sigma_grid = list(sigma_grid)
     if not sigma_grid or any(s <= 0 for s in sigma_grid):
         raise ValueError("sigma_grid must be non-empty and positive")
-    one = np.ndim(x_star) == 1
     block = np.asarray(x_star, float).reshape(-1, train.m)
     if isinstance(s_or_size, (int, np.integer)):
         size = int(s_or_size)
@@ -808,8 +764,7 @@ def aicc_bandwidth(
             "AICc criterion infinite on the whole bandwidth grid "
             f"for x* = {np.array2string(x_bad, precision=6)}"
         )
-    sigmas = np.asarray(sigma_grid, float)[np.argmin(criteria, axis=1)]
-    return float(sigmas[0]) if one else sigmas
+    return np.asarray(sigma_grid, float)[np.argmin(criteria, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -850,8 +805,10 @@ class SamplerSpec:
             raise ValueError("eta must be in (0, 1)")
         if self.k_cap < 1:
             raise ValueError("k_cap must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.n_aicc < 4:  # tr(H) >= 1, so 1 - (tr(H) + 2)/n > 0 needs n >= 4
+            raise ValueError(f"n_aicc must be >= 4, got {self.n_aicc}")
 
     @property
     def label(self) -> str:
@@ -917,7 +874,9 @@ class FittedSampler:
     function of the training data and the coalition alone, so threads that
     build one at once build equal plans.  Contribution estimates for
     distinct coalitions or instances may therefore run concurrently, as
-    under the explain thread pool.
+    under the explain thread pool.  :meth:`contribution` estimates proper
+    coalitions only (the endpoints are the explainer's), and
+    :meth:`bandwidths` gives one table per instance row.
     """
 
     def __init__(self, spec: SamplerSpec, train: TrainingMatrix):
@@ -937,36 +896,38 @@ class FittedSampler:
         """Instances searched together by AICc: at most AICC_BATCH_ROWS synthetic rows."""
         return max(1, AICC_BATCH_ROWS // max(1, min(self.train.n, self.spec.n_aicc)))
 
+    def _part(self, s: Coalition) -> str:
+        """The kind that estimates v(S): combined is empirical up to |S| = d_star."""
+        if self.spec.kind != "combined":
+            return self.spec.kind
+        return "empirical" if len(s) <= self.spec.d_star else self.spec.parametric_backend
+
     def bandwidths(
         self, predictor: Predictor, coalitions: Iterable[Coalition], x_star: np.ndarray
-    ) -> dict[Coalition, float] | list[dict[Coalition, float]]:
+    ) -> list[dict[Coalition, float]]:
         """Kernel bandwidth of every coalition the empirical part estimates.
 
-        That is every proper coalition for the empirical kind and those with
-        |S| <= d_star for the combined kind; other kinds get an empty table.
+        ``x_star`` is a block (n, m), or one instance (m,) as a block of one;
+        the result holds one table per row (empty without an empirical part).
         AICc runs once per coalition (``aicc_exact``) or once per coalition
-        size (``aicc_approx``), for all of ``x_star`` at once: one instance
-        (m,) gives one table, a block (n, m) one table per row.
+        size (``aicc_approx``), for the whole block at once.
         """
         spec = self.spec
         m = self.train.m
-        max_size = {"empirical": m - 1, "combined": min(spec.d_star, m - 1)}.get(spec.kind, 0)
-        needs = [s for s in coalitions if 0 < len(s) <= max_size]
+        block = np.asarray(x_star, float).reshape(-1, m)
+        needs = [s for s in coalitions if 0 < len(s) < m and self._part(s) == "empirical"]
         if spec.bandwidth_mode == "fixed":
-            table = {s: spec.sigma for s in needs}
-        else:
-            def aicc(target: Coalition | int) -> float | np.ndarray:
-                return aicc_bandwidth(self.train, predictor, target, x_star, n_aicc=spec.n_aicc)
+            return [{s: spec.sigma for s in needs} for _ in block]
 
-            if spec.bandwidth_mode == "aicc_exact":
-                table = {s: aicc(s) for s in needs}
-            else:
-                by_size = {size: aicc(size) for size in sorted({len(s) for s in needs})}
-                table = {s: by_size[len(s)] for s in needs}
-        if np.ndim(x_star) == 1:
-            return table
-        rows = {s: np.broadcast_to(sigma, len(x_star)) for s, sigma in table.items()}
-        return [{s: float(sigma[i]) for s, sigma in rows.items()} for i in range(len(x_star))]
+        def aicc(target: Coalition | int) -> np.ndarray:
+            return aicc_bandwidth(self.train, predictor, target, block, n_aicc=spec.n_aicc)
+
+        if spec.bandwidth_mode == "aicc_exact":
+            columns = {s: aicc(s) for s in needs}
+        else:
+            by_size = {size: aicc(size) for size in sorted({len(s) for s in needs})}
+            columns = {s: by_size[len(s)] for s in needs}
+        return [{s: float(sigma[i]) for s, sigma in columns.items()} for i in range(len(block))]
 
     # -- v(S) --------------------------------------------------------------
 
@@ -979,22 +940,18 @@ class FittedSampler:
         rng_seed,
         sigma: float | None = None,
     ) -> float:
-        """Estimate v(S); endpoints are exact for every spec."""
+        """Estimate v(S) for a proper, non-empty S; ``sigma`` is needed where S is empirical."""
         s = tuple(sorted(s))
         x_star = np.asarray(x_star, float).reshape(-1)
         m = self.train.m
-        if len(s) == 0:
-            return mean_training_prediction(self.train, predictor)
-        if len(s) == m:
-            return float(call_predictor(predictor, x_star[None, :])[0])
-        kind = self.spec.kind
-        if kind == "combined":
-            kind = "empirical" if len(s) <= self.spec.d_star else self.spec.parametric_backend
-        if kind == "independence":
+        if not 0 < len(s) < m:
+            raise ValueError(f"v(S) is estimated for proper non-empty coalitions only, got {s}")
+        part = self._part(s)
+        if part == "independence":
             return estimate_v_independent(self.train, predictor, s, x_star, k, rng_seed)
-        if kind == "empirical":
+        if part == "empirical":
             if sigma is None:
-                sigma = self.bandwidths(predictor, [s], x_star)[s]
+                raise ValueError(f"coalition {s} is estimated empirically and needs a bandwidth")
             return estimate_v_empirical(
                 self.train,
                 predictor,
@@ -1004,30 +961,11 @@ class FittedSampler:
                 eta=self.spec.eta,
                 k_cap=min(self.spec.k_cap, k),
             )
-        if kind == "gaussian":
-            train = self.train
-            plan, cond = _planned(
-                train.plans, s, m, train.mean, train.covariance, x_star[list(s)],
-                lambda: gaussian_conditional(train, s, x_star),
-            )
+        if part == "gaussian":
+            cond = gaussian_conditional(self.train, s, x_star)
             draws = sample_gaussian_conditional(cond, k, rng_seed)
         else:
-            assert self.copula is not None
             draws = sample_copula_conditional(self.copula, s, x_star, k, rng_seed)
-            plan = self.copula.plans[s]
         synth = np.repeat(x_star[None, :], k, axis=0)
-        synth[:, plan.sbar] = draws
+        synth[:, [j for j in range(m) if j not in s]] = draws
         return float(call_predictor(predictor, synth).mean())
-
-
-def estimate_v(
-    spec: SamplerSpec,
-    train: TrainingMatrix,
-    predictor: Predictor,
-    s: Iterable[int],
-    x_star: np.ndarray,
-    k: int,
-    rng_seed,
-) -> float:
-    """Pure functional entry point dispatching on the sampler spec."""
-    return FittedSampler(spec, train).contribution(predictor, s, x_star, k, rng_seed)

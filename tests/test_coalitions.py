@@ -237,6 +237,11 @@ class TestExactShapley:
         with pytest.raises(EfficiencyViolationError, match="efficiency violated"):
             Explanation(phi0=1.1 * tol, phi=phi, prediction=prediction).check_efficiency()
 
+    def test_check_efficiency_rejects_nan(self):
+        phi = np.array([0.5, np.nan])
+        with pytest.raises(EfficiencyViolationError, match="efficiency violated"):
+            Explanation(phi0=0.0, phi=phi, prediction=0.5).check_efficiency()
+
     def test_missing_value_raises(self):
         v = ContributionVector(m=2, values={(): 0.0, (0,): 1.0, (0, 1): 2.0})
         with pytest.raises(IncompleteContributionError, match="incomplete"):

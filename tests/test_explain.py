@@ -133,7 +133,7 @@ class TestExplainer:
             kind="combined", bandwidth_mode="aicc_approx", d_star=1, n_aicc=100
         )
         explainer = Explainer(train, predictor, spec, k=200, seed=8)
-        table = explainer.sampler.bandwidths(predictor, explainer.cm.coalitions, train.data[0])
+        [table] = explainer.sampler.bandwidths(predictor, explainer.cm.coalitions, train.data[0])
         assert set(table) == {(0,), (1,), (2,)}
 
 

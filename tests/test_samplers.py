@@ -25,7 +25,6 @@ from condshap.samplers import (
     aicc_components,
     conditional_moments,
     empirical_weights,
-    estimate_v,
     estimate_v_empirical,
     estimate_v_independent,
     estimate_v_independent_full,
@@ -130,7 +129,7 @@ class TestGaussianConditional:
     def test_bivariate_from_training_data(self, bivariate_train):
         cond = gaussian_conditional(bivariate_train, (0,), np.array([2.0, 0.0]))
         assert cond.mu_cond == pytest.approx([1.0], abs=1e-10)
-        assert cond.sigma_cond.reshape(-1) == pytest.approx([0.75], abs=1e-10)
+        assert (cond.factor @ cond.factor.T).reshape(-1) == pytest.approx([0.75], abs=1e-10)
 
     def test_independence_blocks_vanish(self):
         cov = np.diag([1.0, 2.0, 3.0])
@@ -322,6 +321,8 @@ class TestEmpiricalWeights:
     def test_sigma_must_be_positive(self, bivariate_train):
         with pytest.raises(ValueError):
             empirical_weights(bivariate_train, (0,), np.zeros(2), sigma=0.0)
+        with pytest.raises(ValueError, match="got nan"):
+            empirical_weights(bivariate_train, (0,), np.zeros(2), sigma=math.nan)
 
 
 class TestSelectK:
@@ -540,7 +541,7 @@ class TestAicc:
             cov = np.array([[1.0, rho], [rho, 1.0]])
             data = exact_moment_data([0, 0], cov, 1200, seed=21)
             train = TrainingMatrix.from_data(data)
-            sigmas[rho] = aicc_bandwidth(train, f, (0,), x_star, sigma_grid=grid)
+            [sigmas[rho]] = aicc_bandwidth(train, f, (0,), x_star, sigma_grid=grid)
         assert sigmas[0.9] < sigmas[0.0]
 
     def test_duplicate_grid_same_selection(self, bivariate_train):
@@ -550,13 +551,14 @@ class TestAicc:
         b = aicc_bandwidth(
             bivariate_train, f, (0,), x_star, sigma_grid=(0.1, 0.1, 0.4, 0.4, 1.6)
         )
-        assert a == b
+        assert a.shape == (1,)  # one instance is a block of one
+        assert a.tolist() == b.tolist()
 
     def test_approx_mode_shares_sigma_per_size(self):
         rng = np.random.default_rng(5)
         train = TrainingMatrix.from_data(rng.standard_normal((400, 3)))
         f = lambda X: X.sum(axis=1)
-        sigma = aicc_bandwidth(train, f, 1, np.array([0.1, 0.2, 0.3]))
+        [sigma] = aicc_bandwidth(train, f, 1, np.array([0.1, 0.2, 0.3]))
         assert sigma in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
 
     def test_infinite_grid_names_the_instance(self, bivariate_train):
@@ -568,7 +570,8 @@ class TestAicc:
         with pytest.raises(ValueError, match=named):
             aicc_bandwidth(bivariate_train, f, 1, block[1])
         good = aicc_bandwidth(bivariate_train, f, (0,), block[[0, 2]])
-        assert good.tolist() == [aicc_bandwidth(bivariate_train, f, (0,), x) for x in block[[0, 2]]]
+        one_by_one = [aicc_bandwidth(bivariate_train, f, (0,), x)[0] for x in block[[0, 2]]]
+        assert good.tolist() == one_by_one
 
     def test_grid_validation(self, bivariate_train):
         f = lambda X: X.sum(axis=1)
@@ -613,8 +616,13 @@ class TestSamplerSpec:
             SamplerSpec(d_star=0)
         with pytest.raises(ValueError):
             SamplerSpec(sigma=-0.1)
+        with pytest.raises(ValueError, match="sigma must be positive, got nan"):
+            SamplerSpec.from_label("empirical-nan")
         with pytest.raises(ValueError):
             SamplerSpec(k_cap=0)
+        with pytest.raises(ValueError, match="n_aicc must be >= 4"):
+            SamplerSpec(n_aicc=3)
+        assert SamplerSpec(n_aicc=4).n_aicc == 4
 
 
 @pytest.fixture(scope="module")
@@ -631,28 +639,53 @@ def dispatch_setup():
     return train, f, x_star
 
 
+def contribution(spec, train, f, s, x_star, k, rng_seed):
+    """v(S) from a sampler fitted for this one call, at the spec's fixed bandwidth."""
+    return FittedSampler(spec, train).contribution(f, s, x_star, k, rng_seed, sigma=spec.sigma)
+
+
 class TestEstimateVDispatch:
     @pytest.fixture()
     def setup(self, dispatch_setup):
         return dispatch_setup
 
     def test_endpoints_exact_for_every_kind(self, setup):
+        from condshap.explain import Explainer
+
+        train, f, x_star = setup
+        for label in ("original", "gaussian", "copula", "empirical-0.1", "empirical-0.1+gaussian"):
+            explainer = Explainer(train, f, SamplerSpec.from_label(label), k=10, seed=0)
+            v = explainer.contribution_vector(x_star)
+            rows = explainer.cm.coalitions
+            assert v[rows.index(())] == mean_training_prediction(train, f)
+            assert v[rows.index(tuple(range(train.m)))] == float(f(x_star[None, :])[0])
+
+    def test_contribution_rejects_endpoints_and_missing_sigma(self, setup):
         train, f, x_star = setup
         full = tuple(range(train.m))
         for label in ("original", "gaussian", "copula", "empirical-0.1", "empirical-0.1+gaussian"):
-            spec = SamplerSpec.from_label(label)
-            v_empty = estimate_v(spec, train, f, (), x_star, 10, 0)
-            v_full = estimate_v(spec, train, f, full, x_star, 10, 0)
-            assert v_empty == pytest.approx(mean_training_prediction(train, f))
-            assert v_full == pytest.approx(float(f(x_star[None, :])[0]))
+            sampler = FittedSampler(SamplerSpec.from_label(label), train)
+            for s in ((), full):
+                with pytest.raises(ValueError, match="proper non-empty"):
+                    sampler.contribution(f, s, x_star, 10, 0, sigma=0.1)
+        for label, s in (("empirical-0.1", (0, 5, 6)), ("empirical-0.1+gaussian", (1, 4))):
+            sampler = FittedSampler(SamplerSpec.from_label(label), train)
+            with pytest.raises(ValueError, match="needs a bandwidth"):
+                sampler.contribution(f, s, x_star, 10, 0)
+        # Parametric coalitions read no bandwidth.
+        combined = FittedSampler(SamplerSpec.from_label("empirical-0.1+gaussian"), train)
+        s = tuple(range(7))
+        assert combined.contribution(f, s, x_star, 10, 0) == combined.contribution(
+            f, s, x_star, 10, 0, sigma=0.1
+        )
 
     def test_combined_dispatches_to_empirical_below_threshold(self, setup):
         train, f, x_star = setup
         combined = SamplerSpec(kind="combined", d_star=3, parametric_backend="gaussian")
         empirical = SamplerSpec(kind="empirical")
         s = (1, 4)
-        a = estimate_v(combined, train, f, s, x_star, 100, 5)
-        b = estimate_v(empirical, train, f, s, x_star, 100, 5)
+        a = contribution(combined, train, f, s, x_star, 100, 5)
+        b = contribution(empirical, train, f, s, x_star, 100, 5)
         assert a == b
 
     def test_combined_dispatches_to_backend_above_threshold(self, setup):
@@ -660,16 +693,16 @@ class TestEstimateVDispatch:
         combined = SamplerSpec(kind="combined", d_star=3, parametric_backend="gaussian")
         gaussian = SamplerSpec(kind="gaussian")
         s = tuple(range(7))
-        a = estimate_v(combined, train, f, s, x_star, 100, 5)
-        b = estimate_v(gaussian, train, f, s, x_star, 100, 5)
+        a = contribution(combined, train, f, s, x_star, 100, 5)
+        b = contribution(gaussian, train, f, s, x_star, 100, 5)
         assert a == b
 
     def test_pure_function_of_seed(self, setup):
         train, f, x_star = setup
         spec = SamplerSpec(kind="gaussian")
-        a = estimate_v(spec, train, f, (0, 3), x_star, 500, rng_seed=11)
-        b = estimate_v(spec, train, f, (0, 3), x_star, 500, rng_seed=11)
-        c = estimate_v(spec, train, f, (0, 3), x_star, 500, rng_seed=12)
+        a = contribution(spec, train, f, (0, 3), x_star, 500, rng_seed=11)
+        b = contribution(spec, train, f, (0, 3), x_star, 500, rng_seed=11)
+        c = contribution(spec, train, f, (0, 3), x_star, 500, rng_seed=12)
         assert a == b
         assert a != c
 
@@ -677,7 +710,7 @@ class TestEstimateVDispatch:
         train, f, x_star = setup
         # k below k_cap binds through min(k_cap, k).
         spec = SamplerSpec(kind="empirical", sigma=5.0, k_cap=5000)
-        v = estimate_v(spec, train, f, (0,), x_star, 50, 0)
+        v = contribution(spec, train, f, (0,), x_star, 50, 0)
         ew = empirical_weights(train, (0,), x_star, 5.0)
         k = select_k(ew, spec.eta, 50)
         top = ew.top(k)
@@ -708,7 +741,7 @@ class TestBandwidths:
         covered = [s for s in coalitions if 0 < len(s) <= max_size]
         exact = mode == "aicc_exact"
         direct = {
-            s: aicc_bandwidth(train, f, s if exact else len(s), x_star, n_aicc=80)
+            s: float(aicc_bandwidth(train, f, s if exact else len(s), x_star, n_aicc=80)[0])
             for s in covered
         }
         targets = []
@@ -719,7 +752,7 @@ class TestBandwidths:
             return original(train_, predictor, s_or_size, *args, **kwargs)
 
         monkeypatch.setattr(samplers, "aicc_bandwidth", counting)
-        table = FittedSampler(spec, train).bandwidths(f, coalitions, x_star)
+        [table] = FittedSampler(spec, train).bandwidths(f, coalitions, x_star)
         assert table == direct
         if exact:
             assert sorted(targets) == sorted(covered)  # one search per coalition
@@ -739,7 +772,7 @@ class TestBandwidths:
         assert len(tables) == len(block)
         for x, table in zip(block, tables):
             assert list(table) == covered
-            assert table == sampler.bandwidths(f, coalitions, x)
+            assert [table] == sampler.bandwidths(f, coalitions, x)
             reference = {
                 s: _aicc_reference(train, f, s if mode == "aicc_exact" else len(s), x, 80)
                 for s in covered
@@ -753,19 +786,12 @@ class TestBandwidths:
     def test_fixed_and_parametric_kinds(self, setup):
         train, f, x_star, coalitions = setup
         fixed = FittedSampler(SamplerSpec(kind="combined", sigma=0.3, d_star=1), train)
-        assert fixed.bandwidths(f, coalitions, x_star) == {(0,): 0.3, (1,): 0.3, (2,): 0.3, (3,): 0.3}
+        table = {(0,): 0.3, (1,): 0.3, (2,): 0.3, (3,): 0.3}
+        assert fixed.bandwidths(f, coalitions, x_star) == [table]
+        assert fixed.bandwidths(f, coalitions, np.stack([x_star, -x_star])) == [table, table]
         for kind in ("independence", "gaussian", "copula"):
             sampler = FittedSampler(SamplerSpec(kind=kind, bandwidth_mode="aicc_exact"), train)
-            assert sampler.bandwidths(f, coalitions, x_star) == {}
-
-    def test_contribution_falls_back_to_bandwidths(self, setup):
-        train, f, x_star, _ = setup
-        sampler = FittedSampler(SamplerSpec(kind="empirical", bandwidth_mode="aicc_approx", n_aicc=80), train)
-        s = (0, 2)
-        sigma = sampler.bandwidths(f, [s], x_star)[s]
-        assert sampler.contribution(f, s, x_star, 200, 0) == sampler.contribution(
-            f, s, x_star, 200, 0, sigma=sigma
-        )
+            assert sampler.bandwidths(f, coalitions, x_star) == [{}]
 
 
 def _aicc_reference(train, f, s_or_size, x_star, n_aicc, grid=samplers.DEFAULT_AICC_GRID):
@@ -887,7 +913,8 @@ class TestPlansMatchPerCallReference:
                 sampler = FittedSampler(spec, train)
                 for i in order:
                     for r, s in enumerate(coalitions):
-                        v = sampler.contribution(self.predictor, s, x[i], self.K, [7, i, r])
+                        v = sampler.contribution(self.predictor, s, x[i], self.K, [7, i, r],
+                                                 sigma=spec.sigma)
                         assert v == expected[(i, s)], (order, i, s)
         plans = train.plans if sampler.copula is None else sampler.copula.plans
         parametric = [s for s in coalitions if spec.kind != "combined" or len(s) > spec.d_star]
@@ -895,6 +922,47 @@ class TestPlansMatchPerCallReference:
         if case == "ridge":
             assert any(plan.ridge > 0 for plan in plans.values())
             assert all(plan.ridge == 0 for s, plan in plans.items() if not {0, 4} <= set(s))
+
+    @pytest.mark.parametrize("case", ["plain", "ridge"])
+    def test_conditionals_equal_moments_reference(self, case):
+        """Mean and factor through the plans equal conditional_moments plus an eigen-factor.
+
+        Instance 0 builds every plan and instance 1 reuses it, in data space
+        (``gaussian_conditional``) and in the copula's latent space.
+        """
+
+        def reference(mean, cov, s, x_s):
+            mu, sigma = conditional_moments(mean, cov, s, x_s)
+            vals, vecs = np.linalg.eigh(sigma)
+            return mu, vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+
+        data = self.data(case)
+        coalitions = [s for s in enumerate_coalitions(5).coalitions if 0 < len(s) < 5]
+        zero = np.zeros(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            train = TrainingMatrix.from_data(data)
+            state = fit_copula(train)
+            for i, x_star in enumerate(0.8 * data[:2] + 0.1):
+                for s in coalitions:
+                    x_s = x_star[list(s)]
+                    cond = gaussian_conditional(train, s, x_star)
+                    mu, factor = reference(train.mean, train.covariance, s, x_s)
+                    assert np.array_equal(cond.mu_cond, mu), (i, s)
+                    assert np.array_equal(cond.factor, factor), (i, s)
+                    v_star = ndtri(state.cdf(s, x_s))
+                    _, latent = samplers._conditioned(
+                        state.plans, zero, state.latent_correlation, s, v_star,
+                        "copula conditional", state.well_conditioned,
+                    )
+                    mu, factor = reference(zero, state.latent_correlation, s, v_star)
+                    assert np.array_equal(latent.mu_cond, mu), (i, s)
+                    assert np.array_equal(latent.factor, factor), (i, s)
+                if i == 0:
+                    assert sorted(train.plans) == sorted(state.plans) == sorted(coalitions)
+        for plans in (train.plans, state.plans):
+            ridged = any(plan.ridge > 0 for plan in plans.values())
+            assert ridged == (case == "ridge")
 
     @pytest.mark.parametrize("case", ["plain", "degenerate"])
     def test_copula_draws_equal_column_by_column_reference(self, case):

@@ -751,6 +751,27 @@ class TestCliBadInput:
         self.assert_clean_exit(result, 2)
         assert "alpha must be positive" in result.output
 
+    def test_explain_nan_bandwidth(self, tmp_path):
+        train, test = make_dataset(tmp_path)
+        result = self.explain(tmp_path, train, test, "--estimator", "empirical-nan")
+        self.assert_clean_exit(result, 2)
+        assert "sigma must be positive, got nan" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("n_aicc", ["0", "-5", "1", "3"])
+    def test_simulate_small_n_aicc(self, tmp_path, n_aicc):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            f"estimators = empirical-aicc-exact\nn_train = 100\nn_test = 2\nbatches = 1\n"
+            f"n_aicc = {n_aicc}\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(
+            main, ["simulate", str(cfg), "--output-dir", str(tmp_path / "o")]
+        )
+        self.assert_clean_exit(result, 2)
+        assert f"n_aicc must be >= 4, got {n_aicc}" in result.output
+
     def test_explain_copula_on_four_rows(self, tmp_path):
         _, test = make_dataset(tmp_path)
         rows = [[1, 2, 3, 1], [2, 1, 3, 2], [3, 4, 1, 0], [4, 3, 2, 1]]

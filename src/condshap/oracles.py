@@ -6,10 +6,14 @@ dimensions, and Monte Carlo integration with exact conditional samplers for
 moderate dimensions.  Quadrature grids go to the model in chunks of at most
 ``CHUNK_ROWS`` (32,768) rows, so memory no longer grows with points**3
 beyond one float per grid point.  Each chunk is written straight into one
-model batch, and the component densities it is weighted by are factored
-once per component, when the distribution builds them; the base and the
-doubled grid share one set of components.  Feature distributions enter
-through a small handle protocol (see :mod:`condshap.simlab.distributions`).
+model batch from the tensor structure: its row range splits into at most
+2d - 1 boxes in which the leading axes are fixed, one axis takes a range
+and the later axes run in full, and each box's node columns and weight
+products are written by broadcasting, with no per-row index arithmetic.
+The component densities a chunk is weighted by are factored once per
+component, when the distribution builds them; the base and the doubled
+grid share one set of components.  Feature distributions enter through a
+small handle protocol (see :mod:`condshap.simlab.distributions`).
 """
 
 from __future__ import annotations
@@ -228,24 +232,82 @@ def _component_integral(
             ws.append(0.5 * (b - a) * pw)
         axes_nodes.append(np.concatenate(xs))
         axes_weights.append(np.concatenate(ws))
-    shape = tuple(len(axis) for axis in axes_nodes)
-    size = math.prod(shape)
+    size = math.prod(len(axis) for axis in axes_nodes)
     terms = np.empty(size)
-    # One model batch, reused by every chunk: the x*_S columns are set once.
+    # One model batch and one weight buffer, reused by every chunk: the x*_S
+    # columns are set once.
     batch = np.empty((min(CHUNK_ROWS, size), m))
     batch[:, list(s)] = x_star[list(s)]
+    weights_buf = np.empty(batch.shape[0])
     for start in range(0, size, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, size)
-        synth = batch[: stop - start]
-        # Grid rows in C order: the last axis varies fastest.
-        index = np.unravel_index(np.arange(start, stop), shape)
-        for col, axis, k in zip(sbar, axes_nodes, index):
-            synth[:, col] = axis[k]
-        # Tensor weights multiplied axis by axis: ((w0 * w1) * w2).
-        wts = functools.reduce(np.multiply, [axis[k] for axis, k in zip(axes_weights, index)])
+        synth, wts = batch[: stop - start], weights_buf[: stop - start]
+        _fill_grid_rows(synth, sbar, wts, axes_nodes, axes_weights, start, stop)
         dens = np.asarray(comp.density(synth[:, sbar]), float).reshape(-1)
         terms[start:stop] = wts * dens * call_predictor(predictor, synth)
     return float(np.sum(terms))
+
+
+def _grid_boxes(shape: tuple[int, ...], start: int, stop: int, lead: tuple[int, ...] = ()):
+    """Split rows [start, stop) of the C-order grid of ``shape`` into boxes.
+
+    Yields ``(lead, lo, hi)`` in row order: the first ``len(lead)`` axes are
+    fixed at the indices ``lead``, axis ``len(lead)`` runs over [lo, hi) and
+    the later axes run in full.  A range needs at most 2 len(shape) - 1 boxes.
+    """
+    block = math.prod(shape[len(lead) + 1 :])  # rows per index of this axis
+    first, head = divmod(start, block)
+    last, tail = divmod(stop, block)
+    if first == last:  # inside one slice of this axis
+        if head < tail:
+            yield from _grid_boxes(shape, head, tail, lead + (first,))
+        return
+    if head:
+        yield from _grid_boxes(shape, head, block, lead + (first,))
+        first += 1
+    if first < last:
+        yield lead, first, last
+    if tail:
+        yield from _grid_boxes(shape, 0, tail, lead + (last,))
+
+
+def _fill_grid_rows(
+    batch: np.ndarray,
+    cols: list[int],
+    wts: np.ndarray,
+    axes_nodes: list[np.ndarray],
+    axes_weights: list[np.ndarray],
+    start: int,
+    stop: int,
+) -> None:
+    """Write rows [start, stop) of the tensor grid into ``batch`` and ``wts``.
+
+    Axis j's node goes to column ``cols[j]`` of ``batch`` and the weight
+    product ((w0 * w1) * w2) to ``wts``, both from row 0, one box of
+    :func:`_grid_boxes` at a time by broadcasting.  Each element goes
+    through the same operations as a gather at its unravelled index would.
+    """
+    shape = tuple(len(axis) for axis in axes_nodes)
+    d = len(shape)
+    row = 0
+    for lead, lo, hi in _grid_boxes(shape, start, stop):
+        k = len(lead)
+        box = (hi - lo,) + shape[k + 1 :]
+        rows = math.prod(box)
+        block = batch[row : row + rows].reshape(box + (batch.shape[1],))
+        box_weights = []
+        for j, (col, nodes, weights) in enumerate(zip(cols, axes_nodes, axes_weights)):
+            if j < k:
+                node, weight = nodes[lead[j]], weights[lead[j]]
+            else:
+                # Axis j of the grid is axis j - k of the box.
+                part = slice(lo, hi) if j == k else slice(None)
+                along = (-1,) + (1,) * (d - 1 - j)
+                node, weight = nodes[part].reshape(along), weights[part].reshape(along)
+            block[..., col] = node
+            box_weights.append(weight)
+        wts[row : row + rows].reshape(box)[...] = functools.reduce(np.multiply, box_weights)
+        row += rows
 
 
 def _coalition_components(

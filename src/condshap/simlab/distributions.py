@@ -9,12 +9,18 @@ A component density is factored once, when its law is fixed:
 :class:`GaussianDensity` and :class:`GHDensity` hold the whitening matrix
 (the inverse Cholesky factor) and every constant, so evaluating one on a
 block of points takes a few elementwise passes over the points.
+
+The Gaussian and mixture families condition through one
+:class:`GaussianPlan` per coalition, built by the first instance that
+meets it: the ridge decision for Sigma_SS, the conditional covariance and
+its density's factor do not depend on x_S.  Each instance then makes one
+small solve for its conditional mean.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
@@ -23,7 +29,7 @@ from scipy.special import kve
 from ..coalitions import Coalition
 from ..errors import InvalidCovarianceError
 from ..oracles import QuadratureComponent, gauss_legendre
-from ..samplers import TrainingMatrix, conditional_moments
+from ..samplers import TrainingMatrix, _ridge, _solve_blocks, conditional_moments
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +121,63 @@ class GaussianDensity:
         return np.exp(self.logpdf(points))
 
 
+@dataclass(frozen=True)
+class GaussianPlan:
+    """Conditioning N(mu, cov) on one coalition S, less what x_S moves.
+
+    Holds the law, the index arrays of S and its complement, the ridge added
+    to Sigma_SS (0.0 when none), the conditional covariance with its
+    coordinate sds, and the whitening matrix and offset of its density.
+    """
+
+    mu: np.ndarray
+    cov: np.ndarray
+    s: np.ndarray
+    sbar: np.ndarray
+    ridge: float
+    sigma: np.ndarray
+    sd: np.ndarray
+    whiten: np.ndarray
+    offset: float
+
+    @classmethod
+    def build(
+        cls, mu: np.ndarray, cov: np.ndarray, s: Coalition, x_s: np.ndarray
+    ) -> "GaussianPlan":
+        ridge = _ridge(cov[np.ix_(s, s)], "gaussian conditional") if s else 0.0
+        mean, sigma = conditional_moments(mu, cov, s, x_s, ridge=ridge)
+        density = GaussianDensity.from_moments(mean, sigma)
+        sbar = [j for j in range(len(mu)) if j not in s]
+        return cls(
+            mu,
+            cov,
+            np.array(s, np.intp),
+            np.array(sbar, np.intp),
+            ridge,
+            sigma,
+            np.sqrt(np.clip(np.diag(sigma), 1e-300, None)),
+            density.whiten,
+            density.offset,
+        )
+
+    def mean(self, x_s: np.ndarray) -> np.ndarray:
+        """E[x_sbar | x_S = x_s], by the one solve :func:`conditional_moments` makes."""
+        if not (len(self.s) and len(self.sbar)):
+            return self.mu[self.sbar]
+        x_s = np.asarray(x_s, float).reshape(-1)
+        cross, solved = _solve_blocks(self.mu, self.cov, self.s, self.sbar, self.ridge, x_s)
+        return self.mu[self.sbar] + cross.T @ solved[:, -1]
+
+    def component(self, x_s: np.ndarray, weight: float = 1.0) -> QuadratureComponent:
+        mean = self.mean(x_s)
+        return QuadratureComponent(
+            weight=weight,
+            center=mean,
+            sd=self.sd,
+            density=GaussianDensity(mean, self.whiten, self.offset).pdf,
+        )
+
+
 def _sample_gaussian(
     mean: np.ndarray, cov: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -135,6 +198,9 @@ class GaussianFeatures:
 
     mean: np.ndarray
     cov: np.ndarray
+    _plans: dict[Coalition, GaussianPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, float).reshape(-1)
@@ -153,29 +219,25 @@ class GaussianFeatures:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return _sample_gaussian(self.mean, self.cov, n, rng)
 
+    def _plan(self, s: Coalition, x_s: np.ndarray) -> GaussianPlan:
+        s = tuple(sorted(s))
+        if s not in self._plans:
+            self._plans[s] = GaussianPlan.build(self.mean, self.cov, s, x_s)
+        return self._plans[s]
+
     def conditional_mean(self, s: Coalition, x_s: np.ndarray) -> np.ndarray:
-        mu, _ = conditional_moments(self.mean, self.cov, s, x_s)
-        return mu
+        return self._plan(s, x_s).mean(x_s)
 
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        mu, sig = conditional_moments(self.mean, self.cov, s, x_s)
-        return _sample_gaussian(mu, sig, n, rng)
+        plan = self._plan(s, x_s)
+        return _sample_gaussian(plan.mean(x_s), plan.sigma, n, rng)
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
-        mu, sig = conditional_moments(self.mean, self.cov, s, x_s)
-        sd = np.sqrt(np.clip(np.diag(sig), 1e-300, None))
-        return [
-            QuadratureComponent(
-                weight=1.0,
-                center=mu,
-                sd=sd,
-                density=GaussianDensity.from_moments(mu, sig).pdf,
-            )
-        ]
+        return [self._plan(s, x_s).component(x_s)]
 
 
 def sample_equicorrelated_gaussian(
@@ -593,11 +655,39 @@ class MixtureParams:
         return self.means.shape[1]
 
 
+@dataclass(frozen=True)
+class MixturePlan:
+    """A mixture's conditioning on one coalition S: one Gaussian plan per
+    component, and each component's marginal density of x_S (none for the
+    empty coalition)."""
+
+    parts: tuple[GaussianPlan, ...]
+    marginals: tuple[GaussianDensity, ...]
+
+
 @dataclass
 class MixtureFeatures:
     """Gaussian mixture with posterior-weighted exact conditionals."""
 
     params: MixtureParams
+    _plans: dict[Coalition, MixturePlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _plan(self, s: Coalition, x_s: np.ndarray) -> MixturePlan:
+        s = tuple(sorted(s))
+        if s not in self._plans:
+            p = self.params
+            s_idx = list(s)
+            self._plans[s] = MixturePlan(
+                tuple(GaussianPlan.build(mean, p.cov, s, x_s) for mean in p.means),
+                tuple(
+                    GaussianDensity.from_moments(mean[s_idx], p.cov[np.ix_(s_idx, s_idx)])
+                    for mean in p.means
+                    if s
+                ),
+            )
+        return self._plans[s]
 
     @property
     def dim(self) -> int:
@@ -614,16 +704,10 @@ class MixtureFeatures:
         p = self.params
         if not s:
             return np.asarray(p.weights, float)
+        marginals = self._plan(s, x_s).marginals
         x_s = np.asarray(x_s, float).reshape(1, -1)
-        s_idx = list(s)
         logs = np.array(
-            [
-                math.log(p.weights[k])
-                + GaussianDensity.from_moments(
-                    p.means[k][s_idx], p.cov[np.ix_(s_idx, s_idx)]
-                ).logpdf(x_s)[0]
-                for k in range(2)
-            ]
+            [math.log(p.weights[k]) + marginals[k].logpdf(x_s)[0] for k in range(2)]
         )
         logs -= logs.max()
         w = np.exp(logs)
@@ -632,36 +716,27 @@ class MixtureFeatures:
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        p = self.params
         post = self.posterior_weights(s, x_s)
+        parts = self._plan(s, x_s).parts
         comp = rng.random(n) < post[1]
         out = np.empty((n, self.dim - len(s)))
         for k in range(2):
             mask = comp == bool(k)
             if not np.any(mask):
                 continue
-            mu, sig = conditional_moments(p.means[k], p.cov, s, x_s)
-            out[mask] = _sample_gaussian(mu, sig, int(mask.sum()), rng)
+            out[mask] = _sample_gaussian(
+                parts[k].mean(x_s), parts[k].sigma, int(mask.sum()), rng
+            )
         return out
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
-        p = self.params
         post = self.posterior_weights(s, x_s)
-        comps = []
-        for k in range(2):
-            mu, sig = conditional_moments(p.means[k], p.cov, s, x_s)
-            sd = np.sqrt(np.clip(np.diag(sig), 1e-300, None))
-            comps.append(
-                QuadratureComponent(
-                    weight=float(post[k]),
-                    center=mu,
-                    sd=sd,
-                    density=GaussianDensity.from_moments(mu, sig).pdf,
-                )
-            )
-        return comps
+        return [
+            part.component(x_s, float(weight))
+            for part, weight in zip(self._plan(s, x_s).parts, post)
+        ]
 
     def conditional_density(self, s: Coalition, x_s: np.ndarray):
         """Posterior-weighted mixture density over the complement features."""

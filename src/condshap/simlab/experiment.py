@@ -207,6 +207,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
 
     t_start = time.perf_counter()
     for batch in range(config.batches):
+        instance = ""  # names the test instance while its truth is computed
         try:
             t0 = time.perf_counter()
             train_x = dist.sample(
@@ -230,6 +231,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
                 else None
             )
             for i, x_star in enumerate(test_x):
+                instance = f", instance {i} (x* = {x_star.tolist()})"
                 if config.dimension == 3:
                     truth.append(
                         true_shapley_quadrature(
@@ -246,6 +248,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
                             rng_seed=[config.seed, batch, 3, i],
                         )
                     )
+            instance = ""
             timings[f"batch{batch}_truth_s"] = time.perf_counter() - t0
 
             for index, (spec, label) in enumerate(zip(config.estimators, labels)):
@@ -268,7 +271,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
         except Exception as exc:
             raise RuntimeError(
                 f"experiment {config.name or config.features.kind!r} failed in "
-                f"batch {batch}: {exc}"
+                f"batch {batch}{instance}: {exc}"
             ) from exc
     timings["total_s"] = time.perf_counter() - t_start
 

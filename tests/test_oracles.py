@@ -1,5 +1,6 @@
 """Reference Shapley computation: closed forms, quadrature, Monte Carlo."""
 
+import functools
 import math
 
 import numpy as np
@@ -275,6 +276,33 @@ class TestChunkedQuadrature:
 
     def test_default_chunk(self):
         assert oracles.CHUNK_ROWS == 2 ** 15
+
+
+class TestGridBoxes:
+    """The box-wise chunk fill against the ``np.unravel_index`` gather it
+    replaced, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 13, None], ids=["1", "7", "13", "whole"])
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5), (4, 1, 3)])
+    def test_fill_equals_unravel_gather(self, shape, chunk):
+        rng = np.random.default_rng(len(shape))
+        nodes = [rng.standard_normal(n) for n in shape]
+        weights = [rng.random(n) for n in shape]
+        d, size = len(shape), math.prod(shape)
+        chunk = chunk or size
+        cols = list(range(d, 0, -1))  # axis j to column d - j; column 0 is left alone
+        for start in range(0, size, chunk):
+            stop = min(start + chunk, size)
+            index = np.unravel_index(np.arange(start, stop), shape)
+            batch = np.full((stop - start, d + 1), np.nan)
+            wts = np.full(stop - start, np.nan)
+            oracles._fill_grid_rows(batch, cols, wts, nodes, weights, start, stop)
+            for col, axis, k in zip(cols, nodes, index):
+                assert batch[:, col].tobytes() == axis[k].tobytes()
+            gathered = functools.reduce(np.multiply, [axis[k] for axis, k in zip(weights, index)])
+            assert wts.tobytes() == gathered.tobytes()
+            assert np.isnan(batch[:, 0]).all()
+            assert len(list(oracles._grid_boxes(shape, start, stop))) <= 2 * d - 1
 
 
 class TestGaussLegendre:

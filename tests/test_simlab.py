@@ -1,13 +1,20 @@
 """Feature generators, sampling models, built-in predictors, and the runner."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from condshap.errors import ConfigError, DegenerateReferenceError
-from condshap.samplers import SamplerSpec, TrainingMatrix
+from condshap.errors import (
+    ConfigError,
+    DegenerateReferenceError,
+    DiagnosticWarning,
+    QuadratureConvergenceError,
+)
+from condshap.samplers import SamplerSpec, TrainingMatrix, conditional_moments
+from condshap.shell.cli import _exit_code
 from condshap.simlab import (
     EquicorrelatedCov,
     ExperimentConfig,
@@ -36,7 +43,14 @@ from condshap.simlab import (
     skill_score,
 )
 from condshap import oracles
-from condshap.simlab.distributions import GaussianDensity, GHDensity, gig_variance
+from condshap.coalitions import _ordered_subsets
+from condshap.simlab import experiment
+from condshap.simlab.distributions import (
+    GaussianDensity,
+    GaussianFeatures,
+    GHDensity,
+    gig_variance,
+)
 from condshap.oracles import TrueShapleyResult
 from condshap.coalitions import Explanation
 
@@ -372,6 +386,93 @@ class TestMixture:
             MixtureParams(gamma=1.0, means=np.zeros((2, 3)), cov=np.eye(3), weights=(0.6, 0.6))
 
 
+def _reference_components(dist, s, x_s):
+    """(weight, mean, sd, density) per component, from a fresh
+    ``conditional_moments`` and ``GaussianDensity.from_moments`` per call."""
+    if isinstance(dist, MixtureFeatures):
+        p = dist.params
+        means, cov, weights = p.means, p.cov, np.asarray(p.weights, float)
+        if s:
+            idx = list(s)
+            logs = np.array([
+                math.log(w)
+                + GaussianDensity.from_moments(mean[idx], cov[np.ix_(idx, idx)]).logpdf(
+                    x_s.reshape(1, -1))[0]
+                for w, mean in zip(p.weights, means)
+            ])
+            logs -= logs.max()
+            weights = np.exp(logs)
+            weights = weights / weights.sum()
+    else:
+        means, cov, weights = [dist.mean], dist.cov, [1.0]
+    out = []
+    for weight, mean in zip(weights, means):
+        mu, sigma = conditional_moments(mean, cov, s, x_s)
+        sd = np.sqrt(np.clip(np.diag(sigma), 1e-300, None))
+        out.append((float(weight), mu, sd, GaussianDensity.from_moments(mu, sigma)))
+    return out
+
+
+def _near_singular_gaussian():
+    # Features 0 and 2 nearly collinear: every Sigma_SS holding both is ridged.
+    cov = np.array([[1.0, 0.3, 1.0 - 1e-12], [0.3, 1.0, 0.3], [1.0 - 1e-12, 0.3, 1.0]])
+    return GaussianFeatures(np.array([0.2, -0.1, 0.4]), cov)
+
+
+class TestConditioningPlansMatchPerCallReference:
+    """``conditional_components`` through the per-coalition plans equals the
+    per-call reference bit for bit.
+
+    Plans are built by the first instance that meets a coalition and reused
+    by the next, in both instance orders.
+    """
+
+    X = np.array([[0.7, -1.2, 0.4], [-1.9, 0.8, 2.3]])
+    POINTS = np.random.default_rng(41).standard_normal((64, 3))
+    DISTS = {
+        "gaussian": lambda: GaussianFeatures.equicorrelated(3, 0.6),
+        "ridge": _near_singular_gaussian,
+        "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
+    }
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_every_coalition_in_both_instance_orders(self, name, order):
+        dist = self.DISTS[name]()
+        coalitions = [s for s in _ordered_subsets(3) if len(s) < 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            for i in order:
+                for s in coalitions:
+                    x_s = self.X[i][list(s)]
+                    got = dist.conditional_components(s, x_s)
+                    expected = _reference_components(dist, s, x_s)
+                    assert len(got) == len(expected)
+                    for comp, (weight, mu, sd, density) in zip(got, expected):
+                        assert comp.weight == weight
+                        assert comp.center.tobytes() == mu.tobytes()
+                        assert comp.sd.tobytes() == sd.tobytes()
+                        planned = comp.density.__self__
+                        assert planned.mean.tobytes() == density.mean.tobytes()
+                        assert planned.whiten.tobytes() == density.whiten.tobytes()
+                        assert planned.offset == density.offset
+                        points = self.POINTS[:, : 3 - len(s)]
+                        assert comp.density(points).tobytes() == density.pdf(points).tobytes()
+                    if isinstance(dist, GaussianFeatures):
+                        assert dist.conditional_mean(s, x_s).tobytes() == expected[0][1].tobytes()
+        assert len(dist._plans) == len(coalitions)
+
+    def test_ridge_warning_text_is_kept(self):
+        s, x_s = (0, 2), self.X[0][[0, 2]]
+        dist = _near_singular_gaussian()
+        with pytest.warns(DiagnosticWarning) as planned:
+            dist.conditional_components(s, x_s)
+        with pytest.warns(DiagnosticWarning) as direct:
+            conditional_moments(dist.mean, dist.cov, s, x_s)
+        assert [str(w.message) for w in planned] == [str(w.message) for w in direct]
+        assert "ridge" in str(planned[0].message)
+
+
 class TestSamplingModels:
     def test_linear_10d_ignores_last_feature(self):
         rng = np.random.default_rng(15)
@@ -551,6 +652,26 @@ class TestRunExperiment:
         report = run_experiment(micro_config)
         table = report.summary_table()
         assert "original" in table and "gaussian" in table
+
+    def test_truth_failure_names_the_instance(self, micro_config, monkeypatch):
+        seen = []
+
+        def oracle(dist, predictor, x_star, grid, v_empty=None):
+            seen.append(x_star)
+            if len(seen) == 3:
+                raise QuadratureConvergenceError("quadrature not converged")
+            return TrueShapleyResult(phi0=0.0, phi=np.zeros(3), method="quadrature")
+
+        monkeypatch.setattr(experiment, "quadrature_mean_prediction", lambda *args: 0.0)
+        monkeypatch.setattr(experiment, "true_shapley_quadrature", oracle)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(micro_config)
+        assert len(seen) == 3
+        assert str(info.value) == (
+            f"experiment 'micro' failed in batch 0, instance 2 (x* = {seen[2].tolist()}): "
+            "quadrature not converged"
+        )
+        assert _exit_code(info.value) == 2
 
     def test_gh_features_through_the_runner(self):
         config = ExperimentConfig(

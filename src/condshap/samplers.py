@@ -207,6 +207,16 @@ def _solve_blocks(
     return cross, solved
 
 
+def _sorted_coalition(s: Iterable[int], x_s) -> tuple[Coalition, np.ndarray]:
+    """``s`` in ascending order, with the values ``x_s`` of its features permuted to match."""
+    s = tuple(s)
+    x_s = np.asarray(x_s, float).reshape(-1)
+    if x_s.shape[0] != len(s):
+        raise ValueError("conditioning values do not match coalition size")
+    order = sorted(range(len(s)), key=s.__getitem__)
+    return tuple(s[i] for i in order), x_s[order]
+
+
 def conditional_moments(
     mean: np.ndarray,
     cov: np.ndarray,
@@ -221,18 +231,17 @@ def conditional_moments(
     mu_cond = mu_sbar + Sigma_{sbar,s} Sigma_{ss}^{-1} (x_s - mu_s)
     Sigma_cond = Sigma_{sbar,sbar} - Sigma_{sbar,s} Sigma_{ss}^{-1} Sigma_{s,sbar}
 
-    ``ridge`` is added to the diagonal of Sigma_ss; by default it is chosen
-    here, with a warning naming ``context`` when the block is near-singular.
+    ``x_s`` lists the values of the features of ``s`` in the order ``s``
+    gives them.  ``ridge`` is added to the diagonal of Sigma_ss; by default
+    it is chosen here, with a warning naming ``context`` when the block is
+    near-singular.
     """
     mean = np.asarray(mean, float)
     cov = np.asarray(cov, float)
     m = mean.shape[0]
-    s = sorted(s)
+    s, x_s = _sorted_coalition(s, x_s)
     sbar = np.array([j for j in range(m) if j not in s], dtype=np.intp)
     s = np.array(s, dtype=np.intp)
-    x_s = np.asarray(x_s, float).reshape(-1)
-    if x_s.shape[0] != len(s):
-        raise ValueError("conditioning values do not match coalition size")
     if not len(sbar):
         return np.empty(0), np.empty((0, 0))
     if not len(s):
@@ -295,14 +304,25 @@ class ConditioningPlan:
     """The part of conditioning a Gaussian on coalition S that x_S leaves alone.
 
     That is the indices of S and of its complement, the ridge added to
-    Sigma_SS (0.0 when none) and the eigen-factor of the conditional
-    covariance.  Only the conditional mean depends on x_S.
+    Sigma_SS (0.0 when none), the conditional covariance ``sigma`` and its
+    eigen-factor.  None of it depends on x_S or on the Gaussian's mean, so
+    laws that share a covariance share its plans: the explainer's samplers
+    and the simulation lab's Gaussian and mixture features condition through
+    them alike.  Only the conditional mean is left to each instance.
     """
 
     s: np.ndarray
     sbar: np.ndarray
     ridge: float
+    sigma: np.ndarray
     factor: np.ndarray
+
+    def mean(self, mean: np.ndarray, cov: np.ndarray, x_s: np.ndarray) -> np.ndarray:
+        """E[x_sbar | x_S = x_s] under N(mean, cov), by the solve of :func:`conditional_moments`."""
+        if not (len(self.s) and len(self.sbar)):
+            return mean[self.sbar]
+        cross, solved = _solve_blocks(mean, cov, self.s, self.sbar, self.ridge, x_s)
+        return mean[self.sbar] + cross.T @ solved[:, -1]
 
 
 def _conditioned(
@@ -314,7 +334,7 @@ def _conditioned(
     context: str,
     well_conditioned: bool,
 ) -> tuple[ConditioningPlan, GaussianConditional]:
-    """The plan for s and the law of N(mean, cov) given x_S = x_s.
+    """The plan for the sorted coalition s and the law of N(mean, cov) given x_S = x_s.
 
     A miss decides the ridge, conditions by :func:`conditional_moments` and
     eigen-factors the result into a new plan; a hit solves for the mean only.
@@ -327,12 +347,11 @@ def _conditioned(
         mu, sigma = conditional_moments(mean, cov, s, x_s, context, ridge=ridge)
         sbar = [j for j in range(len(mean)) if j not in s]
         plan = ConditioningPlan(
-            np.array(s, np.intp), np.array(sbar, np.intp), ridge, _eigen_factor(sigma)
+            np.array(s, np.intp), np.array(sbar, np.intp), ridge, sigma, _eigen_factor(sigma)
         )
         plans[s] = plan
         return plan, GaussianConditional(mu, plan.factor)
-    cross, solved = _solve_blocks(mean, cov, plan.s, plan.sbar, plan.ridge, x_s)
-    return plan, GaussianConditional(mean[plan.sbar] + cross.T @ solved[:, -1], plan.factor)
+    return plan, GaussianConditional(plan.mean(mean, cov, x_s), plan.factor)
 
 
 # ---------------------------------------------------------------------------

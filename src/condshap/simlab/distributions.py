@@ -10,17 +10,22 @@ A component density is factored once, when its law is fixed:
 (the inverse Cholesky factor) and every constant, so evaluating one on a
 block of points takes a few elementwise passes over the points.
 
-The Gaussian and mixture families condition through one
-:class:`GaussianPlan` per coalition, built by the first instance that
-meets it: the ridge decision for Sigma_SS, the conditional covariance and
-its density's factor do not depend on x_S.  Each instance then makes one
-small solve for its conditional mean.
+The Gaussian and mixture families condition as the explainer's samplers
+do, through one :class:`~condshap.samplers.ConditioningPlan` per
+(covariance, coalition), built by the first instance that meets it: the
+ridge decision for Sigma_SS and the conditional covariance depend neither
+on x_S nor on the law's mean.  The mixture's two components share their
+covariance, so they share each plan, and the density of the conditional
+covariance (and, for the posterior weights, of Sigma_SS) is factored once
+per coalition for both.  Each instance then makes one small solve per
+component for its conditional mean.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
@@ -29,7 +34,7 @@ from scipy.special import kve
 from ..coalitions import Coalition
 from ..errors import InvalidCovarianceError
 from ..oracles import QuadratureComponent, gauss_legendre
-from ..samplers import TrainingMatrix, _ridge, _solve_blocks, conditional_moments
+from ..samplers import ConditioningPlan, TrainingMatrix, _conditioned, _sorted_coalition
 
 
 # ---------------------------------------------------------------------------
@@ -121,61 +126,46 @@ class GaussianDensity:
         return np.exp(self.logpdf(points))
 
 
-@dataclass(frozen=True)
-class GaussianPlan:
-    """Conditioning N(mu, cov) on one coalition S, less what x_S moves.
+def _factored(
+    densities: dict[Coalition, GaussianDensity], s: Coalition, cov: np.ndarray
+) -> GaussianDensity:
+    """The density of N(0, cov), factored on the first call for coalition s."""
+    if s not in densities:
+        densities[s] = GaussianDensity.from_moments(np.zeros(cov.shape[0]), cov)
+    return densities[s]
 
-    Holds the law, the index arrays of S and its complement, the ridge added
-    to Sigma_SS (0.0 when none), the conditional covariance with its
-    coordinate sds, and the whitening matrix and offset of its density.
-    """
 
-    mu: np.ndarray
-    cov: np.ndarray
-    s: np.ndarray
-    sbar: np.ndarray
-    ridge: float
-    sigma: np.ndarray
-    sd: np.ndarray
-    whiten: np.ndarray
-    offset: float
+def _conditional_means(
+    plans: dict[Coalition, ConditioningPlan],
+    means: Sequence[np.ndarray],
+    cov: np.ndarray,
+    s: Coalition,
+    x_s: np.ndarray,
+) -> tuple[ConditioningPlan, list[np.ndarray]]:
+    """The plan for s and E[x_sbar | x_S = x_s] under N(mean, cov) for each of ``means``."""
+    plan, first = _conditioned(plans, means[0], cov, s, x_s, "gaussian conditional", False)
+    return plan, [first.mu_cond, *(plan.mean(mean, cov, x_s) for mean in means[1:])]
 
-    @classmethod
-    def build(
-        cls, mu: np.ndarray, cov: np.ndarray, s: Coalition, x_s: np.ndarray
-    ) -> "GaussianPlan":
-        ridge = _ridge(cov[np.ix_(s, s)], "gaussian conditional") if s else 0.0
-        mean, sigma = conditional_moments(mu, cov, s, x_s, ridge=ridge)
-        density = GaussianDensity.from_moments(mean, sigma)
-        sbar = [j for j in range(len(mu)) if j not in s]
-        return cls(
-            mu,
-            cov,
-            np.array(s, np.intp),
-            np.array(sbar, np.intp),
-            ridge,
-            sigma,
-            np.sqrt(np.clip(np.diag(sigma), 1e-300, None)),
-            density.whiten,
-            density.offset,
+
+def _conditional_components(
+    plans: dict[Coalition, ConditioningPlan],
+    densities: dict[Coalition, GaussianDensity],
+    means: Sequence[np.ndarray],
+    cov: np.ndarray,
+    weights: Sequence[float],
+    s: Coalition,
+    x_s: np.ndarray,
+) -> list[QuadratureComponent]:
+    """One weighted component per law N(mean, cov) of ``means``, given x_S = x_s."""
+    plan, centers = _conditional_means(plans, means, cov, s, x_s)
+    density = _factored(densities, s, plan.sigma)
+    sd = np.sqrt(np.clip(np.diag(plan.sigma), 1e-300, None))
+    return [
+        QuadratureComponent(
+            weight=float(weight), center=center, sd=sd, density=replace(density, mean=center).pdf
         )
-
-    def mean(self, x_s: np.ndarray) -> np.ndarray:
-        """E[x_sbar | x_S = x_s], by the one solve :func:`conditional_moments` makes."""
-        if not (len(self.s) and len(self.sbar)):
-            return self.mu[self.sbar]
-        x_s = np.asarray(x_s, float).reshape(-1)
-        cross, solved = _solve_blocks(self.mu, self.cov, self.s, self.sbar, self.ridge, x_s)
-        return self.mu[self.sbar] + cross.T @ solved[:, -1]
-
-    def component(self, x_s: np.ndarray, weight: float = 1.0) -> QuadratureComponent:
-        mean = self.mean(x_s)
-        return QuadratureComponent(
-            weight=weight,
-            center=mean,
-            sd=self.sd,
-            density=GaussianDensity(mean, self.whiten, self.offset).pdf,
-        )
+        for weight, center in zip(weights, centers)
+    ]
 
 
 def _sample_gaussian(
@@ -198,7 +188,10 @@ class GaussianFeatures:
 
     mean: np.ndarray
     cov: np.ndarray
-    _plans: dict[Coalition, GaussianPlan] = field(
+    _plans: dict[Coalition, ConditioningPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _densities: dict[Coalition, GaussianDensity] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -219,25 +212,24 @@ class GaussianFeatures:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return _sample_gaussian(self.mean, self.cov, n, rng)
 
-    def _plan(self, s: Coalition, x_s: np.ndarray) -> GaussianPlan:
-        s = tuple(sorted(s))
-        if s not in self._plans:
-            self._plans[s] = GaussianPlan.build(self.mean, self.cov, s, x_s)
-        return self._plans[s]
-
     def conditional_mean(self, s: Coalition, x_s: np.ndarray) -> np.ndarray:
-        return self._plan(s, x_s).mean(x_s)
+        s, x_s = _sorted_coalition(s, x_s)
+        return _conditional_means(self._plans, [self.mean], self.cov, s, x_s)[1][0]
 
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        plan = self._plan(s, x_s)
-        return _sample_gaussian(plan.mean(x_s), plan.sigma, n, rng)
+        s, x_s = _sorted_coalition(s, x_s)
+        plan, (mean,) = _conditional_means(self._plans, [self.mean], self.cov, s, x_s)
+        return _sample_gaussian(mean, plan.sigma, n, rng)
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
-        return [self._plan(s, x_s).component(x_s)]
+        s, x_s = _sorted_coalition(s, x_s)
+        return _conditional_components(
+            self._plans, self._densities, [self.mean], self.cov, [1.0], s, x_s
+        )
 
 
 def sample_equicorrelated_gaussian(
@@ -437,12 +429,11 @@ def gh_conditional(
     if psi_form not in ("inverse", "printed"):
         raise ValueError(f"unknown psi_form {psi_form!r}")
     star = _as_star(params) if isinstance(params, GHParams) else params
-    s = tuple(sorted(s))
+    s, x_s = _sorted_coalition(s, x_s)
     d = star.dim
     sbar = tuple(j for j in range(d) if j not in s)
     if not s:
         return star
-    x_s = np.asarray(x_s, float).reshape(-1)
     s_idx, sbar_idx = list(s), list(sbar)
     sig11 = star.sigma[np.ix_(s_idx, s_idx)]
     sig12 = star.sigma[np.ix_(s_idx, sbar_idx)]
@@ -655,39 +646,24 @@ class MixtureParams:
         return self.means.shape[1]
 
 
-@dataclass(frozen=True)
-class MixturePlan:
-    """A mixture's conditioning on one coalition S: one Gaussian plan per
-    component, and each component's marginal density of x_S (none for the
-    empty coalition)."""
-
-    parts: tuple[GaussianPlan, ...]
-    marginals: tuple[GaussianDensity, ...]
-
-
 @dataclass
 class MixtureFeatures:
-    """Gaussian mixture with posterior-weighted exact conditionals."""
+    """Gaussian mixture with posterior-weighted exact conditionals.
+
+    The components share one covariance, so they share its plans and the
+    factored densities of the conditional covariance and of Sigma_SS.
+    """
 
     params: MixtureParams
-    _plans: dict[Coalition, MixturePlan] = field(
+    _plans: dict[Coalition, ConditioningPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def _plan(self, s: Coalition, x_s: np.ndarray) -> MixturePlan:
-        s = tuple(sorted(s))
-        if s not in self._plans:
-            p = self.params
-            s_idx = list(s)
-            self._plans[s] = MixturePlan(
-                tuple(GaussianPlan.build(mean, p.cov, s, x_s) for mean in p.means),
-                tuple(
-                    GaussianDensity.from_moments(mean[s_idx], p.cov[np.ix_(s_idx, s_idx)])
-                    for mean in p.means
-                    if s
-                ),
-            )
-        return self._plans[s]
+    _densities: dict[Coalition, GaussianDensity] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _marginals: dict[Coalition, GaussianDensity] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -702,13 +678,16 @@ class MixtureFeatures:
 
     def posterior_weights(self, s: Coalition, x_s: np.ndarray) -> np.ndarray:
         p = self.params
+        s, x_s = _sorted_coalition(s, x_s)
         if not s:
             return np.asarray(p.weights, float)
-        marginals = self._plan(s, x_s).marginals
-        x_s = np.asarray(x_s, float).reshape(1, -1)
-        logs = np.array(
-            [math.log(p.weights[k]) + marginals[k].logpdf(x_s)[0] for k in range(2)]
-        )
+        idx = list(s)
+        marginal = _factored(self._marginals, s, p.cov[np.ix_(idx, idx)])
+        x_s = x_s.reshape(1, -1)
+        logs = np.array([
+            math.log(weight) + replace(marginal, mean=mean[idx]).logpdf(x_s)[0]
+            for weight, mean in zip(p.weights, p.means)
+        ])
         logs -= logs.max()
         w = np.exp(logs)
         return w / w.sum()
@@ -716,27 +695,26 @@ class MixtureFeatures:
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
+        s, x_s = _sorted_coalition(s, x_s)
         post = self.posterior_weights(s, x_s)
-        parts = self._plan(s, x_s).parts
+        plan, means = _conditional_means(self._plans, self.params.means, self.params.cov, s, x_s)
         comp = rng.random(n) < post[1]
         out = np.empty((n, self.dim - len(s)))
         for k in range(2):
             mask = comp == bool(k)
             if not np.any(mask):
                 continue
-            out[mask] = _sample_gaussian(
-                parts[k].mean(x_s), parts[k].sigma, int(mask.sum()), rng
-            )
+            out[mask] = _sample_gaussian(means[k], plan.sigma, int(mask.sum()), rng)
         return out
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
-        post = self.posterior_weights(s, x_s)
-        return [
-            part.component(x_s, float(weight))
-            for part, weight in zip(self._plan(s, x_s).parts, post)
-        ]
+        s, x_s = _sorted_coalition(s, x_s)
+        p = self.params
+        return _conditional_components(
+            self._plans, self._densities, p.means, p.cov, self.posterior_weights(s, x_s), s, x_s
+        )
 
     def conditional_density(self, s: Coalition, x_s: np.ndarray):
         """Posterior-weighted mixture density over the complement features."""

@@ -42,7 +42,7 @@ from condshap.simlab import (
     sample_mixture,
     skill_score,
 )
-from condshap import oracles
+from condshap import oracles, samplers
 from condshap.coalitions import _ordered_subsets
 from condshap.simlab import experiment
 from condshap.simlab.distributions import (
@@ -319,7 +319,7 @@ class TestDensitySlices:
             assert np.array_equal(dens.logpdf(points[row]), whole[row : row + 1])
             assert np.array_equal(dens.logpdf(points[row : row + 1]), whole[row : row + 1])
 
-    def test_mean_prediction_factors_once_per_component(self, monkeypatch):
+    def test_mean_prediction_factors_once_for_both_components(self, monkeypatch):
         calls = []
         cholesky = np.linalg.cholesky
 
@@ -334,9 +334,10 @@ class TestDensitySlices:
             dist, lambda X: 0.3 + X @ np.array([1.0, -0.5, 2.0]), oracles.GridSpec(20)
         )
         assert value == pytest.approx(0.3, abs=1e-9)
-        # Two components, each factored once for both resolutions; the 20**3
-        # and 40**3 grids go in 10,286 chunks of at most 7 rows.
-        assert calls == [(3, 3), (3, 3)]
+        # The two components share their covariance and its one factorization,
+        # for both resolutions; the 20**3 and 40**3 grids go in 10,286 chunks
+        # of at most 7 rows.
+        assert calls == [(3, 3)]
 
 
 class TestGHDensity:
@@ -471,6 +472,93 @@ class TestConditioningPlansMatchPerCallReference:
             conditional_moments(dist.mean, dist.cov, s, x_s)
         assert [str(w.message) for w in planned] == [str(w.message) for w in direct]
         assert "ridge" in str(planned[0].message)
+
+
+class TestPlansShared:
+    """One ``conditional_moments`` call per coalition: later instances hit the
+    plan, and the mixture's components share theirs."""
+
+    X = TestConditioningPlansMatchPerCallReference.X
+    DISTS = {
+        "gaussian": lambda: GaussianFeatures.equicorrelated(3, 0.6),
+        "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DISTS))
+    def test_one_plan_build_per_coalition(self, name, monkeypatch):
+        built = []
+        conditional_moments = samplers.conditional_moments
+
+        def counting(mean, cov, s, *args, **kwargs):
+            built.append(tuple(s))
+            return conditional_moments(mean, cov, s, *args, **kwargs)
+
+        monkeypatch.setattr(samplers, "conditional_moments", counting)
+        dist = self.DISTS[name]()
+        coalitions = [s for s in _ordered_subsets(3) if len(s) < 3]
+        for x in self.X:
+            for s in coalitions:
+                dist.conditional_components(s, x[list(s)])
+        assert len(coalitions) == 7
+        assert built == coalitions
+
+
+_SIGMA3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+
+
+def _conditioning_entry_points():
+    """name -> (s, x_s in the order of s, call returning a flat array)."""
+    gaussian = GaussianFeatures(np.array([0.1, -0.2, 0.3]), _SIGMA3)
+    mixture = MixtureFeatures(MixtureParams.from_gamma(1.5))
+    gh = GHFeatures(_correlated_gh())
+    points = np.random.default_rng(5).standard_normal((16, 1))
+
+    def components(dist):
+        def call(s, x_s):
+            comps = dist.conditional_components(s, x_s)
+            return np.concatenate(
+                [np.r_[c.weight, c.center, c.sd, c.density(points)] for c in comps]
+            )
+
+        return call
+
+    def sample(dist):
+        return lambda s, x_s: dist.conditional_sample(s, x_s, 8, np.random.default_rng(9))
+
+    def gh_law(params):
+        def call(s, x_s):
+            star = gh_conditional(params, s, x_s)
+            return np.r_[star.lam, star.chi, star.psi, star.mu, star.sigma.ravel(), star.beta_skew]
+
+        return call
+
+    plain = ((0, 2), [1.0, -1.0])
+    # Features 0 and 2 of the mixture are exchangeable, so (0, 2) would hide a swap.
+    skew = ((0, 1), [1.0, -1.0])
+    return {
+        "conditional_moments": plain + (
+            lambda s, x_s: np.concatenate(
+                [a.ravel() for a in conditional_moments(np.zeros(3), _SIGMA3, s, x_s)]
+            ),
+        ),
+        "gaussian-mean": plain + (gaussian.conditional_mean,),
+        "gaussian-components": plain + (components(gaussian),),
+        "gaussian-sample": plain + (sample(gaussian),),
+        "mixture-weights": skew + (mixture.posterior_weights,),
+        "mixture-components": skew + (components(mixture),),
+        "mixture-sample": skew + (sample(mixture),),
+        "gh_conditional": ((1, 5), [1.0, -2.0], gh_law(gh_params_10d())),
+        "gh-components": plain + (components(gh),),
+        "gh-sample": plain + (sample(gh),),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_conditioning_entry_points()))
+def test_unsorted_coalition_conditions_on_its_own_values(name):
+    """(s, x_s) listed in any order is the same condition and gives the same bits."""
+    s, x_s, call = _conditioning_entry_points()[name]
+    reverse = call(s[::-1], x_s[::-1])
+    assert call(s, x_s).tobytes() == reverse.tobytes()
 
 
 class TestSamplingModels:

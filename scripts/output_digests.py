@@ -11,16 +11,14 @@ the same bytes.  The outputs are:
 
 - ``condshap explain`` CSV and JSON (``--cluster-alpha 1.0 --d-star 1``):
   every estimator family with the OLS model, the parametric and AICc
-  estimators with the stump model and with an external JSON-lines model, and
-  a ``CONDSHAP_WORKERS=2`` copula run;
+  estimators with the stump model and with an external JSON-lines model;
 - ``condshap cluster`` on a tie-heavy CSV;
 - ``condshap simulate`` reports for a Gaussian, a mixture, a piecewise and
   a GH config;
 - in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
-  in reverse order, two-worker runs, near-singular and constant-margin
-  training sets, and the AICc estimators explained as a block, with two
-  workers and one instance at a time.  The texts of the warnings each case
-  raises get their own digest.
+  in reverse order, near-singular and constant-margin training sets, and the
+  AICc estimators explained as a block and one instance at a time.  The
+  texts of the warnings each case raises get their own digest.
 
 Every file is written to a fresh temporary directory (``--keep DIR`` writes
 there instead and leaves the files).  One line per output goes to standard
@@ -85,15 +83,14 @@ class Run:
     def __init__(self, src: Path, work: Path):
         self.work = work
         self.digests: dict[str, str] = {}
+        # Trees before the thread pool's removal read CONDSHAP_WORKERS; keep it
+        # unset so that a base tree runs serially too.
         self.env = {k: v for k, v in os.environ.items() if k != "CONDSHAP_WORKERS"}
         self.env["PYTHONPATH"] = str(src)
 
-    def cli(self, name: str, args: list[str], outputs: list[str], workers: int | None = None):
-        env = dict(self.env)
-        if workers is not None:
-            env["CONDSHAP_WORKERS"] = str(workers)
+    def cli(self, name: str, args: list[str], outputs: list[str]):
         done = subprocess.run([sys.executable, "-m", "condshap.shell.cli", *args],
-                              cwd=self.work, env=env, capture_output=True, text=True)
+                              cwd=self.work, env=self.env, capture_output=True, text=True)
         if done.returncode != 0:
             raise RuntimeError(f"{name}: exit {done.returncode}: {done.stderr.strip()[-400:]}")
         for out in outputs:
@@ -142,9 +139,6 @@ def cli_outputs(run: Run) -> None:
             prefix = f"explain-{model}-{label}"
             run.cli(prefix, base + models[model] + ["--estimator", label, "--output", prefix],
                     [prefix + ".csv", prefix + ".json"])
-    prefix = "explain-ols-copula-workers2"
-    run.cli(prefix, base + models["ols"] + ["--estimator", "copula", "--output", prefix],
-            [prefix + ".csv", prefix + ".json"], workers=2)
 
     ties = np.column_stack([rng.integers(0, 3, 400), rng.integers(0, 2, 400),
                             np.round(rng.standard_normal(400), 1), rng.standard_normal(400)])
@@ -183,8 +177,6 @@ def in_process_outputs(run: Run) -> None:
         run.explanations(f"m10-{label}", lambda: explainer(train10, ols10, label).explain(test10))
     run.explanations("m10-copula-reversed",
                      lambda: one_by_one(explainer(train10, ols10, "copula"), test10, (1, 0)))
-    run.explanations("m10-gaussian-workers2",
-                     lambda: explainer(train10, ols10, "gaussian").explain(test10, workers=2))
     run.explanations("m10-empirical-aicc-exact+gaussian", lambda: explainer(
         train10, ols10, "empirical-aicc-exact+gaussian", d_star=1).explain(test10))
 
@@ -214,8 +206,7 @@ def in_process_outputs(run: Run) -> None:
                       "empirical-aicc-exact+gaussian", "empirical-aicc-approx+copula"):
             name = f"m3-{model_name}-{label}"
             make = lambda: explainer(train3, model, label, k=200, n_aicc=150, d_star=1)
-            run.explanations(f"{name}-block", lambda: make().explain(test3, workers=1))
-            run.explanations(f"{name}-workers2", lambda: make().explain(test3, workers=2))
+            run.explanations(f"{name}-block", lambda: make().explain(test3))
             run.explanations(f"{name}-one-by-one",
                              lambda: one_by_one(make(), test3, range(len(test3))))
 

@@ -227,46 +227,20 @@ class Explanation:
 class WlsSolver:
     """Reusable weighted-least-squares Shapley solver for one coalition design.
 
-    Factorizations depend only on the design, so one solver instance explains
-    any number of contribution vectors.  ``method`` is either ``"constrained"``
-    (the equality constraints phi0 = v(empty) and sum(phi) = v(full) are
-    eliminated exactly; the default) or ``"penalized"`` (the empty/full rows
-    keep weight C in an ordinary weighted solve).
+    The equality constraints phi0 = v(empty) and sum(phi) = v(full) are
+    eliminated exactly: phi0 is v(empty), phi_0..phi_{m-2} come from a
+    weighted least-squares fit over the proper coalitions, and phi_{m-1} is
+    what they leave of v(full) - v(empty).  The fit's factorization depends
+    only on the design, so one solver instance explains any number of
+    contribution vectors.
     """
 
-    def __init__(self, cm: CoalitionMatrix, method: str = "constrained"):
-        if method not in ("constrained", "penalized"):
-            raise ValueError(f"unknown solve method {method!r}")
+    def __init__(self, cm: CoalitionMatrix):
         if not cm.includes_empty_and_full:
             raise ValueError("coalition matrix must include the empty and full rows")
         self.cm = cm
-        self.method = method
-        self.condition_number = float("nan")
         self._empty_row = cm.coalitions.index(())
         self._full_row = cm.coalitions.index(tuple(range(cm.m)))
-        if method == "penalized":
-            self._prepare_penalized()
-        else:
-            self._prepare_constrained()
-
-    # -- penalized: phi = (Z^T W Z)^{-1} Z^T W v ------------------------------
-
-    def _prepare_penalized(self) -> None:
-        z, w = self.cm.z, self.cm.weights
-        normal = z.T @ (w[:, None] * z)
-        self.condition_number = float(np.linalg.cond(normal))
-        if not np.isfinite(self.condition_number) or self.condition_number > 1e15:
-            raise DegenerateDesignError(
-                "degenerate coalition design", self.condition_number
-            )
-        lu, piv = scipy.linalg.lu_factor(normal)
-        # R maps a contribution vector directly to (phi0, phi).
-        self.projection = scipy.linalg.lu_solve((lu, piv), z.T * w[None, :])
-
-    # -- constrained: eliminate phi0 and phi_{m-1} ----------------------------
-
-    def _prepare_constrained(self) -> None:
-        cm = self.cm
         m = cm.m
         proper = [i for i, s in enumerate(cm.coalitions) if 0 < len(s) < m]
         self._proper_rows = proper
@@ -282,10 +256,8 @@ class WlsSolver:
         a = cm.z[proper, 1:m] - self._last_in[:, None]
         w = cm.weights[proper]
         normal = a.T @ (w[:, None] * a)
-        self.condition_number = float(np.linalg.cond(normal)) if normal.size else 1.0
-        if normal.size and (
-            not np.isfinite(self.condition_number) or self.condition_number > 1e12
-        ):
+        self.condition_number = float(np.linalg.cond(normal))
+        if not np.isfinite(self.condition_number) or self.condition_number > 1e12:
             raise DegenerateDesignError(
                 "degenerate coalition design", self.condition_number
             )
@@ -305,20 +277,16 @@ class WlsSolver:
             raise ValueError(
                 f"contribution vector has {vec.shape} entries, design has {cm.n_rows} rows"
             )
-        if self.method == "penalized":
-            sol = self.projection @ vec
-            phi0, phi = float(sol[0]), sol[1:]
+        v_empty = vec[self._empty_row]
+        v_full = vec[self._full_row]
+        total = v_full - v_empty
+        phi0 = float(v_empty)
+        if cm.m == 1:
+            phi = np.array([total])
         else:
-            v_empty = vec[self._empty_row]
-            v_full = vec[self._full_row]
-            total = v_full - v_empty
-            phi0 = float(v_empty)
-            if cm.m == 1:
-                phi = np.array([total])
-            else:
-                y = vec[self._proper_rows] - v_empty - self._last_in * total
-                head = self.projection @ y if self.projection is not None else np.zeros(cm.m - 1)
-                phi = np.append(head, total - head.sum())
+            y = vec[self._proper_rows] - v_empty - self._last_in * total
+            head = self.projection @ y if self.projection is not None else np.zeros(cm.m - 1)
+            phi = np.append(head, total - head.sum())
         return Explanation(
             phi0=phi0,
             phi=phi,
@@ -326,18 +294,17 @@ class WlsSolver:
             estimator_id=estimator_id,
             seed=seed,
             sample_budget=sample_budget,
-            diagnostics={"solve_method": self.method, "condition_number": self.condition_number},
+            diagnostics={"condition_number": self.condition_number},
         )
 
 
 def solve_wls(
     cm: CoalitionMatrix,
     v: ContributionVector | np.ndarray,
-    method: str = "constrained",
     **meta,
 ) -> Explanation:
     """One-shot WLS solve; build a :class:`WlsSolver` to reuse the factorization."""
-    return WlsSolver(cm, method=method).solve(v, **meta)
+    return WlsSolver(cm).solve(v, **meta)
 
 
 def exact_shapley(v: ContributionVector, m: int | None = None) -> Explanation:

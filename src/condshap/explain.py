@@ -10,16 +10,14 @@ instances only solve for the conditional mean and draw.  AICc bandwidths
 depend on the instance; :meth:`Explainer.explain` searches them for a block
 of instances at once (:meth:`Explainer.explain_one` for a block of one),
 coalition by coalition, so that each kernel and hat matrix is built once per
-block.  Randomness is derived per (seed, instance, coalition row), so parallel
-and serial runs, blocked and one-by-one runs, and runs that build the plans
-in any order, give identical results.
+block.  Randomness is derived per (seed, instance, coalition row), so blocked
+and one-by-one runs, and runs that build the plans in any order, give
+identical results.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .coalitions import (
     enumerate_coalitions,
     sample_coalitions,
 )
-from .errors import ConfigError, DiagnosticWarning
+from .errors import DiagnosticWarning
 from .samplers import (
     FittedSampler,
     Predictor,
@@ -41,19 +39,6 @@ from .samplers import (
     call_predictor,
     mean_training_prediction,
 )
-
-WORKERS_ENV = "CONDSHAP_WORKERS"
-
-
-def _workers(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-
 
 class Explainer:
     """Explains individual predictions of one fitted model.
@@ -153,25 +138,18 @@ class Explainer:
         expl.check_efficiency()
         return expl
 
-    def explain(
-        self, x: np.ndarray, workers: int | None = None
-    ) -> list[Explanation]:
+    def explain(self, x: np.ndarray) -> list[Explanation]:
         """Explain each row of x; result order matches the input order.
 
         Rows go in blocks of ``sampler.aicc_block``: the block's bandwidths
         are searched together, then each row is explained on its own.
         """
         x = np.atleast_2d(np.asarray(x, float))
-        n_workers = _workers(workers)
         step = self.sampler.aicc_block
         out: list[Explanation] = []
         for start in range(0, len(x), step):
             block = x[start : start + step]
             sigmas = self.sampler.bandwidths(self.predictor, self.cm.coalitions, block)
-            jobs = (block, range(start, start + len(block)), sigmas)
-            if n_workers == 1 or len(block) == 1:
-                out.extend(map(self.explain_one, *jobs))
-            else:
-                with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    out.extend(pool.map(self.explain_one, *jobs))
+            rows = range(start, start + len(block))
+            out.extend(map(self.explain_one, block, rows, sigmas))
         return out

@@ -338,8 +338,6 @@ def _conditioned(
 
     A miss decides the ridge, conditions by :func:`conditional_moments` and
     eigen-factors the result into a new plan; a hit solves for the mean only.
-    Check-then-store without a lock: threads that miss at once each build
-    the plan, the plans are equal, and the last one stored is kept.
     """
     plan = plans.get(s)
     if plan is None:
@@ -889,12 +887,10 @@ class FittedSampler:
     The Gaussian and copula parts condition through one
     :class:`ConditioningPlan` per coalition: data-space plans kept on the
     training matrix, latent plans kept on the copula state.  Plans are
-    filled lazily, on a coalition's first use, and idempotently: a plan is a
-    function of the training data and the coalition alone, so threads that
-    build one at once build equal plans.  Contribution estimates for
-    distinct coalitions or instances may therefore run concurrently, as
-    under the explain thread pool.  :meth:`contribution` estimates proper
-    coalitions only (the endpoints are the explainer's), and
+    filled lazily, on a coalition's first use: a plan is a function of the
+    training data and the coalition alone, so the order in which instances
+    build the plans does not change any result.  :meth:`contribution`
+    estimates proper coalitions only (the endpoints are the explainer's), and
     :meth:`bandwidths` gives one table per instance row.
     """
 

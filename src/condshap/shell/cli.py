@@ -135,14 +135,13 @@ def explain(
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True))
 @click.option("--output-dir", default=".", show_default=True)
-@click.option("--workers", default=None, type=int, help="explanation worker threads")
 @_exit_codes
-def simulate(config_path, output_dir, workers) -> None:
+def simulate(config_path, output_dir) -> None:
     """Run the experiment described by a flat key-value config file."""
     config = parse_simulation_config(config_path)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = run_experiment(config, workers=workers)
+    report = run_experiment(config)
 
     json_path = out / "report.json"
     json_path.write_text(report.to_json(), encoding="utf-8")

@@ -34,7 +34,14 @@ from scipy.special import kve
 from ..coalitions import Coalition
 from ..errors import InvalidCovarianceError
 from ..oracles import QuadratureComponent, gauss_legendre
-from ..samplers import ConditioningPlan, TrainingMatrix, _conditioned, _sorted_coalition
+from ..samplers import (
+    ConditioningPlan,
+    TrainingMatrix,
+    _conditioned,
+    _ridge,
+    _ridged,
+    _sorted_coalition,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +443,12 @@ def gh_conditional(
         return star
     s_idx, sbar_idx = list(s), list(sbar)
     sig11 = star.sigma[np.ix_(s_idx, s_idx)]
+    sig11 = _ridged(sig11, _ridge(sig11, "gh conditional"))
     sig12 = star.sigma[np.ix_(s_idx, sbar_idx)]
     sig22 = star.sigma[np.ix_(sbar_idx, sbar_idx)]
     mu1, mu2 = star.mu[s_idx], star.mu[sbar_idx]
     beta1, beta2 = star.beta_skew[s_idx], star.beta_skew[sbar_idx]
-    try:
-        solved = np.linalg.solve(sig11, np.column_stack([sig12, (x_s - mu1), beta1]))
-    except np.linalg.LinAlgError:
-        sig11 = sig11 + 1e-10 * np.trace(sig11) / len(s_idx) * np.eye(len(s_idx))
-        solved = np.linalg.solve(sig11, np.column_stack([sig12, (x_s - mu1), beta1]))
+    solved = np.linalg.solve(sig11, np.column_stack([sig12, (x_s - mu1), beta1]))
     b = solved[:, : len(sbar_idx)]
     shift = solved[:, len(sbar_idx)]
     beta_solved = solved[:, len(sbar_idx) + 1]

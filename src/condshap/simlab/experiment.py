@@ -184,7 +184,7 @@ def _sample_response(config: ExperimentConfig, x: np.ndarray, rng_seed) -> np.nd
     return piecewise_sampling_model(x, rng_seed, noise_sd=config.noise_sd)
 
 
-def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all batches of one experiment and aggregate MAE / skill scores."""
     dist = config.features.build(config.dimension)
     labels = tuple(spec.label for spec in config.estimators)
@@ -260,7 +260,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
                     k=config.k,
                     seed=fold_seed([config.seed, batch, 4, index]),
                 )
-                explanations = explainer.explain(test_x, workers=workers)
+                explanations = explainer.explain(test_x)
                 batch_errs = [
                     float(np.abs(ref.phi - est.phi).mean())
                     for est, ref in zip(explanations, truth)

@@ -154,26 +154,14 @@ class TestWlsSolver:
                 assert a.phi0 == pytest.approx(b.phi0, abs=1e-8)
                 assert a.phi == pytest.approx(b.phi, abs=1e-8)
 
-    def test_penalized_constraint_tolerance(self):
-        rng = np.random.default_rng(7)
-        for m in (2, 5, 7):
-            cm = enumerate_coalitions(m)
-            solver = WlsSolver(cm, method="penalized")
-            tol = 10 * m / DEFAULT_C
-            for _ in range(10):
-                v = random_table(m, rng)
-                e = solver.solve(v)
-                assert abs(e.phi0 - v.value(())) <= tol
-                assert abs(e.total - v.value(tuple(range(m)))) <= tol
-
     def test_projection_reuse_matches_fresh_solves(self):
         rng = np.random.default_rng(3)
         cm = enumerate_coalitions(4)
-        solver = WlsSolver(cm, method="penalized")
+        solver = WlsSolver(cm)
         for _ in range(5):
             v = random_table(4, rng)
             reused = solver.solve(v)
-            fresh = solve_wls(cm, v, method="penalized")
+            fresh = solve_wls(cm, v)
             assert reused.phi == pytest.approx(fresh.phi, abs=1e-14)
 
     def test_solver_works_on_sampled_design(self):

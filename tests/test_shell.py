@@ -583,6 +583,19 @@ class TestCliSimulate:
         assert result.exit_code == 2
         assert "volume" in result.output
 
+    def test_workers_option_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_test = 1\nbatches = 1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        result = CliRunner().invoke(
+            main, ["simulate", str(cfg), "--output-dir", str(out), "--workers", "2"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert result.output.startswith("Usage: ")
+        assert "No such option" in result.output and "--workers" in result.output
+        assert not out.exists()
+
     def test_oracle_failure_exits_2_without_traceback(self, tmp_path):
         # The mean-prediction quadrature of this fitted stump model does not
         # converge; run_experiment wraps the error and the CLI maps it.

@@ -196,6 +196,18 @@ class TestGHConditional:
         assert printed.psi == pytest.approx(0.5 + 2.0)
         assert inv.psi != printed.psi
 
+    def test_near_singular_block_is_ridged_with_a_warning(self):
+        # cond(Sigma_SS) = 2e12 for S = (0, 2): the block gets the samplers'
+        # ridge, 1e-8 times its mean diagonal, and says so.
+        sigma = np.array([[1.0, 0.3, 1 - 1e-12], [0.3, 1.0, 0.3], [1 - 1e-12, 0.3, 1.0]])
+        params = GHParams(lam=1.0, omega=0.5, mu=np.zeros(3), sigma=sigma, beta_skew=np.zeros(3))
+        x_s = np.array([0.5, -0.5])
+        with pytest.warns(DiagnosticWarning, match="gh conditional"):
+            cond = gh_conditional(params, (0, 2), x_s)
+        ridged = sigma[np.ix_([0, 2], [0, 2])] + 1e-8 * np.eye(2)
+        expected = params.omega + x_s @ np.linalg.solve(ridged, x_s)
+        assert cond.chi == pytest.approx(expected, rel=1e-6)  # 5e11 unridged
+
     def test_conditional_sampler_matches_density_moments(self):
         # Sample moments track the Bessel-ratio moments of the conditional.
         params = GHParams.from_kappa(2, kappa=3.0)

@@ -455,10 +455,19 @@ class CopulaState:
         return self.sorted_columns.take(rank + (np.asarray(cols) * n - 1))
 
 
+def _average_ranks(col: np.ndarray) -> np.ndarray:
+    """1-based average ranks: the tie run [start, stop) of the sorted column
+    gets (start + stop + 1) / 2, as ``scipy.stats.rankdata(method="average")``."""
+    order = np.argsort(col)
+    sorted_col = col[order]
+    edges = np.flatnonzero(np.concatenate(([True], sorted_col[1:] != sorted_col[:-1], [True])))
+    ranks = np.empty(col.size)
+    ranks[order] = np.repeat((edges[:-1] + edges[1:] + 1) / 2, np.diff(edges))
+    return ranks
+
+
 def fit_copula(train: TrainingMatrix) -> CopulaState:
     """Gaussianize each margin by its empirical CDF and correlate the result."""
-    from scipy.stats import rankdata
-
     if train.n < 20:
         raise SchemaError(f"copula fit needs n >= 20 training rows, got {train.n}")
     n, m = train.n, train.m
@@ -470,7 +479,7 @@ def fit_copula(train: TrainingMatrix) -> CopulaState:
             degenerate.append(j)
             latent[:, j] = 0.0
             continue
-        latent[:, j] = ndtri(rankdata(col, method="average") / (n + 1))
+        latent[:, j] = ndtri(_average_ranks(col) / (n + 1))
     corr = np.eye(m)
     active = [j for j in range(m) if j not in degenerate]
     if len(active) >= 2:

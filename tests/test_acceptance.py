@@ -26,7 +26,6 @@ from condshap.grouping import (
     complete_linkage,
     dissimilarity,
     kendall_tau,
-    kendall_tau_naive,
     kgs_cut,
 )
 from condshap.oracles import (
@@ -61,6 +60,7 @@ from condshap.simlab import (
 )
 from condshap.simlab.distributions import GaussianFeatures, gig_mean, gig_variance
 from condshap.oracles import fold_seed
+from kendall_reference import kendall_tau_naive
 
 
 @contextmanager

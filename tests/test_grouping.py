@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condshap.coalitions import Explanation
-from condshap.errors import DiagnosticWarning
+from condshap.errors import DiagnosticWarning, SchemaError
 from condshap.grouping import (
     ClusterAssignment,
     DissimilarityMatrix,
@@ -14,10 +14,10 @@ from condshap.grouping import (
     complete_linkage,
     dissimilarity,
     kendall_tau,
-    kendall_tau_naive,
     kgs_cut,
 )
 from condshap.samplers import TrainingMatrix
+from kendall_reference import kendall_tau_naive, kendall_tau_scipy
 
 
 def dmatrix(d, names=None):
@@ -89,6 +89,52 @@ class TestKendallTau:
         y = np.array([b for _, b in data], float)
         assert kendall_tau(x, y) == kendall_tau_naive(x, y)
 
+    @pytest.mark.parametrize("kind", ["continuous", "tie-heavy"])
+    def test_bits_equal_scipy_formula_on_20000_rows(self, kind):
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            if kind == "continuous":
+                x = rng.standard_normal(20_000)
+                y = 0.6 * x + rng.standard_normal(20_000)
+            else:
+                x = rng.integers(0, 6, size=20_000).astype(float)
+                y = np.clip(x + rng.integers(-2, 3, size=20_000), 0, 5).astype(float)
+            assert kendall_tau(x, y).hex() == kendall_tau_scipy(x, y).hex()
+            assert kendall_tau(y, x).hex() == kendall_tau_scipy(y, x).hex()
+
+    def test_joint_ties(self):
+        # Pairs: (0,1) tied in both, (2,3) tied in x only, the other four concordant.
+        assert kendall_tau([1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 2.0, 3.0]) == 4 / 6
+        # Rows repeated whole: every pair of copies is a joint tie.
+        rng = np.random.default_rng(9)
+        x = np.repeat(rng.integers(0, 4, size=12), 5).astype(float)
+        y = np.repeat(rng.integers(0, 3, size=12), 5).astype(float)
+        assert kendall_tau(x, y) == kendall_tau_naive(x, y)
+        assert kendall_tau(y, x) == kendall_tau_naive(y, x)
+
+    def test_two_points(self):
+        assert kendall_tau([1.0, 2.0], [3.0, 4.0]) == 1.0
+        assert kendall_tau([1.0, 2.0], [4.0, 3.0]) == -1.0
+        assert kendall_tau([1.0, 2.0], [3.0, 3.0]) == 0.0
+        assert kendall_tau([1.0, 1.0], [3.0, 3.0]) == 0.0
+
+    def test_constant_column_gives_zero(self):
+        y = np.random.default_rng(10).standard_normal(500)
+        constant = np.full(500, -1.5)
+        assert kendall_tau(constant, y) == 0.0
+        assert kendall_tau(y, constant) == 0.0
+        assert kendall_tau(constant, constant) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.arange(6.0)
+        y = x.copy()
+        y[3] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            kendall_tau(x, y)
+        with pytest.raises(ValueError, match="not finite"):
+            kendall_tau(y, x)
+
 
 class TestDissimilarity:
     def test_duplicated_feature_has_zero_dissimilarity(self):
@@ -114,6 +160,13 @@ class TestDissimilarity:
         transformed[:, 1] = np.exp(3.0 * transformed[:, 1])
         d2 = dissimilarity(TrainingMatrix.from_data(transformed))
         assert np.allclose(d1.d, d2.d)
+
+    def test_non_finite_column_named(self):
+        data = np.random.default_rng(11).standard_normal((50, 3))
+        data[7, 1] = np.nan
+        train = TrainingMatrix.from_data(data, column_names=("a", "b", "c"))
+        with pytest.raises(SchemaError, match="column 'b' is not finite"):
+            dissimilarity(train)
 
     def test_constant_column_warns_and_maxes(self):
         rng = np.random.default_rng(5)

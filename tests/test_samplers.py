@@ -237,6 +237,19 @@ class TestCopula:
         off = state.latent_correlation[~np.eye(4, dtype=bool)]
         assert np.all(np.abs(off) < 0.06)
 
+    @pytest.mark.parametrize("kind", ["continuous", "tie-heavy", "constant"])
+    def test_average_ranks_equal_scipy_rankdata(self, kind):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 2000):
+            if kind == "continuous":
+                col = rng.standard_normal(n)
+            elif kind == "tie-heavy":
+                col = rng.integers(0, 4, size=n).astype(float)
+            else:
+                col = np.full(n, 3.25)
+            ranks = samplers._average_ranks(col)
+            assert ranks.tobytes() == stats.rankdata(col, method="average").tobytes()
+
     def test_degenerate_marginal_warns(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal((100, 3))

@@ -817,6 +817,41 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+RUN_CLI_THEN_CHECK_SCIPY_STATS = """
+import sys
+from condshap.shell.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print("scipy.stats" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["explain", "--estimator", "empirical-aicc-exact", "--cluster-alpha", "1.0"],
+        ["explain", "--estimator", "copula", "--cluster-alpha", "1.0"],
+        ["cluster"],
+    ],
+    ids=["explain-aicc-grouped", "explain-copula-grouped", "cluster"],
+)
+def test_explain_and_cluster_leave_scipy_stats_unloaded(tmp_path, command):
+    train, test = make_dataset(tmp_path, n=60)
+    if command[0] == "explain":
+        args = command + [
+            "--train", str(train), "--test", str(test), "--response", "target",
+            "--model", "ols", "--k", "50", "--output", str(tmp_path / "x"),
+        ]
+    else:
+        args = ["cluster", str(train), "--output", str(tmp_path / "cl")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", RUN_CLI_THEN_CHECK_SCIPY_STATS, *args],
+                         capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 class TestExitCodes:
     def test_mapping(self):
         wrapped = RuntimeError("experiment failed in batch 0")

@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateDesignError,
@@ -261,8 +260,9 @@ class WlsSolver:
             raise DegenerateDesignError(
                 "degenerate coalition design", self.condition_number
             )
-        lu, piv = scipy.linalg.lu_factor(normal)
-        self.projection = scipy.linalg.lu_solve((lu, piv), a.T * w[None, :])
+        from scipy.linalg import lu_factor, lu_solve  # on first use: cluster needs no scipy
+
+        self.projection = lu_solve(lu_factor(normal), a.T * w[None, :])
 
     def solve(
         self,

@@ -10,9 +10,11 @@ instances only solve for the conditional mean and draw.  AICc bandwidths
 depend on the instance; :meth:`Explainer.explain` searches them for a block
 of instances at once (:meth:`Explainer.explain_one` for a block of one),
 coalition by coalition, so that each kernel and hat matrix is built once per
-block.  Randomness is derived per (seed, instance, coalition row), so blocked
-and one-by-one runs, and runs that build the plans in any order, give
-identical results.
+block.  Randomness is derived per instance: the Gaussian and copula
+coalitions draw their normals in turn from one stream of the instance, and
+the independence part draws training rows per (seed, instance, coalition
+row).  So blocked and one-by-one runs, runs in any instance order, and runs
+that build the plans in any order give identical results.
 """
 
 from __future__ import annotations
@@ -39,6 +41,21 @@ from .samplers import (
     call_predictor,
     mean_training_prediction,
 )
+
+
+def instance_stream(seed: int, instance_index: int) -> np.random.SeedSequence:
+    """The seed sequence of an instance's Gaussian and copula draws: the master
+    seed's child with ``spawn_key=(instance_index,)``.
+
+    The per-row streams ``[seed, instance, row]`` carry no spawn key, so
+    for every seed below 2^64 (at most two 32-bit words) their entropy is
+    at most 4 words long, while this one's is 5 (the seed padded to 4 words,
+    then the key).  No per-row stream can equal it.  A plain ``[seed,
+    instance]`` would not do: seed sequences pad their entropy with zeros,
+    so it equals the stream of row 0.
+    """
+    return np.random.SeedSequence(seed, spawn_key=(instance_index,))
+
 
 class Explainer:
     """Explains individual predictions of one fitted model.
@@ -99,12 +116,16 @@ class Explainer:
 
         ``sigmas`` are the instance's kernel bandwidths when already searched
         (as :meth:`explain` does per block); by default they are searched here.
+        The Gaussian and copula coalitions draw, in row order, from one
+        generator seeded by :func:`instance_stream`; the independence part
+        draws from the stream (seed, instance, coalition row).
         """
         x_star = np.asarray(x_star, float).reshape(-1)
         cm = self.cm
         v = np.empty(cm.n_rows)
         if sigmas is None:
             sigmas = self.sampler.bandwidths(self.predictor, cm.coalitions, x_star)[0]
+        draws = self.sampler.instance_draws(x_star, instance_stream(self.seed, instance_index))
         f_star = float(call_predictor(self.predictor, x_star[None, :])[0])
         for i, s in enumerate(cm.coalitions):
             if len(s) == 0:
@@ -119,6 +140,7 @@ class Explainer:
                     self.k,
                     rng_seed=[self.seed, instance_index, i],
                     sigma=sigmas.get(s),
+                    draws=draws,
                 )
         return v
 

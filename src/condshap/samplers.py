@@ -12,15 +12,16 @@ deterministic vectorized map from an (n, m) float matrix to n reals.
 
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
+from types import ModuleType
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DiagnosticWarning, InvalidCovarianceError, ModelProtocolError, SchemaError
 from .coalitions import Coalition
@@ -35,6 +36,16 @@ AICC_BATCH_ROWS = 2 ** 15
 # WELL_CONDITIONED spares its blocks the check.
 RIDGE_COND = 1e8
 WELL_CONDITIONED = 1e7
+
+
+@cache
+def _scipy(name: str) -> ModuleType:
+    """``scipy.<name>``, imported on first use and then looked up in a cache.
+
+    ``condshap cluster`` needs no scipy at all, and importing
+    ``scipy.special`` or ``scipy.linalg`` loads most of scipy's shared core.
+    """
+    return importlib.import_module(f"scipy.{name}")
 
 
 class PredictorError(RuntimeError):
@@ -292,7 +303,11 @@ def gaussian_conditional(
 def sample_gaussian_conditional(
     cond: GaussianConditional, k: int, rng_seed
 ) -> np.ndarray:
-    """Draw k rows from the conditional through its eigen-factor."""
+    """Draw k rows from the conditional through its eigen-factor.
+
+    ``rng_seed`` is anything ``np.random.default_rng`` takes; a generator is
+    drawn from in place.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     z = np.random.default_rng(rng_seed).standard_normal((k, cond.mu_cond.shape[0]))
@@ -439,6 +454,10 @@ class CopulaState:
         rank = [self.sorted_columns[j].searchsorted(v, side="right") for j, v in zip(cols, x)]
         return np.minimum(np.maximum(rank, 1), self.n) / (self.n + 1)
 
+    def latent(self, x: np.ndarray) -> np.ndarray:
+        """The latent value ndtri(F_n(x_j)) of every feature j of one instance x."""
+        return _scipy("special").ndtri(self.cdf(range(self.m), x))
+
     def quantiles(self, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Left-continuous inverse of feature cols[i]'s CDF on column i of u.
 
@@ -479,7 +498,7 @@ def fit_copula(train: TrainingMatrix) -> CopulaState:
             degenerate.append(j)
             latent[:, j] = 0.0
             continue
-        latent[:, j] = ndtri(_average_ranks(col) / (n + 1))
+        latent[:, j] = _scipy("special").ndtri(_average_ranks(col) / (n + 1))
     corr = np.eye(m)
     active = [j for j in range(m) if j not in degenerate]
     if len(active) >= 2:
@@ -500,27 +519,23 @@ def fit_copula(train: TrainingMatrix) -> CopulaState:
 
 
 def sample_copula_conditional(
-    state: CopulaState,
-    s: Iterable[int],
-    x_star: np.ndarray,
-    k: int,
-    rng_seed,
+    state: CopulaState, s: Iterable[int], v_s: np.ndarray, k: int, rng_seed
 ) -> np.ndarray:
     """Sample the complement features through the latent Gaussian copula.
 
-    The latent conditional goes through the state's plan for ``s``.
-    Returned values for each feature always lie inside that feature's
-    training range (inverse empirical CDF lookup).
+    ``v_s`` holds the latent values of x*_S in the order ``s`` gives its
+    features (a slice of :meth:`CopulaState.latent`).  The latent
+    conditional goes through the state's plan for ``s``.  Returned values
+    for each feature always lie inside that feature's training range
+    (inverse empirical CDF lookup).
     """
-    s = tuple(sorted(s))
-    x_star = np.asarray(x_star, float).reshape(-1)
-    v_star = ndtri(state.cdf(s, x_star[list(s)]))
+    s, v_s = _sorted_coalition(s, v_s)
     plan, cond = _conditioned(
-        state.plans, np.zeros(state.m), state.latent_correlation, s, v_star,
+        state.plans, np.zeros(state.m), state.latent_correlation, s, v_s,
         "copula conditional", state.well_conditioned,
     )
     latent = sample_gaussian_conditional(cond, k, rng_seed)
-    return state.quantiles(plan.sbar, ndtr(latent))
+    return state.quantiles(plan.sbar, _scipy("special").ndtr(latent))
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +905,21 @@ class SamplerSpec:
         return cls(**fields)
 
 
+@dataclass(frozen=True)
+class InstanceDraws:
+    """What the Gaussian and copula coalitions of one instance share.
+
+    ``rng`` is the instance's stream: each coalition in turn draws its own
+    k x |Sbar| standard normals from it, so the coalitions' draws stay
+    independent while one generator serves them all.  ``latent`` holds the
+    copula's latent values of x* for every feature (None without a
+    copula); coalition S conditions on its own entries.
+    """
+
+    rng: np.random.Generator
+    latent: np.ndarray | None
+
+
 class FittedSampler:
     """A sampler spec bound to training data (and its fitted copula, if any).
 
@@ -898,8 +928,9 @@ class FittedSampler:
     training matrix, latent plans kept on the copula state.  Plans are
     filled lazily, on a coalition's first use: a plan is a function of the
     training data and the coalition alone, so the order in which instances
-    build the plans does not change any result.  :meth:`contribution`
-    estimates proper coalitions only (the endpoints are the explainer's), and
+    build the plans does not change any result.  Those parts draw from one
+    :class:`InstanceDraws` per instance.  :meth:`contribution` estimates
+    proper coalitions only (the endpoints are the explainer's), and
     :meth:`bandwidths` gives one table per instance row.
     """
 
@@ -955,6 +986,11 @@ class FittedSampler:
 
     # -- v(S) --------------------------------------------------------------
 
+    def instance_draws(self, x_star: np.ndarray, rng_seed) -> InstanceDraws:
+        """The instance's :class:`InstanceDraws`, its stream seeded by ``rng_seed``."""
+        latent = None if self.copula is None else self.copula.latent(x_star)
+        return InstanceDraws(np.random.default_rng(rng_seed), latent)
+
     def contribution(
         self,
         predictor: Predictor,
@@ -963,8 +999,15 @@ class FittedSampler:
         k: int,
         rng_seed,
         sigma: float | None = None,
+        draws: InstanceDraws | None = None,
     ) -> float:
-        """Estimate v(S) for a proper, non-empty S; ``sigma`` is needed where S is empirical."""
+        """Estimate v(S) for a proper, non-empty S; ``sigma`` is needed where S is empirical.
+
+        The independence part draws training rows from ``rng_seed``.  The
+        Gaussian and copula parts draw from ``draws``, the instance's
+        :meth:`instance_draws`, made here from ``rng_seed`` when none are
+        given.
+        """
         s = tuple(sorted(s))
         x_star = np.asarray(x_star, float).reshape(-1)
         m = self.train.m
@@ -985,11 +1028,13 @@ class FittedSampler:
                 eta=self.spec.eta,
                 k_cap=min(self.spec.k_cap, k),
             )
+        if draws is None:
+            draws = self.instance_draws(x_star, rng_seed)
         if part == "gaussian":
             cond = gaussian_conditional(self.train, s, x_star)
-            draws = sample_gaussian_conditional(cond, k, rng_seed)
+            sample = sample_gaussian_conditional(cond, k, draws.rng)
         else:
-            draws = sample_copula_conditional(self.copula, s, x_star, k, rng_seed)
+            sample = sample_copula_conditional(self.copula, s, draws.latent[list(s)], k, draws.rng)
         synth = np.repeat(x_star[None, :], k, axis=0)
-        synth[:, [j for j in range(m) if j not in s]] = draws
+        synth[:, [j for j in range(m) if j not in s]] = sample
         return float(call_predictor(predictor, synth).mean())

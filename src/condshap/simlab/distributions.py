@@ -28,8 +28,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
-from scipy.special import kve
 
 from ..coalitions import Coalition
 from ..errors import InvalidCovarianceError
@@ -40,6 +38,7 @@ from ..samplers import (
     _conditioned,
     _ridge,
     _ridged,
+    _scipy,
     _sorted_coalition,
 )
 
@@ -76,7 +75,7 @@ def _whitening(cov: np.ndarray) -> tuple[np.ndarray, float]:
         return chol, 0.0
     # LAPACK's triangular inverse: the factor's diagonal is positive, so it
     # cannot fail, and the result is exactly lower triangular.
-    whiten, _ = dtrtri(chol, lower=1)
+    whiten, _ = _scipy("linalg.lapack").dtrtri(chol, lower=1)
     return whiten, 2.0 * np.sum(np.log(np.diag(chol)))
 
 
@@ -266,6 +265,7 @@ def gig_moment(lam: float, chi: float, psi: float, order: int = 1) -> float:
     """E[W^order] of GIG(lam, chi, psi) via Bessel-function ratios."""
     _check_gig_params(lam, chi, psi)
     omega = math.sqrt(chi * psi)
+    kve = _scipy("special").kve
     ratio = kve(lam + order, omega) / kve(lam, omega)
     return float((chi / psi) ** (order / 2.0) * ratio)
 
@@ -300,7 +300,7 @@ def gig_logpdf(w: np.ndarray, lam: float, chi: float, psi: float) -> np.ndarray:
     w = np.asarray(w, float)
     omega = math.sqrt(chi * psi)
     log_norm = (lam / 2.0) * (math.log(psi) - math.log(chi)) - math.log(
-        2.0 * kve(lam, omega)
+        2.0 * _scipy("special").kve(lam, omega)
     ) + omega
     out = np.full(w.shape, -np.inf)
     pos = w > 0
@@ -489,7 +489,7 @@ class GHDensity:
         whiten, logdet = _whitening(star.sigma)
         beta_white = whiten @ star.beta_skew
         omega = math.sqrt(star.chi * star.psi)
-        log_k_lam = math.log(kve(star.lam, omega)) - omega
+        log_k_lam = math.log(_scipy("special").kve(star.lam, omega)) - omega
         log_norm = (
             (star.lam / 2.0) * (math.log(star.psi) - math.log(star.chi))
             - (star.dim / 2.0) * math.log(2.0 * math.pi)
@@ -504,7 +504,7 @@ class GHDensity:
         diff = _centered(points, star.mu)
         delta = _mahalanobis(self.whiten, diff)
         arg = np.sqrt((star.chi + delta) * (star.psi + self.q))
-        log_k_nu = np.log(kve(nu, arg)) - arg
+        log_k_nu = np.log(_scipy("special").kve(nu, arg)) - arg
         return (
             (nu / 2.0) * (np.log(star.chi + delta) - math.log(star.psi + self.q))
             + log_k_nu

@@ -250,6 +250,20 @@ class TestCopula:
             ranks = samplers._average_ranks(col)
             assert ranks.tobytes() == stats.rankdata(col, method="average").tobytes()
 
+    def test_instance_latent_slices_equal_per_coalition_values(self):
+        """One CDF per instance, sliced per coalition, equals each coalition's own CDF bit for bit."""
+        rng = np.random.default_rng(15)
+        data = np.column_stack([rng.standard_normal(300), rng.integers(0, 5, 300),
+                                rng.gamma(2.0, size=300), rng.standard_normal(300)])
+        state = fit_copula(TrainingMatrix.from_data(data))
+        instances = np.vstack([data[:3], [[-9.0, -1.0, 0.0, 9.0], [0.0, 2.0, 1.0, 0.5]]])
+        for x_star in instances:
+            latent = state.latent(x_star)
+            for s in enumerate_coalitions(4).coalitions:
+                if 0 < len(s) < 4:
+                    per_coalition = ndtri(state.cdf(s, x_star[list(s)]))
+                    assert latent[list(s)].tobytes() == per_coalition.tobytes(), (x_star, s)
+
     def test_degenerate_marginal_warns(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal((100, 3))
@@ -266,7 +280,7 @@ class TestCopula:
         train = TrainingMatrix.from_data(data)
         state = fit_copula(train)
         x_star = np.array([1.0, 0.0])
-        cop = sample_copula_conditional(state, (0,), x_star, 10_000, 77)[:, 0]
+        cop = sample_copula_conditional(state, (0,), state.latent(x_star)[[0]], 10_000, 77)[:, 0]
         gau = sample_gaussian_conditional(
             gaussian_conditional(train, (0,), x_star), 10_000, 78
         )[:, 0]
@@ -279,7 +293,8 @@ class TestCopula:
         data = np.column_stack([rng.standard_normal(3000), rng.gamma(2.0, size=3000)])
         train = TrainingMatrix.from_data(data)
         state = fit_copula(train)
-        draws = sample_copula_conditional(state, (0,), np.array([0.5, 0.0]), 10_000, 5)[:, 0]
+        v_s = state.latent(np.array([0.5, 0.0]))[[0]]
+        draws = sample_copula_conditional(state, (0,), v_s, 10_000, 5)[:, 0]
         ks = stats.ks_2samp(draws, data[:, 1]).statistic
         assert ks < 1.628 * math.sqrt((10_000 + 3000) / (10_000 * 3000))
 
@@ -288,7 +303,8 @@ class TestCopula:
         data = rng.gamma(1.5, size=(200, 3))
         train = TrainingMatrix.from_data(data)
         state = fit_copula(train)
-        draws = sample_copula_conditional(state, (1,), np.array([5.0, 5.0, 5.0]), 5000, 1)
+        v_s = state.latent(np.array([5.0, 5.0, 5.0]))[[1]]
+        draws = sample_copula_conditional(state, (1,), v_s, 5000, 1)
         for pos, j in enumerate((0, 2)):
             assert draws[:, pos].min() >= data[:, j].min()
             assert draws[:, pos].max() <= data[:, j].max()
@@ -719,6 +735,16 @@ class TestEstimateVDispatch:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize("label", ["gaussian", "copula"])
+    def test_standalone_call_draws_from_a_stream_of_its_seed(self, setup, label):
+        """Without instance draws, v(S) is the same as with draws made fresh from rng_seed."""
+        train, f, x_star = setup
+        sampler = FittedSampler(SamplerSpec.from_label(label), train)
+        for s in ((0, 3), (1, 2, 5, 6, 7)):
+            fresh = sampler.instance_draws(x_star, [4, 2])
+            assert sampler.contribution(f, s, x_star, 200, [4, 2]) == sampler.contribution(
+                f, s, x_star, 200, [9], draws=fresh)
+
     def test_empirical_k_cap_respects_budget(self, setup):
         train, f, x_star = setup
         # k below k_cap binds through min(k_cap, k).
@@ -866,7 +892,9 @@ class TestPlansMatchPerCallReference:
     by the next, in both instance orders.  The reference keeps nothing
     between calls: ``gaussian_conditional`` + ``sample_gaussian_conditional``
     on a fresh training matrix, ``sample_copula_conditional`` on a freshly
-    fitted copula, and the empirical estimator below ``d_star``.
+    fitted copula with the coalition's own CDF of x*, and the empirical
+    estimator below ``d_star``.  Both sides draw the coalitions of an
+    instance in turn from one generator of that instance.
     """
 
     K = 64
@@ -886,7 +914,7 @@ class TestPlansMatchPerCallReference:
         x = np.atleast_2d(x)
         return x @ self.BETA + np.sin(x[:, 1])
 
-    def reference(self, data, spec, s, x_star, seed) -> float:
+    def reference(self, data, spec, s, x_star, rng) -> float:
         train = TrainingMatrix.from_data(data)
         kind = spec.kind
         if kind == "combined":
@@ -896,9 +924,11 @@ class TestPlansMatchPerCallReference:
                                         eta=spec.eta, k_cap=min(spec.k_cap, self.K))
         if kind == "gaussian":
             cond = gaussian_conditional(train, s, x_star)
-            draws = sample_gaussian_conditional(cond, self.K, seed)
+            draws = sample_gaussian_conditional(cond, self.K, rng)
         else:
-            draws = sample_copula_conditional(fit_copula(train), s, x_star, self.K, seed)
+            state = fit_copula(train)
+            v_s = ndtri(state.cdf(s, x_star[list(s)]))
+            draws = sample_copula_conditional(state, s, v_s, self.K, rng)
         synth = np.tile(x_star, (self.K, 1))
         synth[:, [j for j in range(5) if j not in s]] = draws
         return float(self.predictor(synth).mean())
@@ -919,15 +949,19 @@ class TestPlansMatchPerCallReference:
         coalitions = [s for s in enumerate_coalitions(5).coalitions if 0 < len(s) < 5]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DiagnosticWarning)
-            expected = {(i, s): self.reference(data, spec, s, x[i], [7, i, r])
-                        for i in (0, 1) for r, s in enumerate(coalitions)}
+            expected = {}
+            for i in (0, 1):
+                rng = np.random.default_rng([7, i])
+                for s in coalitions:
+                    expected[(i, s)] = self.reference(data, spec, s, x[i], rng)
             for order in ((0, 1), (1, 0)):
                 train = TrainingMatrix.from_data(data)
                 sampler = FittedSampler(spec, train)
                 for i in order:
+                    draws = sampler.instance_draws(x[i], [7, i])
                     for r, s in enumerate(coalitions):
                         v = sampler.contribution(self.predictor, s, x[i], self.K, [7, i, r],
-                                                 sigma=spec.sigma)
+                                                 sigma=spec.sigma, draws=draws)
                         assert v == expected[(i, s)], (order, i, s)
         plans = train.plans if sampler.copula is None else sampler.copula.plans
         parametric = [s for s in coalitions if spec.kind != "combined" or len(s) > spec.d_star]
@@ -985,8 +1019,9 @@ class TestPlansMatchPerCallReference:
             state = fit_copula(TrainingMatrix.from_data(data))
         coalitions = [s for s in enumerate_coalitions(5).coalitions if 0 < len(s) < 5]
         for i, x_star in enumerate(0.8 * data[:2] + 0.1):
+            latent = state.latent(x_star)
             for r, s in enumerate(coalitions):
-                draws = sample_copula_conditional(state, s, x_star, self.K, [3, i, r])
+                draws = sample_copula_conditional(state, s, latent[list(s)], self.K, [3, i, r])
                 expected = _copula_draws_by_column(state, s, x_star, self.K, [3, i, r])
                 assert np.array_equal(draws, expected), (i, s)
 

@@ -817,14 +817,14 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
-RUN_CLI_THEN_CHECK_SCIPY_STATS = """
+RUN_CLI_THEN_CHECK_SCIPY = """
 import sys
 from condshap.shell.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit as exc:
     assert not exc.code, exc.code
-print("scipy.stats" in sys.modules)
+print("scipy.stats" in sys.modules, any(name.split(".")[0] == "scipy" for name in sys.modules))
 """
 
 
@@ -838,6 +838,7 @@ print("scipy.stats" in sys.modules)
     ids=["explain-aicc-grouped", "explain-copula-grouped", "cluster"],
 )
 def test_explain_and_cluster_leave_scipy_stats_unloaded(tmp_path, command):
+    """No explain path loads ``scipy.stats``, and ``condshap cluster`` loads no scipy at all."""
     train, test = make_dataset(tmp_path, n=60)
     if command[0] == "explain":
         args = command + [
@@ -847,9 +848,12 @@ def test_explain_and_cluster_leave_scipy_stats_unloaded(tmp_path, command):
     else:
         args = ["cluster", str(train), "--output", str(tmp_path / "cl")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", RUN_CLI_THEN_CHECK_SCIPY_STATS, *args],
+    out = subprocess.run([sys.executable, "-c", RUN_CLI_THEN_CHECK_SCIPY, *args],
                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "False"
+    stats_loaded, scipy_loaded = out.stdout.strip().splitlines()[-1].split()
+    assert stats_loaded == "False"
+    if command[0] == "cluster":
+        assert scipy_loaded == "False"
 
 
 class TestExitCodes:

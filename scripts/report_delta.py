@@ -1,16 +1,19 @@
-"""Compare two simulate reports leaf by leaf and print the largest float change.
+"""Compare two condshap outputs leaf by leaf and print the largest float change.
 
-Usage::
+The outputs are ``condshap simulate`` reports (``report.json``,
+``report.csv``) or ``condshap explain`` outputs (the ``--output`` CSV and
+JSON).  Usage::
 
     python3 scripts/report_delta.py before/report.json after/report.json
     python3 scripts/report_delta.py before/report.csv after/report.csv
+    python3 scripts/report_delta.py before/explain.csv after/explain.csv
 
 The two reports must have the same structure and the same non-float leaves
 (keys, names, counts, rows); otherwise the script names the first
 difference and exits with code 1.  Float leaves may differ: the script
 prints how many changed and the largest absolute and relative change, each
-with its path and both values, and exits with code 0.  A CSV report is read
-as a list of rows keyed by its header; a cell is an int, else a float, else
+with its path and both values, and exits with code 0.  A CSV is read as a
+list of rows keyed by its header; a cell is an int, else a float, else
 text.
 """
 

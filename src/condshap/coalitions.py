@@ -2,9 +2,9 @@
 
 A coalition is a subset of feature indices (0-based tuples here).  The module
 provides the full 2^m enumeration, kernel-weighted coalition sampling for
-larger m, the weighted-least-squares solver with either hard equality
-constraints or a large-constant penalty, and the exact combinatorial formula
-used as the ground-truth reference.
+larger m, the weighted-least-squares solver with the hard equality
+constraints phi0 = v(empty) and sum(phi) = v(N), and the exact combinatorial
+formula used as the ground-truth reference.
 """
 
 from __future__ import annotations
@@ -72,13 +72,6 @@ class CoalitionMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.coalitions)
-
-    @property
-    def is_exhaustive(self) -> bool:
-        return self.n_rows == 2 ** self.m
-
-    def row_index(self) -> dict[Coalition, int]:
-        return {s: i for i, s in enumerate(self.coalitions)}
 
 
 def _ordered_subsets(m: int) -> list[Coalition]:

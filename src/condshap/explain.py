@@ -4,9 +4,10 @@ One :class:`Explainer` holds everything reusable across instances: the
 coalition design, the solver factorization, the mean training prediction and
 the fitted sampler.  v(empty) and v(N) are exact and set here; the sampler
 estimates the proper coalitions.  Its Gaussian and copula parts keep one
-conditioning plan per coalition (ridge and eigen-factor of the conditional
-covariance), built by the first instance that meets the coalition, so later
-instances only solve for the conditional mean and draw.  AICc bandwidths
+conditioning plan per coalition (the ridge, the regression matrix, and the
+conditional covariance with its eigen-factor), built by the first instance
+that meets the coalition; every instance takes its conditional mean from the
+plan's regression matrix, without a solve, and draws.  AICc bandwidths
 depend on the instance; :meth:`Explainer.explain` searches them for a block
 of instances at once (:meth:`Explainer.explain_one` for a block of one),
 coalition by coalition, so that each kernel and hat matrix is built once per

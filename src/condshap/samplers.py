@@ -201,23 +201,6 @@ def _ridged(block: np.ndarray, ridge: float) -> np.ndarray:
     return block + ridge * np.eye(block.shape[0]) if ridge else block
 
 
-def _solve_blocks(
-    mean: np.ndarray, cov: np.ndarray, s: np.ndarray, sbar: np.ndarray, ridge: float, x_s
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sigma_{S,Sbar} and Sigma_SS^{-1} [Sigma_{S,Sbar}, x_s - mean_S] in one solve.
-
-    ``s`` and ``sbar`` are index arrays; the blocks are gathered as
-    ``np.ix_`` would, so they are C-ordered and every product that follows
-    runs on the same operands whichever caller solves.
-    """
-    rows = s[:, None]
-    cross = cov[rows, sbar]
-    solved = np.linalg.solve(
-        _ridged(cov[rows, s], ridge), np.column_stack([cross, x_s - mean[s]])
-    )
-    return cross, solved
-
-
 def _sorted_coalition(s: Iterable[int], x_s) -> tuple[Coalition, np.ndarray]:
     """``s`` in ascending order, with the values ``x_s`` of its features permuted to match."""
     s = tuple(s)
@@ -228,43 +211,75 @@ def _sorted_coalition(s: Iterable[int], x_s) -> tuple[Coalition, np.ndarray]:
     return tuple(s[i] for i in order), x_s[order]
 
 
-def conditional_moments(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    s: Iterable[int],
-    x_s: np.ndarray,
-    context: str = "gaussian conditional",
-    *,
-    ridge: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block conditional moments of a Gaussian given coordinates ``s``.
+@dataclass(frozen=True, slots=True)
+class ConditioningPlan:
+    """The part of conditioning a Gaussian on coalition S that x_S leaves alone.
 
-    mu_cond = mu_sbar + Sigma_{sbar,s} Sigma_{ss}^{-1} (x_s - mu_s)
-    Sigma_cond = Sigma_{sbar,sbar} - Sigma_{sbar,s} Sigma_{ss}^{-1} Sigma_{s,sbar}
-
-    ``x_s`` lists the values of the features of ``s`` in the order ``s``
-    gives them.  ``ridge`` is added to the diagonal of Sigma_ss; by default
-    it is chosen here, with a warning naming ``context`` when the block is
-    near-singular.
+    That is the indices of S and of its complement, the ridge added to
+    Sigma_SS (0.0 when none), the regression matrix
+    ``coef`` = (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}, the conditional
+    covariance ``sigma`` and its eigen-factor.  None of it depends on x_S or
+    on the Gaussian's mean, so laws that share a covariance share its plans:
+    the explainer's samplers and the simulation lab's Gaussian and mixture
+    features condition through them alike.  Each instance only takes its
+    conditional mean through :meth:`mean`.
     """
-    mean = np.asarray(mean, float)
+
+    s: np.ndarray
+    sbar: np.ndarray
+    ridge: float
+    coef: np.ndarray
+    sigma: np.ndarray
+    factor: np.ndarray
+
+    def mean(self, mean: np.ndarray, x_s: np.ndarray) -> np.ndarray:
+        """E[x_sbar | x_S = x_s] = mean_Sbar + (x_s - mean_S) coef under N(mean, Sigma)."""
+        return mean[self.sbar] + (x_s - mean[self.s]) @ self.coef
+
+
+def conditional_moments(
+    cov: np.ndarray,
+    s: Coalition,
+    context: str = "gaussian conditional",
+    well_conditioned: bool = False,
+) -> ConditioningPlan:
+    """The plan for conditioning a Gaussian of covariance ``cov`` on the sorted coalition ``s``.
+
+    coef = (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}
+    Sigma_cond = Sigma_{Sbar,Sbar} - Sigma_{Sbar,S} coef
+
+    The ridge is chosen by :func:`_ridge`, with a warning naming ``context``
+    when Sigma_SS is near-singular; ``well_conditioned`` says that ``cov``
+    passed :func:`_well_conditioned`, which spares the block its check.
+    """
     cov = np.asarray(cov, float)
-    m = mean.shape[0]
-    s, x_s = _sorted_coalition(s, x_s)
-    sbar = np.array([j for j in range(m) if j not in s], dtype=np.intp)
+    sbar = np.array([j for j in range(cov.shape[0]) if j not in s], dtype=np.intp)
     s = np.array(s, dtype=np.intp)
-    if not len(sbar):
-        return np.empty(0), np.empty((0, 0))
-    if not len(s):
-        return mean[sbar], cov[np.ix_(sbar, sbar)]
-    if ridge is None:
-        ridge = _ridge(cov[np.ix_(s, s)], context)
-    cross, solved = _solve_blocks(mean, cov, s, sbar, ridge, x_s)
-    b, shift = solved[:, :-1], solved[:, -1]
-    mu_cond = mean[sbar] + cross.T @ shift
-    sigma_cond = cov[np.ix_(sbar, sbar)] - cross.T @ b
-    sigma_cond = 0.5 * (sigma_cond + sigma_cond.T)
-    return mu_cond, sigma_cond
+    block = cov[np.ix_(s, s)]
+    ridge = _ridge(block, context, well_conditioned)
+    cross = cov[np.ix_(s, sbar)]
+    coef = np.linalg.solve(_ridged(block, ridge), cross)
+    sigma = cov[np.ix_(sbar, sbar)] - cross.T @ coef
+    sigma = 0.5 * (sigma + sigma.T)
+    return ConditioningPlan(s, sbar, ridge, coef, sigma, _eigen_factor(sigma))
+
+
+def _plan_for(
+    plans: dict[Coalition, ConditioningPlan],
+    cov: np.ndarray,
+    s: Coalition,
+    context: str,
+    well_conditioned: bool,
+) -> ConditioningPlan:
+    """The plan in ``plans`` for the sorted coalition s, built on first use.
+
+    :func:`conditional_moments` builds it, so it runs once per coalition of
+    each ``plans`` table.
+    """
+    plan = plans.get(s)
+    if plan is None:
+        plan = plans[s] = conditional_moments(cov, s, context, well_conditioned)
+    return plan
 
 
 def _eigen_factor(sigma: np.ndarray) -> np.ndarray:
@@ -292,12 +307,12 @@ def gaussian_conditional(
     train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray
 ) -> GaussianConditional:
     """Conditional law of the unknown features under a fitted Gaussian, by the plan for s."""
-    s = tuple(sorted(s))
+    plan = _plan_for(
+        train.plans, train.checked_covariance, tuple(sorted(s)), "gaussian conditional",
+        train.well_conditioned,
+    )
     x_star = np.asarray(x_star, float).reshape(-1)
-    return _conditioned(
-        train.plans, train.mean, train.checked_covariance, s, x_star[list(s)],
-        "gaussian conditional", train.well_conditioned,
-    )[1]
+    return GaussianConditional(plan.mean(train.mean, x_star[plan.s]), plan.factor)
 
 
 def sample_gaussian_conditional(
@@ -312,59 +327,6 @@ def sample_gaussian_conditional(
         raise ValueError("k must be >= 1")
     z = np.random.default_rng(rng_seed).standard_normal((k, cond.mu_cond.shape[0]))
     return cond.mu_cond[None, :] + z @ cond.factor.T
-
-
-@dataclass(frozen=True, slots=True)
-class ConditioningPlan:
-    """The part of conditioning a Gaussian on coalition S that x_S leaves alone.
-
-    That is the indices of S and of its complement, the ridge added to
-    Sigma_SS (0.0 when none), the conditional covariance ``sigma`` and its
-    eigen-factor.  None of it depends on x_S or on the Gaussian's mean, so
-    laws that share a covariance share its plans: the explainer's samplers
-    and the simulation lab's Gaussian and mixture features condition through
-    them alike.  Only the conditional mean is left to each instance.
-    """
-
-    s: np.ndarray
-    sbar: np.ndarray
-    ridge: float
-    sigma: np.ndarray
-    factor: np.ndarray
-
-    def mean(self, mean: np.ndarray, cov: np.ndarray, x_s: np.ndarray) -> np.ndarray:
-        """E[x_sbar | x_S = x_s] under N(mean, cov), by the solve of :func:`conditional_moments`."""
-        if not (len(self.s) and len(self.sbar)):
-            return mean[self.sbar]
-        cross, solved = _solve_blocks(mean, cov, self.s, self.sbar, self.ridge, x_s)
-        return mean[self.sbar] + cross.T @ solved[:, -1]
-
-
-def _conditioned(
-    plans: dict[Coalition, ConditioningPlan],
-    mean: np.ndarray,
-    cov: np.ndarray,
-    s: Coalition,
-    x_s: np.ndarray,
-    context: str,
-    well_conditioned: bool,
-) -> tuple[ConditioningPlan, GaussianConditional]:
-    """The plan for the sorted coalition s and the law of N(mean, cov) given x_S = x_s.
-
-    A miss decides the ridge, conditions by :func:`conditional_moments` and
-    eigen-factors the result into a new plan; a hit solves for the mean only.
-    """
-    plan = plans.get(s)
-    if plan is None:
-        ridge = _ridge(cov[np.ix_(s, s)], context, well_conditioned)
-        mu, sigma = conditional_moments(mean, cov, s, x_s, context, ridge=ridge)
-        sbar = [j for j in range(len(mean)) if j not in s]
-        plan = ConditioningPlan(
-            np.array(s, np.intp), np.array(sbar, np.intp), ridge, sigma, _eigen_factor(sigma)
-        )
-        plans[s] = plan
-        return plan, GaussianConditional(mu, plan.factor)
-    return plan, GaussianConditional(plan.mean(mean, cov, x_s), plan.factor)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +492,10 @@ def sample_copula_conditional(
     (inverse empirical CDF lookup).
     """
     s, v_s = _sorted_coalition(s, v_s)
-    plan, cond = _conditioned(
-        state.plans, np.zeros(state.m), state.latent_correlation, s, v_s,
-        "copula conditional", state.well_conditioned,
+    plan = _plan_for(
+        state.plans, state.latent_correlation, s, "copula conditional", state.well_conditioned
     )
+    cond = GaussianConditional(plan.mean(np.zeros(state.m), v_s), plan.factor)
     latent = sample_gaussian_conditional(cond, k, rng_seed)
     return state.quantiles(plan.sbar, _scipy("special").ndtr(latent))
 

@@ -13,12 +13,13 @@ block of points takes a few elementwise passes over the points.
 The Gaussian and mixture families condition as the explainer's samplers
 do, through one :class:`~condshap.samplers.ConditioningPlan` per
 (covariance, coalition), built by the first instance that meets it: the
-ridge decision for Sigma_SS and the conditional covariance depend neither
-on x_S nor on the law's mean.  The mixture's two components share their
-covariance, so they share each plan, and the density of the conditional
-covariance (and, for the posterior weights, of Sigma_SS) is factored once
-per coalition for both.  Each instance then makes one small solve per
-component for its conditional mean.
+ridge decision for Sigma_SS, the regression matrix and the conditional
+covariance depend neither on x_S nor on the law's mean.  The mixture's two
+components share their covariance, so they share each plan, and the density
+of the conditional covariance (and, for the posterior weights, of Sigma_SS)
+is factored once per coalition for both.  Each instance then takes each
+component's conditional mean from the plan's regression matrix, with no
+solve.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..oracles import QuadratureComponent, gauss_legendre
 from ..samplers import (
     ConditioningPlan,
     TrainingMatrix,
-    _conditioned,
+    _plan_for,
     _ridge,
     _ridged,
     _scipy,
@@ -149,8 +150,8 @@ def _conditional_means(
     x_s: np.ndarray,
 ) -> tuple[ConditioningPlan, list[np.ndarray]]:
     """The plan for s and E[x_sbar | x_S = x_s] under N(mean, cov) for each of ``means``."""
-    plan, first = _conditioned(plans, means[0], cov, s, x_s, "gaussian conditional", False)
-    return plan, [first.mu_cond, *(plan.mean(mean, cov, x_s) for mean in means[1:])]
+    plan = _plan_for(plans, cov, s, "gaussian conditional", False)
+    return plan, [plan.mean(mean, x_s) for mean in means]
 
 
 def _conditional_components(
@@ -413,11 +414,7 @@ def sample_gh(params: GHParams, n: int, rng_seed) -> TrainingMatrix:
 
 
 def _sample_gh_star(star: GHStarParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    from scipy.stats import geninvgauss
-
-    omega = math.sqrt(star.chi * star.psi)
-    v = geninvgauss.rvs(p=star.lam, b=omega, size=n, random_state=rng)
-    w = math.sqrt(star.chi / star.psi) * v
+    w = sample_gig(star.lam, star.chi, star.psi, n, rng)
     u = _sample_gaussian(np.zeros(star.dim), star.sigma, n, rng)
     return star.mu[None, :] + w[:, None] * star.beta_skew[None, :] + np.sqrt(w)[:, None] * u
 
@@ -719,15 +716,6 @@ class MixtureFeatures:
         return _conditional_components(
             self._plans, self._densities, p.means, p.cov, self.posterior_weights(s, x_s), s, x_s
         )
-
-    def conditional_density(self, s: Coalition, x_s: np.ndarray):
-        """Posterior-weighted mixture density over the complement features."""
-        comps = self.conditional_components(s, x_s)
-
-        def density(points: np.ndarray) -> np.ndarray:
-            return sum(c.weight * c.density(points) for c in comps)
-
-        return density
 
 
 def sample_mixture(params: MixtureParams, n: int, rng_seed) -> TrainingMatrix:

@@ -40,7 +40,6 @@ from condshap.samplers import (
     SamplerSpec,
     TrainingMatrix,
     aicc_components,
-    conditional_moments,
     empirical_weights,
     estimate_v_empirical,
     estimate_v_independent_full,
@@ -60,6 +59,7 @@ from condshap.simlab import (
 )
 from condshap.simlab.distributions import GaussianFeatures, gig_mean, gig_variance
 from condshap.oracles import fold_seed
+from conditioning_reference import reference_conditional_moments
 from kendall_reference import kendall_tau_naive
 
 
@@ -215,7 +215,7 @@ def test_criterion_03_linear_independent_closed_form():
 def test_criterion_04_linear_dependent_oracle():
     with criterion(4, "gaussian pipeline matches the dependent-linear exact Shapley"):
         def oracle(model, train, x_star):
-            cond_mean = lambda s, x_s: conditional_moments(
+            cond_mean = lambda s, x_s: reference_conditional_moments(
                 train.mean, train.covariance, s, x_s
             )[0]
             return linear_dependent_shapley(model, cond_mean, x_star)
@@ -311,7 +311,7 @@ def _copula_conditional_mean(state, s, x_s):
     m = state.m
     sbar = [j for j in range(m) if j not in s]
     v_s = stats.norm.ppf(state.cdf(s, x_s))
-    mu, cov = conditional_moments(np.zeros(m), state.latent_correlation, s, v_s)
+    mu, cov = reference_conditional_moments(np.zeros(m), state.latent_correlation, s, v_s)
     sd = np.sqrt(np.diag(cov))
     means = []
     for pos, j in enumerate(sbar):
@@ -374,7 +374,7 @@ def _tilt_matched_skills(report) -> dict:
         copula = fit_copula(train)
         cond_means = {
             "original": lambda s, x_s: train.mean[[j for j in range(train.m) if j not in s]],
-            "gaussian": lambda s, x_s: conditional_moments(
+            "gaussian": lambda s, x_s: reference_conditional_moments(
                 train.mean, train.covariance, s, x_s
             )[0],
             "copula": lambda s, x_s: _copula_conditional_mean(copula, s, x_s),

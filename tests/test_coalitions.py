@@ -73,9 +73,8 @@ class TestEnumeration:
     def test_m3_shape_and_weights(self):
         cm = enumerate_coalitions(3)
         assert cm.n_rows == 8
-        idx = cm.row_index()
-        assert cm.weights[idx[(0,)]] == pytest.approx(1 / 3)
-        assert cm.is_exhaustive
+        assert cm.weights[cm.coalitions.index((0,))] == pytest.approx(1 / 3)
+        assert cm.n_rows == 2 ** cm.m  # exhaustive
 
     def test_z_matrix_encoding(self):
         cm = enumerate_coalitions(4)

@@ -325,7 +325,11 @@ class TestGaussLegendre:
 class TestMixtureConditionalDensity:
     def test_integrates_to_one(self):
         mix = MixtureFeatures(MixtureParams.from_gamma(2.0))
-        density = mix.conditional_density((0,), np.array([1.0]))
+        comps = mix.conditional_components((0,), np.array([1.0]))
+
+        def density(points):
+            return sum(c.weight * c.density(points) for c in comps)
+
         nodes, weights = np.polynomial.legendre.leggauss(200)
         lo, hi = -20.0, 20.0
         pts1 = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)

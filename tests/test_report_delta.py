@@ -1,4 +1,4 @@
-"""scripts/report_delta.py: two simulate reports compared leaf by leaf."""
+"""scripts/report_delta.py: two simulate reports, or two explain outputs, compared leaf by leaf."""
 
 import copy
 import json
@@ -89,3 +89,21 @@ def test_csv_reports(tmp_path):
     ]
     renamed = after.replace("original,1", "gaussian,1")
     assert run(tmp_path, before, renamed, suffix=".csv").returncode == 1
+
+
+def test_explain_csv(tmp_path):
+    """An explain CSV: ``instance_id`` is an int leaf, every other column a float."""
+    header = "instance_id,prediction,phi0,phi_a,phi_b,group_g1\n"
+    before = header + (
+        "0,-1.8277451209399167,-0.149063094957629,1.1425943594015369,0.2457600585045655,1.0\n"
+        "1,3.9279630206772658,-0.149063094957629,2.5513956875817816,0.5317767643918306,2.0\n"
+    )
+    after = before.replace("0.5317767643918306", "0.5317767643918307")  # one ulp
+    done = run(tmp_path, before, after, suffix=".csv")
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[:2] == [
+        "10 floats, 1 changed",
+        "largest absolute change 1.11e-16 at $[1].phi_b: 0.5317767643918306 -> 0.5317767643918307",
+    ]
+    reindexed = before.replace("\n1,", "\n2,")
+    assert run(tmp_path, before, reindexed, suffix=".csv").returncode == 1

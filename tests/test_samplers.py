@@ -3,6 +3,7 @@ empirical, AICc bandwidths, and the combined dispatch."""
 
 import math
 import re
+import sys
 import warnings
 from itertools import combinations
 
@@ -37,6 +38,8 @@ from condshap.samplers import (
     select_k,
     PredictorError,
 )
+
+from conditioning_reference import reference_conditional_moments
 
 
 def exact_moment_data(mean, cov, n, seed=0):
@@ -120,11 +123,10 @@ class TestIndependence:
 
 class TestGaussianConditional:
     def test_bivariate_hand_example(self):
-        mu, sig = conditional_moments(
-            np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]]), (0,), np.array([2.0])
-        )
-        assert mu == pytest.approx([1.0])
-        assert sig.reshape(-1) == pytest.approx([0.75])
+        plan = conditional_moments(np.array([[1.0, 0.5], [0.5, 1.0]]), (0,))
+        assert plan.coef.reshape(-1) == pytest.approx([0.5])
+        assert plan.mean(np.zeros(2), np.array([2.0])) == pytest.approx([1.0])
+        assert plan.sigma.reshape(-1) == pytest.approx([0.75])
 
     def test_bivariate_from_training_data(self, bivariate_train):
         cond = gaussian_conditional(bivariate_train, (0,), np.array([2.0, 0.0]))
@@ -134,16 +136,15 @@ class TestGaussianConditional:
     def test_independence_blocks_vanish(self):
         cov = np.diag([1.0, 2.0, 3.0])
         mean = np.array([1.0, -1.0, 0.5])
-        mu, sig = conditional_moments(mean, cov, (0,), np.array([5.0]))
-        assert mu == pytest.approx(mean[1:])
-        assert sig == pytest.approx(cov[1:, 1:])
+        plan = conditional_moments(cov, (0,))
+        assert plan.mean(mean, np.array([5.0])) == pytest.approx(mean[1:])
+        assert plan.sigma == pytest.approx(cov[1:, 1:])
 
     def test_high_correlation_shrinks_variance(self):
         m = 5
         cov = np.full((m, m), 0.98)
         np.fill_diagonal(cov, 1.0)
-        mu, sig = conditional_moments(np.zeros(m), cov, (0, 1, 2, 3), np.ones(4))
-        assert sig[0, 0] < 0.04
+        assert conditional_moments(cov, (0, 1, 2, 3)).sigma[0, 0] < 0.04
 
     def test_invalid_covariance(self):
         bad = TrainingMatrix(
@@ -161,7 +162,8 @@ class TestGaussianConditional:
             [[1.0, 1.0 - eps, 0.3], [1.0 - eps, 1.0, 0.3], [0.3, 0.3, 1.0]]
         )
         with pytest.warns(DiagnosticWarning, match="ridge"):
-            conditional_moments(np.zeros(3), cov, (0, 1), np.array([1.0, 1.0]))
+            plan = conditional_moments(cov, (0, 1))
+        assert plan.ridge > 0
 
     def test_rejection_sampling_moments(self):
         # Conditional moments match moments of draws conditioned on a band.
@@ -170,7 +172,8 @@ class TestGaussianConditional:
         cov = a @ a.T + 0.5 * np.eye(3)
         mean = rng.standard_normal(3)
         x_s = mean[0] + 0.3
-        mu, sig = conditional_moments(mean, cov, (0,), np.array([x_s]))
+        plan = conditional_moments(cov, (0,))
+        mu, sig = plan.mean(mean, np.array([x_s])), plan.sigma
         chol = np.linalg.cholesky(cov)
         eps = 0.04 * math.sqrt(cov[0, 0])
         accepted = []
@@ -492,7 +495,7 @@ class TestEmpiricalEstimator:
         f = lambda X: X @ beta
         x_star = np.array([0.8, -0.2])
         v = estimate_v_empirical(train, f, (0,), x_star, sigma=0.1)
-        mu, _ = conditional_moments(train.mean, train.covariance, (0,), x_star[:1])
+        mu, _ = reference_conditional_moments(train.mean, train.covariance, (0,), x_star[:1])
         expected = beta[0] * x_star[0] + beta[1] * mu[0]
         # Weighted-mean standard error from the kernel weights.
         ew = empirical_weights(train, (0,), x_star, 0.1)
@@ -865,7 +868,7 @@ def _copula_draws_by_column(state, s, x_star, k, rng_seed):
     """Copula draws one feature at a time, each quantity rebuilt per call.
 
     The slow reference for ``sample_copula_conditional``: a scalar CDF per
-    conditioning feature, the conditional moments, an eigen-factor and a
+    conditioning feature, a fresh conditioning plan, an eigen-factor and a
     per-column order-statistic lookup, with the same operations in the same
     order on each value.
     """
@@ -873,8 +876,9 @@ def _copula_draws_by_column(state, s, x_star, k, rng_seed):
     sbar = [j for j in range(m) if j not in s]
     ranks = [np.searchsorted(state.sorted_columns[j], x_star[j], side="right") for j in s]
     v_star = ndtri(np.array([np.clip(r, 1, n) / (n + 1) for r in ranks], float))
-    mu, sigma = conditional_moments(np.zeros(m), state.latent_correlation, s, v_star)
-    vals, vecs = np.linalg.eigh(sigma)
+    plan = conditional_moments(state.latent_correlation, s)
+    mu = plan.mean(np.zeros(m), v_star)
+    vals, vecs = np.linalg.eigh(plan.sigma)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
     z = np.random.default_rng(rng_seed).standard_normal((k, len(sbar)))
     u = ndtr(mu[None, :] + z @ factor.T)
@@ -972,16 +976,16 @@ class TestPlansMatchPerCallReference:
 
     @pytest.mark.parametrize("case", ["plain", "ridge"])
     def test_conditionals_equal_moments_reference(self, case):
-        """Mean and factor through the plans equal conditional_moments plus an eigen-factor.
+        """Mean and factor through the shared plans equal a fresh plan's, plus an eigen-factor.
 
         Instance 0 builds every plan and instance 1 reuses it, in data space
         (``gaussian_conditional``) and in the copula's latent space.
         """
 
         def reference(mean, cov, s, x_s):
-            mu, sigma = conditional_moments(mean, cov, s, x_s)
-            vals, vecs = np.linalg.eigh(sigma)
-            return mu, vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+            plan = conditional_moments(cov, s)
+            vals, vecs = np.linalg.eigh(plan.sigma)
+            return plan.mean(mean, x_s), vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
 
         data = self.data(case)
         coalitions = [s for s in enumerate_coalitions(5).coalitions if 0 < len(s) < 5]
@@ -998,13 +1002,13 @@ class TestPlansMatchPerCallReference:
                     assert np.array_equal(cond.mu_cond, mu), (i, s)
                     assert np.array_equal(cond.factor, factor), (i, s)
                     v_star = ndtri(state.cdf(s, x_s))
-                    _, latent = samplers._conditioned(
-                        state.plans, zero, state.latent_correlation, s, v_star,
-                        "copula conditional", state.well_conditioned,
+                    plan = samplers._plan_for(
+                        state.plans, state.latent_correlation, s, "copula conditional",
+                        state.well_conditioned,
                     )
                     mu, factor = reference(zero, state.latent_correlation, s, v_star)
-                    assert np.array_equal(latent.mu_cond, mu), (i, s)
-                    assert np.array_equal(latent.factor, factor), (i, s)
+                    assert np.array_equal(plan.mean(zero, v_star), mu), (i, s)
+                    assert np.array_equal(plan.factor, factor), (i, s)
                 if i == 0:
                     assert sorted(train.plans) == sorted(state.plans) == sorted(coalitions)
         for plans in (train.plans, state.plans):
@@ -1074,3 +1078,78 @@ class TestRidgeDecidedOncePerMatrix:
             for explainer in explainers:
                 explainer.explain(data[:2])
         assert any(shape[0] < 4 for shape in shapes)
+
+
+class TestNoSolveOnceThePlansExist:
+    """A warm instance takes its Gaussian and copula conditional means from the
+    plans' regression matrices, without a solve.
+
+    The only ``np.linalg.solve`` left on such an instance is the empirical
+    part's whitening of its own distances (``_whiten``), one per empirical
+    coalition: that solve depends on x*.
+    """
+
+    @pytest.mark.parametrize("label", ["gaussian", "copula", "empirical-0.1+gaussian"])
+    def test_second_instance(self, label, monkeypatch):
+        from condshap.explain import Explainer
+
+        rng = np.random.default_rng(33)
+        data = rng.standard_normal((300, 5)) @ (np.eye(5) + 0.3 * np.ones((5, 5)))
+        f = lambda X: np.atleast_2d(X) @ np.arange(1.0, 6.0)
+        spec = SamplerSpec.from_label(label, d_star=2)
+        explainer = Explainer(TrainingMatrix.from_data(data), f, spec, k=50)
+        explainer.explain_one(data[0], 0)
+        callers = []
+        solve = np.linalg.solve
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        explainer.explain_one(data[1], 1)
+        empirical = [s for s in explainer.cm.coalitions
+                     if spec.kind == "combined" and 0 < len(s) <= spec.d_star]
+        assert callers == ["_whiten"] * len(empirical)
+
+
+class TestPlansMatchSlowReference:
+    """Plan mean and conditional covariance against the per-call formula of
+    ``tests/conditioning_reference.py`` at every proper coalition of m=5.
+
+    The plan solves Sigma_SS once for its regression matrix B_S and takes
+    mean_Sbar + (x_s - mean_S) B_S; the reference solves Sigma_SS against
+    [Sigma_{S,Sbar}, x_s - mean_S] on each call and multiplies by
+    Sigma_{Sbar,S}.  The same moments in a different order of operations
+    differ by rounding only: a few ulps of values of order one (at most
+    8.9e-16 on these data, ridged blocks included, since the ridge keeps
+    cond(Sigma_SS) near 1e8 at worst).  1e-13 is a hundred times that, and
+    a formula error would miss it by many orders of magnitude.
+    """
+
+    BOUND = 1e-13
+
+    @pytest.mark.parametrize("case", ["plain", "ridge"])
+    def test_data_and_latent_space(self, case):
+        data = TestPlansMatchPerCallReference.data(case)
+        coalitions = [s for s in enumerate_coalitions(5).coalitions if 0 < len(s) < 5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            train = TrainingMatrix.from_data(data)
+            state = fit_copula(train)
+            spaces = (
+                (train.plans, train.mean, train.checked_covariance, train.well_conditioned),
+                (state.plans, np.zeros(5), state.latent_correlation, state.well_conditioned),
+            )
+            for x_star in 0.8 * data[:3] + 0.1:
+                latent = state.latent(x_star)
+                for (plans, mean, cov, well), values in zip(spaces, (x_star, latent)):
+                    for s in coalitions:
+                        x_s = values[list(s)]
+                        plan = samplers._plan_for(plans, cov, s, "reference", well)
+                        mu, sigma = reference_conditional_moments(mean, cov, s, x_s)
+                        got = plan.mean(mean, x_s)
+                        np.testing.assert_allclose(got, mu, rtol=0, atol=self.BOUND)
+                        np.testing.assert_allclose(plan.sigma, sigma, rtol=0, atol=self.BOUND)
+        for plans, *_ in spaces:
+            assert any(plan.ridge > 0 for plan in plans.values()) == (case == "ridge")

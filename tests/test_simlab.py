@@ -44,7 +44,7 @@ from condshap.simlab import (
 )
 from condshap import oracles, samplers
 from condshap.coalitions import _ordered_subsets
-from condshap.simlab import experiment
+from condshap.simlab import distributions, experiment
 from condshap.simlab.distributions import (
     GaussianDensity,
     GaussianFeatures,
@@ -53,6 +53,7 @@ from condshap.simlab.distributions import (
 )
 from condshap.oracles import TrueShapleyResult
 from condshap.coalitions import Explanation
+from conditioning_reference import reference_conditional_moments
 
 
 class TestEquicorrelated:
@@ -112,7 +113,32 @@ class TestGig:
             gig_moment(1.0, 1.0, 0.0)
 
 
+def _inline_gh_draw(star, n, rng):
+    """The GH draw as it was written before it called ``sample_gig``: the
+    GIG(lam, chi, psi) variable through ``geninvgauss`` with b = sqrt(chi psi),
+    scaled by sqrt(chi / psi), then the Gaussian part from the same generator."""
+    from scipy.stats import geninvgauss
+
+    omega = math.sqrt(star.chi * star.psi)
+    v = geninvgauss.rvs(p=star.lam, b=omega, size=n, random_state=rng)
+    w = math.sqrt(star.chi / star.psi) * v
+    u = distributions._sample_gaussian(np.zeros(star.dim), star.sigma, n, rng)
+    return star.mu[None, :] + w[:, None] * star.beta_skew[None, :] + np.sqrt(w)[:, None] * u
+
+
 class TestGH:
+    def test_draws_equal_the_inline_gig_draw(self):
+        """``sample_gh`` and a conditional GH draw (chi != psi) keep their bytes."""
+        params = _correlated_gh()
+        expected = _inline_gh_draw(GHFeatures(params).star(), 500, np.random.default_rng(21))
+        assert sample_gh(params, 500, rng_seed=21).data.tobytes() == expected.tobytes()
+        s, x_s = (0,), np.array([0.4])
+        star = gh_conditional(params, s, x_s)
+        assert star.chi != star.psi
+        expected = _inline_gh_draw(star, 500, np.random.default_rng(22))
+        got = GHFeatures(params).conditional_sample(s, x_s, 500, np.random.default_rng(22))
+        assert got.tobytes() == expected.tobytes()
+
     def test_symmetric_when_no_skew(self):
         params = GHParams(lam=1.0, omega=0.5, mu=np.zeros(2), sigma=np.eye(2), beta_skew=np.zeros(2))
         train = sample_gh(params, 100_000, rng_seed=6)
@@ -167,8 +193,6 @@ class TestGHConditional:
         assert cond.mu == pytest.approx([2.0])
 
     def test_no_skew_matches_gaussian_conditional_mean(self):
-        from condshap.samplers import conditional_moments
-
         rng = np.random.default_rng(10)
         a = rng.standard_normal((3, 3)) * 0.3
         sigma = a @ a.T + np.eye(3)
@@ -177,7 +201,7 @@ class TestGHConditional:
         x_s = np.array([0.4, -0.6])
         cond = gh_conditional(params, (0, 1), x_s)
         # beta = 0 so the conditional location equals the Gaussian formula.
-        g_mu, g_sig = conditional_moments(mu, sigma, (0, 1), x_s)
+        g_mu, g_sig = reference_conditional_moments(mu, sigma, (0, 1), x_s)
         assert cond.mu == pytest.approx(g_mu)
         assert cond.sigma == pytest.approx(g_sig)
         assert cond.mean() == pytest.approx(g_mu)
@@ -266,15 +290,13 @@ def _correlated_gh(m=3):
 
 def _gaussian_laws():
     """(mean, cov) pairs for d = 1, 2, 3, and a rho = 0.95 conditional law."""
-    from condshap.samplers import conditional_moments
-
     rng = np.random.default_rng(31)
     laws = {}
     for d in (1, 2, 3):
         a = rng.standard_normal((d, d))
         laws[f"d{d}"] = (rng.standard_normal(d), a @ a.T + 0.3 * np.eye(d))
     cov95 = EquicorrelatedCov(4, 0.95).matrix()
-    laws["rho95-conditional"] = conditional_moments(
+    laws["rho95-conditional"] = reference_conditional_moments(
         np.zeros(4), cov95, (1,), np.array([0.8])
     )
     return laws
@@ -401,7 +423,7 @@ class TestMixture:
 
 def _reference_components(dist, s, x_s):
     """(weight, mean, sd, density) per component, from a fresh
-    ``conditional_moments`` and ``GaussianDensity.from_moments`` per call."""
+    ``conditional_moments`` plan and ``GaussianDensity.from_moments`` per call."""
     if isinstance(dist, MixtureFeatures):
         p = dist.params
         means, cov, weights = p.means, p.cov, np.asarray(p.weights, float)
@@ -419,10 +441,11 @@ def _reference_components(dist, s, x_s):
     else:
         means, cov, weights = [dist.mean], dist.cov, [1.0]
     out = []
+    plan = conditional_moments(cov, s)
     for weight, mean in zip(weights, means):
-        mu, sigma = conditional_moments(mean, cov, s, x_s)
-        sd = np.sqrt(np.clip(np.diag(sigma), 1e-300, None))
-        out.append((float(weight), mu, sd, GaussianDensity.from_moments(mu, sigma)))
+        mu = plan.mean(mean, x_s)
+        sd = np.sqrt(np.clip(np.diag(plan.sigma), 1e-300, None))
+        out.append((float(weight), mu, sd, GaussianDensity.from_moments(mu, plan.sigma)))
     return out
 
 
@@ -481,7 +504,7 @@ class TestConditioningPlansMatchPerCallReference:
         with pytest.warns(DiagnosticWarning) as planned:
             dist.conditional_components(s, x_s)
         with pytest.warns(DiagnosticWarning) as direct:
-            conditional_moments(dist.mean, dist.cov, s, x_s)
+            conditional_moments(dist.cov, s)
         assert [str(w.message) for w in planned] == [str(w.message) for w in direct]
         assert "ridge" in str(planned[0].message)
 
@@ -501,9 +524,9 @@ class TestPlansShared:
         built = []
         conditional_moments = samplers.conditional_moments
 
-        def counting(mean, cov, s, *args, **kwargs):
+        def counting(cov, s, *args, **kwargs):
             built.append(tuple(s))
-            return conditional_moments(mean, cov, s, *args, **kwargs)
+            return conditional_moments(cov, s, *args, **kwargs)
 
         monkeypatch.setattr(samplers, "conditional_moments", counting)
         dist = self.DISTS[name]()
@@ -548,11 +571,6 @@ def _conditioning_entry_points():
     # Features 0 and 2 of the mixture are exchangeable, so (0, 2) would hide a swap.
     skew = ((0, 1), [1.0, -1.0])
     return {
-        "conditional_moments": plain + (
-            lambda s, x_s: np.concatenate(
-                [a.ravel() for a in conditional_moments(np.zeros(3), _SIGMA3, s, x_s)]
-            ),
-        ),
         "gaussian-mean": plain + (gaussian.conditional_mean,),
         "gaussian-components": plain + (components(gaussian),),
         "gaussian-sample": plain + (sample(gaussian),),

@@ -18,7 +18,11 @@ the same bytes.  The outputs are:
 - in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
   in reverse order, near-singular and constant-margin training sets, and the
   AICc estimators explained as a block and one instance at a time.  The
-  texts of the warnings each case raises get their own digest.
+  texts of the warnings each case raises get their own digest;
+- the simulation lab's generalized hyperbolic conditioning on the ten-feature
+  parameter block with a non-diagonal Sigma: the ``gh_conditional``
+  parameters of four coalitions (``gh-conditional.txt``) and a fixed-seed
+  ``GHFeatures.conditional_sample`` (``gh-conditional-sample.csv``).
 
 Every file is written to a fresh temporary directory (``--keep DIR`` writes
 there instead and leaves the files).  One line per output goes to standard
@@ -211,6 +215,29 @@ def in_process_outputs(run: Run) -> None:
                              lambda: one_by_one(make(), test3, range(len(test3))))
 
 
+def gh_outputs(run: Run) -> None:
+    from dataclasses import replace
+
+    from condshap.simlab import GHFeatures, gh_conditional, gh_params_10d
+
+    base = gh_params_10d()
+    scale = np.sqrt(np.diag(base.sigma))
+    params = replace(base, sigma=(0.5 + 0.5 * np.eye(10)) * np.outer(scale, scale))
+    x = np.linspace(2.0, 4.0, 10)
+    lines = []
+    for s in ((0,), (1, 5), (0, 2, 4, 6, 8), (3, 4, 5, 6, 7, 8, 9)):
+        law = gh_conditional(params, s, x[list(s)])
+        for name in ("lam", "chi", "psi", "mu", "sigma", "beta_skew"):
+            values = np.asarray(getattr(law, name), float).reshape(-1)
+            lines.append(f"{s} {name} " + " ".join(repr(float(v)) for v in values))
+    (run.work / "gh-conditional.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sample = GHFeatures(params).conditional_sample((1, 5), x[[1, 5]], 200,
+                                                   np.random.default_rng(12))
+    write_csv(run.work / "gh-conditional-sample.csv", [f"x{j}" for j in range(8)], sample)
+    for out in ("gh-conditional.txt", "gh-conditional-sample.csv"):
+        run.digests[out] = sha256((run.work / out).read_bytes())
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, type=Path, help="the tree's src/ directory")
@@ -228,6 +255,7 @@ def main() -> None:
         run = Run(src, work)
         cli_outputs(run)
         in_process_outputs(run)
+        gh_outputs(run)
     for name in sorted(run.digests):
         print(f"{run.digests[name]}  {name}")
 

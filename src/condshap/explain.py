@@ -3,11 +3,12 @@
 One :class:`Explainer` holds everything reusable across instances: the
 coalition design, the solver factorization, the mean training prediction and
 the fitted sampler.  v(empty) and v(N) are exact and set here; the sampler
-estimates the proper coalitions.  Its Gaussian and copula parts keep one
-conditioning plan per coalition (the ridge, the regression matrix, and the
-conditional covariance with its eigen-factor), built by the first instance
-that meets the coalition; every instance takes its conditional mean from the
-plan's regression matrix, without a solve, and draws.  AICc bandwidths
+estimates the proper coalitions.  It keeps one conditioning plan per
+coalition (the ridge, the Cholesky factor of Sigma_SS, the regression
+matrix, and the conditional covariance with its eigen-factor), built by the
+first instance that meets the coalition: the Gaussian and copula parts take
+their conditional means from its regression matrix, without a solve, and
+the empirical and AICc distances whiten by its factor.  AICc bandwidths
 depend on the instance; :meth:`Explainer.explain` searches them for a block
 of instances at once (:meth:`Explainer.explain_one` for a block of one),
 coalition by coalition, so that each kernel and hat matrix is built once per

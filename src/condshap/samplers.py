@@ -8,6 +8,10 @@ estimator for small conditioning sets and a parametric backend otherwise.
 
 All estimators depend on the predictor only through the contract: a
 deterministic vectorized map from an (n, m) float matrix to n reals.
+What x* leaves alone is kept in one :class:`ConditioningPlan` per
+(covariance, coalition), whose ridge warns once: the Gaussian and copula
+parts condition through it, and the empirical and AICc distances whiten by
+its Cholesky factor.
 """
 
 from __future__ import annotations
@@ -87,8 +91,8 @@ class TrainingMatrix:
     """Training data with its exact sample mean and covariance (1/(n-1)).
 
     ``plans`` holds one :class:`ConditioningPlan` per coalition for the
-    Gaussian on these moments, filled by the samplers on first use and
-    shared by every sampler fitted to this matrix.
+    Gaussian on these moments, filled on first use by the Gaussian part and
+    the empirical distances of every sampler fitted to this matrix.
     """
 
     data: np.ndarray
@@ -143,14 +147,6 @@ class TrainingMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianConditional:
-    """Conditional law N(mu_cond, factor factor^T) of the complement block."""
-
-    mu_cond: np.ndarray
-    factor: np.ndarray
-
-
 def _check_psd(cov: np.ndarray, label: str = "covariance") -> None:
     cov = np.asarray(cov, float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -197,10 +193,6 @@ def _ridge(block: np.ndarray, context: str, well_conditioned: bool = False) -> f
     return lam
 
 
-def _ridged(block: np.ndarray, ridge: float) -> np.ndarray:
-    return block + ridge * np.eye(block.shape[0]) if ridge else block
-
-
 def _sorted_coalition(s: Iterable[int], x_s) -> tuple[Coalition, np.ndarray]:
     """``s`` in ascending order, with the values ``x_s`` of its features permuted to match."""
     s = tuple(s)
@@ -216,18 +208,20 @@ class ConditioningPlan:
     """The part of conditioning a Gaussian on coalition S that x_S leaves alone.
 
     That is the indices of S and of its complement, the ridge added to
-    Sigma_SS (0.0 when none), the regression matrix
-    ``coef`` = (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}, the conditional
-    covariance ``sigma`` and its eigen-factor.  None of it depends on x_S or
-    on the Gaussian's mean, so laws that share a covariance share its plans:
-    the explainer's samplers and the simulation lab's Gaussian and mixture
-    features condition through them alike.  Each instance only takes its
-    conditional mean through :meth:`mean`.
+    Sigma_SS (0.0 when none), the lower Cholesky factor ``chol`` of
+    Sigma_SS + ridge I, the regression matrix ``coef`` =
+    (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}, the conditional covariance
+    ``sigma`` and its eigen-factor.  None of it depends on x_S or on the
+    Gaussian's mean, so laws that share a covariance share its plans: the
+    explainer's samplers and empirical distances, and the simulation lab's
+    features, condition or whiten through them alike.  Each instance only
+    takes its conditional mean through :meth:`mean`.
     """
 
     s: np.ndarray
     sbar: np.ndarray
     ridge: float
+    chol: np.ndarray
     coef: np.ndarray
     sigma: np.ndarray
     factor: np.ndarray
@@ -245,6 +239,7 @@ def conditional_moments(
 ) -> ConditioningPlan:
     """The plan for conditioning a Gaussian of covariance ``cov`` on the sorted coalition ``s``.
 
+    L L^T = Sigma_SS + ridge I
     coef = (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}
     Sigma_cond = Sigma_{Sbar,Sbar} - Sigma_{Sbar,S} coef
 
@@ -257,11 +252,17 @@ def conditional_moments(
     s = np.array(s, dtype=np.intp)
     block = cov[np.ix_(s, s)]
     ridge = _ridge(block, context, well_conditioned)
+    if ridge:
+        block = block + ridge * np.eye(len(s))
+    try:
+        chol = np.linalg.cholesky(block) if block.size else block
+    except np.linalg.LinAlgError as exc:
+        raise InvalidCovarianceError("covariance block factorization failed") from exc
     cross = cov[np.ix_(s, sbar)]
-    coef = np.linalg.solve(_ridged(block, ridge), cross)
+    coef = np.linalg.solve(block, cross)
     sigma = cov[np.ix_(sbar, sbar)] - cross.T @ coef
     sigma = 0.5 * (sigma + sigma.T)
-    return ConditioningPlan(s, sbar, ridge, coef, sigma, _eigen_factor(sigma))
+    return ConditioningPlan(s, sbar, ridge, chol, coef, sigma, _eigen_factor(sigma))
 
 
 def _plan_for(
@@ -305,28 +306,28 @@ def _eigen_factor(sigma: np.ndarray) -> np.ndarray:
 
 def gaussian_conditional(
     train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray
-) -> GaussianConditional:
-    """Conditional law of the unknown features under a fitted Gaussian, by the plan for s."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and eigen-factor of the unknown features' law under a fitted Gaussian, by s's plan."""
     plan = _plan_for(
         train.plans, train.checked_covariance, tuple(sorted(s)), "gaussian conditional",
         train.well_conditioned,
     )
     x_star = np.asarray(x_star, float).reshape(-1)
-    return GaussianConditional(plan.mean(train.mean, x_star[plan.s]), plan.factor)
+    return plan.mean(train.mean, x_star[plan.s]), plan.factor
 
 
 def sample_gaussian_conditional(
-    cond: GaussianConditional, k: int, rng_seed
+    mean: np.ndarray, factor: np.ndarray, k: int, rng_seed
 ) -> np.ndarray:
-    """Draw k rows from the conditional through its eigen-factor.
+    """Draw k rows from N(mean, factor factor^T) through the factor.
 
     ``rng_seed`` is anything ``np.random.default_rng`` takes; a generator is
     drawn from in place.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    z = np.random.default_rng(rng_seed).standard_normal((k, cond.mu_cond.shape[0]))
-    return cond.mu_cond[None, :] + z @ cond.factor.T
+    z = np.random.default_rng(rng_seed).standard_normal((k, mean.shape[0]))
+    return mean[None, :] + z @ factor.T
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +496,8 @@ def sample_copula_conditional(
     plan = _plan_for(
         state.plans, state.latent_correlation, s, "copula conditional", state.well_conditioned
     )
-    cond = GaussianConditional(plan.mean(np.zeros(state.m), v_s), plan.factor)
-    latent = sample_gaussian_conditional(cond, k, rng_seed)
+    mean = plan.mean(np.zeros(state.m), v_s)
+    latent = sample_gaussian_conditional(mean, plan.factor, k, rng_seed)
     return state.quantiles(plan.sbar, _scipy("special").ndtr(latent))
 
 
@@ -538,10 +539,9 @@ class EmpiricalWeights:
 def _whiten(
     train: TrainingMatrix, s: Coalition, diff: np.ndarray, context: str
 ) -> np.ndarray:
-    """L^{-1} diff^T for the Cholesky factor L of Sigma_SS: one column per row of diff."""
-    block = train.covariance[np.ix_(s, s)]
-    ridge = _ridge(block, context, train.well_conditioned)
-    return np.linalg.solve(np.linalg.cholesky(_ridged(block, ridge)), diff.T)
+    """L^{-1} diff^T, one column per row of diff, for the Cholesky factor L in s's plan."""
+    plan = _plan_for(train.plans, train.covariance, s, context, train.well_conditioned)
+    return np.linalg.solve(plan.chol, diff.T)
 
 
 def scaled_mahalanobis(
@@ -626,13 +626,13 @@ def estimate_v_empirical(
 # ---------------------------------------------------------------------------
 
 
-def _smooth(w: np.ndarray, phi_form: str = "corrected") -> tuple[float, float]:
+def _smooth(w: np.ndarray) -> tuple[float, float]:
     """Normalize the rows of kernel matrix ``w`` in place; return (tr(H), Phi(H)).
 
-    ``w`` then holds the hat matrix H.  The trace is read off the kernel's
-    diagonal before the rows are normalized.  A row that sums to zero gives
-    (inf, inf) and leaves ``w`` as it was; Phi(H) is inf when the penalty
-    denominator is not positive.
+    ``w`` then holds the hat matrix H; Phi(H) = (1 + tr(H)/n) / (1 - (tr(H) + 2)/n).
+    The trace is read off the kernel's diagonal before the rows are
+    normalized.  A row that sums to zero gives (inf, inf) and leaves ``w`` as
+    it was; Phi(H) is inf when the penalty denominator is not positive.
     """
     n = w.shape[0]
     row_sums = w.sum(axis=1)
@@ -640,32 +640,10 @@ def _smooth(w: np.ndarray, phi_form: str = "corrected") -> tuple[float, float]:
         return math.inf, math.inf
     trace = float(np.sum(np.diag(w) / row_sums))
     np.divide(w, row_sums[:, None], out=w)
-    if phi_form == "corrected":
-        denom = 1.0 - (trace + 2.0) / n
-    else:
-        denom = 1.0 - (trace + 2.0) / 2.0
+    denom = 1.0 - (trace + 2.0) / n
     if denom <= 0.0:
         return trace, math.inf
     return trace, (1.0 + trace / n) / denom
-
-
-def aicc_components(
-    weight_matrix: np.ndarray, responses: np.ndarray, phi_form: str = "corrected"
-) -> tuple[float, float, float]:
-    """(tau_sq, phi_h, trace) of the kernel smoother for one bandwidth.
-
-    ``weight_matrix`` holds w(x^j, x^i) with rows indexed by i; the hat matrix
-    normalizes each row.  ``phi_form`` selects the penalty denominator:
-    "corrected" uses 1 - (tr(H)+2)/n, "printed" uses 1 - (tr(H)+2)/2.
-    """
-    if phi_form not in ("corrected", "printed"):
-        raise ValueError(f"unknown phi_form {phi_form!r}")
-    h = np.array(weight_matrix, float)
-    trace, phi_h = _smooth(h, phi_form)
-    if math.isinf(trace):
-        return math.inf, math.inf, math.inf
-    tau_sq = float(np.mean((responses - h @ responses) ** 2))
-    return tau_sq, phi_h, trace
 
 
 def _aicc_subsample(n: int, n_aicc: int) -> np.ndarray:
@@ -993,8 +971,8 @@ class FittedSampler:
         if draws is None:
             draws = self.instance_draws(x_star, rng_seed)
         if part == "gaussian":
-            cond = gaussian_conditional(self.train, s, x_star)
-            sample = sample_gaussian_conditional(cond, k, draws.rng)
+            mean, factor = gaussian_conditional(self.train, s, x_star)
+            sample = sample_gaussian_conditional(mean, factor, k, draws.rng)
         else:
             sample = sample_copula_conditional(self.copula, s, draws.latent[list(s)], k, draws.rng)
         synth = np.repeat(x_star[None, :], k, axis=0)

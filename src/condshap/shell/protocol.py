@@ -35,17 +35,11 @@ class ExternalModel:
 
     Satisfies the predictor contract; one process is shared by all callers,
     serialized through an internal lock with ids demultiplexing responses.
+    A call sends its rows in requests of at most ``MAX_BATCH_ROWS``.
     """
 
-    def __init__(
-        self,
-        command: str | Sequence[str],
-        timeout: float = 60.0,
-        batch_rows: int = MAX_BATCH_ROWS,
-    ):
-        self.command = command
+    def __init__(self, command: str | Sequence[str], timeout: float = 60.0):
         self.timeout = timeout
-        self.batch_rows = min(batch_rows, MAX_BATCH_ROWS)
         self._lock = threading.Lock()
         self._next_id = HANDSHAKE_ID + 1
         self._stash: dict[int, list] = {}
@@ -150,8 +144,8 @@ class ExternalModel:
         with self._lock:
             # Pipeline all batches, then collect; ids route the responses.
             spans = []
-            for start in range(0, len(x), self.batch_rows):
-                stop = min(start + self.batch_rows, len(x))
+            for start in range(0, len(x), MAX_BATCH_ROWS):
+                stop = min(start + MAX_BATCH_ROWS, len(x))
                 request_id = self._next_id
                 self._next_id += 1
                 self._send(request_id, x[start:stop].tolist())

@@ -10,16 +10,16 @@ A component density is factored once, when its law is fixed:
 (the inverse Cholesky factor) and every constant, so evaluating one on a
 block of points takes a few elementwise passes over the points.
 
-The Gaussian and mixture families condition as the explainer's samplers
-do, through one :class:`~condshap.samplers.ConditioningPlan` per
-(covariance, coalition), built by the first instance that meets it: the
-ridge decision for Sigma_SS, the regression matrix and the conditional
-covariance depend neither on x_S nor on the law's mean.  The mixture's two
-components share their covariance, so they share each plan, and the density
-of the conditional covariance (and, for the posterior weights, of Sigma_SS)
-is factored once per coalition for both.  Each instance then takes each
+All three families condition as the explainer's samplers do, through one
+:class:`~condshap.samplers.ConditioningPlan` per (covariance, coalition),
+built by the first instance that meets it: the ridge decision for Sigma_SS,
+its Cholesky factor, the regression matrix and the conditional covariance
+depend neither on x_S nor on the law's mean.  The mixture's two components
+share their covariance, so they share each plan, and the density of the
+conditional covariance (and, for the posterior weights, of Sigma_SS) is
+factored once per coalition for both.  Each instance then takes each
 component's conditional mean from the plan's regression matrix, with no
-solve.
+solve; the GH law also whitens x_S - mu_S and beta_S by the plan's factor.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from ..samplers import (
     ConditioningPlan,
     TrainingMatrix,
     _plan_for,
-    _ridge,
-    _ridged,
     _scipy,
     _sorted_coalition,
 )
@@ -395,7 +393,9 @@ class GHStarParams:
         return ew * self.sigma + vw * np.outer(self.beta_skew, self.beta_skew)
 
 
-def _as_star(params: GHParams) -> GHStarParams:
+def _as_star(params: GHParams | GHStarParams) -> GHStarParams:
+    if isinstance(params, GHStarParams):
+        return params
     return GHStarParams(
         lam=params.lam,
         chi=params.omega,
@@ -420,48 +420,10 @@ def _sample_gh_star(star: GHStarParams, n: int, rng: np.random.Generator) -> np.
 
 
 def gh_conditional(
-    params: GHParams | GHStarParams,
-    s: Coalition,
-    x_s: np.ndarray,
-    psi_form: str = "inverse",
+    params: GHParams | GHStarParams, s: Coalition, x_s: np.ndarray
 ) -> GHStarParams:
-    """Conditional GH law of the complement features given x_s.
-
-    ``psi_form`` selects the psi update: "inverse" (standard conditioning,
-    beta_1' Sigma_11^{-1} beta_1; the default) or "printed" (no inverse).
-    """
-    if psi_form not in ("inverse", "printed"):
-        raise ValueError(f"unknown psi_form {psi_form!r}")
-    star = _as_star(params) if isinstance(params, GHParams) else params
-    s, x_s = _sorted_coalition(s, x_s)
-    d = star.dim
-    sbar = tuple(j for j in range(d) if j not in s)
-    if not s:
-        return star
-    s_idx, sbar_idx = list(s), list(sbar)
-    sig11 = star.sigma[np.ix_(s_idx, s_idx)]
-    sig11 = _ridged(sig11, _ridge(sig11, "gh conditional"))
-    sig12 = star.sigma[np.ix_(s_idx, sbar_idx)]
-    sig22 = star.sigma[np.ix_(sbar_idx, sbar_idx)]
-    mu1, mu2 = star.mu[s_idx], star.mu[sbar_idx]
-    beta1, beta2 = star.beta_skew[s_idx], star.beta_skew[sbar_idx]
-    solved = np.linalg.solve(sig11, np.column_stack([sig12, (x_s - mu1), beta1]))
-    b = solved[:, : len(sbar_idx)]
-    shift = solved[:, len(sbar_idx)]
-    beta_solved = solved[:, len(sbar_idx) + 1]
-    lam_c = star.lam - len(s) / 2.0
-    chi_c = star.chi + float((x_s - mu1) @ shift)
-    if psi_form == "inverse":
-        psi_c = star.psi + float(beta1 @ beta_solved)
-    else:
-        psi_c = star.psi + float(beta1 @ sig11 @ beta1)
-    mu_c = mu2 + sig12.T @ shift
-    sigma_c = sig22 - sig12.T @ b
-    sigma_c = 0.5 * (sigma_c + sigma_c.T)
-    beta_c = beta2 - sig12.T @ beta_solved
-    return GHStarParams(
-        lam=lam_c, chi=chi_c, psi=psi_c, mu=mu_c, sigma=sigma_c, beta_skew=beta_c
-    )
+    """Conditional GH law of the complement features given x_s, through a fresh plan."""
+    return GHFeatures(params)._conditional(s, x_s)
 
 
 @dataclass(frozen=True)
@@ -515,9 +477,12 @@ class GHDensity:
 
 @dataclass
 class GHFeatures:
-    """GH feature distribution exposing the oracle handle protocol."""
+    """GH feature distribution exposing the oracle handle protocol; one plan per coalition."""
 
-    params: GHParams
+    params: GHParams | GHStarParams
+    _plans: dict[Coalition, ConditioningPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -532,7 +497,33 @@ class GHFeatures:
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        return _sample_gh_star(gh_conditional(self.params, s, x_s), n, rng)
+        return _sample_gh_star(self._conditional(s, x_s), n, rng)
+
+    def _conditional(self, s: Coalition, x_s: np.ndarray) -> GHStarParams:
+        """The GH law given x_S = x_s, through the plan for s.
+
+        With L the plan's Cholesky factor of Sigma_SS: mu and Sigma condition
+        as a Gaussian's do, beta_c = beta_Sbar - beta_S coef,
+        chi_c = chi + |L^{-1}(x_s - mu_S)|^2, psi_c = psi + |L^{-1} beta_S|^2
+        and lam_c = lam - |S|/2.
+        """
+        star = self.star()
+        s, x_s = _sorted_coalition(s, x_s)
+        if not s:
+            return star
+        plan = _plan_for(self._plans, star.sigma, s, "gh conditional", False)
+        beta_s = star.beta_skew[plan.s]
+        white = _scipy("linalg").solve_triangular(
+            plan.chol, np.column_stack([x_s - star.mu[plan.s], beta_s]), lower=True
+        )
+        return GHStarParams(
+            lam=star.lam - len(s) / 2.0,
+            chi=star.chi + float(white[:, 0] @ white[:, 0]),
+            psi=star.psi + float(white[:, 1] @ white[:, 1]),
+            mu=plan.mean(star.mu, x_s),
+            sigma=plan.sigma,
+            beta_skew=star.beta_skew[plan.sbar] - beta_s @ plan.coef,
+        )
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
@@ -542,7 +533,7 @@ class GHFeatures:
             # skewed ridge along the mixing direction); decompose it into
             # Gaussians over mixing-variable quadrature nodes instead.
             return _gh_mixing_components(self.star())
-        cond = gh_conditional(self.params, s, x_s)
+        cond = self._conditional(s, x_s)
         center = cond.mean()
         sd = np.sqrt(np.clip(np.diag(cond.covariance()), 1e-300, None))
         lo, hi = _gh_quadrature_box(cond, center, sd)

@@ -8,13 +8,23 @@ Sigma_SS against [Sigma_{S,Sbar}, x_s - mu_S] in one solve, then forms
     Sigma_cond = Sigma_{sbar,sbar} - Sigma_{sbar,s} Sigma_{ss}^{-1} Sigma_{s,sbar}
 
 The closed-form tests and criterion 6 take their conditional means from it.
+
+``reference_gh_conditional`` is the generalized hyperbolic conditioning the
+simulation lab used before it read the plans: per call, it gathers the
+blocks, ridges Sigma_SS and solves it against
+[Sigma_{S,Sbar}, x_s - mu_S, beta_S] in one solve.
 """
 
 from typing import Iterable
 
 import numpy as np
 
-from condshap.samplers import _ridge, _ridged, _sorted_coalition
+from condshap.samplers import _ridge, _sorted_coalition
+from condshap.simlab.distributions import GHParams, GHStarParams, _as_star
+
+
+def _ridged(block: np.ndarray, ridge: float) -> np.ndarray:
+    return block + ridge * np.eye(block.shape[0]) if ridge else block
 
 
 def _solve_blocks(
@@ -71,3 +81,39 @@ def reference_conditional_moments(
     sigma_cond = cov[np.ix_(sbar, sbar)] - cross.T @ b
     sigma_cond = 0.5 * (sigma_cond + sigma_cond.T)
     return mu_cond, sigma_cond
+
+
+def reference_gh_conditional(
+    params: GHParams | GHStarParams, s, x_s: np.ndarray
+) -> GHStarParams:
+    """Conditional GH law of the complement features given x_s.
+
+    The psi update is beta_1' Sigma_11^{-1} beta_1.
+    """
+    star = _as_star(params) if isinstance(params, GHParams) else params
+    s, x_s = _sorted_coalition(s, x_s)
+    d = star.dim
+    sbar = tuple(j for j in range(d) if j not in s)
+    if not s:
+        return star
+    s_idx, sbar_idx = list(s), list(sbar)
+    sig11 = star.sigma[np.ix_(s_idx, s_idx)]
+    sig11 = _ridged(sig11, _ridge(sig11, "gh conditional"))
+    sig12 = star.sigma[np.ix_(s_idx, sbar_idx)]
+    sig22 = star.sigma[np.ix_(sbar_idx, sbar_idx)]
+    mu1, mu2 = star.mu[s_idx], star.mu[sbar_idx]
+    beta1, beta2 = star.beta_skew[s_idx], star.beta_skew[sbar_idx]
+    solved = np.linalg.solve(sig11, np.column_stack([sig12, (x_s - mu1), beta1]))
+    b = solved[:, : len(sbar_idx)]
+    shift = solved[:, len(sbar_idx)]
+    beta_solved = solved[:, len(sbar_idx) + 1]
+    lam_c = star.lam - len(s) / 2.0
+    chi_c = star.chi + float((x_s - mu1) @ shift)
+    psi_c = star.psi + float(beta1 @ beta_solved)
+    mu_c = mu2 + sig12.T @ shift
+    sigma_c = sig22 - sig12.T @ b
+    sigma_c = 0.5 * (sigma_c + sigma_c.T)
+    beta_c = beta2 - sig12.T @ beta_solved
+    return GHStarParams(
+        lam=lam_c, chi=chi_c, psi=psi_c, mu=mu_c, sigma=sigma_c, beta_skew=beta_c
+    )

@@ -39,7 +39,7 @@ from condshap.oracles import (
 from condshap.samplers import (
     SamplerSpec,
     TrainingMatrix,
-    aicc_components,
+    _smooth,
     empirical_weights,
     estimate_v_empirical,
     estimate_v_independent_full,
@@ -538,24 +538,22 @@ def test_criterion_09_aicc_fast_path_audit():
 
         for sigma in (0.1, 0.5, 2.0):
             w = np.exp(-d2 / (2 * sigma**2))
-            for phi_form in ("corrected", "printed"):
-                tau_fast, phi_fast, tr_fast = aicc_components(w, responses, phi_form)
-                h = np.zeros((n, n))
-                for i in range(n):
-                    denom = sum(w[i, l] for l in range(n))
-                    for j in range(n):
-                        h[i, j] = w[i, j] / denom
-                fitted = h @ responses
-                tau_naive = float(np.mean((responses - fitted) ** 2))
-                tr_naive = float(np.trace(h))
-                assert abs(tau_fast - tau_naive) <= 1e-10
-                assert abs(tr_fast - tr_naive) <= 1e-10
-                if phi_form == "corrected":
-                    denom_phi = 1 - (tr_naive + 2) / n
-                else:
-                    denom_phi = 1 - (tr_naive + 2) / 2
-                if denom_phi > 0:
-                    assert abs(phi_fast - (1 + tr_naive / n) / denom_phi) <= 1e-10
+            hat = w.copy()  # _smooth, as the AICc search runs it, on a copy of the kernel
+            tr_fast, phi_fast = _smooth(hat)
+            tau_fast = float(np.mean((responses - hat @ responses) ** 2))
+            h = np.zeros((n, n))
+            for i in range(n):
+                denom = sum(w[i, l] for l in range(n))
+                for j in range(n):
+                    h[i, j] = w[i, j] / denom
+            fitted = h @ responses
+            tau_naive = float(np.mean((responses - fitted) ** 2))
+            tr_naive = float(np.trace(h))
+            assert abs(tau_fast - tau_naive) <= 1e-10
+            assert abs(tr_fast - tr_naive) <= 1e-10
+            denom_phi = 1 - (tr_naive + 2) / n
+            if denom_phi > 0:
+                assert abs(phi_fast - (1 + tr_naive / n) / denom_phi) <= 1e-10
 
         # The vectorized distance path matches the naive quadratic form.
         d_fast = scaled_mahalanobis(

@@ -23,7 +23,6 @@ from condshap.samplers import (
     SamplerSpec,
     TrainingMatrix,
     aicc_bandwidth,
-    aicc_components,
     conditional_moments,
     empirical_weights,
     estimate_v_empirical,
@@ -129,9 +128,9 @@ class TestGaussianConditional:
         assert plan.sigma.reshape(-1) == pytest.approx([0.75])
 
     def test_bivariate_from_training_data(self, bivariate_train):
-        cond = gaussian_conditional(bivariate_train, (0,), np.array([2.0, 0.0]))
-        assert cond.mu_cond == pytest.approx([1.0], abs=1e-10)
-        assert (cond.factor @ cond.factor.T).reshape(-1) == pytest.approx([0.75], abs=1e-10)
+        mean, factor = gaussian_conditional(bivariate_train, (0,), np.array([2.0, 0.0]))
+        assert mean == pytest.approx([1.0], abs=1e-10)
+        assert (factor @ factor.T).reshape(-1) == pytest.approx([0.75], abs=1e-10)
 
     def test_independence_blocks_vanish(self):
         cov = np.diag([1.0, 2.0, 3.0])
@@ -155,6 +154,11 @@ class TestGaussianConditional:
         )
         with pytest.raises(InvalidCovarianceError, match="invalid covariance"):
             gaussian_conditional(bad, (0,), np.zeros(2))
+
+    def test_indefinite_block_fails_its_factorization(self):
+        cov = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # Sigma_SS: 3, -1
+        with pytest.raises(InvalidCovarianceError, match="factorization failed"):
+            conditional_moments(cov, (0, 1))
 
     def test_near_singular_is_regularized(self):
         eps = 1e-12
@@ -193,22 +197,19 @@ class TestGaussianConditional:
 
 class TestGaussianSampling:
     def test_degenerate_covariance_returns_mean(self):
-        from condshap.samplers import GaussianConditional
-
-        cond = GaussianConditional(mu_cond=np.array([1.0, -2.0]), factor=np.zeros((2, 2)))
-        draws = sample_gaussian_conditional(cond, 50, 0)
+        draws = sample_gaussian_conditional(np.array([1.0, -2.0]), np.zeros((2, 2)), 50, 0)
         assert np.allclose(draws, [1.0, -2.0])
 
     def test_large_sample_mean(self, bivariate_train):
         cond = gaussian_conditional(bivariate_train, (0,), np.array([2.0, 0.0]))
-        draws = sample_gaussian_conditional(cond, 100_000, 5)
+        draws = sample_gaussian_conditional(*cond, 100_000, 5)
         assert abs(draws.mean() - 1.0) <= 0.011  # 4 sigma / sqrt(k)
         assert draws.var(ddof=1) == pytest.approx(0.75, abs=4 * 0.75 * math.sqrt(2 / 100_000))
 
     def test_determinism(self, bivariate_train):
         cond = gaussian_conditional(bivariate_train, (1,), np.array([0.0, -1.0]))
-        a = sample_gaussian_conditional(cond, 1000, 42)
-        b = sample_gaussian_conditional(cond, 1000, 42)
+        a = sample_gaussian_conditional(*cond, 1000, 42)
+        b = sample_gaussian_conditional(*cond, 1000, 42)
         assert np.array_equal(a, b)
 
 
@@ -285,7 +286,7 @@ class TestCopula:
         x_star = np.array([1.0, 0.0])
         cop = sample_copula_conditional(state, (0,), state.latent(x_star)[[0]], 10_000, 77)[:, 0]
         gau = sample_gaussian_conditional(
-            gaussian_conditional(train, (0,), x_star), 10_000, 78
+            *gaussian_conditional(train, (0,), x_star), 10_000, 78
         )[:, 0]
         ks = stats.ks_2samp(cop, gau).statistic
         critical = 1.628 * math.sqrt(2 / 10_000)  # 1% two-sample critical value
@@ -517,6 +518,13 @@ class TestEmpiricalEstimator:
         assert v == pytest.approx(estimate_v_independent_full(train, f, (0,), x_far))
 
 
+def _smoothed(w, y):
+    """(tau^2, Phi(H), tr(H)) of the kernel smoother: ``_smooth`` on a copy of the kernel."""
+    h = np.array(w, float)
+    trace, phi_h = samplers._smooth(h)
+    return float(np.mean((y - h @ y) ** 2)), phi_h, trace
+
+
 class TestAicc:
     def test_uniform_rows_when_sigma_huge(self):
         rng = np.random.default_rng(0)
@@ -525,7 +533,7 @@ class TestAicc:
         np.fill_diagonal(d2, 0.0)
         w = np.exp(-d2 / (2 * 1e12))
         y = rng.standard_normal(50)
-        tau_sq, phi_h, trace = aicc_components(w, y)
+        tau_sq, phi_h, trace = _smoothed(w, y)
         assert trace == pytest.approx(1.0, abs=1e-6)
         assert tau_sq == pytest.approx(float(np.mean((y - y.mean()) ** 2)), rel=1e-6)
 
@@ -536,33 +544,19 @@ class TestAicc:
         w = 0.5 * (w + w.T)
         np.fill_diagonal(w, 1.0)
         y = rng.standard_normal(n)
-        for phi_form in ("corrected", "printed"):
-            tau_sq, phi_h, trace = aicc_components(w, y, phi_form)
-            h = np.zeros((n, n))
-            for i in range(n):
-                denom = sum(w[i, l] for l in range(n))
-                for j in range(n):
-                    h[i, j] = w[i, j] / denom
-            fitted = np.array([sum(h[i, j] * y[j] for j in range(n)) for i in range(n)])
-            tau_naive = sum((y[i] - fitted[i]) ** 2 for i in range(n)) / n
-            tr_naive = sum(h[i, i] for i in range(n))
-            if phi_form == "corrected":
-                phi_naive = (1 + tr_naive / n) / (1 - (tr_naive + 2) / n)
-            else:
-                phi_naive = (1 + tr_naive / n) / (1 - (tr_naive + 2) / 2)
-            assert tau_sq == pytest.approx(tau_naive, abs=1e-10)
-            assert trace == pytest.approx(tr_naive, abs=1e-10)
-            if np.isfinite(phi_h) and np.isfinite(phi_naive):
-                assert phi_h == pytest.approx(phi_naive, abs=1e-10)
-
-    def test_printed_form_differs_from_corrected(self):
-        rng = np.random.default_rng(2)
-        w = np.exp(-rng.random((30, 30)) * 3)
-        np.fill_diagonal(w, 1.0)
-        y = rng.standard_normal(30)
-        _, phi_corrected, _ = aicc_components(w, y, "corrected")
-        _, phi_printed, _ = aicc_components(w, y, "printed")
-        assert phi_corrected != phi_printed
+        tau_sq, phi_h, trace = _smoothed(w, y)
+        h = np.zeros((n, n))
+        for i in range(n):
+            denom = sum(w[i, l] for l in range(n))
+            for j in range(n):
+                h[i, j] = w[i, j] / denom
+        fitted = np.array([sum(h[i, j] * y[j] for j in range(n)) for i in range(n)])
+        tau_naive = sum((y[i] - fitted[i]) ** 2 for i in range(n)) / n
+        tr_naive = sum(h[i, i] for i in range(n))
+        phi_naive = (1 + tr_naive / n) / (1 - (tr_naive + 2) / n)
+        assert tau_sq == pytest.approx(tau_naive, abs=1e-10)
+        assert trace == pytest.approx(tr_naive, abs=1e-10)
+        assert phi_h == pytest.approx(phi_naive, abs=1e-10)
 
     def test_dependence_selects_smaller_sigma(self):
         grid = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
@@ -841,7 +835,7 @@ def _aicc_reference(train, f, s_or_size, x_star, n_aicc, grid=samplers.DEFAULT_A
 
     The slow reference for ``aicc_bandwidth``: a fresh spliced subsample and
     whitening per coalition, a fresh kernel per sigma, and log(tau^2) + Phi
-    from ``aicc_components``.
+    from ``_smooth`` on that kernel.
     """
     if isinstance(s_or_size, int):
         coalitions = list(combinations(range(train.m), s_or_size))
@@ -859,7 +853,7 @@ def _aicc_reference(train, f, s_or_size, x_star, n_aicc, grid=samplers.DEFAULT_A
         sq = np.sum(white ** 2, axis=1)
         d2 = np.maximum((sq[:, None] + sq[None, :] - 2.0 * (white @ white.T)) / len(s), 0.0)
         for g, sigma in enumerate(grid):
-            tau_sq, phi_h, _ = aicc_components(np.exp(-d2 / (2.0 * sigma ** 2)), y)
+            tau_sq, phi_h, _ = _smoothed(np.exp(-d2 / (2.0 * sigma ** 2)), y)
             total[g] += math.log(max(tau_sq, 1e-300)) + phi_h if np.isfinite(phi_h) else math.inf
     return total
 
@@ -927,8 +921,7 @@ class TestPlansMatchPerCallReference:
             return estimate_v_empirical(train, self.predictor, s, x_star, sigma=spec.sigma,
                                         eta=spec.eta, k_cap=min(spec.k_cap, self.K))
         if kind == "gaussian":
-            cond = gaussian_conditional(train, s, x_star)
-            draws = sample_gaussian_conditional(cond, self.K, rng)
+            draws = sample_gaussian_conditional(*gaussian_conditional(train, s, x_star), self.K, rng)
         else:
             state = fit_copula(train)
             v_s = ndtri(state.cdf(s, x_star[list(s)]))
@@ -967,9 +960,16 @@ class TestPlansMatchPerCallReference:
                         v = sampler.contribution(self.predictor, s, x[i], self.K, [7, i, r],
                                                  sigma=spec.sigma, draws=draws)
                         assert v == expected[(i, s)], (order, i, s)
+        # The training matrix holds a plan for every coalition the Gaussian or
+        # the empirical part meets, the copula one for each of its own.
+        empirical = [s for s in coalitions if spec.kind == "combined" and len(s) <= spec.d_star]
+        parametric = [s for s in coalitions if s not in empirical]
         plans = train.plans if sampler.copula is None else sampler.copula.plans
-        parametric = [s for s in coalitions if spec.kind != "combined" or len(s) > spec.d_star]
-        assert sorted(plans) == sorted(parametric)
+        if sampler.copula is None:
+            assert sorted(plans) == sorted(coalitions)
+        else:
+            assert sorted(plans) == sorted(parametric)
+            assert sorted(train.plans) == sorted(empirical)
         if case == "ridge":
             assert any(plan.ridge > 0 for plan in plans.values())
             assert all(plan.ridge == 0 for s, plan in plans.items() if not {0, 4} <= set(s))
@@ -997,10 +997,10 @@ class TestPlansMatchPerCallReference:
             for i, x_star in enumerate(0.8 * data[:2] + 0.1):
                 for s in coalitions:
                     x_s = x_star[list(s)]
-                    cond = gaussian_conditional(train, s, x_star)
+                    cond_mean, cond_factor = gaussian_conditional(train, s, x_star)
                     mu, factor = reference(train.mean, train.covariance, s, x_s)
-                    assert np.array_equal(cond.mu_cond, mu), (i, s)
-                    assert np.array_equal(cond.factor, factor), (i, s)
+                    assert np.array_equal(cond_mean, mu), (i, s)
+                    assert np.array_equal(cond_factor, factor), (i, s)
                     v_star = ndtri(state.cdf(s, x_s))
                     plan = samplers._plan_for(
                         state.plans, state.latent_correlation, s, "copula conditional",
@@ -1111,6 +1111,32 @@ class TestNoSolveOnceThePlansExist:
         empirical = [s for s in explainer.cm.coalitions
                      if spec.kind == "combined" and 0 < len(s) <= spec.d_star]
         assert callers == ["_whiten"] * len(empirical)
+
+
+class TestNoCholeskyOnceThePlansExist:
+    """A warm instance whitens its empirical and AICc distances through the
+    Cholesky factors its training matrix's plans already hold."""
+
+    @pytest.mark.parametrize("label", ["empirical-0.1+gaussian", "empirical-aicc-exact"])
+    def test_second_instance(self, label, monkeypatch):
+        from condshap.explain import Explainer
+
+        rng = np.random.default_rng(34)
+        data = rng.standard_normal((300, 5)) @ (np.eye(5) + 0.3 * np.ones((5, 5)))
+        f = lambda X: np.atleast_2d(X) @ np.arange(1.0, 6.0)
+        spec = SamplerSpec.from_label(label, d_star=2, n_aicc=60)
+        explainer = Explainer(TrainingMatrix.from_data(data), f, spec, k=50)
+        explainer.explain_one(data[0], 0)
+        callers = []
+        cholesky = np.linalg.cholesky
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        explainer.explain_one(data[1], 1)
+        assert callers == []
 
 
 class TestPlansMatchSlowReference:

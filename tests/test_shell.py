@@ -24,6 +24,7 @@ from condshap.shell.config import parse_simulation_config
 from condshap.coalitions import Explanation, WlsSolver
 from condshap.grouping import ClusterAssignment
 from condshap.shell.io import read_numeric_csv, write_explanations
+from condshap.shell import protocol
 from condshap.shell.protocol import ExternalModel
 
 
@@ -303,10 +304,9 @@ class TestProtocol:
         assert log.read_text().split() == ["0", "2000", "2000", "1"]  # handshake, 3 requests
         assert out.tolist() == [sum(row) / len(row) for row in x.tolist()]
 
-    def test_out_of_order_ids_matched(self):
-        with ExternalModel(
-            model_command(OUT_OF_ORDER_MODEL), timeout=15, batch_rows=2
-        ) as model:
+    def test_out_of_order_ids_matched(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_BATCH_ROWS", 2)
+        with ExternalModel(model_command(OUT_OF_ORDER_MODEL), timeout=15) as model:
             x = np.arange(8.0).reshape(4, 2)  # two batches, answered reversed
             assert model(x) == pytest.approx(x.sum(axis=1))
 

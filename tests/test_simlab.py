@@ -53,7 +53,7 @@ from condshap.simlab.distributions import (
 )
 from condshap.oracles import TrueShapleyResult
 from condshap.coalitions import Explanation
-from conditioning_reference import reference_conditional_moments
+from conditioning_reference import reference_conditional_moments, reference_gh_conditional
 
 
 class TestEquicorrelated:
@@ -206,20 +206,6 @@ class TestGHConditional:
         assert cond.sigma == pytest.approx(g_sig)
         assert cond.mean() == pytest.approx(g_mu)
 
-    def test_psi_forms_differ(self):
-        params = GHParams(
-            lam=1.0,
-            omega=0.5,
-            mu=np.zeros(2),
-            sigma=np.array([[2.0, 0.3], [0.3, 1.0]]),
-            beta_skew=np.array([1.0, 0.5]),
-        )
-        inv = gh_conditional(params, (0,), np.array([0.5]), psi_form="inverse")
-        printed = gh_conditional(params, (0,), np.array([0.5]), psi_form="printed")
-        assert inv.psi == pytest.approx(0.5 + 1.0 / 2.0)
-        assert printed.psi == pytest.approx(0.5 + 2.0)
-        assert inv.psi != printed.psi
-
     def test_near_singular_block_is_ridged_with_a_warning(self):
         # cond(Sigma_SS) = 2e12 for S = (0, 2): the block gets the samplers'
         # ridge, 1e-8 times its mean diagonal, and says so.
@@ -241,6 +227,52 @@ class TestGHConditional:
         draws = dist.conditional_sample((0,), x_s, 200_000, np.random.default_rng(11))
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - cond.mean()[0]) <= 5 * se
+
+
+class TestGHConditionalMatchesReference:
+    """``gh_conditional`` through a plan against the per-call formula of
+    ``tests/conditioning_reference.py``, at every proper coalition of m=3.
+
+    The plan whitens by the Cholesky factor L of Sigma_SS (chi and psi as
+    |L^{-1} v|^2) and conditions mu and Sigma through its regression
+    matrix; the reference solves Sigma_SS against [Sigma_{S,Sbar},
+    x_s - mu_S, beta_S].  On these laws the two differ by at most 8.9e-16;
+    1e-13 leaves a hundred times that.  In the ridged case Sigma_{(0,2)} has
+    cond 2e12, and about 2e8 once ridged.  A vector with a component along
+    the ridged direction is amplified by that much, and so is the rounding
+    of either formula, so x_s - mu_S and beta_S lie along (1, 1) there: the
+    ridge and its warning are exercised, and the bound still tells a formula
+    error from rounding.
+    """
+
+    BOUND = 1e-13
+    RIDGED = np.array([[1.0, 0.3, 1 - 1e-12], [0.3, 1.0, 0.3], [1 - 1e-12, 0.3, 1.0]])
+
+    @pytest.mark.parametrize("case", ["plain", "ridged"])
+    def test_every_coalition(self, case):
+        if case == "plain":
+            params, x = _correlated_gh(), np.array([0.4, -0.9, 1.3])
+        else:
+            params = GHParams(lam=1.0, omega=0.5, mu=np.array([0.2, -0.1, 0.2]),
+                              sigma=self.RIDGED, beta_skew=np.array([0.5, -0.25, 0.5]))
+            x = np.array([0.7, -0.9, 0.7])
+        assert np.count_nonzero(params.sigma - np.diag(np.diag(params.sigma))) == 6
+        for s in [s for s in _ordered_subsets(3) if 0 < len(s) < 3]:
+            x_s = x[list(s)]
+            if case == "ridged" and s == (0, 2):
+                with pytest.warns(DiagnosticWarning, match="gh conditional"):
+                    got = gh_conditional(params, s, x_s)
+                with pytest.warns(DiagnosticWarning, match="gh conditional"):
+                    expected = reference_gh_conditional(params, s, x_s)
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DiagnosticWarning)
+                    got = gh_conditional(params, s, x_s)
+                    expected = reference_gh_conditional(params, s, x_s)
+            assert got.lam == expected.lam
+            for name in ("chi", "psi", "mu", "sigma", "beta_skew"):
+                np.testing.assert_allclose(getattr(got, name), getattr(expected, name),
+                                           rtol=0, atol=self.BOUND, err_msg=f"{s} {name}")
 
 
 def _reference_gh_logpdf(points, star):
@@ -535,6 +567,24 @@ class TestPlansShared:
             for s in coalitions:
                 dist.conditional_components(s, x[list(s)])
         assert len(coalitions) == 7
+        assert built == coalitions
+
+    def test_gh_one_plan_build_per_coalition(self, monkeypatch):
+        built = []
+        conditional_moments = samplers.conditional_moments
+
+        def counting(cov, s, *args, **kwargs):
+            built.append(tuple(s))
+            return conditional_moments(cov, s, *args, **kwargs)
+
+        monkeypatch.setattr(samplers, "conditional_moments", counting)
+        dist = GHFeatures(_correlated_gh())
+        coalitions = [s for s in _ordered_subsets(3) if 0 < len(s) < 3]
+        for i, x in enumerate(self.X):
+            for s in coalitions:
+                dist.conditional_components(s, x[list(s)])
+                dist.conditional_sample(s, x[list(s)], 10, np.random.default_rng(i))
+        assert len(self.X) == 2
         assert built == coalitions
 
 

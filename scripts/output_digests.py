@@ -22,7 +22,11 @@ the same bytes.  The outputs are:
 - the simulation lab's generalized hyperbolic conditioning on the ten-feature
   parameter block with a non-diagonal Sigma: the ``gh_conditional``
   parameters of four coalitions (``gh-conditional.txt``) and a fixed-seed
-  ``GHFeatures.conditional_sample`` (``gh-conditional-sample.csv``).
+  ``GHFeatures.conditional_sample`` (``gh-conditional-sample.csv``);
+- a 3-D Gaussian mixture whose common Sigma holds a near-singular pair
+  (block cond about 2e9, so that its plans ridge it): the posterior weights,
+  component centres and warnings of every proper coalition at a fixed x*
+  (``mixture-ridged.txt``).
 
 Every file is written to a fresh temporary directory (``--keep DIR`` writes
 there instead and leaves the files).  One line per output goes to standard
@@ -238,6 +242,28 @@ def gh_outputs(run: Run) -> None:
         run.digests[out] = sha256((run.work / out).read_bytes())
 
 
+def mixture_outputs(run: Run) -> None:
+    from condshap.simlab import MixtureFeatures, MixtureParams
+
+    # Features 0 and 2 nearly collinear: every Sigma_SS holding both has
+    # cond about 2e9, above the ridge threshold, yet its Cholesky succeeds.
+    cov = np.array([[1.0, 0.3, 1.0 - 1e-9], [0.3, 1.0, 0.3], [1.0 - 1e-9, 0.3, 1.0]])
+    dist = MixtureFeatures(MixtureParams(1.0, MixtureParams.from_gamma(1.0).means, cov))
+    x = np.array([0.5, -0.2, 0.45])
+    lines = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for s in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+            x_s = x[list(s)]
+            weights = dist.posterior_weights(s, x_s)
+            lines.append(f"{s} weights " + " ".join(repr(float(w)) for w in weights))
+            for k, comp in enumerate(dist.conditional_components(s, x_s)):
+                lines.append(f"{s} center{k} " + " ".join(repr(float(v)) for v in comp.center))
+    lines += [f"{w.category.__name__}: {w.message}" for w in caught]
+    (run.work / "mixture-ridged.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    run.digests["mixture-ridged.txt"] = sha256((run.work / "mixture-ridged.txt").read_bytes())
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, type=Path, help="the tree's src/ directory")
@@ -256,6 +282,7 @@ def main() -> None:
         cli_outputs(run)
         in_process_outputs(run)
         gh_outputs(run)
+        mixture_outputs(run)
     for name in sorted(run.digests):
         print(f"{run.digests[name]}  {name}")
 

@@ -67,7 +67,6 @@ class CoalitionMatrix:
     coalitions: tuple[Coalition, ...]
     z: np.ndarray
     weights: np.ndarray
-    includes_empty_and_full: bool
 
     @property
     def n_rows(self) -> int:
@@ -112,7 +111,6 @@ def enumerate_coalitions(m: int) -> CoalitionMatrix:
         coalitions=coalitions,
         z=_build_z(m, coalitions),
         weights=weights,
-        includes_empty_and_full=True,
     )
 
 
@@ -153,7 +151,6 @@ def sample_coalitions(m: int, n_draws: int, rng_seed: int) -> CoalitionMatrix:
         coalitions=tuple(coalitions),
         z=_build_z(m, coalitions),
         weights=weights,
-        includes_empty_and_full=True,
     )
 
 
@@ -228,7 +225,7 @@ class WlsSolver:
     """
 
     def __init__(self, cm: CoalitionMatrix):
-        if not cm.includes_empty_and_full:
+        if () not in cm.coalitions or tuple(range(cm.m)) not in cm.coalitions:
             raise ValueError("coalition matrix must include the empty and full rows")
         self.cm = cm
         self._empty_row = cm.coalitions.index(())

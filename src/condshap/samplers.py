@@ -9,9 +9,9 @@ estimator for small conditioning sets and a parametric backend otherwise.
 All estimators depend on the predictor only through the contract: a
 deterministic vectorized map from an (n, m) float matrix to n reals.
 What x* leaves alone is kept in one :class:`ConditioningPlan` per
-(covariance, coalition), whose ridge warns once: the Gaussian and copula
-parts condition through it, and the empirical and AICc distances whiten by
-its Cholesky factor.
+(covariance, coalition), which checks, ridges (warning once) and factors
+its Sigma_SS block when it is built: the Gaussian and copula parts condition
+through it, and the empirical and AICc distances whiten by its factor.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ DEFAULT_AICC_GRID = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
 DEFAULT_N_AICC = 400
 # Most rows in the synthetic batch of one blocked AICc search (one coalition).
 AICC_BATCH_ROWS = 2 ** 15
-# A covariance block is ridged above RIDGE_COND; a whole matrix at or below
-# WELL_CONDITIONED spares its blocks the check.
+# A covariance block is ridged when its condition number exceeds RIDGE_COND.
 RIDGE_COND = 1e8
-WELL_CONDITIONED = 1e7
 
 
 @cache
@@ -136,11 +134,6 @@ class TrainingMatrix:
         _check_psd(self.covariance)
         return self.covariance
 
-    @cached_property
-    def well_conditioned(self) -> bool:
-        """Whether no block of the covariance needs a ridge (one check per matrix)."""
-        return _well_conditioned(self.covariance)
-
 
 # ---------------------------------------------------------------------------
 # Gaussian conditioning
@@ -160,25 +153,13 @@ def _check_psd(cov: np.ndarray, label: str = "covariance") -> None:
         )
 
 
-def _well_conditioned(matrix: np.ndarray) -> bool:
-    """Whether cond(matrix) <= 1e7, so that no principal block needs a ridge.
+def _ridge(block: np.ndarray, context: str) -> float:
+    """Diagonal ridge for a near-singular block (cond > RIDGE_COND), else 0.0.
 
-    For a positive semi-definite matrix, Cauchy interlacing gives
-    cond(Sigma_SS) <= cond(Sigma) for every principal block Sigma_SS; a
-    bound ten times below the ridge threshold of :func:`_ridge` leaves room
-    for rounding in either condition number.
+    Each block is checked by its own condition number, once per plan: the
+    plan that :func:`conditional_moments` builds keeps the ridge.
     """
-    cond = np.linalg.cond(matrix) if matrix.size else math.inf
-    return bool(np.isfinite(cond) and cond <= WELL_CONDITIONED)
-
-
-def _ridge(block: np.ndarray, context: str, well_conditioned: bool = False) -> float:
-    """Diagonal ridge for a near-singular block (cond > 1e8), else 0.0.
-
-    ``well_conditioned`` says that the matrix the block was taken from
-    passed :func:`_well_conditioned`; the block's own check is then skipped.
-    """
-    if block.size == 0 or well_conditioned:
+    if block.size == 0:
         return 0.0
     cond = np.linalg.cond(block)
     if np.isfinite(cond) and cond <= RIDGE_COND:
@@ -208,14 +189,14 @@ class ConditioningPlan:
     """The part of conditioning a Gaussian on coalition S that x_S leaves alone.
 
     That is the indices of S and of its complement, the ridge added to
-    Sigma_SS (0.0 when none), the lower Cholesky factor ``chol`` of
-    Sigma_SS + ridge I, the regression matrix ``coef`` =
-    (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}, the conditional covariance
-    ``sigma`` and its eigen-factor.  None of it depends on x_S or on the
-    Gaussian's mean, so laws that share a covariance share its plans: the
-    explainer's samplers and empirical distances, and the simulation lab's
-    features, condition or whiten through them alike.  Each instance only
-    takes its conditional mean through :meth:`mean`.
+    Sigma_SS when its own cond exceeds RIDGE_COND (else 0.0), the lower
+    Cholesky factor ``chol`` of Sigma_SS + ridge I, the regression matrix
+    ``coef`` = (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}, the conditional
+    covariance ``sigma`` and its eigen-factor.  None of it depends on x_S
+    or on the Gaussian's mean, so laws that share a covariance share its
+    plans: the explainer's samplers and empirical distances, and the
+    simulation lab's features, condition or whiten through them alike.
+    Each instance only takes its conditional mean through :meth:`mean`.
     """
 
     s: np.ndarray
@@ -235,7 +216,6 @@ def conditional_moments(
     cov: np.ndarray,
     s: Coalition,
     context: str = "gaussian conditional",
-    well_conditioned: bool = False,
 ) -> ConditioningPlan:
     """The plan for conditioning a Gaussian of covariance ``cov`` on the sorted coalition ``s``.
 
@@ -243,15 +223,15 @@ def conditional_moments(
     coef = (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}
     Sigma_cond = Sigma_{Sbar,Sbar} - Sigma_{Sbar,S} coef
 
-    The ridge is chosen by :func:`_ridge`, with a warning naming ``context``
-    when Sigma_SS is near-singular; ``well_conditioned`` says that ``cov``
-    passed :func:`_well_conditioned`, which spares the block its check.
+    The ridge is chosen by :func:`_ridge` from Sigma_SS's own condition
+    number, with a warning naming ``context``; no other code ridges or
+    factors a Sigma_SS block.
     """
     cov = np.asarray(cov, float)
     sbar = np.array([j for j in range(cov.shape[0]) if j not in s], dtype=np.intp)
     s = np.array(s, dtype=np.intp)
     block = cov[np.ix_(s, s)]
-    ridge = _ridge(block, context, well_conditioned)
+    ridge = _ridge(block, context)
     if ridge:
         block = block + ridge * np.eye(len(s))
     try:
@@ -266,11 +246,7 @@ def conditional_moments(
 
 
 def _plan_for(
-    plans: dict[Coalition, ConditioningPlan],
-    cov: np.ndarray,
-    s: Coalition,
-    context: str,
-    well_conditioned: bool,
+    plans: dict[Coalition, ConditioningPlan], cov: np.ndarray, s: Coalition, context: str
 ) -> ConditioningPlan:
     """The plan in ``plans`` for the sorted coalition s, built on first use.
 
@@ -279,7 +255,7 @@ def _plan_for(
     """
     plan = plans.get(s)
     if plan is None:
-        plan = plans[s] = conditional_moments(cov, s, context, well_conditioned)
+        plan = plans[s] = conditional_moments(cov, s, context)
     return plan
 
 
@@ -309,8 +285,7 @@ def gaussian_conditional(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and eigen-factor of the unknown features' law under a fitted Gaussian, by s's plan."""
     plan = _plan_for(
-        train.plans, train.checked_covariance, tuple(sorted(s)), "gaussian conditional",
-        train.well_conditioned,
+        train.plans, train.checked_covariance, tuple(sorted(s)), "gaussian conditional"
     )
     x_star = np.asarray(x_star, float).reshape(-1)
     return plan.mean(train.mean, x_star[plan.s]), plan.factor
@@ -407,11 +382,6 @@ class CopulaState:
     def m(self) -> int:
         return self.sorted_columns.shape[0]
 
-    @cached_property
-    def well_conditioned(self) -> bool:
-        """Whether no block of the latent correlation needs a ridge."""
-        return _well_conditioned(self.latent_correlation)
-
     def cdf(self, cols: Sequence[int], x: np.ndarray) -> np.ndarray:
         """Empirical CDF of feature cols[i] at x[i]: rank/(n+1), never 0 or 1."""
         rank = [self.sorted_columns[j].searchsorted(v, side="right") for j, v in zip(cols, x)]
@@ -493,9 +463,7 @@ def sample_copula_conditional(
     (inverse empirical CDF lookup).
     """
     s, v_s = _sorted_coalition(s, v_s)
-    plan = _plan_for(
-        state.plans, state.latent_correlation, s, "copula conditional", state.well_conditioned
-    )
+    plan = _plan_for(state.plans, state.latent_correlation, s, "copula conditional")
     mean = plan.mean(np.zeros(state.m), v_s)
     latent = sample_gaussian_conditional(mean, plan.factor, k, rng_seed)
     return state.quantiles(plan.sbar, _scipy("special").ndtr(latent))
@@ -540,7 +508,7 @@ def _whiten(
     train: TrainingMatrix, s: Coalition, diff: np.ndarray, context: str
 ) -> np.ndarray:
     """L^{-1} diff^T, one column per row of diff, for the Cholesky factor L in s's plan."""
-    plan = _plan_for(train.plans, train.covariance, s, context, train.well_conditioned)
+    plan = _plan_for(train.plans, train.covariance, s, context)
     return np.linalg.solve(plan.chol, diff.T)
 
 

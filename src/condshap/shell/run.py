@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import SchemaError
+from ..errors import ConfigError, SchemaError
 from ..explain import Explainer
 from ..grouping import check_alpha, complete_linkage, dissimilarity, kgs_cut
 from ..samplers import SamplerSpec, TrainingMatrix
@@ -48,6 +48,10 @@ class ExplainRequest:
             raise ValueError(f"{self.model_source} requires a response column name")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.coalition_draws < 1:
+            raise ConfigError(f"coalition_draws must be >= 1, got {self.coalition_draws}")
         if self.cluster_alpha is not None:
             check_alpha(self.cluster_alpha)
 

@@ -15,11 +15,11 @@ All three families condition as the explainer's samplers do, through one
 built by the first instance that meets it: the ridge decision for Sigma_SS,
 its Cholesky factor, the regression matrix and the conditional covariance
 depend neither on x_S nor on the law's mean.  The mixture's two components
-share their covariance, so they share each plan, and the density of the
-conditional covariance (and, for the posterior weights, of Sigma_SS) is
-factored once per coalition for both.  Each instance then takes each
-component's conditional mean from the plan's regression matrix, with no
-solve; the GH law also whitens x_S - mu_S and beta_S by the plan's factor.
+share each plan, whose factor whitens x_S for the posterior weights, and the
+conditional covariance's density, factored once per coalition for both.
+Each instance takes each component's conditional mean from the plan's
+regression matrix, with no solve; the GH law also whitens x_S - mu_S and
+beta_S by the plan's factor.
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ class EquicorrelatedCov:
         return cov
 
 
-def _whitening(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """The inverse of the lower Cholesky factor of ``cov``, and log det(cov)."""
-    chol = np.linalg.cholesky(cov)
+def _whitening(chol: np.ndarray) -> tuple[np.ndarray, float]:
+    """The inverse of the lower Cholesky factor ``chol``, and log det(chol chol^T)."""
     if not chol.size:
         return chol, 0.0
     # LAPACK's triangular inverse: the factor's diagonal is positive, so it
@@ -120,8 +119,12 @@ class GaussianDensity:
 
     @classmethod
     def from_moments(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":
+        return cls.from_factor(mean, np.linalg.cholesky(cov))
+
+    @classmethod
+    def from_factor(cls, mean: np.ndarray, chol: np.ndarray) -> "GaussianDensity":
         mean = np.asarray(mean, float).reshape(-1)
-        whiten, logdet = _whitening(cov)
+        whiten, logdet = _whitening(chol)
         return cls(mean, whiten, mean.shape[0] * math.log(2.0 * math.pi) + logdet)
 
     def logpdf(self, points: np.ndarray) -> np.ndarray:
@@ -148,7 +151,7 @@ def _conditional_means(
     x_s: np.ndarray,
 ) -> tuple[ConditioningPlan, list[np.ndarray]]:
     """The plan for s and E[x_sbar | x_S = x_s] under N(mean, cov) for each of ``means``."""
-    plan = _plan_for(plans, cov, s, "gaussian conditional", False)
+    plan = _plan_for(plans, cov, s, "gaussian conditional")
     return plan, [plan.mean(mean, x_s) for mean in means]
 
 
@@ -445,7 +448,7 @@ class GHDensity:
 
     @classmethod
     def from_law(cls, star: GHStarParams) -> "GHDensity":
-        whiten, logdet = _whitening(star.sigma)
+        whiten, logdet = _whitening(np.linalg.cholesky(star.sigma))
         beta_white = whiten @ star.beta_skew
         omega = math.sqrt(star.chi * star.psi)
         log_k_lam = math.log(_scipy("special").kve(star.lam, omega)) - omega
@@ -511,7 +514,7 @@ class GHFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         if not s:
             return star
-        plan = _plan_for(self._plans, star.sigma, s, "gh conditional", False)
+        plan = _plan_for(self._plans, star.sigma, s, "gh conditional")
         beta_s = star.beta_skew[plan.s]
         white = _scipy("linalg").solve_triangular(
             plan.chol, np.column_stack([x_s - star.mu[plan.s], beta_s]), lower=True
@@ -642,8 +645,8 @@ class MixtureParams:
 class MixtureFeatures:
     """Gaussian mixture with posterior-weighted exact conditionals.
 
-    The components share one covariance, so they share its plans and the
-    factored densities of the conditional covariance and of Sigma_SS.
+    The components share one covariance, so they share its plans (whose
+    factor of Sigma_SS whitens x_S) and the conditional covariance's density.
     """
 
     params: MixtureParams
@@ -673,11 +676,13 @@ class MixtureFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         if not s:
             return np.asarray(p.weights, float)
-        idx = list(s)
-        marginal = _factored(self._marginals, s, p.cov[np.ix_(idx, idx)])
+        plan = _plan_for(self._plans, p.cov, s, "gaussian conditional")
+        if s not in self._marginals:
+            self._marginals[s] = GaussianDensity.from_factor(np.zeros(len(s)), plan.chol)
+        marginal = self._marginals[s]
         x_s = x_s.reshape(1, -1)
         logs = np.array([
-            math.log(weight) + replace(marginal, mean=mean[idx]).logpdf(x_s)[0]
+            math.log(weight) + replace(marginal, mean=mean[plan.s]).logpdf(x_s)[0]
             for weight, mean in zip(p.weights, p.means)
         ])
         logs -= logs.max()

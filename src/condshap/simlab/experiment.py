@@ -93,6 +93,14 @@ class ExperimentConfig:
             raise ConfigError("n_train and n_test_per_batch must be positive")
         if not self.estimators:
             raise ConfigError("at least one estimator is required")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.quadrature_points < 1:
+            raise ConfigError(f"quadrature_points must be >= 1, got {self.quadrature_points}")
+        if self.n_mc < 2:
+            raise ConfigError(f"n_mc must be >= 2, got {self.n_mc}")
 
     @property
     def truth_method(self) -> str:

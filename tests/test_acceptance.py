@@ -304,7 +304,7 @@ def _copula_conditional_mean(state, s, x_s):
     """Exact mean of the copula sampler's complement draws (K -> infinity).
 
     The latent conditional of each complement feature is normal, and
-    ``CopulaState.quantile`` maps u in ((i-1)/(n+1), i/(n+1)] to the i-th
+    ``CopulaState.quantiles`` maps u in ((i-1)/(n+1), i/(n+1)] to the i-th
     order statistic and u > n/(n+1) to the largest, so the mean is a finite
     sum of normal-CDF bin probabilities times the sorted training column.
     """

@@ -111,7 +111,7 @@ class TestSampledCoalitions:
         cm = sample_coalitions(4, n_draws, rng_seed=8)
         proper = [i for i, s in enumerate(cm.coalitions) if 0 < len(s) < 4]
         assert cm.weights[proper].sum() == pytest.approx(n_draws)
-        assert cm.includes_empty_and_full
+        assert cm.coalitions[0] == () and cm.coalitions[-1] == (0, 1, 2, 3)
         assert cm.weights[0] == DEFAULT_C and cm.weights[-1] == DEFAULT_C
 
     def test_size_frequencies_match_kernel_mass(self):
@@ -181,9 +181,21 @@ class TestWlsSolver:
             coalitions=coalitions,
             z=_build_z(3, coalitions),
             weights=np.array([DEFAULT_C, 1.0, DEFAULT_C]),
-            includes_empty_and_full=True,
         )
         with pytest.raises(DegenerateDesignError, match="condition number"):
+            WlsSolver(cm)
+
+    def test_design_without_the_full_row_raises(self):
+        from condshap.coalitions import CoalitionMatrix, _build_z
+
+        coalitions = ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
+        cm = CoalitionMatrix(
+            m=3,
+            coalitions=coalitions,
+            z=_build_z(3, coalitions),
+            weights=np.array([DEFAULT_C] + [1.0] * 6),
+        )
+        with pytest.raises(ValueError, match="must include the empty and full rows"):
             WlsSolver(cm)
 
     def test_length_mismatch(self):

@@ -103,6 +103,26 @@ class TestExplainer:
         e = explainer.explain_one(data[0])
         assert e.efficiency_gap() <= 1e-6 * max(1.0, abs(e.prediction))
 
+    def test_gaussian_above_cap(self):
+        """At m=14 the Gaussian sampler explains through the sampled design;
+        the constraint rows keep efficiency exact."""
+        rng = np.random.default_rng(14)
+        data = rng.standard_normal((400, 14)) @ (np.eye(14) + 0.2 * np.ones((14, 14)))
+        beta = rng.standard_normal(14)
+        predictor = lambda X: np.atleast_2d(X) @ beta
+        with pytest.warns(DiagnosticWarning, match="exceeds the enumeration cap 13"):
+            explainer = Explainer(
+                TrainingMatrix.from_data(data), predictor, SamplerSpec(kind="gaussian"),
+                k=20, seed=3,
+            )
+        cm = explainer.cm
+        assert cm.coalitions[0] == () and cm.coalitions[-1] == tuple(range(14))
+        assert cm.n_rows < 2 ** 14
+        assert cm.weights[1:-1].sum() == 2048  # the default draw budget
+        for i, e in enumerate(explainer.explain(data[:2])):
+            e.check_efficiency()
+            assert e.prediction == pytest.approx(float(predictor(data[i])[0]))
+
     def test_explicit_coalition_matrix_is_used(self, fitted):
         train, predictor = fitted
         cm = sample_coalitions(3, 64, rng_seed=7)

@@ -1003,8 +1003,7 @@ class TestPlansMatchPerCallReference:
                     assert np.array_equal(cond_factor, factor), (i, s)
                     v_star = ndtri(state.cdf(s, x_s))
                     plan = samplers._plan_for(
-                        state.plans, state.latent_correlation, s, "copula conditional",
-                        state.well_conditioned,
+                        state.plans, state.latent_correlation, s, "copula conditional"
                     )
                     mu, factor = reference(zero, state.latent_correlation, s, v_star)
                     assert np.array_equal(plan.mean(zero, v_star), mu), (i, s)
@@ -1031,7 +1030,8 @@ class TestPlansMatchPerCallReference:
 
 
 class TestRidgeDecidedOncePerMatrix:
-    """A well-conditioned matrix settles every block's ridge with one cond call."""
+    """Each Sigma_SS block's ridge is decided by its own cond call, once per
+    (matrix, coalition), when that coalition's plan is built."""
 
     @staticmethod
     def count_cond_calls(monkeypatch) -> list:
@@ -1056,7 +1056,7 @@ class TestRidgeDecidedOncePerMatrix:
         return [Explainer(train, f, SamplerSpec.from_label(label, d_star=2, n_aicc=60), k=50)
                 for label in labels]
 
-    def test_well_conditioned_fit_checks_no_block(self, monkeypatch):
+    def test_each_planned_block_checked_once(self, monkeypatch):
         rng = np.random.default_rng(31)
         data = rng.standard_normal((300, 4)) @ (np.eye(4) + 0.3 * np.ones((4, 4)))
         explainers = self.explainers(data)
@@ -1065,8 +1065,16 @@ class TestRidgeDecidedOncePerMatrix:
             warnings.simplefilter("error", DiagnosticWarning)
             for explainer in explainers:
                 explainer.explain(data[:2])
-        assert [shape for shape in shapes if shape[0] < 4] == []
-        assert shapes == [(4, 4), (4, 4)]  # the covariance and the latent correlation
+            tables = [explainers[0].train.plans] + [
+                e.sampler.copula.plans for e in explainers if e.sampler.copula is not None
+            ]
+            planned = [(len(s), len(s)) for plans in tables for s in plans if s]
+            assert len(planned) == 2 * 14  # every proper coalition, in data and latent space
+            assert sorted(shapes) == sorted(planned)
+            shapes.clear()
+            for explainer in explainers:
+                explainer.explain(data[2:4])
+        assert shapes == []
 
     def test_near_collinear_fit_checks_each_block(self, monkeypatch):
         rng = np.random.default_rng(32)
@@ -1164,15 +1172,15 @@ class TestPlansMatchSlowReference:
             train = TrainingMatrix.from_data(data)
             state = fit_copula(train)
             spaces = (
-                (train.plans, train.mean, train.checked_covariance, train.well_conditioned),
-                (state.plans, np.zeros(5), state.latent_correlation, state.well_conditioned),
+                (train.plans, train.mean, train.checked_covariance),
+                (state.plans, np.zeros(5), state.latent_correlation),
             )
             for x_star in 0.8 * data[:3] + 0.1:
                 latent = state.latent(x_star)
-                for (plans, mean, cov, well), values in zip(spaces, (x_star, latent)):
+                for (plans, mean, cov), values in zip(spaces, (x_star, latent)):
                     for s in coalitions:
                         x_s = values[list(s)]
-                        plan = samplers._plan_for(plans, cov, s, "reference", well)
+                        plan = samplers._plan_for(plans, cov, s, "reference")
                         mu, sigma = reference_conditional_moments(mean, cov, s, x_s)
                         got = plan.mean(mean, x_s)
                         np.testing.assert_allclose(got, mu, rtol=0, atol=self.BOUND)

@@ -370,6 +370,27 @@ def make_dataset(tmp_path: Path, n=200, seed=0, rho=0.5):
     return train, test
 
 
+def make_wide_dataset(tmp_path: Path, m=14, n=120, seed=0):
+    """Train and test CSVs with ``m`` correlated features, above the enumeration cap."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, m)) @ (np.eye(m) + 0.2 * np.ones((m, m)))
+    y = x @ np.linspace(-1.0, 1.0, m) + 0.1 * rng.standard_normal(n)
+    names = [f"f{j + 1}" for j in range(m)]
+    train = tmp_path / "wide_train.csv"
+    with train.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names + ["target"])
+        for row, target in zip(x, y):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
+    test = tmp_path / "wide_test.csv"
+    with test.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in x[:2]:
+            writer.writerow([repr(float(v)) for v in row])
+    return train, test
+
+
 class TestExplainRequest:
     def test_validation(self, tmp_path):
         from condshap.samplers import SamplerSpec
@@ -549,6 +570,22 @@ class TestCliExplain:
         assert matrix[:, phi_cols].sum(axis=1) == pytest.approx(
             matrix[:, g_cols].sum(axis=1)
         )
+
+
+    def test_above_the_enumeration_cap(self, tmp_path):
+        train, test = make_wide_dataset(tmp_path)
+        out = tmp_path / "wide"
+        result = CliRunner().invoke(
+            main,
+            ["explain", "--train", str(train), "--test", str(test), "--response", "target",
+             "--estimator", "gaussian", "--k", "20", "--coalition-draws", "300",
+             "--output", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        header, matrix = read_numeric_csv(tmp_path / "wide.csv")
+        assert [h for h in header if h.startswith("phi_")] == [f"phi_f{j}" for j in range(1, 15)]
+        assert matrix.shape[0] == 2
+        assert json.loads((tmp_path / "wide.json").read_text())
 
 
 class TestCliSimulate:
@@ -770,6 +807,35 @@ class TestCliBadInput:
         self.assert_clean_exit(result, 2)
         assert "sigma must be positive, got nan" in result.output
         assert not (tmp_path / "x.csv").exists()
+
+    def test_explain_negative_seed(self, tmp_path):
+        train, test = make_dataset(tmp_path)
+        result = self.explain(tmp_path, train, test, "--seed", "-1")
+        self.assert_clean_exit(result, 2)
+        assert "seed must be >= 0, got -1" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["m3", "m14"])
+    def test_explain_no_coalition_draws(self, tmp_path, wide):
+        train, test = (make_wide_dataset if wide else make_dataset)(tmp_path)
+        result = self.explain(tmp_path, train, test, "--coalition-draws", "0")
+        self.assert_clean_exit(result, 2)
+        assert "coalition_draws must be >= 1, got 0" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "-1"), ("k", "0"), ("quadrature_points", "0"), ("n_mc", "1")],
+    )
+    def test_simulate_out_of_range(self, tmp_path, key, value):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n_test = 1\nbatches = 1\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["simulate", str(cfg), "--output-dir", str(out)])
+        self.assert_clean_exit(result, 2)
+        bound = {"seed": 0, "k": 1, "quadrature_points": 1, "n_mc": 2}[key]
+        assert f"{key} must be >= {bound}, got {value}" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_aicc", ["0", "-5", "1", "3"])
     def test_simulate_small_n_aicc(self, tmp_path, n_aicc):

@@ -1,6 +1,7 @@
 """Feature generators, sampling models, built-in predictors, and the runner."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -586,6 +587,41 @@ class TestPlansShared:
                 dist.conditional_sample(s, x[list(s)], 10, np.random.default_rng(i))
         assert len(self.X) == 2
         assert built == coalitions
+
+    def test_mixture_posterior_weights_read_the_plan(self, monkeypatch):
+        """The posterior weights whiten x_S by the plan's factor of Sigma_SS:
+        only ``conditional_moments`` factors that block, and the plan the
+        weights build serves ``conditional_components`` too."""
+        built, factored = [], []
+        conditional_moments = samplers.conditional_moments
+        cholesky = np.linalg.cholesky
+
+        def counting_plans(cov, s, *args, **kwargs):
+            built.append(tuple(s))
+            return conditional_moments(cov, s, *args, **kwargs)
+
+        def counting_factors(a):
+            factored.append(sys._getframe(1).f_code.co_name)
+            return cholesky(a)
+
+        monkeypatch.setattr(samplers, "conditional_moments", counting_plans)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_factors)
+        dist = MixtureFeatures(MixtureParams.from_gamma(1.5))
+        coalitions = [s for s in _ordered_subsets(3) if 0 < len(s) < 3]
+        first, second = self.X
+        for s in coalitions:
+            dist.posterior_weights(s, first[list(s)])
+        assert built == coalitions
+        assert factored == ["conditional_moments"] * len(coalitions)
+        factored.clear()
+        for s in coalitions:
+            dist.posterior_weights(s, second[list(s)])
+        assert factored == []
+        for s in coalitions:
+            dist.conditional_components(s, second[list(s)])
+        assert built == coalitions
+        # The conditional covariance's density, once per coalition.
+        assert factored == ["from_moments"] * len(coalitions)
 
 
 _SIGMA3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])

@@ -17,8 +17,10 @@ the same bytes.  The outputs are:
   a GH config;
 - in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
   in reverse order, near-singular and constant-margin training sets, and the
-  AICc estimators explained as a block and one instance at a time.  The
-  texts of the warnings each case raises get their own digest;
+  AICc estimators explained as a block and one instance at a time, and
+  ``original`` and ``gaussian`` at m=14, above the enumeration cap, on the
+  default sampled coalition design.  The texts of the warnings each case
+  raises get their own digest;
 - the simulation lab's generalized hyperbolic conditioning on the ten-feature
   parameter block with a non-diagonal Sigma: the ``gh_conditional``
   parameters of four coalitions (``gh-conditional.txt``) and a fixed-seed
@@ -219,6 +221,20 @@ def in_process_outputs(run: Run) -> None:
                              lambda: one_by_one(make(), test3, range(len(test3))))
 
 
+def wide_outputs(run: Run) -> None:
+    """m=14: the explainer samples its 2,048 coalition draws and solves on that design."""
+    from condshap import Explainer, SamplerSpec, TrainingMatrix
+    from condshap.simlab import fit_ols
+
+    rng = np.random.default_rng(14)
+    x14 = correlated(rng, np.full((14, 14), 0.3) + 0.7 * np.eye(14), 300)
+    train14 = TrainingMatrix.from_data(x14)
+    ols14 = fit_ols(train14, x14 @ np.linspace(-1.0, 1.0, 14) + 0.1 * rng.standard_normal(300))
+    for label in ("original", "gaussian"):
+        run.explanations(f"m14-sampled-{label}", lambda: Explainer(
+            train14, ols14, SamplerSpec.from_label(label), k=20, seed=3).explain(x14[:2]))
+
+
 def gh_outputs(run: Run) -> None:
     from dataclasses import replace
 
@@ -281,6 +297,7 @@ def main() -> None:
         run = Run(src, work)
         cli_outputs(run)
         in_process_outputs(run)
+        wide_outputs(run)
         gh_outputs(run)
         mixture_outputs(run)
     for name in sorted(run.digests):

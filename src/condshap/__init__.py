@@ -2,14 +2,12 @@
 
 from .coalitions import (
     CoalitionMatrix,
-    ContributionVector,
     Explanation,
     WlsSolver,
     enumerate_coalitions,
     exact_shapley,
     sample_coalitions,
     shapley_kernel_weight,
-    solve_wls,
 )
 from .explain import Explainer
 from .samplers import (
@@ -20,7 +18,6 @@ from .samplers import (
 
 __all__ = [
     "CoalitionMatrix",
-    "ContributionVector",
     "Explanation",
     "Explainer",
     "FittedSampler",
@@ -31,7 +28,6 @@ __all__ = [
     "exact_shapley",
     "sample_coalitions",
     "shapley_kernel_weight",
-    "solve_wls",
 ]
 
 __version__ = "0.1.0"

@@ -2,17 +2,18 @@
 
 A coalition is a subset of feature indices (0-based tuples here).  The module
 provides the full 2^m enumeration, kernel-weighted coalition sampling for
-larger m, the weighted-least-squares solver with the hard equality
-constraints phi0 = v(empty) and sum(phi) = v(N), and the exact combinatorial
-formula used as the ground-truth reference.
+larger m, the weighted-least-squares solver and the exact combinatorial
+formula used as the ground-truth reference.  A game is one float vector of
+v(S) over a design's rows.  The empty and full coalitions carry infinite
+kernel weight: the solver imposes them exactly, as the constraints
+phi0 = v(empty) and phi0 + sum(phi) = v(N).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -20,14 +21,10 @@ from .errors import (
     DegenerateDesignError,
     EfficiencyViolationError,
     EnumerationTooLargeError,
-    IncompleteContributionError,
     InfiniteWeightCoalitionError,
 )
 
 Coalition = tuple[int, ...]
-
-#: Stand-in for the infinite kernel weight of the empty/full coalition.
-DEFAULT_C = 1e6
 
 #: Full enumeration is refused above this feature count (2^13 = 8192 rows).
 ENUMERATION_CAP = 13
@@ -40,7 +37,7 @@ def shapley_kernel_weight(m: int, s: int) -> float:
     """Kernel weight (m-1) / (binom(m,s) * s * (m-s)) for coalition size s.
 
     Only defined for 0 < s < m; the empty and full coalitions carry infinite
-    weight and must be handled through constraints or the constant C.
+    weight and are imposed as constraints.
     """
     if m < 1:
         raise ValueError(f"feature count must be >= 1, got {m}")
@@ -48,24 +45,23 @@ def shapley_kernel_weight(m: int, s: int) -> float:
         raise ValueError(f"coalition size {s} outside [0, {m}]")
     if s == 0 or s == m:
         raise InfiniteWeightCoalitionError(
-            f"infinite-weight coalition (size {s} of {m}); use the constant C"
+            f"infinite-weight coalition (size {s} of {m}); impose it as a constraint"
         )
     return (m - 1) / (math.comb(m, s) * s * (m - s))
 
 
 @dataclass(frozen=True)
 class CoalitionMatrix:
-    """Binary coalition design Z with per-row kernel weights.
+    """Coalition design: the rows of the least-squares problem and their weights.
 
-    ``z`` has shape (n_rows, m+1); column 0 is all ones and column j+1 flags
-    membership of feature j.  ``weights`` holds k(m,|S|) for proper coalitions
-    (or sampling multiplicities in sampled mode) and the constant C for the
-    empty and full rows.
+    A game on this design is a vector of v(S), one value per row of
+    ``coalitions``.  ``weights`` holds k(m,|S|) for proper coalitions (or
+    sampling multiplicities in sampled mode) and ``math.inf``, the kernel's
+    own value, for the empty and full rows, which the solver imposes exactly.
     """
 
     m: int
     coalitions: tuple[Coalition, ...]
-    z: np.ndarray
     weights: np.ndarray
 
     @property
@@ -81,16 +77,6 @@ def _ordered_subsets(m: int) -> list[Coalition]:
     return out
 
 
-def _build_z(m: int, coalitions: Iterable[Coalition]) -> np.ndarray:
-    coalitions = list(coalitions)
-    z = np.zeros((len(coalitions), m + 1))
-    z[:, 0] = 1.0
-    for i, s in enumerate(coalitions):
-        for j in s:
-            z[i, j + 1] = 1.0
-    return z
-
-
 def enumerate_coalitions(m: int) -> CoalitionMatrix:
     """Build the full 2^m coalition design in size-then-lexicographic order."""
     if m < 1:
@@ -100,18 +86,10 @@ def enumerate_coalitions(m: int) -> CoalitionMatrix:
             f"enumeration too large for m={m} (cap {ENUMERATION_CAP}); use sample_coalitions"
         )
     coalitions = tuple(_ordered_subsets(m))
-    weights = np.empty(len(coalitions))
-    for i, s in enumerate(coalitions):
-        if len(s) in (0, m):
-            weights[i] = DEFAULT_C
-        else:
-            weights[i] = shapley_kernel_weight(m, len(s))
-    return CoalitionMatrix(
-        m=m,
-        coalitions=coalitions,
-        z=_build_z(m, coalitions),
-        weights=weights,
+    weights = np.array(
+        [math.inf if len(s) in (0, m) else shapley_kernel_weight(m, len(s)) for s in coalitions]
     )
+    return CoalitionMatrix(m=m, coalitions=coalitions, weights=weights)
 
 
 def sample_coalitions(m: int, n_draws: int, rng_seed: int) -> CoalitionMatrix:
@@ -120,7 +98,7 @@ def sample_coalitions(m: int, n_draws: int, rng_seed: int) -> CoalitionMatrix:
     Draws are with replacement; duplicate rows are merged and their
     multiplicity becomes the row weight (sampled rows enter the least-squares
     problem with equal weight per draw).  The empty and full coalitions are
-    appended with weight C.  Deterministic for a fixed seed.
+    added first and last with infinite weight.  Deterministic for a fixed seed.
     """
     if m < 2:
         raise ValueError("coalition sampling needs m >= 2")
@@ -143,45 +121,8 @@ def sample_coalitions(m: int, n_draws: int, rng_seed: int) -> CoalitionMatrix:
 
     sampled = sorted(counts, key=lambda c: (len(c), c))
     coalitions: list[Coalition] = [()] + sampled + [tuple(range(m))]
-    weights = np.array(
-        [DEFAULT_C] + [float(counts[c]) for c in sampled] + [DEFAULT_C]
-    )
-    return CoalitionMatrix(
-        m=m,
-        coalitions=tuple(coalitions),
-        z=_build_z(m, coalitions),
-        weights=weights,
-    )
-
-
-@dataclass
-class ContributionVector:
-    """Map from coalition to contribution value v(S)."""
-
-    m: int
-    values: dict[Coalition, float]
-
-    @classmethod
-    def from_function(cls, m: int, fn: Callable[[Coalition], float]) -> "ContributionVector":
-        return cls(m=m, values={s: float(fn(s)) for s in _ordered_subsets(m)})
-
-    @classmethod
-    def from_mapping(cls, m: int, mapping: Mapping[Iterable[int], float]) -> "ContributionVector":
-        vals = {tuple(sorted(k)): float(v) for k, v in mapping.items()}
-        return cls(m=m, values=vals)
-
-    def value(self, s: Iterable[int]) -> float:
-        key = tuple(sorted(s))
-        try:
-            return self.values[key]
-        except KeyError:
-            raise IncompleteContributionError(
-                f"incomplete contribution table: missing v({set(key) or '{}'})"
-            ) from None
-
-    def aligned_to(self, cm: CoalitionMatrix) -> np.ndarray:
-        """Values ordered by the rows of ``cm``."""
-        return np.array([self.value(s) for s in cm.coalitions])
+    weights = np.array([math.inf] + [float(counts[c]) for c in sampled] + [math.inf])
+    return CoalitionMatrix(m=m, coalitions=tuple(coalitions), weights=weights)
 
 
 @dataclass
@@ -216,12 +157,13 @@ class Explanation:
 class WlsSolver:
     """Reusable weighted-least-squares Shapley solver for one coalition design.
 
-    The equality constraints phi0 = v(empty) and sum(phi) = v(full) are
-    eliminated exactly: phi0 is v(empty), phi_0..phi_{m-2} come from a
-    weighted least-squares fit over the proper coalitions, and phi_{m-1} is
-    what they leave of v(full) - v(empty).  The fit's factorization depends
-    only on the design, so one solver instance explains any number of
-    contribution vectors.
+    A game is a vector of v(S) over the design's rows.  The empty and full
+    rows carry infinite weight, so the equality constraints phi0 = v(empty)
+    and sum(phi) = v(full) - v(empty) are eliminated exactly: phi0 is
+    v(empty), phi_0..phi_{m-2} come from a weighted least-squares fit over
+    the proper coalitions, and phi_{m-1} is what they leave of
+    v(full) - v(empty).  The fit's factorization depends only on the design,
+    so one solver instance explains any number of games.
     """
 
     def __init__(self, cm: CoalitionMatrix):
@@ -233,16 +175,18 @@ class WlsSolver:
         m = cm.m
         proper = [i for i, s in enumerate(cm.coalitions) if 0 < len(s) < m]
         self._proper_rows = proper
-        self._proper_sets = [cm.coalitions[i] for i in proper]
-        self._last_in = np.array(
-            [1.0 if (m - 1) in s else 0.0 for s in self._proper_sets]
-        )
-        if m == 1 or not proper:
-            self.projection = None
+        sets = [cm.coalitions[i] for i in proper]
+        sizes = [len(s) for s in sets]
+        # Membership of feature j in proper coalition i, set in one assignment.
+        member = np.zeros((len(sets), m))
+        member[np.repeat(np.arange(len(sets)), sizes), np.fromiter(chain(*sets), np.intp)] = 1.0
+        self._last_in = member[:, m - 1]
+        if not proper:  # as at m == 1: the fit gives phi_0..phi_{m-2} = 0
+            self.projection = np.zeros((m - 1, 0))
             self.condition_number = 1.0
             return
         # Design over phi_0..phi_{m-2}: a_j = 1{j in S} - 1{m-1 in S}.
-        a = cm.z[proper, 1:m] - self._last_in[:, None]
+        a = member[:, : m - 1] - self._last_in[:, None]
         w = cm.weights[proper]
         normal = a.T @ (w[:, None] * a)
         self.condition_number = float(np.linalg.cond(normal))
@@ -256,13 +200,14 @@ class WlsSolver:
 
     def solve(
         self,
-        v: ContributionVector | np.ndarray,
+        v: np.ndarray,
         estimator_id: str = "",
         seed: int | None = None,
         sample_budget: int | None = None,
     ) -> Explanation:
+        """Explain the game ``v``, one value of v(S) per row of the design."""
         cm = self.cm
-        vec = v.aligned_to(cm) if isinstance(v, ContributionVector) else np.asarray(v, float)
+        vec = np.asarray(v, float)
         if vec.shape != (cm.n_rows,):
             raise ValueError(
                 f"contribution vector has {vec.shape} entries, design has {cm.n_rows} rows"
@@ -270,17 +215,12 @@ class WlsSolver:
         v_empty = vec[self._empty_row]
         v_full = vec[self._full_row]
         total = v_full - v_empty
-        phi0 = float(v_empty)
-        if cm.m == 1:
-            phi = np.array([total])
-        else:
-            y = vec[self._proper_rows] - v_empty - self._last_in * total
-            head = self.projection @ y if self.projection is not None else np.zeros(cm.m - 1)
-            phi = np.append(head, total - head.sum())
+        head = self.projection @ (vec[self._proper_rows] - v_empty - self._last_in * total)
+        phi = np.append(head, total - head.sum())
         return Explanation(
-            phi0=phi0,
+            phi0=float(v_empty),
             phi=phi,
-            prediction=float(vec[self._full_row]),
+            prediction=float(v_full),
             estimator_id=estimator_id,
             seed=seed,
             sample_budget=sample_budget,
@@ -288,40 +228,35 @@ class WlsSolver:
         )
 
 
-def solve_wls(
-    cm: CoalitionMatrix,
-    v: ContributionVector | np.ndarray,
-    **meta,
-) -> Explanation:
-    """One-shot WLS solve; build a :class:`WlsSolver` to reuse the factorization."""
-    return WlsSolver(cm).solve(v, **meta)
+def exact_shapley(v: np.ndarray) -> Explanation:
+    """Exact combinatorial Shapley values of a complete game.
 
-
-def exact_shapley(v: ContributionVector, m: int | None = None) -> Explanation:
-    """Exact combinatorial Shapley values from a complete contribution table.
-
+    ``v`` holds all 2^m values of v(S), in the row order of
+    ``enumerate_coalitions(m).coalitions``; m is read off its length.
     phi_j = sum over S not containing j of |S|!(m-|S|-1)!/m! * (v(S+j) - v(S)),
-    with phi0 = v(empty).  Requires all 2^m coalition values.
+    with phi0 = v(empty).
     """
-    m = v.m if m is None else m
+    v = np.asarray(v, float)
+    m = v.size.bit_length() - 1
+    if v.ndim != 1 or m < 1 or v.size != 2 ** m:
+        raise ValueError(f"a complete game has 2^m entries for some m >= 1, got {v.shape}")
     if m > ENUMERATION_CAP:
         raise EnumerationTooLargeError(f"exact formula limited to m <= {ENUMERATION_CAP}")
     fact = [math.factorial(i) for i in range(m + 1)]
     weight = [fact[s] * fact[m - s - 1] / fact[m] for s in range(m)]
+    subsets = _ordered_subsets(m)
+    row = {s: i for i, s in enumerate(subsets)}
     phi = np.zeros(m)
-    others: dict[int, list[Coalition]] = {
-        j: [s for s in _ordered_subsets(m) if j not in s] for j in range(m)
-    }
     for j in range(m):
         acc = 0.0
-        for s in others[j]:
-            with_j = tuple(sorted(s + (j,)))
-            acc += weight[len(s)] * (v.value(with_j) - v.value(s))
+        for s in subsets:
+            if j not in s:
+                acc += weight[len(s)] * (v[row[tuple(sorted(s + (j,)))]] - v[row[s]])
         phi[j] = acc
     return Explanation(
-        phi0=v.value(()),
+        phi0=float(v[0]),
         phi=phi,
-        prediction=v.value(tuple(range(m))),
+        prediction=float(v[-1]),
         estimator_id="exact",
     )
 

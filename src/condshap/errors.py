@@ -8,8 +8,8 @@ class CondShapError(Exception):
 class InfiniteWeightCoalitionError(CondShapError, ValueError):
     """Kernel weight requested for the empty or full coalition.
 
-    These coalitions carry infinite weight; callers must substitute the
-    large constant C or impose the equality constraints instead.
+    These coalitions carry infinite weight; callers impose them as the
+    equality constraints of the least-squares problem instead.
     """
 
 
@@ -23,10 +23,6 @@ class DegenerateDesignError(CondShapError, ValueError):
     def __init__(self, message: str, condition_number: float = float("inf")):
         super().__init__(f"{message} (condition number {condition_number:.3e})")
         self.condition_number = condition_number
-
-
-class IncompleteContributionError(CondShapError, KeyError):
-    """A contribution table is missing a coalition value."""
 
 
 class InvalidCovarianceError(CondShapError, ValueError):

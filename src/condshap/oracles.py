@@ -27,7 +27,6 @@ import numpy as np
 
 from .coalitions import (
     Coalition,
-    ContributionVector,
     exact_shapley,
     shapley_coefficient_map,
     _ordered_subsets,
@@ -155,8 +154,7 @@ def linear_dependent_shapley(
             return model.beta0 + float(np.dot(model.beta, model.feature_mean))
         return linear_dependent_v(model, cond_mean, s, x_star)
 
-    table = ContributionVector.from_function(m, v)
-    ex = exact_shapley(table, m)
+    ex = exact_shapley(np.array([v(s) for s in _ordered_subsets(m)]))
     return TrueShapleyResult(phi0=ex.phi0, phi=ex.phi, method="closed_form")
 
 
@@ -329,19 +327,20 @@ def _quadrature_v_table(
     components: dict[Coalition, list[QuadratureComponent]],
     points: int,
     v_empty: float | None,
-) -> dict[Coalition, float]:
+) -> np.ndarray:
+    """v(S) of every coalition, in the row order of ``enumerate_coalitions(m)``."""
     m = x_star.shape[0]
-    table: dict[Coalition, float] = {}
-    for s in _ordered_subsets(m):
+    table = np.empty(2 ** m)
+    for i, s in enumerate(_ordered_subsets(m)):
         if len(s) == m:
-            table[s] = float(call_predictor(predictor, x_star[None, :])[0])
+            table[i] = float(call_predictor(predictor, x_star[None, :])[0])
         elif s in components:
-            table[s] = sum(
+            table[i] = sum(
                 comp.weight * _component_integral(predictor, s, x_star, comp, m, points)
                 for comp in components[s]
             )
         else:
-            table[s] = v_empty
+            table[i] = v_empty
     return table
 
 
@@ -400,7 +399,7 @@ def true_shapley_quadrature(
     table = _quadrature_v_table(
         predictor, x_star, components, grid_spec.points_per_axis, v_empty
     )
-    ex = exact_shapley(ContributionVector(m=m, values=table), m)
+    ex = exact_shapley(table)
     grid_meta = {
         "points_per_axis": grid_spec.points_per_axis,
         "half_width_sds": HALF_WIDTH_SDS,
@@ -410,10 +409,12 @@ def true_shapley_quadrature(
         fine = _quadrature_v_table(
             predictor, x_star, components, 2 * grid_spec.points_per_axis, v_empty
         )
-        ex_fine = exact_shapley(ContributionVector(m=m, values=fine), m)
+        ex_fine = exact_shapley(fine)
         delta = np.abs(ex_fine.phi - ex.phi)
         if np.max(delta) >= REFINE_TOL:
-            residuals = {s: abs(fine[s] - table[s]) for s in table}
+            residuals = {
+                s: float(r) for s, r in zip(_ordered_subsets(m), np.abs(fine - table))
+            }
             raise QuadratureConvergenceError(
                 f"quadrature not converged: max phi shift {np.max(delta):.3e} "
                 f">= {REFINE_TOL:g}",
@@ -451,12 +452,12 @@ def true_shapley_mc(
     m = dist.dim
     x_star = np.asarray(x_star, float).reshape(-1)
     subsets = _ordered_subsets(m)
-    v_est: dict[Coalition, float] = {}
+    v_est = np.empty(len(subsets))
     v_var: dict[Coalition, float] = {}
     for idx, s in enumerate(subsets):
         rng = np.random.default_rng([fold_seed(rng_seed), idx])
         if len(s) == m:
-            v_est[s] = float(call_predictor(predictor, x_star[None, :])[0])
+            v_est[idx] = float(call_predictor(predictor, x_star[None, :])[0])
             v_var[s] = 0.0
             continue
         if len(s) == 0:
@@ -468,9 +469,9 @@ def true_shapley_mc(
             synth = np.tile(x_star, (n_mc, 1))
             synth[:, sbar] = cond
             preds = call_predictor(predictor, synth)
-        v_est[s] = float(preds.mean())
+        v_est[idx] = float(preds.mean())
         v_var[s] = float(preds.var(ddof=1) / n_mc)
-    ex = exact_shapley(ContributionVector(m=m, values=v_est), m)
+    ex = exact_shapley(v_est)
     coeff = shapley_coefficient_map(m)
     se = np.zeros(m)
     for j in range(m):

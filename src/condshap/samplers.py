@@ -369,7 +369,6 @@ class CopulaState:
 
     sorted_columns: np.ndarray
     latent_correlation: np.ndarray
-    degenerate: tuple[int, ...] = ()
     plans: dict[Coalition, ConditioningPlan] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -447,7 +446,6 @@ def fit_copula(train: TrainingMatrix) -> CopulaState:
     return CopulaState(
         sorted_columns=np.sort(train.data.T, axis=1),
         latent_correlation=corr,
-        degenerate=tuple(degenerate),
     )
 
 
@@ -480,7 +478,6 @@ class EmpiricalWeights:
 
     distances: np.ndarray
     weights: np.ndarray
-    sigma: float
 
     @cached_property
     def ranked(self) -> np.ndarray:
@@ -534,7 +531,7 @@ def empirical_weights(
         raise ValueError(f"bandwidth sigma must be positive, got {sigma}")
     d = scaled_mahalanobis(train, s, x_star)
     w = np.exp(-(d ** 2) / (2.0 * sigma ** 2))
-    return EmpiricalWeights(distances=d, weights=w, sigma=float(sigma))
+    return EmpiricalWeights(distances=d, weights=w)
 
 
 def select_k(weights: EmpiricalWeights, eta: float, k_cap: int) -> int:
@@ -709,7 +706,7 @@ def aicc_bandwidth(
     hopeless = ~np.isfinite(criteria).any(axis=1)
     if hopeless.any():
         x_bad = block[int(np.argmax(hopeless))]
-        raise ValueError(
+        raise SchemaError(
             "AICc criterion infinite on the whole bandwidth grid "
             f"for x* = {np.array2string(x_bad, precision=6)}"
         )
@@ -851,6 +848,10 @@ class FittedSampler:
             self.copula = fit_copula(train)
         if parametric == "gaussian":
             train.checked_covariance  # an invalid covariance fails the fit
+        aicc = spec.kind in ("empirical", "combined") and spec.bandwidth_mode != "fixed"
+        if aicc and train.n < 4:
+            # Phi(H) is finite only when the AICc subsample holds n >= 4 rows.
+            raise SchemaError(f"AICc bandwidth needs n >= 4 training rows, got {train.n}")
 
     # -- bandwidth ---------------------------------------------------------
 

@@ -28,6 +28,7 @@ from ..oracles import (
 )
 from ..samplers import SamplerSpec, TrainingMatrix
 from .distributions import (
+    EquicorrelatedCov,
     GaussianFeatures,
     GHFeatures,
     GHParams,
@@ -101,6 +102,11 @@ class ExperimentConfig:
             raise ConfigError(f"quadrature_points must be >= 1, got {self.quadrature_points}")
         if self.n_mc < 2:
             raise ConfigError(f"n_mc must be >= 2, got {self.n_mc}")
+        if self.features.kind == "gaussian":
+            try:
+                EquicorrelatedCov(self.dimension, self.features.rho)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     @property
     def truth_method(self) -> str:

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condshap.coalitions import (
-    ContributionVector,
-    DEFAULT_C,
+    CoalitionMatrix,
     EFFICIENCY_RTOL,
     Explanation,
     WlsSolver,
@@ -18,19 +17,31 @@ from condshap.coalitions import (
     sample_coalitions,
     shapley_coefficient_map,
     shapley_kernel_weight,
-    solve_wls,
 )
 from condshap.errors import (
     DegenerateDesignError,
     EfficiencyViolationError,
     EnumerationTooLargeError,
-    IncompleteContributionError,
     InfiniteWeightCoalitionError,
 )
 
 
-def random_table(m: int, rng) -> ContributionVector:
-    return ContributionVector.from_function(m, lambda s: float(rng.standard_normal()))
+def game(m: int, fn) -> np.ndarray:
+    """The game v(S) = fn(S) over the rows of ``enumerate_coalitions(m)``."""
+    return np.array([fn(s) for s in enumerate_coalitions(m).coalitions], float)
+
+
+def rows_of(m: int, coalitions) -> np.ndarray:
+    """The row of each coalition in ``enumerate_coalitions(m)``."""
+    row = {s: i for i, s in enumerate(enumerate_coalitions(m).coalitions)}
+    return np.array([row[tuple(sorted(s))] for s in coalitions])
+
+
+def swap_rows(m: int, a: int, b: int) -> np.ndarray:
+    """Rows of every coalition with features a and b swapped, so that
+    ``v[swap_rows(m, a, b)]`` is the game with the two features relabelled."""
+    swap = {a: b, b: a}
+    return rows_of(m, [[swap.get(j, j) for j in s] for s in enumerate_coalitions(m).coalitions])
 
 
 class TestKernelWeight:
@@ -63,25 +74,18 @@ class TestEnumeration:
     def test_m1_both_rows_infinite(self):
         cm = enumerate_coalitions(1)
         assert cm.coalitions == ((), (0,))
-        assert np.all(cm.weights == DEFAULT_C)
+        assert np.all(cm.weights == np.inf)
 
     def test_m2_rows_and_weights(self):
         cm = enumerate_coalitions(2)
         assert cm.coalitions == ((), (0,), (1,), (0, 1))
-        assert cm.weights == pytest.approx([DEFAULT_C, 0.5, 0.5, DEFAULT_C])
+        assert cm.weights == pytest.approx([np.inf, 0.5, 0.5, np.inf])
 
     def test_m3_shape_and_weights(self):
         cm = enumerate_coalitions(3)
         assert cm.n_rows == 8
         assert cm.weights[cm.coalitions.index((0,))] == pytest.approx(1 / 3)
         assert cm.n_rows == 2 ** cm.m  # exhaustive
-
-    def test_z_matrix_encoding(self):
-        cm = enumerate_coalitions(4)
-        assert np.all(cm.z[:, 0] == 1.0)
-        for i, s in enumerate(cm.coalitions):
-            members = tuple(j for j in range(4) if cm.z[i, j + 1] == 1.0)
-            assert members == s
 
     def test_ordering_size_then_lex(self):
         cm = enumerate_coalitions(3)
@@ -104,7 +108,6 @@ class TestSampledCoalitions:
         b = sample_coalitions(10, 500, rng_seed=99)
         assert a.coalitions == b.coalitions
         assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.z, b.z)
 
     def test_multiplicities_sum_to_draws(self):
         n_draws = 20_000
@@ -112,7 +115,7 @@ class TestSampledCoalitions:
         proper = [i for i, s in enumerate(cm.coalitions) if 0 < len(s) < 4]
         assert cm.weights[proper].sum() == pytest.approx(n_draws)
         assert cm.coalitions[0] == () and cm.coalitions[-1] == (0, 1, 2, 3)
-        assert cm.weights[0] == DEFAULT_C and cm.weights[-1] == DEFAULT_C
+        assert cm.weights[0] == np.inf and cm.weights[-1] == np.inf
 
     def test_size_frequencies_match_kernel_mass(self):
         # For m=3 the two proper sizes carry equal total kernel mass.
@@ -130,15 +133,15 @@ class TestWlsSolver:
     def test_additive_game(self):
         cm = enumerate_coalitions(3)
         c = [1.0, 2.0, 3.0]
-        v = ContributionVector.from_function(3, lambda s: sum(c[j] for j in s))
-        e = solve_wls(cm, v)
+        v = game(3, lambda s: sum(c[j] for j in s))
+        e = WlsSolver(cm).solve(v)
         assert e.phi0 == pytest.approx(0.0, abs=1e-12)
         assert e.phi == pytest.approx(c, abs=1e-10)
 
     def test_symmetric_two_player_game(self):
         cm = enumerate_coalitions(2)
-        v = ContributionVector.from_mapping(2, {(): 0.0, (0,): 0.0, (1,): 0.0, (0, 1): 1.0})
-        e = solve_wls(cm, v)
+        v = np.array([0.0, 0.0, 0.0, 1.0])  # rows (), (0,), (1,), (0, 1)
+        e = WlsSolver(cm).solve(v)
         assert e.phi == pytest.approx([0.5, 0.5])
 
     def test_matches_exact_on_random_tables(self):
@@ -147,7 +150,7 @@ class TestWlsSolver:
             cm = enumerate_coalitions(m)
             solver = WlsSolver(cm)
             for _ in range(20):
-                v = random_table(m, rng)
+                v = rng.standard_normal(2 ** m)
                 a = solver.solve(v)
                 b = exact_shapley(v)
                 assert a.phi0 == pytest.approx(b.phi0, abs=1e-8)
@@ -158,43 +161,30 @@ class TestWlsSolver:
         cm = enumerate_coalitions(4)
         solver = WlsSolver(cm)
         for _ in range(5):
-            v = random_table(4, rng)
+            v = rng.standard_normal(2 ** 4)
             reused = solver.solve(v)
-            fresh = solve_wls(cm, v)
+            fresh = WlsSolver(cm).solve(v)
             assert reused.phi == pytest.approx(fresh.phi, abs=1e-14)
 
     def test_solver_works_on_sampled_design(self):
         rng = np.random.default_rng(5)
         cm = sample_coalitions(6, 4000, rng_seed=17)
-        v = random_table(6, rng)
-        e = solve_wls(cm, v.aligned_to(cm))
+        v = rng.standard_normal(2 ** 6)
+        e = WlsSolver(cm).solve(v[rows_of(6, cm.coalitions)])
         # Hard constraints hold exactly on sampled designs too.
-        assert e.phi0 == pytest.approx(v.value(()))
-        assert e.total == pytest.approx(v.value(tuple(range(6))))
+        assert e.phi0 == pytest.approx(v[0])
+        assert e.total == pytest.approx(v[-1])
 
     def test_degenerate_design_raises(self):
-        from condshap.coalitions import CoalitionMatrix, _build_z
-
-        coalitions = ((), (0,), (0, 1, 2))
         cm = CoalitionMatrix(
-            m=3,
-            coalitions=coalitions,
-            z=_build_z(3, coalitions),
-            weights=np.array([DEFAULT_C, 1.0, DEFAULT_C]),
+            m=3, coalitions=((), (0,), (0, 1, 2)), weights=np.array([np.inf, 1.0, np.inf])
         )
         with pytest.raises(DegenerateDesignError, match="condition number"):
             WlsSolver(cm)
 
     def test_design_without_the_full_row_raises(self):
-        from condshap.coalitions import CoalitionMatrix, _build_z
-
         coalitions = ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
-        cm = CoalitionMatrix(
-            m=3,
-            coalitions=coalitions,
-            z=_build_z(3, coalitions),
-            weights=np.array([DEFAULT_C] + [1.0] * 6),
-        )
+        cm = CoalitionMatrix(m=3, coalitions=coalitions, weights=np.array([np.inf] + [1.0] * 6))
         with pytest.raises(ValueError, match="must include the empty and full rows"):
             WlsSolver(cm)
 
@@ -202,6 +192,17 @@ class TestWlsSolver:
         cm = enumerate_coalitions(3)
         with pytest.raises(ValueError, match="rows"):
             WlsSolver(cm).solve(np.zeros(5))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_one_game_vector_for_both_solvers(self, m):
+        # The exact formula and the solver take the same array, in the
+        # enumeration's row order, and agree.
+        v = np.random.default_rng(m).standard_normal(2 ** m)
+        a = exact_shapley(v)
+        b = WlsSolver(enumerate_coalitions(m)).solve(v)
+        assert a.phi0 == b.phi0 == v[0]
+        assert a.prediction == b.prediction == v[-1]
+        assert b.phi == pytest.approx(a.phi, abs=1e-10)
 
 
 class TestExactShapley:
@@ -216,16 +217,16 @@ class TestExactShapley:
         assert coeff[0][(1, 2)] == pytest.approx(-1 / 3)
 
     def test_full_set_indicator_game(self):
-        v = ContributionVector.from_function(3, lambda s: 1.0 if len(s) == 3 else 0.0)
+        v = game(3, lambda s: 1.0 if len(s) == 3 else 0.0)
         e = exact_shapley(v)
         assert e.phi == pytest.approx([1 / 3, 1 / 3, 1 / 3])
         assert e.phi0 == 0.0
 
     def test_efficiency_on_random_table(self):
         rng = np.random.default_rng(0)
-        v = random_table(4, rng)
+        v = rng.standard_normal(2 ** 4)
         e = exact_shapley(v)
-        assert e.total == pytest.approx(v.value((0, 1, 2, 3)), abs=1e-10)
+        assert e.total == pytest.approx(v[-1], abs=1e-10)
 
     @pytest.mark.parametrize("prediction", [0.5, 1000.0])
     def test_check_efficiency_tolerance(self, prediction):
@@ -241,10 +242,16 @@ class TestExactShapley:
         with pytest.raises(EfficiencyViolationError, match="efficiency violated"):
             Explanation(phi0=0.0, phi=phi, prediction=0.5).check_efficiency()
 
-    def test_missing_value_raises(self):
-        v = ContributionVector(m=2, values={(): 0.0, (0,): 1.0, (0, 1): 2.0})
-        with pytest.raises(IncompleteContributionError, match="incomplete"):
-            exact_shapley(v)
+    @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (6,), (2, 2)])
+    def test_wrong_length_raises(self, shape):
+        with pytest.raises(ValueError, match="2\\^m entries"):
+            exact_shapley(np.zeros(shape))
+        with pytest.raises(ValueError, match="design has 4 rows"):
+            WlsSolver(enumerate_coalitions(2)).solve(np.zeros(shape))
+
+    def test_above_the_cap_raises(self):
+        with pytest.raises(EnumerationTooLargeError, match="m <= 13"):
+            exact_shapley(np.zeros(2 ** 14))
 
     def test_kernel_mass_normalization(self):
         # Combinatorial weights over all S excluding j sum to 1 for each j.
@@ -261,55 +268,39 @@ class TestAxioms:
     def test_symmetry_exact_and_wls(self):
         rng = np.random.default_rng(10)
         m, a, b = 4, 1, 3
-        base = {s: float(rng.standard_normal()) for s in enumerate_coalitions(m).coalitions}
-
-        def swap(s):
-            return tuple(sorted({a if j == b else b if j == a else j for j in s}))
-
-        sym = {s: 0.5 * (base[s] + base[swap(s)]) for s in base}
-        v = ContributionVector.from_mapping(m, sym)
+        base = rng.standard_normal(2 ** m)
+        v = 0.5 * (base + base[swap_rows(m, a, b)])
         e = exact_shapley(v)
         assert e.phi[a] == pytest.approx(e.phi[b], abs=1e-12)
-        w = solve_wls(enumerate_coalitions(m), v)
+        w = WlsSolver(enumerate_coalitions(m)).solve(v)
         assert w.phi[a] == pytest.approx(w.phi[b], abs=1e-8)
 
     def test_permutation_symmetry(self):
         # Permuting two features permutes their phi values exactly.
         rng = np.random.default_rng(14)
         m, a, b = 5, 0, 2
-        base = {s: float(rng.standard_normal()) for s in enumerate_coalitions(m).coalitions}
-
-        def swap(s):
-            return tuple(sorted({a if j == b else b if j == a else j for j in s}))
-
-        permuted = {s: base[swap(s)] for s in base}
-        e1 = exact_shapley(ContributionVector.from_mapping(m, base))
-        e2 = exact_shapley(ContributionVector.from_mapping(m, permuted))
+        base = rng.standard_normal(2 ** m)
+        e1 = exact_shapley(base)
+        e2 = exact_shapley(base[swap_rows(m, a, b)])
         assert e2.phi[a] == pytest.approx(e1.phi[b], abs=1e-12)
         assert e2.phi[b] == pytest.approx(e1.phi[a], abs=1e-12)
 
     def test_dummy_player(self):
         rng = np.random.default_rng(11)
         m, dummy = 4, 2
-        values = {}
-        for s in enumerate_coalitions(m).coalitions:
-            if dummy in s:
-                continue
-            values[s] = float(rng.standard_normal())
-        for s in list(values):
-            values[tuple(sorted(s + (dummy,)))] = values[s]
-        v = ContributionVector.from_mapping(m, values)
+        without = [s for s in enumerate_coalitions(m).coalitions if dummy not in s]
+        v = np.empty(2 ** m)
+        v[rows_of(m, without)] = rng.standard_normal(len(without))
+        v[rows_of(m, [s + (dummy,) for s in without])] = v[rows_of(m, without)]
         assert abs(exact_shapley(v).phi[dummy]) < 1e-10
-        assert abs(solve_wls(enumerate_coalitions(m), v).phi[dummy]) < 1e-8
+        assert abs(WlsSolver(enumerate_coalitions(m)).solve(v).phi[dummy]) < 1e-8
 
     def test_linearity(self):
         rng = np.random.default_rng(12)
         m, a = 4, -2.5
-        v = random_table(m, rng)
-        w = random_table(m, rng)
-        combo = ContributionVector.from_mapping(
-            m, {s: a * v.values[s] + w.values[s] for s in v.values}
-        )
+        v = rng.standard_normal(2 ** m)
+        w = rng.standard_normal(2 ** m)
+        combo = a * v + w
         ev, ew, ec = exact_shapley(v), exact_shapley(w), exact_shapley(combo)
         assert ec.phi == pytest.approx(a * ev.phi + ew.phi, abs=1e-10)
         assert ec.phi0 == pytest.approx(a * ev.phi0 + ew.phi0, abs=1e-10)
@@ -321,9 +312,9 @@ class TestAxioms:
     @settings(max_examples=40, deadline=None)
     def test_wls_equals_exact_property(self, m, seed):
         rng = np.random.default_rng(seed)
-        v = random_table(m, rng)
-        a = solve_wls(enumerate_coalitions(m), v)
+        v = rng.standard_normal(2 ** m)
+        a = WlsSolver(enumerate_coalitions(m)).solve(v)
         b = exact_shapley(v)
         assert np.allclose(a.phi, b.phi, atol=1e-8)
         assert a.phi0 == pytest.approx(b.phi0, abs=1e-8)
-        assert b.total == pytest.approx(v.value(tuple(range(m))), abs=1e-9)
+        assert b.total == pytest.approx(v[-1], abs=1e-9)

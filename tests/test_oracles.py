@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from condshap import oracles
-from condshap.coalitions import ContributionVector, exact_shapley
+from condshap.coalitions import enumerate_coalitions, exact_shapley
 from condshap.errors import QuadratureConvergenceError
 from condshap.oracles import (
     HALF_WIDTH_SDS,
@@ -55,7 +55,7 @@ class TestLinearIndependent:
                 total += model.beta[j] * (x_star[j] if j in s else model.feature_mean[j])
             return total
 
-        table = ContributionVector.from_function(3, v)
+        table = np.array([v(s) for s in enumerate_coalitions(3).coalitions])
         combinatorial = exact_shapley(table)
         closed = linear_independent_shapley(model, x_star)
         assert combinatorial.phi == pytest.approx(closed.phi, abs=1e-10)

@@ -362,11 +362,7 @@ class TestSelectK:
     @staticmethod
     def from_weights(w):
         w = np.asarray(w, float)
-        return EmpiricalWeights(
-            distances=np.zeros_like(w),
-            weights=w,
-            sigma=1.0,
-        )
+        return EmpiricalWeights(distances=np.zeros_like(w), weights=w)
 
     def test_equal_weights_085(self):
         assert select_k(self.from_weights(np.ones(10)), 0.85, 5000) == 9
@@ -437,7 +433,7 @@ class TestTopK:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_k_matches_stable_argsort(self, name):
         w = self.CASES[name]
-        ew = EmpiricalWeights(distances=np.zeros_like(w), weights=w, sigma=1.0)
+        ew = EmpiricalWeights(distances=np.zeros_like(w), weights=w)
         order = _stable_order(w)
         assert np.array_equal(ew.ranked, w[order])
         for k in range(1, len(w) + 1):  # up to K = n
@@ -453,7 +449,7 @@ class TestTopK:
     def test_heavy_ties_match_stable_argsort(self, levels, k):
         # Few distinct levels, zero among them: ties straddle every boundary.
         w = np.exp(-np.asarray(levels, float)) * (np.asarray(levels) < 4)
-        ew = EmpiricalWeights(distances=np.zeros_like(w), weights=w, sigma=1.0)
+        ew = EmpiricalWeights(distances=np.zeros_like(w), weights=w)
         order = _stable_order(w)
         assert np.array_equal(ew.ranked, w[order])
         assert np.array_equal(ew.top(k), order[:k])

@@ -95,6 +95,19 @@ OUT_OF_ORDER_MODEL = textwrap.dedent(
     """
 )
 
+NAN_MODEL = textwrap.dedent(
+    """
+    import json, sys
+    for line in sys.stdin:
+        line = line.strip()
+        if not line:
+            continue
+        req = json.loads(line)
+        print(json.dumps({"id": req["id"], "predictions": [float("nan")] * len(req["rows"])}),
+              flush=True)
+    """
+)
+
 SHORT_MODEL = textwrap.dedent(
     """
     import json, sys
@@ -837,6 +850,17 @@ class TestCliBadInput:
         assert f"{key} must be >= {bound}, got {value}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho", ["1.5", "-0.6"])
+    def test_simulate_rho_out_of_range(self, tmp_path, rho):
+        # In three dimensions an equicorrelated Sigma is positive definite for -1/2 < rho < 1.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n_test = 1\nbatches = 1\ndimension = 3\nrho = {rho}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["simulate", str(cfg), "--output-dir", str(out)])
+        self.assert_clean_exit(result, 2)
+        assert f"rho={rho} outside the positive-definite range (-0.5000, 1)" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_aicc", ["0", "-5", "1", "3"])
     def test_simulate_small_n_aicc(self, tmp_path, n_aicc):
         cfg = tmp_path / "sim.cfg"
@@ -858,6 +882,31 @@ class TestCliBadInput:
         result = self.explain(tmp_path, train, test, "--estimator", "copula")
         self.assert_clean_exit(result, 2)
         assert "n >= 20" in result.output
+
+    def test_explain_aicc_on_three_rows(self, tmp_path):
+        # The AICc subsample would hold 3 rows, and Phi(H) is infinite below 4.
+        rows = [[0.1, 0.5, 1.0], [0.7, -0.2, 0.3], [-0.4, 0.9, 0.2]]
+        train = self.write_csv(tmp_path / "three.csv", ["f1", "f2", "target"], rows)
+        test = self.write_csv(tmp_path / "test2.csv", ["f1", "f2"], [[0.2, 0.3]])
+        result = self.explain(
+            tmp_path, train, test, "--model", "ols", "--estimator", "empirical-aicc-exact"
+        )
+        self.assert_clean_exit(result, 2)
+        assert "AICc bandwidth needs n >= 4 training rows, got 3" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_explain_aicc_on_nan_predictions(self, tmp_path):
+        train, test = make_dataset(tmp_path)
+        script = tmp_path / "nan_model.py"
+        script.write_text(NAN_MODEL, encoding="utf-8")
+        result = self.explain(
+            tmp_path, train, test, "--model", "external",
+            "--model-command", f"{sys.executable} -u {script}",
+            "--estimator", "empirical-aicc-exact",
+        )
+        self.assert_clean_exit(result, 2)
+        assert "AICc criterion infinite on the whole bandwidth grid" in result.output
+        assert not (tmp_path / "x.csv").exists()
 
     def test_efficiency_violation_exits_1(self, tmp_path, monkeypatch):
         solve = WlsSolver.solve

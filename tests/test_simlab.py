@@ -800,6 +800,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(estimators=())
 
+    def test_gaussian_rho_range_depends_on_dimension(self):
+        # -1/(m-1) < rho < 1: -0.2 is inside the range at m=3, outside at m=10.
+        ExperimentConfig(dimension=3, features=FeatureFamily("gaussian", rho=-0.2))
+        with pytest.raises(ConfigError, match="rho=-0.2 outside"):
+            ExperimentConfig(dimension=10, features=FeatureFamily("gaussian", rho=-0.2))
+        # Only the Gaussian family reads rho.
+        ExperimentConfig(features=FeatureFamily("mixture", rho=1.5, gamma=1.0))
+
     def test_truth_method_by_dimension(self):
         assert ExperimentConfig(dimension=3).truth_method == "quadrature"
         assert (

@@ -14,7 +14,8 @@ the same bytes.  The outputs are:
   estimators with the stump model and with an external JSON-lines model;
 - ``condshap cluster`` on a tie-heavy CSV;
 - ``condshap simulate`` reports for a Gaussian, a mixture, a piecewise and
-  a GH config;
+  a 3-D GH config, and for the ten-feature GH config, whose Monte Carlo
+  truth draws from GH conditionals;
 - in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
   in reverse order, near-singular and constant-margin training sets, and the
   AICc estimators explained as a block and one instance at a time, and
@@ -69,6 +70,9 @@ SIMULATIONS = {
     # GIG mixture for the mean prediction.
     "sim-gh": {"features": "gh", "kappa": 2.0, "quadrature_refine": "false", "n_train": 150,
                "estimators": "original,gaussian,empirical-0.1"},
+    # The ten-feature GH block: its Monte Carlo truth draws from GH conditionals.
+    "sim-gh10": {"dimension": 10, "features": "gh", "estimators": "original,gaussian",
+                 "n_train": 300, "n_test": 2, "batches": 1, "k": 50, "n_mc": 200},
 }
 SIMULATION_COMMON = {"n_train": 300, "n_test": 3, "batches": 2, "k": 200, "seed": 5,
                      "quadrature_points": 24, "n_aicc": 120, "d_star": 1}
@@ -259,12 +263,14 @@ def gh_outputs(run: Run) -> None:
 
 
 def mixture_outputs(run: Run) -> None:
+    from dataclasses import replace
+
     from condshap.simlab import MixtureFeatures, MixtureParams
 
     # Features 0 and 2 nearly collinear: every Sigma_SS holding both has
     # cond about 2e9, above the ridge threshold, yet its Cholesky succeeds.
     cov = np.array([[1.0, 0.3, 1.0 - 1e-9], [0.3, 1.0, 0.3], [1.0 - 1e-9, 0.3, 1.0]])
-    dist = MixtureFeatures(MixtureParams(1.0, MixtureParams.from_gamma(1.0).means, cov))
+    dist = MixtureFeatures(replace(MixtureParams.from_gamma(1.0), cov=cov))
     x = np.array([0.5, -0.2, 0.45])
     lines = []
     with warnings.catch_warnings(record=True) as caught:

@@ -3,14 +3,15 @@
 Requests are single lines ``{"id": n, "rows": [[...], ...]}``; the model
 answers ``{"id": n, "predictions": [...]}`` with one prediction per row.
 Responses may arrive in any order and are matched by id.  Any malformed
-line, length mismatch, timeout, or mid-stream exit raises ModelProtocolError
-with an excerpt of the offending payload; noise on stdout never crashes the
-host.
+line, length mismatch, non-finite prediction, timeout, or mid-stream exit
+raises ModelProtocolError with an excerpt of the offending payload; noise on
+stdout never crashes the host.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import queue
 import subprocess
 import threading
@@ -19,10 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ModelProtocolError
+from ..errors import ConfigError, ModelProtocolError
 
 MAX_BATCH_ROWS = 2_000
 HANDSHAKE_ID = 0
+# The longest single wait on the response queue.  A longer timeout waits in
+# slices: one lock wait beyond threading.TIMEOUT_MAX (about 9e9 s) overflows.
+MAX_WAIT_S = 3600.0
 
 
 def _excerpt(text: str, limit: int = 200) -> str:
@@ -39,6 +43,10 @@ class ExternalModel:
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 60.0):
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigError(
+                f"model timeout must be a finite number of seconds > 0, got {timeout}"
+            )
         self.timeout = timeout
         self._lock = threading.Lock()
         self._next_id = HANDSHAKE_ID + 1
@@ -95,11 +103,9 @@ class ExternalModel:
                     f"model timed out after {self.timeout:.0f} s waiting for id {request_id}"
                 )
             try:
-                line = self._lines.get(timeout=remaining)
+                line = self._lines.get(timeout=min(remaining, MAX_WAIT_S))
             except queue.Empty:
-                raise ModelProtocolError(
-                    f"model timed out after {self.timeout:.0f} s waiting for id {request_id}"
-                ) from None
+                continue
             if line is None:
                 raise ModelProtocolError(
                     f"model process exited mid-stream (exit code {self._proc.poll()})"
@@ -132,11 +138,16 @@ class ExternalModel:
                 f"id {request_id}: got {len(preds)} predictions for {n_rows} rows"
             )
         try:
-            return [float(p) for p in preds]
+            values = [float(p) for p in preds]
         except (TypeError, ValueError):
             raise ModelProtocolError(
                 f"id {request_id}: non-numeric prediction in {_excerpt(str(preds))!r}"
             ) from None
+        if not all(map(math.isfinite, values)):
+            raise ModelProtocolError(
+                f"id {request_id}: non-finite prediction in {_excerpt(str(preds))!r}"
+            )
+        return values
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, float))

@@ -4,6 +4,8 @@ Three families, each with exact conditional samplers and densities so the
 oracles can compute reference Shapley values: equicorrelated Gaussian,
 generalized hyperbolic (a normal mean-variance mixture with a generalized
 inverse Gaussian mixing variable), and a two-component Gaussian mixture.
+Every GH law, conditionals included, is one :class:`GHParams` (lam, chi, psi,
+mu, Sigma, beta); the experiments' symmetric laws set chi = psi = omega.
 
 A component density is factored once, when its law is fixed:
 :class:`GaussianDensity` and :class:`GHDensity` hold the whitening matrix
@@ -319,17 +321,21 @@ def gig_logpdf(w: np.ndarray, lam: float, chi: float, psi: float) -> np.ndarray:
 
 @dataclass
 class GHParams:
-    """Symmetric-concentration GH parameters: W ~ GIG(lam, omega, omega)."""
+    """A GH law: X = mu + W beta_skew + sqrt(W) U, W ~ GIG(lam, chi, psi), U ~ N(0, sigma).
+
+    The family is closed under conditioning (:func:`gh_conditional`).  The
+    experiments' symmetric case W ~ GIG(lam, omega, omega) is chi = psi = omega.
+    """
 
     lam: float
-    omega: float
+    chi: float
+    psi: float
     mu: np.ndarray
     sigma: np.ndarray
     beta_skew: np.ndarray
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        _check_gig_params(self.lam, self.chi, self.psi)
         self.mu = np.asarray(self.mu, float).reshape(-1)
         self.beta_skew = np.asarray(self.beta_skew, float).reshape(-1)
         self.sigma = np.asarray(self.sigma, float)
@@ -343,44 +349,17 @@ class GHParams:
 
     @classmethod
     def from_kappa(cls, m: int, kappa: float) -> "GHParams":
-        """Skewness ladder used by the 3-D experiments: lam = 1, omega = 0.5,
+        """Skewness ladder used by the 3-D experiments: lam = 1, chi = psi = 0.5,
         beta = (kappa/4) 1, location shifted so the distribution has mean zero."""
         beta = (kappa / 4.0) * np.ones(m)
         return cls(
             lam=1.0,
-            omega=0.5,
+            chi=0.5,
+            psi=0.5,
             mu=-gig_mean(1.0, 0.5, 0.5) * beta,
             sigma=np.eye(m),
             beta_skew=beta,
         )
-
-
-def gh_params_10d() -> GHParams:
-    """The explicit ten-feature parameter block used by the moderate-dimension
-    experiment with skewed, heavy-tailed features."""
-    return GHParams(
-        lam=1.0,
-        omega=0.5,
-        mu=3.0 * np.ones(10),
-        sigma=np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 3.0]),
-        beta_skew=np.array([1, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.5, 0.5], float),
-    )
-
-
-@dataclass
-class GHStarParams:
-    """General (lam, chi, psi) parameterization, closed under conditioning."""
-
-    lam: float
-    chi: float
-    psi: float
-    mu: np.ndarray
-    sigma: np.ndarray
-    beta_skew: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
 
     def mixing_moments(self) -> tuple[float, float]:
         return (
@@ -396,42 +375,39 @@ class GHStarParams:
         return ew * self.sigma + vw * np.outer(self.beta_skew, self.beta_skew)
 
 
-def _as_star(params: GHParams | GHStarParams) -> GHStarParams:
-    if isinstance(params, GHStarParams):
-        return params
-    return GHStarParams(
-        lam=params.lam,
-        chi=params.omega,
-        psi=params.omega,
-        mu=params.mu,
-        sigma=params.sigma,
-        beta_skew=params.beta_skew,
+def gh_params_10d() -> GHParams:
+    """The explicit ten-feature parameter block used by the moderate-dimension
+    experiment with skewed, heavy-tailed features."""
+    return GHParams(
+        lam=1.0,
+        chi=0.5,
+        psi=0.5,
+        mu=3.0 * np.ones(10),
+        sigma=np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 3.0]),
+        beta_skew=np.array([1, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.5, 0.5], float),
     )
 
 
 def sample_gh(params: GHParams, n: int, rng_seed) -> TrainingMatrix:
     """Draws via the mixture representation X = mu + W beta + sqrt(W) U."""
     rng = np.random.default_rng(rng_seed)
-    data = _sample_gh_star(_as_star(params), n, rng)
-    return TrainingMatrix.from_data(data)
+    return TrainingMatrix.from_data(_sample_gh(params, n, rng))
 
 
-def _sample_gh_star(star: GHStarParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    w = sample_gig(star.lam, star.chi, star.psi, n, rng)
-    u = _sample_gaussian(np.zeros(star.dim), star.sigma, n, rng)
-    return star.mu[None, :] + w[:, None] * star.beta_skew[None, :] + np.sqrt(w)[:, None] * u
+def _sample_gh(params: GHParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    w = sample_gig(params.lam, params.chi, params.psi, n, rng)
+    u = _sample_gaussian(np.zeros(params.dim), params.sigma, n, rng)
+    return params.mu[None, :] + w[:, None] * params.beta_skew[None, :] + np.sqrt(w)[:, None] * u
 
 
-def gh_conditional(
-    params: GHParams | GHStarParams, s: Coalition, x_s: np.ndarray
-) -> GHStarParams:
+def gh_conditional(params: GHParams, s: Coalition, x_s: np.ndarray) -> GHParams:
     """Conditional GH law of the complement features given x_s, through a fresh plan."""
     return GHFeatures(params)._conditional(s, x_s)
 
 
 @dataclass(frozen=True)
 class GHDensity:
-    """The density of one (lam, chi, psi) GH law, factored once.
+    """The density of one GH law, factored once.
 
     Everything that does not depend on the points is computed when the law
     is fixed: the whitening matrix W (the inverse Cholesky factor of Sigma),
@@ -440,35 +416,35 @@ class GHDensity:
     evaluates K_nu at them.
     """
 
-    star: GHStarParams
+    law: GHParams
     whiten: np.ndarray
     q: float
     skew: np.ndarray  # Sigma^{-1} beta
     log_norm: float
 
     @classmethod
-    def from_law(cls, star: GHStarParams) -> "GHDensity":
-        whiten, logdet = _whitening(np.linalg.cholesky(star.sigma))
-        beta_white = whiten @ star.beta_skew
-        omega = math.sqrt(star.chi * star.psi)
-        log_k_lam = math.log(_scipy("special").kve(star.lam, omega)) - omega
+    def from_law(cls, law: GHParams) -> "GHDensity":
+        whiten, logdet = _whitening(np.linalg.cholesky(law.sigma))
+        beta_white = whiten @ law.beta_skew
+        omega = math.sqrt(law.chi * law.psi)
+        log_k_lam = math.log(_scipy("special").kve(law.lam, omega)) - omega
         log_norm = (
-            (star.lam / 2.0) * (math.log(star.psi) - math.log(star.chi))
-            - (star.dim / 2.0) * math.log(2.0 * math.pi)
+            (law.lam / 2.0) * (math.log(law.psi) - math.log(law.chi))
+            - (law.dim / 2.0) * math.log(2.0 * math.pi)
             - 0.5 * logdet
             - log_k_lam
         )
-        return cls(star, whiten, float(beta_white @ beta_white), whiten.T @ beta_white, log_norm)
+        return cls(law, whiten, float(beta_white @ beta_white), whiten.T @ beta_white, log_norm)
 
     def logpdf(self, points: np.ndarray) -> np.ndarray:
-        star = self.star
-        nu = star.lam - star.dim / 2.0
-        diff = _centered(points, star.mu)
+        law = self.law
+        nu = law.lam - law.dim / 2.0
+        diff = _centered(points, law.mu)
         delta = _mahalanobis(self.whiten, diff)
-        arg = np.sqrt((star.chi + delta) * (star.psi + self.q))
+        arg = np.sqrt((law.chi + delta) * (law.psi + self.q))
         log_k_nu = np.log(_scipy("special").kve(nu, arg)) - arg
         return (
-            (nu / 2.0) * (np.log(star.chi + delta) - math.log(star.psi + self.q))
+            (nu / 2.0) * (np.log(law.chi + delta) - math.log(law.psi + self.q))
             + log_k_nu
             + self.log_norm
             + np.sum(self.skew[:, None] * diff, axis=0)
@@ -482,7 +458,7 @@ class GHDensity:
 class GHFeatures:
     """GH feature distribution exposing the oracle handle protocol; one plan per coalition."""
 
-    params: GHParams | GHStarParams
+    params: GHParams
     _plans: dict[Coalition, ConditioningPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -491,18 +467,15 @@ class GHFeatures:
     def dim(self) -> int:
         return self.params.dim
 
-    def star(self) -> GHStarParams:
-        return _as_star(self.params)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _sample_gh_star(self.star(), n, rng)
+        return _sample_gh(self.params, n, rng)
 
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        return _sample_gh_star(self._conditional(s, x_s), n, rng)
+        return _sample_gh(self._conditional(s, x_s), n, rng)
 
-    def _conditional(self, s: Coalition, x_s: np.ndarray) -> GHStarParams:
+    def _conditional(self, s: Coalition, x_s: np.ndarray) -> GHParams:
         """The GH law given x_S = x_s, through the plan for s.
 
         With L the plan's Cholesky factor of Sigma_SS: mu and Sigma condition
@@ -510,22 +483,22 @@ class GHFeatures:
         chi_c = chi + |L^{-1}(x_s - mu_S)|^2, psi_c = psi + |L^{-1} beta_S|^2
         and lam_c = lam - |S|/2.
         """
-        star = self.star()
+        p = self.params
         s, x_s = _sorted_coalition(s, x_s)
         if not s:
-            return star
-        plan = _plan_for(self._plans, star.sigma, s, "gh conditional")
-        beta_s = star.beta_skew[plan.s]
+            return p
+        plan = _plan_for(self._plans, p.sigma, s, "gh conditional")
+        beta_s = p.beta_skew[plan.s]
         white = _scipy("linalg").solve_triangular(
-            plan.chol, np.column_stack([x_s - star.mu[plan.s], beta_s]), lower=True
+            plan.chol, np.column_stack([x_s - p.mu[plan.s], beta_s]), lower=True
         )
-        return GHStarParams(
-            lam=star.lam - len(s) / 2.0,
-            chi=star.chi + float(white[:, 0] @ white[:, 0]),
-            psi=star.psi + float(white[:, 1] @ white[:, 1]),
-            mu=plan.mean(star.mu, x_s),
+        return GHParams(
+            lam=p.lam - len(s) / 2.0,
+            chi=p.chi + float(white[:, 0] @ white[:, 0]),
+            psi=p.psi + float(white[:, 1] @ white[:, 1]),
+            mu=plan.mean(p.mu, x_s),
             sigma=plan.sigma,
-            beta_skew=star.beta_skew[plan.sbar] - beta_s @ plan.coef,
+            beta_skew=p.beta_skew[plan.sbar] - beta_s @ plan.coef,
         )
 
     def conditional_components(
@@ -535,7 +508,7 @@ class GHFeatures:
             # The unconditional law integrates poorly as one tensor grid (a
             # skewed ridge along the mixing direction); decompose it into
             # Gaussians over mixing-variable quadrature nodes instead.
-            return _gh_mixing_components(self.star())
+            return _gh_mixing_components(self.params)
         cond = self._conditional(s, x_s)
         center = cond.mean()
         sd = np.sqrt(np.clip(np.diag(cond.covariance()), 1e-300, None))
@@ -557,7 +530,7 @@ class GHFeatures:
 # ---------------------------------------------------------------------------
 
 
-def _gh_mixing_components(star: GHStarParams) -> list[QuadratureComponent]:
+def _gh_mixing_components(law: GHParams) -> list[QuadratureComponent]:
     """Gaussian-mixture decomposition of a GH law over its mixing variable.
 
     X | W=w is N(mu + w beta, w Sigma); the mixing density is discretized by
@@ -565,17 +538,17 @@ def _gh_mixing_components(star: GHStarParams) -> list[QuadratureComponent]:
     exponential tails reach 25.  The weights sum to 1 up to the (tiny)
     truncation error, which the refinement check would surface.
     """
-    lo = math.log(star.chi / 50.0)
-    hi = math.log(50.0 / star.psi)
+    lo = math.log(law.chi / 50.0)
+    hi = math.log(50.0 / law.psi)
     nodes, weights = gauss_legendre(48)
     t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     glw = 0.5 * (hi - lo) * weights
     w = np.exp(t)
-    mass = np.exp(gig_logpdf(w, star.lam, star.chi, star.psi)) * w * glw
+    mass = np.exp(gig_logpdf(w, law.lam, law.chi, law.psi)) * w * glw
     comps = []
     for wk, pk in zip(w, mass):
-        mean = star.mu + wk * star.beta_skew
-        cov = wk * star.sigma
+        mean = law.mu + wk * law.beta_skew
+        cov = wk * law.sigma
         sd = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
         comps.append(
             QuadratureComponent(
@@ -589,7 +562,7 @@ def _gh_mixing_components(star: GHStarParams) -> list[QuadratureComponent]:
 
 
 def _gh_quadrature_box(
-    star: GHStarParams, center: np.ndarray, sd: np.ndarray
+    law: GHParams, center: np.ndarray, sd: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Asymmetric integration bounds covering the semi-heavy GH tails.
 
@@ -598,14 +571,13 @@ def _gh_quadrature_box(
     the box extends to where that exponent reaches 20 (relative mass
     ~ 2e-9), and never less than eight sds.
     """
-    s_diag = np.clip(np.diag(star.sigma), 1e-12, None)
-    beta = star.beta_skew
-    root = np.sqrt((star.psi + beta**2 / s_diag) / s_diag)
+    s_diag = np.clip(np.diag(law.sigma), 1e-12, None)
+    beta = law.beta_skew
+    root = np.sqrt((law.psi + beta**2 / s_diag) / s_diag)
     a_right = np.clip(root - beta / s_diag, 1e-9, None)
     a_left = np.clip(root + beta / s_diag, 1e-9, None)
-    mu = star.mu
-    hi = np.maximum(center + 8.0 * sd, mu + 20.0 / a_right)
-    lo = np.minimum(center - 8.0 * sd, mu - 20.0 / a_left)
+    hi = np.maximum(center + 8.0 * sd, law.mu + 20.0 / a_right)
+    lo = np.minimum(center - 8.0 * sd, law.mu - 20.0 / a_left)
     return lo, hi
 
 
@@ -613,7 +585,6 @@ def _gh_quadrature_box(
 class MixtureParams:
     """Equal-weight two-component Gaussian mixture with opposite means."""
 
-    gamma: float
     means: np.ndarray  # (2, m)
     cov: np.ndarray
     weights: tuple[float, float] = (0.5, 0.5)
@@ -630,11 +601,7 @@ class MixtureParams:
         and a common equicorrelated covariance with rho = 0.2."""
         pattern = np.resize(np.array([1.0, -0.5, 1.0]), m)
         mu1 = gamma * pattern
-        return cls(
-            gamma=gamma,
-            means=np.stack([mu1, -mu1]),
-            cov=EquicorrelatedCov(m, 0.2).matrix(),
-        )
+        return cls(means=np.stack([mu1, -mu1]), cov=EquicorrelatedCov(m, 0.2).matrix())
 
     @property
     def dim(self) -> int:

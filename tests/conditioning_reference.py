@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from condshap.samplers import _ridge, _sorted_coalition
-from condshap.simlab.distributions import GHParams, GHStarParams, _as_star
+from condshap.simlab.distributions import GHParams
 
 
 def _ridged(block: np.ndarray, ridge: float) -> np.ndarray:
@@ -83,14 +83,11 @@ def reference_conditional_moments(
     return mu_cond, sigma_cond
 
 
-def reference_gh_conditional(
-    params: GHParams | GHStarParams, s, x_s: np.ndarray
-) -> GHStarParams:
+def reference_gh_conditional(star: GHParams, s, x_s: np.ndarray) -> GHParams:
     """Conditional GH law of the complement features given x_s.
 
     The psi update is beta_1' Sigma_11^{-1} beta_1.
     """
-    star = _as_star(params) if isinstance(params, GHParams) else params
     s, x_s = _sorted_coalition(s, x_s)
     d = star.dim
     sbar = tuple(j for j in range(d) if j not in s)
@@ -114,6 +111,6 @@ def reference_gh_conditional(
     sigma_c = sig22 - sig12.T @ b
     sigma_c = 0.5 * (sigma_c + sigma_c.T)
     beta_c = beta2 - sig12.T @ beta_solved
-    return GHStarParams(
+    return GHParams(
         lam=lam_c, chi=chi_c, psi=psi_c, mu=mu_c, sigma=sigma_c, beta_skew=beta_c
     )

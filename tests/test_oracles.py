@@ -152,7 +152,7 @@ class TestQuadrature:
     def test_gh_mixing_decomposition_mass(self):
         from condshap.simlab.distributions import _gh_mixing_components
 
-        star = GHFeatures(GHParams.from_kappa(3, kappa=5.0)).star()
+        star = GHParams.from_kappa(3, kappa=5.0)
         total = sum(c.weight for c in _gh_mixing_components(star))
         assert total == pytest.approx(1.0, abs=1e-8)
 

@@ -341,6 +341,15 @@ class TestProtocol:
         with pytest.raises(ModelProtocolError, match="timed out"):
             ExternalModel(model_command(SLOW_MODEL), timeout=0.5)
 
+    def test_huge_timeout_waits_in_slices(self):
+        with ExternalModel(model_command(MEAN_MODEL), timeout=1e308) as model:
+            assert model(np.ones((2, 3))) == pytest.approx([1.0, 1.0])
+
+    def test_non_finite_prediction_names_its_id(self):
+        with pytest.raises(ModelProtocolError, match="id 1: non-finite prediction"):
+            with ExternalModel(model_command(NAN_MODEL), timeout=15) as model:
+                model(np.ones((2, 2)))
+
     def test_handshake_failure_on_bad_length(self):
         bad = textwrap.dedent(
             """
@@ -895,18 +904,31 @@ class TestCliBadInput:
         assert "AICc bandwidth needs n >= 4 training rows, got 3" in result.output
         assert not (tmp_path / "x.csv").exists()
 
-    def test_explain_aicc_on_nan_predictions(self, tmp_path):
+    @pytest.mark.parametrize("estimator", ["gaussian", "empirical-0.1", "empirical-aicc-exact"])
+    def test_explain_aicc_on_nan_predictions(self, tmp_path, estimator):
         train, test = make_dataset(tmp_path)
         script = tmp_path / "nan_model.py"
         script.write_text(NAN_MODEL, encoding="utf-8")
         result = self.explain(
             tmp_path, train, test, "--model", "external",
             "--model-command", f"{sys.executable} -u {script}",
-            "--estimator", "empirical-aicc-exact",
+            "--estimator", estimator,
+        )
+        self.assert_clean_exit(result, 3)
+        assert "non-finite prediction" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-1", "inf"])
+    def test_explain_bad_timeout_before_model_start(self, tmp_path, timeout):
+        train, test = make_dataset(tmp_path)
+        result = self.explain(
+            tmp_path, train, test, "--model", "external",
+            "--model-command", "condshap-test-no-such-program", "--timeout", timeout,
         )
         self.assert_clean_exit(result, 2)
-        assert "AICc criterion infinite on the whole bandwidth grid" in result.output
-        assert not (tmp_path / "x.csv").exists()
+        assert f"model timeout must be a finite number of seconds > 0, got {float(timeout)}" \
+            in result.output
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
     def test_efficiency_violation_exits_1(self, tmp_path, monkeypatch):
         solve = WlsSolver.solve

@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ class TestGH:
     def test_draws_equal_the_inline_gig_draw(self):
         """``sample_gh`` and a conditional GH draw (chi != psi) keep their bytes."""
         params = _correlated_gh()
-        expected = _inline_gh_draw(GHFeatures(params).star(), 500, np.random.default_rng(21))
+        expected = _inline_gh_draw(params, 500, np.random.default_rng(21))
         assert sample_gh(params, 500, rng_seed=21).data.tobytes() == expected.tobytes()
         s, x_s = (0,), np.array([0.4])
         star = gh_conditional(params, s, x_s)
@@ -141,7 +142,8 @@ class TestGH:
         assert got.tobytes() == expected.tobytes()
 
     def test_symmetric_when_no_skew(self):
-        params = GHParams(lam=1.0, omega=0.5, mu=np.zeros(2), sigma=np.eye(2), beta_skew=np.zeros(2))
+        params = GHParams(lam=1.0, chi=0.5, psi=0.5, mu=np.zeros(2), sigma=np.eye(2),
+                          beta_skew=np.zeros(2))
         train = sample_gh(params, 100_000, rng_seed=6)
         skew = stats.skew(train.data, axis=0)
         assert np.all(np.abs(skew) < 0.05)
@@ -178,16 +180,27 @@ class TestGH:
         assert np.diag(p.sigma) == pytest.approx([1, 2, 3, 1, 2, 3, 1, 2, 3, 3])
         assert p.beta_skew == pytest.approx([1, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [
+        {"chi": 0.0}, {"chi": -1.0}, {"psi": 0.0}, {"psi": -0.5}, {"lam": math.inf},
+        {"lam": math.nan}, {"mu": np.zeros(2)}, {"beta_skew": np.zeros(4)},
+        {"sigma": np.eye(2)},
+    ], ids=lambda bad: "-".join(f"{k}={np.shape(v) or v}" for k, v in bad.items()))
+    def test_rejects_invalid_parameters(self, bad):
+        with pytest.raises(ValueError, match="GIG|dimensions"):
+            replace(_correlated_gh(), **bad)
+
 
 class TestGHConditional:
     def test_index_update(self):
-        params = GHParams(lam=1.0, omega=0.5, mu=np.zeros(2), sigma=np.eye(2), beta_skew=np.zeros(2))
+        params = GHParams(lam=1.0, chi=0.5, psi=0.5, mu=np.zeros(2), sigma=np.eye(2),
+                          beta_skew=np.zeros(2))
         cond = gh_conditional(params, (0,), np.array([0.3]))
         assert cond.lam == pytest.approx(0.5)
 
     def test_zero_displacement(self):
         params = GHParams(
-            lam=1.0, omega=0.5, mu=np.array([1.0, 2.0]), sigma=np.eye(2), beta_skew=np.zeros(2)
+            lam=1.0, chi=0.5, psi=0.5, mu=np.array([1.0, 2.0]), sigma=np.eye(2),
+            beta_skew=np.zeros(2),
         )
         cond = gh_conditional(params, (0,), np.array([1.0]))
         assert cond.chi == pytest.approx(0.5)
@@ -198,7 +211,7 @@ class TestGHConditional:
         a = rng.standard_normal((3, 3)) * 0.3
         sigma = a @ a.T + np.eye(3)
         mu = rng.standard_normal(3)
-        params = GHParams(lam=1.0, omega=0.5, mu=mu, sigma=sigma, beta_skew=np.zeros(3))
+        params = GHParams(lam=1.0, chi=0.5, psi=0.5, mu=mu, sigma=sigma, beta_skew=np.zeros(3))
         x_s = np.array([0.4, -0.6])
         cond = gh_conditional(params, (0, 1), x_s)
         # beta = 0 so the conditional location equals the Gaussian formula.
@@ -211,13 +224,28 @@ class TestGHConditional:
         # cond(Sigma_SS) = 2e12 for S = (0, 2): the block gets the samplers'
         # ridge, 1e-8 times its mean diagonal, and says so.
         sigma = np.array([[1.0, 0.3, 1 - 1e-12], [0.3, 1.0, 0.3], [1 - 1e-12, 0.3, 1.0]])
-        params = GHParams(lam=1.0, omega=0.5, mu=np.zeros(3), sigma=sigma, beta_skew=np.zeros(3))
+        params = GHParams(lam=1.0, chi=0.5, psi=0.5, mu=np.zeros(3), sigma=sigma,
+                          beta_skew=np.zeros(3))
         x_s = np.array([0.5, -0.5])
         with pytest.warns(DiagnosticWarning, match="gh conditional"):
             cond = gh_conditional(params, (0, 2), x_s)
         ridged = sigma[np.ix_([0, 2], [0, 2])] + 1e-8 * np.eye(2)
-        expected = params.omega + x_s @ np.linalg.solve(ridged, x_s)
+        expected = params.chi + x_s @ np.linalg.solve(ridged, x_s)
         assert cond.chi == pytest.approx(expected, rel=1e-6)  # 5e11 unridged
+
+    def test_closed_under_conditioning(self):
+        """Conditioning on x_1, then on x_5 (index 4 of the rest), is conditioning
+        on (x_1, x_5) at once, on the ten-feature block with a non-diagonal Sigma."""
+        base = gh_params_10d()
+        scale = np.sqrt(np.diag(base.sigma))
+        params = replace(base, sigma=(0.5 + 0.5 * np.eye(10)) * np.outer(scale, scale))
+        x = np.linspace(2.0, 4.0, 10)
+        twice = gh_conditional(gh_conditional(params, (1,), x[[1]]), (4,), x[[5]])
+        once = gh_conditional(params, (1, 5), x[[1, 5]])
+        assert twice.lam == once.lam
+        for name in ("chi", "psi", "mu", "sigma", "beta_skew"):
+            np.testing.assert_allclose(getattr(twice, name), getattr(once, name),
+                                       rtol=0, atol=1e-13, err_msg=name)
 
     def test_conditional_sampler_matches_density_moments(self):
         # Sample moments track the Bessel-ratio moments of the conditional.
@@ -254,7 +282,7 @@ class TestGHConditionalMatchesReference:
         if case == "plain":
             params, x = _correlated_gh(), np.array([0.4, -0.9, 1.3])
         else:
-            params = GHParams(lam=1.0, omega=0.5, mu=np.array([0.2, -0.1, 0.2]),
+            params = GHParams(lam=1.0, chi=0.5, psi=0.5, mu=np.array([0.2, -0.1, 0.2]),
                               sigma=self.RIDGED, beta_skew=np.array([0.5, -0.25, 0.5]))
             x = np.array([0.7, -0.9, 0.7])
         assert np.count_nonzero(params.sigma - np.diag(np.diag(params.sigma))) == 6
@@ -314,7 +342,8 @@ def _correlated_gh(m=3):
     scale = np.sqrt([1.0, 2.0, 0.5])[:m]
     return GHParams(
         lam=1.0,
-        omega=0.5,
+        chi=0.5,
+        psi=0.5,
         mu=np.array([0.2, -0.1, 0.3])[:m],
         sigma=EquicorrelatedCov(m, 0.6).matrix() * np.outer(scale, scale),
         beta_skew=np.array([0.5, -0.25, 0.75])[:m],
@@ -365,7 +394,7 @@ def _densities():
     star = gh_conditional(_correlated_gh(), (0,), np.array([0.4]))
     return {
         "gaussian": GaussianDensity.from_moments(mean, cov),
-        "gh": GHDensity.from_law(GHFeatures(_correlated_gh()).star()),
+        "gh": GHDensity.from_law(_correlated_gh()),
         "gh-conditional": GHDensity.from_law(star),
     }
 
@@ -451,7 +480,7 @@ class TestMixture:
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            MixtureParams(gamma=1.0, means=np.zeros((2, 3)), cov=np.eye(3), weights=(0.6, 0.6))
+            MixtureParams(means=np.zeros((2, 3)), cov=np.eye(3), weights=(0.6, 0.6))
 
 
 def _reference_components(dist, s, x_s):

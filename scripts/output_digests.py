@@ -12,6 +12,9 @@ the same bytes.  The outputs are:
 - ``condshap explain`` CSV and JSON (``--cluster-alpha 1.0 --d-star 1``):
   every estimator family with the OLS model, the parametric and AICc
   estimators with the stump model and with an external JSON-lines model;
+- the request lines that external model reads (``<case>.requests``) in its
+  ``gaussian`` and ``empirical-aicc-exact`` cases, so that the bytes sent to
+  a model are pinned as well as the outputs;
 - ``condshap cluster`` on a tie-heavy CSV;
 - ``condshap simulate`` reports for a Gaussian, a mixture, a piecewise and
   a 3-D GH config, and for the ten-feature GH config, whose Monte Carlo
@@ -50,9 +53,14 @@ from pathlib import Path
 import numpy as np
 
 COLUMNS = ("a", "b", "c")
+# Appends each request line it reads to the file named by argv[1], if any.
 EXTERNAL_MODEL = '''\
 import json, sys
+log = open(sys.argv[1], "w", encoding="utf-8") if len(sys.argv) > 1 else None
 for line in sys.stdin:
+    if log:
+        log.write(line)
+        log.flush()
     if not line.strip():
         continue
     req = json.loads(line)
@@ -148,11 +156,16 @@ def cli_outputs(run: Run) -> None:
         "external": ("gaussian", "copula", "empirical-0.1+copula", "empirical-aicc-exact",
                      "empirical-aicc-approx+copula"),
     }
+    logged_requests = ("gaussian", "empirical-aicc-exact")
     for model, names in labels.items():
         for label in names:
             prefix = f"explain-{model}-{label}"
-            run.cli(prefix, base + models[model] + ["--estimator", label, "--output", prefix],
-                    [prefix + ".csv", prefix + ".json"])
+            args, outputs = models[model], [prefix + ".csv", prefix + ".json"]
+            if model == "external" and label in logged_requests:
+                # The model command, the last argument, names its request log.
+                args = args[:-1] + [f"{args[-1]} {prefix}.requests"]
+                outputs.append(prefix + ".requests")
+            run.cli(prefix, base + args + ["--estimator", label, "--output", prefix], outputs)
 
     ties = np.column_stack([rng.integers(0, 3, 400), rng.integers(0, 2, 400),
                             np.round(rng.standard_normal(400), 1), rng.standard_normal(400)])

@@ -6,6 +6,13 @@ Responses may arrive in any order and are matched by id.  Any malformed
 line, length mismatch, non-finite prediction, timeout, or mid-stream exit
 raises ModelProtocolError with an excerpt of the offending payload; noise on
 stdout never crashes the host.
+
+A request line is byte for byte what ``json.dumps({"id": n, "rows":
+rows.tolist()})`` writes for the float64 rows.  The host writes it from a
+table of the texts of values it has sent, keyed by bit pattern and bounded
+at 65,536 values (2 MiB), so a value that repeats (a training value or an
+x* value spliced into many rows) is formatted once; only values not in the
+table are formatted by ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,14 @@ import numpy as np
 from ..errors import ConfigError, ModelProtocolError
 
 MAX_BATCH_ROWS = 2_000
+# Entries of RequestEncoder's value-text table: an 8-byte key and a 24-byte
+# text each, so at most 2 MiB.  A table that new values would overflow is
+# emptied first.
+MAX_TABLE_VALUES = 2 ** 16
+# Bytes of the longest float64 text, e.g. "-2.2250738585072014e-308".
+TEXT_WIDTH = 24
+# Table entries written at once when new values enter it (512 KiB of them).
+MERGE_BLOCK = 2 ** 14
 HANDSHAKE_ID = 0
 # The longest single wait on the response queue.  A longer timeout waits in
 # slices: one lock wait beyond threading.TIMEOUT_MAX (about 9e9 s) overflows.
@@ -32,6 +47,88 @@ MAX_WAIT_S = 3600.0
 def _excerpt(text: str, limit: int = 200) -> str:
     text = text.strip()
     return text if len(text) <= limit else text[:limit] + "..."
+
+
+class RequestEncoder:
+    """Writes request lines from a table of value texts keyed by bit pattern.
+
+    The table holds sorted int64 keys (the float64 bit patterns, so ``0.0``
+    and ``-0.0`` stay apart) and their ``json.dumps`` texts, at most
+    ``MAX_TABLE_VALUES`` of them.  A request looks up its distinct values in
+    it; the misses are formatted by ``json.dumps`` once and added.
+    """
+
+    def __init__(self):
+        # Allocated once; a page becomes resident when the table first reaches it.
+        self._keys = np.empty(MAX_TABLE_VALUES, np.int64)
+        self._texts = np.empty(MAX_TABLE_VALUES, f"S{TEXT_WIDTH}")
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def line(self, request_id: int, rows: np.ndarray) -> str:
+        """``json.dumps({"id": request_id, "rows": rows.tolist()})`` of float64 rows."""
+        rows = np.ascontiguousarray(rows, float)
+        if rows.size == 0:
+            return json.dumps({"id": request_id, "rows": rows.tolist()})
+        n_rows, n_cols = rows.shape
+        keys, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+        texts = self._lookup(keys)[inverse]
+        # One cell per value: its NUL-padded text, then ", " within a row or
+        # "], [" after its last value; the NULs are dropped before decoding.
+        cells = np.zeros((n_rows, n_cols, TEXT_WIDTH + 4), np.uint8)
+        cells[:, :, :TEXT_WIDTH] = texts.view(np.uint8).reshape(n_rows, n_cols, TEXT_WIDTH)
+        cells[:, :-1, TEXT_WIDTH:TEXT_WIDTH + 2] = np.frombuffer(b", ", np.uint8)
+        cells[:, -1, TEXT_WIDTH:] = np.frombuffer(b"], [", np.uint8)
+        cells[-1, -1, TEXT_WIDTH + 1:] = 0
+        body = cells[cells != 0].tobytes().decode("ascii")
+        return f'{{"id": {request_id}, "rows": [[{body}]}}'
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The texts of the sorted distinct ``keys``; misses enter the table."""
+        table = self._keys[:self._size]
+        at = np.searchsorted(table, keys)
+        found = at < len(table)
+        found[found] = table[at[found]] == keys[found]
+        texts = np.zeros(len(keys), self._texts.dtype)
+        texts[found] = self._texts[at[found]]
+        if found.all():
+            return texts
+        missed = ~found
+        # json.dumps's own float text, NaN and Infinity included.
+        new_texts = np.array(json.dumps(keys[missed].view(float).tolist())[1:-1].split(", "),
+                             self._texts.dtype)
+        texts[missed] = new_texts
+        self._insert(keys[missed], new_texts)
+        return texts
+
+    def _insert(self, keys: np.ndarray, texts: np.ndarray) -> None:
+        """Merge sorted ``keys``, none of them in the table, into it in place.
+
+        A table they would overflow is emptied first.  The merged table is
+        written a block at a time from the top down: a block's old entries
+        are copied out before it is written, and the entries of every lower
+        block lie below it, so no temporary is larger than a block.
+        """
+        capacity = len(self._keys)
+        if self._size + len(keys) > capacity:
+            self._size = 0
+            keys, texts = keys[:capacity], texts[:capacity]
+        total = self._size + len(keys)
+        new_at = np.searchsorted(self._keys[:self._size], keys) + np.arange(len(keys))
+        for stop in range(total, int(new_at[0]), -MERGE_BLOCK):
+            start = max(stop - MERGE_BLOCK, int(new_at[0]))
+            # New entries i0:i1 land in [start, stop); old entries fill the rest.
+            i0, i1 = np.searchsorted(new_at, (start, stop))
+            is_new = np.zeros(stop - start, bool)
+            is_new[new_at[i0:i1] - start] = True
+            for table, new in ((self._keys, keys), (self._texts, texts)):
+                old = table[start - i0:stop - i1].copy()
+                block = table[start:stop]
+                block[is_new] = new[i0:i1]
+                block[~is_new] = old
+        self._size = total
 
 
 class ExternalModel:
@@ -51,6 +148,7 @@ class ExternalModel:
         self._lock = threading.Lock()
         self._next_id = HANDSHAKE_ID + 1
         self._stash: dict[int, list] = {}
+        self._encoder = RequestEncoder()
         try:
             self._proc = subprocess.Popen(
                 command,
@@ -69,7 +167,7 @@ class ExternalModel:
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
         # Handshake: an empty request must get an empty answer (checked in _receive).
-        self._send(HANDSHAKE_ID, [])
+        self._send(HANDSHAKE_ID, np.empty((0, 0)))
         self._receive(HANDSHAKE_ID, 0)
 
     def _read_loop(self) -> None:
@@ -81,8 +179,8 @@ class ExternalModel:
         finally:
             self._lines.put(None)
 
-    def _send(self, request_id: int, rows: list) -> None:
-        message = json.dumps({"id": request_id, "rows": rows})
+    def _send(self, request_id: int, rows: np.ndarray) -> None:
+        message = self._encoder.line(request_id, rows)
         try:
             self._proc.stdin.write(message + "\n")
             self._proc.stdin.flush()
@@ -159,7 +257,7 @@ class ExternalModel:
                 stop = min(start + MAX_BATCH_ROWS, len(x))
                 request_id = self._next_id
                 self._next_id += 1
-                self._send(request_id, x[start:stop].tolist())
+                self._send(request_id, x[start:stop])
                 spans.append((request_id, start, stop))
             for request_id, start, stop in spans:
                 out[start:stop] = self._receive(request_id, stop - start)

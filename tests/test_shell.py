@@ -45,18 +45,17 @@ MEAN_MODEL = textwrap.dedent(
     """
 )
 
-# MEAN_MODEL that also appends each request's row count to the file named by argv[1].
-LOGGING_MEAN_MODEL = textwrap.dedent(
+# MEAN_MODEL that also appends each request line it reads to the file named by argv[1].
+RECORDING_MEAN_MODEL = textwrap.dedent(
     """
     import json, sys
     log = open(sys.argv[1], "a")
     for line in sys.stdin:
-        line = line.strip()
-        if not line:
+        log.write(line)
+        log.flush()
+        if not line.strip():
             continue
         req = json.loads(line)
-        log.write(f"{len(req['rows'])}\\n")
-        log.flush()
         preds = [sum(r) / len(r) if r else 0.0 for r in req["rows"]]
         print(json.dumps({"id": req["id"], "predictions": preds}), flush=True)
     """
@@ -312,9 +311,10 @@ class TestProtocol:
     def test_default_budget_splits_large_calls(self, tmp_path):
         log = tmp_path / "requests.txt"
         x = np.random.default_rng(3).standard_normal((4001, 3))
-        with ExternalModel(model_command(LOGGING_MEAN_MODEL) + [str(log)], timeout=15) as model:
+        with ExternalModel(model_command(RECORDING_MEAN_MODEL) + [str(log)], timeout=15) as model:
             out = model(x)
-        assert log.read_text().split() == ["0", "2000", "2000", "1"]  # handshake, 3 requests
+        rows = [len(json.loads(line)["rows"]) for line in log.read_text().splitlines()]
+        assert rows == [0, 2000, 2000, 1]  # handshake, 3 requests
         assert out.tolist() == [sum(row) / len(row) for row in x.tolist()]
 
     def test_out_of_order_ids_matched(self, monkeypatch):
@@ -364,6 +364,119 @@ class TestProtocol:
     def test_missing_command(self):
         with pytest.raises(ModelProtocolError, match="cannot start"):
             ExternalModel(["/nonexistent/model-binary"], timeout=5)
+
+    def test_request_lines_are_json_dumps_text(self, tmp_path):
+        log = tmp_path / "requests.jsonl"
+        x = np.random.default_rng(4).standard_normal((2500, 3))
+        x[::7, 1] = -0.0
+        x[::5, 2] = 0.0
+        with ExternalModel(model_command(RECORDING_MEAN_MODEL) + [str(log)], timeout=15) as model:
+            model(x)
+            model(x[:10])
+        expected = [{"id": 0, "rows": []}, {"id": 1, "rows": x[:2000].tolist()},
+                    {"id": 2, "rows": x[2000:].tolist()}, {"id": 3, "rows": x[:10].tolist()}]
+        assert log.read_text().splitlines() == [json.dumps(r) for r in expected]
+
+
+class TestRequestText:
+    """RequestEncoder writes what json.dumps writes for the float64 rows."""
+
+    @staticmethod
+    def assert_json_text(encoder, rows, request_id=7):
+        expected = json.dumps({"id": request_id, "rows": np.asarray(rows, float).tolist()})
+        assert encoder.line(request_id, rows) == expected
+
+    def test_random_normals_and_repeats(self):
+        rng = np.random.default_rng(0)
+        encoder = protocol.RequestEncoder()
+        train = rng.standard_normal((300, 3))
+        for _ in range(3):
+            rows = train[rng.integers(0, 300, 2000)]
+            rows[:, 1] = rng.standard_normal()  # an x* value spliced into every row
+            self.assert_json_text(encoder, rows)
+
+    def test_signed_zeros_in_one_request(self):
+        self.assert_json_text(protocol.RequestEncoder(), [[0.0, -0.0], [-0.0, 0.0]])
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zeros_across_requests(self, first):
+        encoder = protocol.RequestEncoder()
+        self.assert_json_text(encoder, [[first]])
+        self.assert_json_text(encoder, [[-first, 1.0]])
+        self.assert_json_text(encoder, [[0.0, -0.0]])
+
+    def test_extremes(self):
+        values = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  2.2250738585072014e-308]
+        self.assert_json_text(protocol.RequestEncoder(), [values, values[::-1]])
+
+    def test_integral_floats_and_the_longest_text(self):
+        longest = -2.2250738585072014e-308
+        assert len(repr(longest)) == protocol.TEXT_WIDTH
+        encoder = protocol.RequestEncoder()
+        self.assert_json_text(encoder, [[1.0, -3.0, 1e16, longest]])
+        self.assert_json_text(encoder, [[longest, 1e16, -3.0, 1.0], [2.0, 1.0, 0.5, 1e22]])
+
+    @pytest.mark.parametrize("n_cols", [1, 14])
+    def test_column_counts(self, n_cols):
+        rows = np.random.default_rng(n_cols).standard_normal((50, n_cols))
+        self.assert_json_text(protocol.RequestEncoder(), rows)
+        self.assert_json_text(protocol.RequestEncoder(), rows[:1])
+
+    def test_empty_requests(self):
+        encoder = protocol.RequestEncoder()
+        assert encoder.line(0, np.empty((0, 0))) == '{"id": 0, "rows": []}'
+        self.assert_json_text(encoder, np.empty((0, 3)))
+
+    def test_non_contiguous_and_non_float64_rows(self):
+        rows = np.random.default_rng(1).standard_normal((6, 8))
+        encoder = protocol.RequestEncoder()
+        self.assert_json_text(encoder, rows[::2, 1::3])
+        self.assert_json_text(encoder, np.asfortranarray(rows))
+        self.assert_json_text(encoder, rows.astype(np.float32))
+        self.assert_json_text(encoder, np.arange(12).reshape(4, 3))
+
+    def test_non_finite_values_as_json_dumps_writes_them(self):
+        encoder = protocol.RequestEncoder()
+        self.assert_json_text(encoder, [[np.nan, np.inf, -np.inf, 1.0]])
+        self.assert_json_text(encoder, [[-np.inf, np.nan], [np.inf, np.nan]])
+
+    def test_table_stays_within_its_bound(self):
+        rng = np.random.default_rng(2)
+        encoder = protocol.RequestEncoder()
+        sent = []
+        while sum(r.size for r in sent) <= protocol.MAX_TABLE_VALUES:
+            sent.append(rng.standard_normal((protocol.MAX_BATCH_ROWS, 3)))
+            self.assert_json_text(encoder, sent[-1])
+            assert len(encoder) <= protocol.MAX_TABLE_VALUES
+        assert len(encoder) > 0
+        later = np.concatenate([sent[-1][:500], rng.standard_normal((500, 3))])
+        self.assert_json_text(encoder, later[rng.permutation(1000)])
+        assert len(encoder) <= protocol.MAX_TABLE_VALUES
+
+    def test_merges_and_empties_in_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_TABLE_VALUES", 200)
+        monkeypatch.setattr(protocol, "MERGE_BLOCK", 7)
+        rng = np.random.default_rng(5)
+        pool = rng.standard_normal(150)
+        encoder = protocol.RequestEncoder()
+        sizes = []
+        for n_rows in (1, 5, 20, 3, 40, 8, 30, 2, 60, 10):
+            rows = rng.choice(pool, (n_rows, 3))
+            rows[:, 0] = rng.standard_normal(n_rows)
+            self.assert_json_text(encoder, rows)
+            sizes.append(len(encoder))
+        assert max(sizes) <= 200 and any(b < a for a, b in zip(sizes, sizes[1:]))
+
+    def test_request_above_the_bound(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_TABLE_VALUES", 10)
+        rng = np.random.default_rng(3)
+        encoder = protocol.RequestEncoder()
+        rows = rng.standard_normal((12, 3))
+        self.assert_json_text(encoder, rows)
+        assert len(encoder) == 10
+        self.assert_json_text(encoder, rows[::-1])
+        assert len(encoder) == 10
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ the same bytes.  The outputs are:
   in reverse order, near-singular and constant-margin training sets, and the
   AICc estimators explained as a block and one instance at a time, and
   ``original`` and ``gaussian`` at m=14, above the enumeration cap, on the
-  default sampled coalition design.  The texts of the warnings each case
-  raises get their own digest;
+  default sampled coalition design, and ``gaussian`` and ``copula`` at m=6
+  with a near-collinear pair, so that several blocks of each stacked size
+  group are ridged, explained in reverse order.  The texts of the warnings
+  each case raises, in the order raised, get their own digest;
 - the simulation lab's generalized hyperbolic conditioning on the ten-feature
   parameter block with a non-diagonal Sigma: the ``gh_conditional``
   parameters of four coalitions (``gh-conditional.txt``) and a fixed-seed
@@ -252,6 +254,23 @@ def wide_outputs(run: Run) -> None:
             train14, ols14, SamplerSpec.from_label(label), k=20, seed=3).explain(x14[:2]))
 
 
+def ridged_outputs(run: Run) -> None:
+    """m=6, features 4 and 5 nearly collinear: the first instance explained builds
+    every plan, with one ridge warning per coalition holding both."""
+    from condshap import Explainer, SamplerSpec, TrainingMatrix
+    from condshap.simlab import fit_ols
+
+    rng = np.random.default_rng(6)
+    x6 = correlated(rng, np.eye(6) + 0.2 * (1 - np.eye(6)), 600)
+    x6[:, 5] = x6[:, 4] + 1e-7 * rng.standard_normal(600)
+    train6 = TrainingMatrix.from_data(x6)
+    ols6 = fit_ols(train6, x6 @ [1.0, -2.0, 0.5, 1.5, 1.0, 1.0] + 0.1 * rng.standard_normal(600))
+    for label in ("gaussian", "copula"):
+        explainer = Explainer(train6, ols6, SamplerSpec.from_label(label), k=200, seed=13)
+        run.explanations(f"m6-ridged-reversed-{label}",
+                         lambda: one_by_one(explainer, x6[:3], (2, 1, 0)))
+
+
 def gh_outputs(run: Run) -> None:
     from dataclasses import replace
 
@@ -317,6 +336,7 @@ def main() -> None:
         cli_outputs(run)
         in_process_outputs(run)
         wide_outputs(run)
+        ridged_outputs(run)
         gh_outputs(run)
         mixture_outputs(run)
     for name in sorted(run.digests):

@@ -5,18 +5,21 @@ coalition design, the solver factorization, the mean training prediction and
 the fitted sampler.  v(empty) and v(N) are exact and set here; the sampler
 estimates the proper coalitions.  It keeps one conditioning plan per
 coalition (the ridge, the Cholesky factor of Sigma_SS, the regression
-matrix, and the conditional covariance with its eigen-factor), built by the
-first instance that meets the coalition: the Gaussian and copula parts take
-their conditional means from its regression matrix, without a solve, and
-the empirical and AICc distances whiten by its factor.  AICc bandwidths
-depend on the instance; :meth:`Explainer.explain` searches them for a block
-of instances at once (:meth:`Explainer.explain_one` for a block of one),
-coalition by coalition, so that each kernel and hat matrix is built once per
-block.  Randomness is derived per instance: the Gaussian and copula
-coalitions draw their normals in turn from one stream of the instance, and
-the independence part draws training rows per (seed, instance, coalition
-row).  So blocked and one-by-one runs, runs in any instance order, and runs
-that build the plans in any order give identical results.
+matrix, and the conditional covariance with its eigen-factor).  The first
+instance hands the design's coalitions to the sampler, which builds every
+missing plan in one stacked LAPACK pass per coalition size, the ridge still
+decided per block; nothing is built when the explainer is made.  The
+Gaussian and copula parts take their conditional means from a plan's
+regression matrix, without a solve, and the empirical and AICc distances
+whiten by its factor.  AICc bandwidths depend on the instance;
+:meth:`Explainer.explain` searches them for a block of instances at once
+(:meth:`Explainer.explain_one` for a block of one), coalition by coalition,
+so that each kernel and hat matrix is built once per block.  Randomness is
+derived per instance: the Gaussian and copula coalitions draw their normals
+in turn from one stream of the instance, and the independence part draws
+training rows per (seed, instance, coalition row).  So blocked and
+one-by-one runs, runs in any instance order, and runs that build the plans
+in any order give identical results.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ class Explainer:
         self.solver = WlsSolver(cm)
         self.sampler = FittedSampler(spec, train)
         self.mean_prediction = mean_training_prediction(train, predictor)
+        self._planned = False
 
     # -- explanation ---------------------------------------------------------
 
@@ -118,6 +122,7 @@ class Explainer:
 
         ``sigmas`` are the instance's kernel bandwidths when already searched
         (as :meth:`explain` does per block); by default they are searched here.
+        The first call has the sampler build the plans of the whole design.
         The Gaussian and copula coalitions draw, in row order, from one
         generator seeded by :func:`instance_stream`; the independence part
         draws from the stream (seed, instance, coalition row).
@@ -127,6 +132,9 @@ class Explainer:
         v = np.empty(cm.n_rows)
         if sigmas is None:
             sigmas = self.sampler.bandwidths(self.predictor, cm.coalitions, x_star)[0]
+        if not self._planned:
+            self.sampler.build_plans(cm.coalitions)
+            self._planned = True
         draws = self.sampler.instance_draws(x_star, instance_stream(self.seed, instance_index))
         f_star = float(call_predictor(self.predictor, x_star[None, :])[0])
         for i, s in enumerate(cm.coalitions):

@@ -12,6 +12,10 @@ What x* leaves alone is kept in one :class:`ConditioningPlan` per
 (covariance, coalition), which checks, ridges (warning once) and factors
 its Sigma_SS block when it is built: the Gaussian and copula parts condition
 through it, and the empirical and AICc distances whiten by its factor.
+:func:`conditional_moments` builds the plans of many coalitions at once, in
+one stacked LAPACK pass per coalition size, and still decides each block's
+ridge from that block's own condition number; the explainer hands it a
+whole design's coalitions at its first instance.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ class TrainingMatrix:
     """Training data with its exact sample mean and covariance (1/(n-1)).
 
     ``plans`` holds one :class:`ConditioningPlan` per coalition for the
-    Gaussian on these moments, filled on first use by the Gaussian part and
-    the empirical distances of every sampler fitted to this matrix.
+    Gaussian on these moments, filled by the Gaussian part and the empirical
+    distances of every sampler fitted to this matrix.
     """
 
     data: np.ndarray
@@ -153,25 +157,20 @@ def _check_psd(cov: np.ndarray, label: str = "covariance") -> None:
         )
 
 
-def _ridge(block: np.ndarray, context: str) -> float:
-    """Diagonal ridge for a near-singular block (cond > RIDGE_COND), else 0.0.
+def _ridge(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal ridge and condition number of each block of a (g, s, s) stack.
 
-    Each block is checked by its own condition number, once per plan: the
-    plan that :func:`conditional_moments` builds keeps the ridge.
+    One stacked ``np.linalg.cond`` call gives every Sigma_SS block its own
+    condition number, and each block is decided by its own: ridged by 1e-8
+    of its mean diagonal (at least 1e-12) when its cond exceeds RIDGE_COND
+    or is not finite, else 0.0.  :func:`conditional_moments` decides once per
+    plan, and warns for each block it ridges.
     """
-    if block.size == 0:
-        return 0.0
     cond = np.linalg.cond(block)
-    if np.isfinite(cond) and cond <= RIDGE_COND:
-        return 0.0
-    lam = max(1e-8 * float(np.trace(block)) / block.shape[0], 1e-12)
-    warnings.warn(
-        f"near-singular covariance block in {context} "
-        f"(cond {cond:.3e}); ridge {lam:.3e} added",
-        DiagnosticWarning,
-        stacklevel=3,
-    )
-    return lam
+    ridge = np.zeros(len(block))
+    for g in np.flatnonzero(~(np.isfinite(cond) & (cond <= RIDGE_COND))):
+        ridge[g] = max(1e-8 * float(np.trace(block[g])) / block.shape[-1], 1e-12)
+    return ridge, cond
 
 
 def _sorted_coalition(s: Iterable[int], x_s) -> tuple[Coalition, np.ndarray]:
@@ -196,6 +195,8 @@ class ConditioningPlan:
     or on the Gaussian's mean, so laws that share a covariance share its
     plans: the explainer's samplers and empirical distances, and the
     simulation lab's features, condition or whiten through them alike.
+    Plans are built many at a time, in one stacked pass per coalition size
+    (:func:`conditional_moments`), with the same bytes as one at a time.
     Each instance only takes its conditional mean through :meth:`mean`.
     """
 
@@ -214,78 +215,102 @@ class ConditioningPlan:
 
 def conditional_moments(
     cov: np.ndarray,
-    s: Coalition,
+    coalitions: Sequence[Coalition],
     context: str = "gaussian conditional",
-) -> ConditioningPlan:
-    """The plan for conditioning a Gaussian of covariance ``cov`` on the sorted coalition ``s``.
+) -> list[ConditioningPlan]:
+    """The plans for conditioning a Gaussian of covariance ``cov`` on each sorted coalition.
 
     L L^T = Sigma_SS + ridge I
     coef = (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}
-    Sigma_cond = Sigma_{Sbar,Sbar} - Sigma_{Sbar,S} coef
+    Sigma_cond = Sigma_{Sbar,Sbar} - Sigma_{Sbar,S} coef = F F^T
 
-    The ridge is chosen by :func:`_ridge` from Sigma_SS's own condition
-    number, with a warning naming ``context``; no other code ridges or
-    factors a Sigma_SS block.
+    The coalitions are grouped by size.  Each group gathers its Sigma_SS,
+    Sigma_{S,Sbar} and Sigma_{Sbar,Sbar} blocks with one fancy index and
+    makes one stacked call each to ``cond``, ``cholesky``, ``solve``,
+    ``matmul`` and ``eigh``; LAPACK factors every block of a stack as it
+    would factor it alone, so each plan has the bytes of a plan built by
+    itself.  Each block's ridge is still chosen by :func:`_ridge` from that
+    block's own condition number.  The ridge and clip warnings name
+    ``context`` and come in coalition order, once the plans are built.  No
+    other code ridges or factors a Sigma_SS block.
     """
     cov = np.asarray(cov, float)
-    sbar = np.array([j for j in range(cov.shape[0]) if j not in s], dtype=np.intp)
-    s = np.array(s, dtype=np.intp)
-    block = cov[np.ix_(s, s)]
-    ridge = _ridge(block, context)
-    if ridge:
-        block = block + ridge * np.eye(len(s))
+    m = cov.shape[0]
+    by_size: dict[int, list[int]] = {}
+    for i, s in enumerate(coalitions):
+        by_size.setdefault(len(s), []).append(i)
+    plans: list[ConditioningPlan | None] = [None] * len(coalitions)
+    notes: list[tuple[int, str]] = []
     try:
-        chol = np.linalg.cholesky(block) if block.size else block
-    except np.linalg.LinAlgError as exc:
-        raise InvalidCovarianceError("covariance block factorization failed") from exc
-    cross = cov[np.ix_(s, sbar)]
-    coef = np.linalg.solve(block, cross)
-    sigma = cov[np.ix_(sbar, sbar)] - cross.T @ coef
-    sigma = 0.5 * (sigma + sigma.T)
-    return ConditioningPlan(s, sbar, ridge, chol, coef, sigma, _eigen_factor(sigma))
+        for size, rows in by_size.items():
+            s = np.array([coalitions[i] for i in rows], dtype=np.intp).reshape(len(rows), size)
+            outside = np.ones((len(rows), m), bool)
+            outside[np.arange(len(rows))[:, None], s] = False
+            sbar = np.nonzero(outside)[1].reshape(len(rows), m - size)
+            block = cov[s[:, :, None], s[:, None, :]]
+            ridge = np.zeros(len(rows))
+            if size:
+                ridge, cond = _ridge(block)
+                for g in np.flatnonzero(ridge):
+                    block[g] = block[g] + ridge[g] * np.eye(size)
+                    notes.append((rows[g], f"near-singular covariance block in {context} "
+                                           f"(cond {cond[g]:.3e}); ridge {ridge[g]:.3e} added"))
+            try:
+                chol = np.linalg.cholesky(block) if size else block
+            except np.linalg.LinAlgError as exc:
+                raise InvalidCovarianceError("covariance block factorization failed") from exc
+            cross = cov[s[:, :, None], sbar[:, None, :]]
+            coef = np.linalg.solve(block, cross)
+            sigma = cov[sbar[:, :, None], sbar[:, None, :]] - cross.swapaxes(1, 2) @ coef
+            sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
+            try:
+                vals, vecs = np.linalg.eigh(sigma)
+            except np.linalg.LinAlgError as exc:
+                raise InvalidCovarianceError("conditional covariance factorization failed") from exc
+            if not np.all(np.isfinite(vals)):
+                raise InvalidCovarianceError("conditional covariance factorization failed")
+            if size < m:
+                # F = V sqrt(max(vals, 0)); a clip beyond rounding is warned about.
+                clipped = vals[:, 0] < -1e-8 * np.maximum(1.0, vals[:, -1])
+                notes += [(rows[g], f"conditional covariance clipped "
+                                    f"(min eigenvalue {vals[g, 0]:.3e})")
+                          for g in np.flatnonzero(clipped)]
+            factor = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+            built = map(ConditioningPlan, s, sbar, ridge.tolist(), chol, coef, sigma, factor)
+            for i, plan in zip(rows, built):
+                plans[i] = plan
+    finally:
+        # In coalition order, a plan's ridge note before its clip note; on an
+        # error, the notes of the blocks checked so far.
+        for _, note in sorted(notes, key=lambda note: note[0]):
+            warnings.warn(note, DiagnosticWarning, stacklevel=2)
+    return plans
 
 
 def _plan_for(
-    plans: dict[Coalition, ConditioningPlan], cov: np.ndarray, s: Coalition, context: str
-) -> ConditioningPlan:
-    """The plan in ``plans`` for the sorted coalition s, built on first use.
+    plans: dict[Coalition, ConditioningPlan],
+    cov: np.ndarray,
+    coalitions: Sequence[Coalition],
+    context: str,
+) -> list[ConditioningPlan]:
+    """The plans in ``plans`` for the sorted coalitions, every missing one built first.
 
-    :func:`conditional_moments` builds it, so it runs once per coalition of
-    each ``plans`` table.
+    One :func:`conditional_moments` call builds all the missing plans, so
+    each runs once per coalition of each ``plans`` table; a caller that
+    needs one coalition passes a list of one.
     """
-    plan = plans.get(s)
-    if plan is None:
-        plan = plans[s] = conditional_moments(cov, s, context)
-    return plan
-
-
-def _eigen_factor(sigma: np.ndarray) -> np.ndarray:
-    """F with F F^T = sigma, negative eigenvalues clipped to zero."""
-    try:
-        vals, vecs = np.linalg.eigh(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidCovarianceError(
-            "conditional covariance factorization failed"
-        ) from exc
-    if not np.all(np.isfinite(vals)):
-        raise InvalidCovarianceError("conditional covariance factorization failed")
-    scale = max(1.0, float(vals[-1])) if vals.size else 1.0
-    if vals.size and vals[0] < -1e-8 * scale:
-        warnings.warn(
-            f"conditional covariance clipped (min eigenvalue {vals[0]:.3e})",
-            DiagnosticWarning,
-            stacklevel=3,
-        )
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)[None, :]
+    missing = [s for s in dict.fromkeys(coalitions) if s not in plans]
+    if missing:
+        plans.update(zip(missing, conditional_moments(cov, missing, context)))
+    return [plans[s] for s in coalitions]
 
 
 def gaussian_conditional(
     train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and eigen-factor of the unknown features' law under a fitted Gaussian, by s's plan."""
-    plan = _plan_for(
-        train.plans, train.checked_covariance, tuple(sorted(s)), "gaussian conditional"
+    (plan,) = _plan_for(
+        train.plans, train.checked_covariance, [tuple(sorted(s))], "gaussian conditional"
     )
     x_star = np.asarray(x_star, float).reshape(-1)
     return plan.mean(train.mean, x_star[plan.s]), plan.factor
@@ -364,7 +389,8 @@ class CopulaState:
 
     Row j of ``sorted_columns`` holds feature j's training values in
     ascending order.  ``plans`` holds one latent :class:`ConditioningPlan`
-    per coalition, filled by :func:`sample_copula_conditional` on first use.
+    per coalition, filled by :meth:`FittedSampler.build_plans` or, for a
+    coalition not yet planned, by :func:`sample_copula_conditional`.
     """
 
     sorted_columns: np.ndarray
@@ -461,7 +487,7 @@ def sample_copula_conditional(
     (inverse empirical CDF lookup).
     """
     s, v_s = _sorted_coalition(s, v_s)
-    plan = _plan_for(state.plans, state.latent_correlation, s, "copula conditional")
+    (plan,) = _plan_for(state.plans, state.latent_correlation, [s], "copula conditional")
     mean = plan.mean(np.zeros(state.m), v_s)
     latent = sample_gaussian_conditional(mean, plan.factor, k, rng_seed)
     return state.quantiles(plan.sbar, _scipy("special").ndtr(latent))
@@ -505,7 +531,7 @@ def _whiten(
     train: TrainingMatrix, s: Coalition, diff: np.ndarray, context: str
 ) -> np.ndarray:
     """L^{-1} diff^T, one column per row of diff, for the Cholesky factor L in s's plan."""
-    plan = _plan_for(train.plans, train.covariance, s, context)
+    (plan,) = _plan_for(train.plans, train.covariance, [s], context)
     return np.linalg.solve(plan.chol, diff.T)
 
 
@@ -830,13 +856,15 @@ class FittedSampler:
 
     The Gaussian and copula parts condition through one
     :class:`ConditioningPlan` per coalition: data-space plans kept on the
-    training matrix, latent plans kept on the copula state.  Plans are
-    filled lazily, on a coalition's first use: a plan is a function of the
-    training data and the coalition alone, so the order in which instances
-    build the plans does not change any result.  Those parts draw from one
-    :class:`InstanceDraws` per instance.  :meth:`contribution` estimates
-    proper coalitions only (the endpoints are the explainer's), and
-    :meth:`bandwidths` gives one table per instance row.
+    training matrix, latent plans kept on the copula state.
+    :meth:`build_plans` fills them for a whole design in one stacked pass per
+    part; a coalition not yet planned is built on its first use.  A plan is
+    a function of the training data and the coalition alone, so the order
+    in which instances build the plans does not change any result.  Those
+    parts draw from one :class:`InstanceDraws` per instance.
+    :meth:`contribution` estimates proper coalitions only (the endpoints are
+    the explainer's), and :meth:`bandwidths` gives one table per instance
+    row.
     """
 
     def __init__(self, spec: SamplerSpec, train: TrainingMatrix):
@@ -894,6 +922,29 @@ class FittedSampler:
         return [{s: float(sigma[i]) for s, sigma in columns.items()} for i in range(len(block))]
 
     # -- v(S) --------------------------------------------------------------
+
+    def build_plans(self, coalitions: Iterable[Coalition]) -> None:
+        """Fill the plan tables for every proper coalition of ``coalitions``.
+
+        Each part fills the table it conditions or whitens through: the
+        Gaussian and empirical parts the training matrix's, the copula part
+        its latent one.  Only missing plans are built, in one stacked
+        :func:`_plan_for` call per part; the independence part needs none.
+        """
+        m = self.train.m
+        parts: dict[str, list[Coalition]] = {}
+        for s in coalitions:
+            if 0 < len(s) < m:
+                parts.setdefault(self._part(s), []).append(s)
+        for part, group in parts.items():
+            if part == "gaussian":
+                _plan_for(self.train.plans, self.train.checked_covariance, group,
+                          "gaussian conditional")
+            elif part == "empirical":
+                _plan_for(self.train.plans, self.train.covariance, group, "empirical distance")
+            elif part == "copula":
+                _plan_for(self.copula.plans, self.copula.latent_correlation, group,
+                          "copula conditional")
 
     def instance_draws(self, x_star: np.ndarray, rng_seed) -> InstanceDraws:
         """The instance's :class:`InstanceDraws`, its stream seeded by ``rng_seed``."""

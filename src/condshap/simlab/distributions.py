@@ -21,7 +21,9 @@ share each plan, whose factor whitens x_S for the posterior weights, and the
 conditional covariance's density, factored once per coalition for both.
 Each instance takes each component's conditional mean from the plan's
 regression matrix, with no solve; the GH law also whitens x_S - mu_S and
-beta_S by the plan's factor.
+beta_S by the plan's factor.  The conditional samplers factor each
+coalition's conditional covariance once, on its first draw, and keep that
+factor next to the plan.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def _conditional_means(
     x_s: np.ndarray,
 ) -> tuple[ConditioningPlan, list[np.ndarray]]:
     """The plan for s and E[x_sbar | x_S = x_s] under N(mean, cov) for each of ``means``."""
-    plan = _plan_for(plans, cov, s, "gaussian conditional")
+    (plan,) = _plan_for(plans, cov, [s], "gaussian conditional")
     return plan, [plan.mean(mean, x_s) for mean in means]
 
 
@@ -178,17 +180,31 @@ def _conditional_components(
     ]
 
 
-def _sample_gaussian(
-    mean: np.ndarray, cov: np.ndarray, n: int, rng: np.random.Generator
+def _draw_factor(cov: np.ndarray) -> np.ndarray:
+    """F with F F^T = cov: the Cholesky factor, or the clipped eigen-factor if that fails."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(cov)
+        return vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+
+
+def _draw_factor_for(
+    factors: dict[Coalition, np.ndarray], s: Coalition, cov: np.ndarray
 ) -> np.ndarray:
+    """The :func:`_draw_factor` of coalition s's conditional covariance, made on its first call."""
+    if s not in factors:
+        factors[s] = _draw_factor(cov)
+    return factors[s]
+
+
+def _sample_gaussian(
+    mean: np.ndarray, factor: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n draws from N(mean, F F^T) for the factor F."""
     d = mean.shape[0]
     if d == 0:
         return np.empty((n, 0))
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
     return mean[None, :] + rng.standard_normal((n, d)) @ factor.T
 
 
@@ -202,6 +218,9 @@ class GaussianFeatures:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _densities: dict[Coalition, GaussianDensity] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _draw_factors: dict[Coalition, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -220,7 +239,7 @@ class GaussianFeatures:
         return self.mean.shape[0]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _sample_gaussian(self.mean, self.cov, n, rng)
+        return _sample_gaussian(self.mean, _draw_factor(self.cov), n, rng)
 
     def conditional_mean(self, s: Coalition, x_s: np.ndarray) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
@@ -231,7 +250,7 @@ class GaussianFeatures:
     ) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
         plan, (mean,) = _conditional_means(self._plans, [self.mean], self.cov, s, x_s)
-        return _sample_gaussian(mean, plan.sigma, n, rng)
+        return _sample_gaussian(mean, _draw_factor_for(self._draw_factors, s, plan.sigma), n, rng)
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
@@ -391,12 +410,15 @@ def gh_params_10d() -> GHParams:
 def sample_gh(params: GHParams, n: int, rng_seed) -> TrainingMatrix:
     """Draws via the mixture representation X = mu + W beta + sqrt(W) U."""
     rng = np.random.default_rng(rng_seed)
-    return TrainingMatrix.from_data(_sample_gh(params, n, rng))
+    return TrainingMatrix.from_data(_sample_gh(params, _draw_factor(params.sigma), n, rng))
 
 
-def _sample_gh(params: GHParams, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_gh(
+    params: GHParams, factor: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n draws of the GH law ``params``; ``factor`` is its Sigma's :func:`_draw_factor`."""
     w = sample_gig(params.lam, params.chi, params.psi, n, rng)
-    u = _sample_gaussian(np.zeros(params.dim), params.sigma, n, rng)
+    u = _sample_gaussian(np.zeros(params.dim), factor, n, rng)
     return params.mu[None, :] + w[:, None] * params.beta_skew[None, :] + np.sqrt(w)[:, None] * u
 
 
@@ -462,18 +484,23 @@ class GHFeatures:
     _plans: dict[Coalition, ConditioningPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _draw_factors: dict[Coalition, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
         return self.params.dim
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _sample_gh(self.params, n, rng)
+        return _sample_gh(self.params, _draw_factor(self.params.sigma), n, rng)
 
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        return _sample_gh(self._conditional(s, x_s), n, rng)
+        s, x_s = _sorted_coalition(s, x_s)
+        law = self._conditional(s, x_s)
+        return _sample_gh(law, _draw_factor_for(self._draw_factors, s, law.sigma), n, rng)
 
     def _conditional(self, s: Coalition, x_s: np.ndarray) -> GHParams:
         """The GH law given x_S = x_s, through the plan for s.
@@ -487,7 +514,7 @@ class GHFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         if not s:
             return p
-        plan = _plan_for(self._plans, p.sigma, s, "gh conditional")
+        (plan,) = _plan_for(self._plans, p.sigma, [s], "gh conditional")
         beta_s = p.beta_skew[plan.s]
         white = _scipy("linalg").solve_triangular(
             plan.chol, np.column_stack([x_s - p.mu[plan.s], beta_s]), lower=True
@@ -626,6 +653,9 @@ class MixtureFeatures:
     _marginals: dict[Coalition, GaussianDensity] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _draw_factors: dict[Coalition, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -634,7 +664,7 @@ class MixtureFeatures:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         p = self.params
         comp = rng.random(n) < p.weights[1]
-        out = _sample_gaussian(np.zeros(self.dim), p.cov, n, rng)
+        out = _sample_gaussian(np.zeros(self.dim), _draw_factor(p.cov), n, rng)
         out += np.where(comp[:, None], p.means[1][None, :], p.means[0][None, :])
         return out
 
@@ -643,7 +673,7 @@ class MixtureFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         if not s:
             return np.asarray(p.weights, float)
-        plan = _plan_for(self._plans, p.cov, s, "gaussian conditional")
+        (plan,) = _plan_for(self._plans, p.cov, [s], "gaussian conditional")
         if s not in self._marginals:
             self._marginals[s] = GaussianDensity.from_factor(np.zeros(len(s)), plan.chol)
         marginal = self._marginals[s]
@@ -662,13 +692,14 @@ class MixtureFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         post = self.posterior_weights(s, x_s)
         plan, means = _conditional_means(self._plans, self.params.means, self.params.cov, s, x_s)
+        factor = _draw_factor_for(self._draw_factors, s, plan.sigma)
         comp = rng.random(n) < post[1]
         out = np.empty((n, self.dim - len(s)))
         for k in range(2):
             mask = comp == bool(k)
             if not np.any(mask):
                 continue
-            out[mask] = _sample_gaussian(means[k], plan.sigma, int(mask.sum()), rng)
+            out[mask] = _sample_gaussian(means[k], factor, int(mask.sum()), rng)
         return out
 
     def conditional_components(

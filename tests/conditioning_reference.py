@@ -1,4 +1,11 @@
-"""Slow reference for the Gaussian conditioning plans in ``condshap.samplers``.
+"""Slow references for the Gaussian conditioning plans in ``condshap.samplers``.
+
+``reference_plan`` is the per-block formula the package used before it
+built its plans in stacked passes: per coalition, it gathers Sigma_SS with
+``np.ix_``, decides the ridge from that block's own ``np.linalg.cond`` (with
+the same warning), factors and solves the block, and eigen-factors the
+conditional covariance, clipping negative eigenvalues (with the same
+warning).  The stacked builder must give its plans bit for bit.
 
 ``reference_conditional_moments`` is the formula the package used before its
 plans held the regression matrix: per call, it gathers the blocks and solves
@@ -15,12 +22,74 @@ blocks, ridges Sigma_SS and solves it against
 [Sigma_{S,Sbar}, x_s - mu_S, beta_S] in one solve.
 """
 
+import warnings
 from typing import Iterable
 
 import numpy as np
 
-from condshap.samplers import _ridge, _sorted_coalition
+from condshap.errors import DiagnosticWarning, InvalidCovarianceError
+from condshap.samplers import RIDGE_COND, ConditioningPlan, _sorted_coalition
 from condshap.simlab.distributions import GHParams
+
+
+def reference_ridge(block: np.ndarray, context: str) -> float:
+    """Diagonal ridge for a near-singular block (cond > RIDGE_COND), else 0.0."""
+    if block.size == 0:
+        return 0.0
+    cond = np.linalg.cond(block)
+    if np.isfinite(cond) and cond <= RIDGE_COND:
+        return 0.0
+    lam = max(1e-8 * float(np.trace(block)) / block.shape[0], 1e-12)
+    warnings.warn(
+        f"near-singular covariance block in {context} "
+        f"(cond {cond:.3e}); ridge {lam:.3e} added",
+        DiagnosticWarning,
+        stacklevel=3,
+    )
+    return lam
+
+
+def reference_eigen_factor(sigma: np.ndarray) -> np.ndarray:
+    """F with F F^T = sigma, negative eigenvalues clipped to zero."""
+    try:
+        vals, vecs = np.linalg.eigh(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidCovarianceError(
+            "conditional covariance factorization failed"
+        ) from exc
+    if not np.all(np.isfinite(vals)):
+        raise InvalidCovarianceError("conditional covariance factorization failed")
+    scale = max(1.0, float(vals[-1])) if vals.size else 1.0
+    if vals.size and vals[0] < -1e-8 * scale:
+        warnings.warn(
+            f"conditional covariance clipped (min eigenvalue {vals[0]:.3e})",
+            DiagnosticWarning,
+            stacklevel=3,
+        )
+    vals = np.clip(vals, 0.0, None)
+    return vecs * np.sqrt(vals)[None, :]
+
+
+def reference_plan(
+    cov: np.ndarray, s: tuple[int, ...], context: str = "gaussian conditional"
+) -> ConditioningPlan:
+    """The plan for the sorted coalition ``s``, built by itself."""
+    cov = np.asarray(cov, float)
+    sbar = np.array([j for j in range(cov.shape[0]) if j not in s], dtype=np.intp)
+    s = np.array(s, dtype=np.intp)
+    block = cov[np.ix_(s, s)]
+    ridge = reference_ridge(block, context)
+    if ridge:
+        block = block + ridge * np.eye(len(s))
+    try:
+        chol = np.linalg.cholesky(block) if block.size else block
+    except np.linalg.LinAlgError as exc:
+        raise InvalidCovarianceError("covariance block factorization failed") from exc
+    cross = cov[np.ix_(s, sbar)]
+    coef = np.linalg.solve(block, cross)
+    sigma = cov[np.ix_(sbar, sbar)] - cross.T @ coef
+    sigma = 0.5 * (sigma + sigma.T)
+    return ConditioningPlan(s, sbar, ridge, chol, coef, sigma, reference_eigen_factor(sigma))
 
 
 def _ridged(block: np.ndarray, ridge: float) -> np.ndarray:
@@ -74,7 +143,7 @@ def reference_conditional_moments(
     if not len(s):
         return mean[sbar], cov[np.ix_(sbar, sbar)]
     if ridge is None:
-        ridge = _ridge(cov[np.ix_(s, s)], context)
+        ridge = reference_ridge(cov[np.ix_(s, s)], context)
     cross, solved = _solve_blocks(mean, cov, s, sbar, ridge, x_s)
     b, shift = solved[:, :-1], solved[:, -1]
     mu_cond = mean[sbar] + cross.T @ shift
@@ -95,7 +164,7 @@ def reference_gh_conditional(star: GHParams, s, x_s: np.ndarray) -> GHParams:
         return star
     s_idx, sbar_idx = list(s), list(sbar)
     sig11 = star.sigma[np.ix_(s_idx, s_idx)]
-    sig11 = _ridged(sig11, _ridge(sig11, "gh conditional"))
+    sig11 = _ridged(sig11, reference_ridge(sig11, "gh conditional"))
     sig12 = star.sigma[np.ix_(s_idx, sbar_idx)]
     sig22 = star.sigma[np.ix_(sbar_idx, sbar_idx)]
     mu1, mu2 = star.mu[s_idx], star.mu[sbar_idx]

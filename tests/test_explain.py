@@ -2,13 +2,14 @@
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
 from condshap import samplers
-from condshap.coalitions import sample_coalitions
+from condshap.coalitions import CoalitionMatrix, enumerate_coalitions, sample_coalitions
 from condshap.errors import DiagnosticWarning
 from condshap.explain import Explainer, instance_stream
 from condshap.samplers import SamplerSpec, TrainingMatrix
@@ -58,6 +59,53 @@ class TestExplainer:
         # the training matrix's plans too.
         proper = [s for s in backward.cm.coalitions if 0 < len(s) < 6]
         assert sorted(plans) == sorted(proper)
+
+    @pytest.mark.parametrize("first", ["empirical-0.1+gaussian", "empirical-0.1+copula"])
+    def test_partial_fill_builds_only_the_missing_plans(self, first, monkeypatch):
+        """A training matrix whose table a combined explainer filled for |S| <= d_star
+        only: a ``gaussian`` explainer builds the rest, each once, and explains
+        with the bytes of a fresh table, in either instance order.
+
+        ``+copula`` fills only |S| <= d_star in data space by itself; ``+gaussian``
+        does so on a design of the coalitions up to that size.
+        """
+        d_star, m = 2, 6
+        rng = np.random.default_rng(22)
+        data = rng.standard_normal((400, m)) @ (np.eye(m) + 0.3 * rng.standard_normal((m, m)))
+        data[:, 5] = data[:, 4] + 1e-7 * rng.standard_normal(400)  # ridged blocks
+        beta = rng.standard_normal(m)
+        predictor = lambda X: np.atleast_2d(X) @ beta
+        full = enumerate_coalitions(m)
+        small = [i for i, s in enumerate(full.coalitions) if len(s) <= d_star or len(s) == m]
+        design = CoalitionMatrix(m, tuple(full.coalitions[i] for i in small), full.weights[small])
+        gaussian = SamplerSpec.from_label("gaussian")
+        x = data[:3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            fresh = Explainer(TrainingMatrix.from_data(data), predictor, gaussian, k=100, seed=5)
+            expected = as_bytes(fresh.explain(x))
+            for order in ((0, 1, 2), (2, 1, 0)):
+                train = TrainingMatrix.from_data(data)
+                Explainer(train, predictor, SamplerSpec.from_label(first, d_star=d_star), k=100,
+                          seed=5, coalition_matrix=None if "copula" in first else design
+                          ).explain(x[:1])
+                filled = dict(train.plans)
+                assert sorted(filled) == sorted(s for s in full.coalitions if 0 < len(s) <= d_star)
+                built = []
+                conditional_moments = samplers.conditional_moments
+
+                def counting(cov, coalitions, *args, **kwargs):
+                    built.extend(coalitions)
+                    return conditional_moments(cov, coalitions, *args, **kwargs)
+
+                monkeypatch.setattr(samplers, "conditional_moments", counting)
+                explainer = Explainer(train, predictor, gaussian, k=100, seed=5)
+                got = {i: explainer.explain_one(x[i], i) for i in order}
+                monkeypatch.undo()
+                assert as_bytes([got[i] for i in range(3)]) == expected
+                assert sorted(built) == sorted(s for s in full.coalitions if d_star < len(s) < m)
+                assert all(train.plans[s] is plan for s, plan in filled.items())
+                assert any(plan.ridge > 0 for plan in filled.values())
 
     def test_instance_index_drives_randomness(self, fitted):
         train, predictor = fitted

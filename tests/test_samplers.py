@@ -15,7 +15,7 @@ from scipy import stats
 from scipy.special import ndtr, ndtri
 
 from condshap import samplers
-from condshap.coalitions import enumerate_coalitions
+from condshap.coalitions import enumerate_coalitions, sample_coalitions
 from condshap.errors import DiagnosticWarning, InvalidCovarianceError
 from condshap.samplers import (
     EmpiricalWeights,
@@ -38,7 +38,7 @@ from condshap.samplers import (
     PredictorError,
 )
 
-from conditioning_reference import reference_conditional_moments
+from conditioning_reference import reference_conditional_moments, reference_plan
 
 
 def exact_moment_data(mean, cov, n, seed=0):
@@ -122,7 +122,7 @@ class TestIndependence:
 
 class TestGaussianConditional:
     def test_bivariate_hand_example(self):
-        plan = conditional_moments(np.array([[1.0, 0.5], [0.5, 1.0]]), (0,))
+        (plan,) = conditional_moments(np.array([[1.0, 0.5], [0.5, 1.0]]), [(0,)])
         assert plan.coef.reshape(-1) == pytest.approx([0.5])
         assert plan.mean(np.zeros(2), np.array([2.0])) == pytest.approx([1.0])
         assert plan.sigma.reshape(-1) == pytest.approx([0.75])
@@ -135,7 +135,7 @@ class TestGaussianConditional:
     def test_independence_blocks_vanish(self):
         cov = np.diag([1.0, 2.0, 3.0])
         mean = np.array([1.0, -1.0, 0.5])
-        plan = conditional_moments(cov, (0,))
+        (plan,) = conditional_moments(cov, [(0,)])
         assert plan.mean(mean, np.array([5.0])) == pytest.approx(mean[1:])
         assert plan.sigma == pytest.approx(cov[1:, 1:])
 
@@ -143,7 +143,7 @@ class TestGaussianConditional:
         m = 5
         cov = np.full((m, m), 0.98)
         np.fill_diagonal(cov, 1.0)
-        assert conditional_moments(cov, (0, 1, 2, 3)).sigma[0, 0] < 0.04
+        assert conditional_moments(cov, [(0, 1, 2, 3)])[0].sigma[0, 0] < 0.04
 
     def test_invalid_covariance(self):
         bad = TrainingMatrix(
@@ -158,7 +158,7 @@ class TestGaussianConditional:
     def test_indefinite_block_fails_its_factorization(self):
         cov = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # Sigma_SS: 3, -1
         with pytest.raises(InvalidCovarianceError, match="factorization failed"):
-            conditional_moments(cov, (0, 1))
+            conditional_moments(cov, [(0, 1)])
 
     def test_near_singular_is_regularized(self):
         eps = 1e-12
@@ -166,7 +166,7 @@ class TestGaussianConditional:
             [[1.0, 1.0 - eps, 0.3], [1.0 - eps, 1.0, 0.3], [0.3, 0.3, 1.0]]
         )
         with pytest.warns(DiagnosticWarning, match="ridge"):
-            plan = conditional_moments(cov, (0, 1))
+            (plan,) = conditional_moments(cov, [(0, 1)])
         assert plan.ridge > 0
 
     def test_rejection_sampling_moments(self):
@@ -176,7 +176,7 @@ class TestGaussianConditional:
         cov = a @ a.T + 0.5 * np.eye(3)
         mean = rng.standard_normal(3)
         x_s = mean[0] + 0.3
-        plan = conditional_moments(cov, (0,))
+        (plan,) = conditional_moments(cov, [(0,)])
         mu, sig = plan.mean(mean, np.array([x_s])), plan.sigma
         chol = np.linalg.cholesky(cov)
         eps = 0.04 * math.sqrt(cov[0, 0])
@@ -866,7 +866,7 @@ def _copula_draws_by_column(state, s, x_star, k, rng_seed):
     sbar = [j for j in range(m) if j not in s]
     ranks = [np.searchsorted(state.sorted_columns[j], x_star[j], side="right") for j in s]
     v_star = ndtri(np.array([np.clip(r, 1, n) / (n + 1) for r in ranks], float))
-    plan = conditional_moments(state.latent_correlation, s)
+    (plan,) = conditional_moments(state.latent_correlation, [s])
     mu = plan.mean(np.zeros(m), v_star)
     vals, vecs = np.linalg.eigh(plan.sigma)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
@@ -979,7 +979,7 @@ class TestPlansMatchPerCallReference:
         """
 
         def reference(mean, cov, s, x_s):
-            plan = conditional_moments(cov, s)
+            (plan,) = conditional_moments(cov, [s])
             vals, vecs = np.linalg.eigh(plan.sigma)
             return plan.mean(mean, x_s), vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
 
@@ -998,8 +998,8 @@ class TestPlansMatchPerCallReference:
                     assert np.array_equal(cond_mean, mu), (i, s)
                     assert np.array_equal(cond_factor, factor), (i, s)
                     v_star = ndtri(state.cdf(s, x_s))
-                    plan = samplers._plan_for(
-                        state.plans, state.latent_correlation, s, "copula conditional"
+                    (plan,) = samplers._plan_for(
+                        state.plans, state.latent_correlation, [s], "copula conditional"
                     )
                     mu, factor = reference(zero, state.latent_correlation, s, v_star)
                     assert np.array_equal(plan.mean(zero, v_star), mu), (i, s)
@@ -1031,11 +1031,13 @@ class TestRidgeDecidedOncePerMatrix:
 
     @staticmethod
     def count_cond_calls(monkeypatch) -> list:
+        """The shape of every block checked: a stacked (g, s, s) call checks g (s, s) blocks."""
         shapes = []
         original = np.linalg.cond
 
         def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            *stack, rows, cols = np.shape(a)
+            shapes.extend([(rows, cols)] * math.prod(stack))
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cond", counting)
@@ -1082,6 +1084,112 @@ class TestRidgeDecidedOncePerMatrix:
             for explainer in explainers:
                 explainer.explain(data[:2])
         assert any(shape[0] < 4 for shape in shapes)
+
+
+def _stack_covariance(m: int, case: str) -> np.ndarray:
+    """A random m x m covariance: plain, ridged or clipped.
+
+    ``ridged`` replaces feature 1 by feature 0 plus a small multiple of
+    feature 1, so that every Sigma_SS holding both has cond about 2e9 and is
+    ridged.
+    ``clipped`` pushes the smallest eigenvalue to -1e-6: each Sigma_SS of a
+    proper coalition still factors, but each conditional covariance has a
+    negative eigenvalue beyond rounding, which the eigen-factor clips.
+    """
+    rng = np.random.default_rng([41, m])
+    a = rng.standard_normal((m, m))
+    cov = a @ a.T + 0.1 * np.eye(m)
+    if case == "ridged":
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+        mix = np.eye(m)
+        mix[1, 0], mix[1, 1] = 1.0, 2.0 * cov[0, 0] / math.sqrt(2e9 * det)
+        cov = mix @ cov @ mix.T
+    elif case == "clipped":
+        vals, vecs = np.linalg.eigh(cov)
+        vals[0] = -1e-6
+        cov = (vecs * vals) @ vecs.T
+        cov = 0.5 * (cov + cov.T)
+    return cov
+
+
+class TestStackedPlansMatchPerBlockReference:
+    """``conditional_moments`` builds a list of plans in one stacked pass per
+    coalition size; each plan equals the per-block reference bit for bit,
+    with the same warnings in the same order and the same errors."""
+
+    FIELDS = ("s", "sbar", "ridge", "chol", "coef", "sigma", "factor")
+
+    def assert_same_plans(self, cov, coalitions) -> list[str]:
+        with warnings.catch_warnings(record=True) as stacked:
+            warnings.simplefilter("always")
+            plans = conditional_moments(cov, coalitions, "stacked test")
+        with warnings.catch_warnings(record=True) as per_block:
+            warnings.simplefilter("always")
+            expected = [reference_plan(cov, s, "stacked test") for s in coalitions]
+        assert len(plans) == len(coalitions)
+        for s, plan, ref in zip(coalitions, plans, expected):
+            for name in self.FIELDS:
+                got, want = np.asarray(getattr(plan, name)), np.asarray(getattr(ref, name))
+                assert got.dtype == want.dtype and got.shape == want.shape, (s, name)
+                assert got.tobytes() == want.tobytes(), (s, name)
+        texts = [str(w.message) for w in stacked]
+        assert texts == [str(w.message) for w in per_block]
+        assert all(w.category is DiagnosticWarning for w in stacked)
+        return texts
+
+    @pytest.mark.parametrize("m, case", [
+        (m, case) for case in ("plain", "ridged", "clipped") for m in (1, 2, 3, 4, 5, 6, 10)
+        if m > 1 or case != "ridged"  # a near-collinear pair needs two features
+    ])
+    def test_every_coalition(self, m, case):
+        cov = _stack_covariance(m, case)
+        coalitions = list(enumerate_coalitions(m).coalitions)  # the empty one first
+        if case == "clipped":
+            coalitions = coalitions[:-1]  # Sigma itself is indefinite
+        texts = self.assert_same_plans(cov, coalitions)
+        ridged = [t for t in texts if "near-singular" in t]
+        clipped = [t for t in texts if "clipped" in t]
+        if case == "plain":
+            assert texts == []
+        elif case == "ridged":
+            # Every coalition holding features 0 and 1, several per size group.
+            assert len(ridged) == len(texts) == 2 ** (m - 2)
+            assert 1e9 < np.linalg.cond(cov[:2, :2]) < 4e9
+        else:
+            assert len(clipped) == len(coalitions) and not ridged
+
+    def test_unsorted_sampled_design_with_duplicates(self):
+        rng = np.random.default_rng(14)
+        design = sample_coalitions(14, 400, rng_seed=3).coalitions[1:-1]
+        coalitions = [design[i] for i in rng.integers(0, len(design), 600)]
+        assert len(set(coalitions)) < len(coalitions)
+        assert [len(s) for s in coalitions] != sorted(len(s) for s in coalitions)
+        texts = self.assert_same_plans(_stack_covariance(14, "ridged"), coalitions)
+        assert len(texts) == sum({0, 1} <= set(s) for s in coalitions) > 1
+
+    def test_empty_list(self):
+        assert conditional_moments(np.eye(3), []) == []
+
+    @pytest.mark.parametrize("case", ["pair", "full"])
+    def test_same_error_on_a_non_psd_block(self, case):
+        """An indefinite Sigma_SS fails its factorization.  The warnings of the
+        blocks before it come first, as one block at a time would give them."""
+        if case == "pair":
+            cov = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # Sigma_01: 3, -1
+        else:
+            cov = _stack_covariance(4, "clipped")  # only the full coalition's block is indefinite
+        coalitions = list(enumerate_coalitions(cov.shape[0]).coalitions)
+        caught = []
+        for build in (lambda: [reference_plan(cov, s) for s in coalitions],
+                      lambda: conditional_moments(cov, coalitions)):
+            with warnings.catch_warnings(record=True) as texts:
+                warnings.simplefilter("always")
+                with pytest.raises(InvalidCovarianceError) as error:
+                    build()
+            caught.append((str(error.value), [str(w.message) for w in texts]))
+        assert caught[0] == caught[1]
+        assert caught[0][0] == "covariance block factorization failed"
+        assert caught[0][1] and all("clipped" in text for text in caught[0][1])
 
 
 class TestNoSolveOnceThePlansExist:
@@ -1176,7 +1284,7 @@ class TestPlansMatchSlowReference:
                 for (plans, mean, cov), values in zip(spaces, (x_star, latent)):
                     for s in coalitions:
                         x_s = values[list(s)]
-                        plan = samplers._plan_for(plans, cov, s, "reference")
+                        (plan,) = samplers._plan_for(plans, cov, [s], "reference")
                         mu, sigma = reference_conditional_moments(mean, cov, s, x_s)
                         got = plan.mean(mean, x_s)
                         np.testing.assert_allclose(got, mu, rtol=0, atol=self.BOUND)

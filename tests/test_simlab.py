@@ -46,7 +46,7 @@ from condshap.simlab import (
 )
 from condshap import oracles, samplers
 from condshap.coalitions import _ordered_subsets
-from condshap.simlab import distributions, experiment
+from condshap.simlab import experiment
 from condshap.simlab.distributions import (
     GaussianDensity,
     GaussianFeatures,
@@ -118,13 +118,14 @@ class TestGig:
 def _inline_gh_draw(star, n, rng):
     """The GH draw as it was written before it called ``sample_gig``: the
     GIG(lam, chi, psi) variable through ``geninvgauss`` with b = sqrt(chi psi),
-    scaled by sqrt(chi / psi), then the Gaussian part from the same generator."""
+    scaled by sqrt(chi / psi), then the Gaussian part from the same generator,
+    through the Cholesky factor of Sigma."""
     from scipy.stats import geninvgauss
 
     omega = math.sqrt(star.chi * star.psi)
     v = geninvgauss.rvs(p=star.lam, b=omega, size=n, random_state=rng)
     w = math.sqrt(star.chi / star.psi) * v
-    u = distributions._sample_gaussian(np.zeros(star.dim), star.sigma, n, rng)
+    u = rng.standard_normal((n, star.dim)) @ np.linalg.cholesky(star.sigma).T
     return star.mu[None, :] + w[:, None] * star.beta_skew[None, :] + np.sqrt(w)[:, None] * u
 
 
@@ -503,7 +504,7 @@ def _reference_components(dist, s, x_s):
     else:
         means, cov, weights = [dist.mean], dist.cov, [1.0]
     out = []
-    plan = conditional_moments(cov, s)
+    (plan,) = conditional_moments(cov, [s])
     for weight, mean in zip(weights, means):
         mu = plan.mean(mean, x_s)
         sd = np.sqrt(np.clip(np.diag(plan.sigma), 1e-300, None))
@@ -566,7 +567,7 @@ class TestConditioningPlansMatchPerCallReference:
         with pytest.warns(DiagnosticWarning) as planned:
             dist.conditional_components(s, x_s)
         with pytest.warns(DiagnosticWarning) as direct:
-            conditional_moments(dist.cov, s)
+            conditional_moments(dist.cov, [s])
         assert [str(w.message) for w in planned] == [str(w.message) for w in direct]
         assert "ridge" in str(planned[0].message)
 
@@ -586,9 +587,9 @@ class TestPlansShared:
         built = []
         conditional_moments = samplers.conditional_moments
 
-        def counting(cov, s, *args, **kwargs):
-            built.append(tuple(s))
-            return conditional_moments(cov, s, *args, **kwargs)
+        def counting(cov, coalitions, *args, **kwargs):
+            built.extend(map(tuple, coalitions))
+            return conditional_moments(cov, coalitions, *args, **kwargs)
 
         monkeypatch.setattr(samplers, "conditional_moments", counting)
         dist = self.DISTS[name]()
@@ -603,9 +604,9 @@ class TestPlansShared:
         built = []
         conditional_moments = samplers.conditional_moments
 
-        def counting(cov, s, *args, **kwargs):
-            built.append(tuple(s))
-            return conditional_moments(cov, s, *args, **kwargs)
+        def counting(cov, coalitions, *args, **kwargs):
+            built.extend(map(tuple, coalitions))
+            return conditional_moments(cov, coalitions, *args, **kwargs)
 
         monkeypatch.setattr(samplers, "conditional_moments", counting)
         dist = GHFeatures(_correlated_gh())
@@ -617,6 +618,37 @@ class TestPlansShared:
         assert len(self.X) == 2
         assert built == coalitions
 
+    @pytest.mark.parametrize("name", ["gaussian", "mixture", "gh"])
+    def test_conditional_draws_factor_once_per_coalition(self, name, monkeypatch):
+        """``conditional_sample`` factors each coalition's conditional covariance
+        on its first draw only, and draws the bytes of a fresh distribution,
+        which factors it anew."""
+        make = {
+            "gaussian": lambda: GaussianFeatures.equicorrelated(3, 0.6),
+            "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
+            "gh": lambda: GHFeatures(_correlated_gh()),
+        }[name]
+        coalitions = [s for s in _ordered_subsets(3) if len(s) < 3]
+        draws = {}
+        for i, x in enumerate(self.X):
+            for s in coalitions:
+                rng = np.random.default_rng([i, *s])
+                draws[i, s] = make().conditional_sample(s, x[list(s)], 20, rng).tobytes()
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counting_factors(a):
+            factored.append(sys._getframe(1).f_code.co_name)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_factors)
+        dist = make()
+        for i, x in enumerate(self.X):
+            for s in coalitions:
+                rng = np.random.default_rng([i, *s])
+                assert dist.conditional_sample(s, x[list(s)], 20, rng).tobytes() == draws[i, s]
+        assert factored.count("_draw_factor") == len(coalitions)
+
     def test_mixture_posterior_weights_read_the_plan(self, monkeypatch):
         """The posterior weights whiten x_S by the plan's factor of Sigma_SS:
         only ``conditional_moments`` factors that block, and the plan the
@@ -625,9 +657,9 @@ class TestPlansShared:
         conditional_moments = samplers.conditional_moments
         cholesky = np.linalg.cholesky
 
-        def counting_plans(cov, s, *args, **kwargs):
-            built.append(tuple(s))
-            return conditional_moments(cov, s, *args, **kwargs)
+        def counting_plans(cov, coalitions, *args, **kwargs):
+            built.extend(map(tuple, coalitions))
+            return conditional_moments(cov, coalitions, *args, **kwargs)
 
         def counting_factors(a):
             factored.append(sys._getframe(1).f_code.co_name)

@@ -20,13 +20,17 @@ the same bytes.  The outputs are:
   a 3-D GH config, and for the ten-feature GH config, whose Monte Carlo
   truth draws from GH conditionals;
 - in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
-  in reverse order, near-singular and constant-margin training sets, and the
-  AICc estimators explained as a block and one instance at a time, and
-  ``original`` and ``gaussian`` at m=14, above the enumeration cap, on the
-  default sampled coalition design, and ``gaussian`` and ``copula`` at m=6
-  with a near-collinear pair, so that several blocks of each stacked size
-  group are ridged, explained in reverse order.  The texts of the warnings
-  each case raises, in the order raised, get their own digest;
+  in reverse order, near-singular and constant-margin training sets (with
+  ``empirical-aicc-exact``, whose ridged plans warn as the fixed-bandwidth
+  empirical distances do), and the AICc estimators explained as a block and
+  one instance at a time, and ``original`` and ``gaussian`` at m=14, above
+  the enumeration cap, on the default sampled coalition design, and
+  ``gaussian`` and ``copula`` at m=6 with a near-collinear pair, so that
+  several blocks of each stacked size group are ridged, explained in reverse
+  order.  The texts of the warnings each case raises, in the order raised,
+  get their own digest.  Each case's phi0/phi also go to ``<case>.csv``, one
+  row per explanation in ``repr`` floats of the digested values, so that
+  ``report_delta.py`` can size a moved digest;
 - the simulation lab's generalized hyperbolic conditioning on the ten-feature
   parameter block with a non-diagonal Sigma: the ``gh_conditional``
   parameters of four coalitions (``gh-conditional.txt``) and a fixed-seed
@@ -121,13 +125,18 @@ class Run:
             self.digests[f"{name}/{out}"] = sha256((self.work / out).read_bytes())
 
     def explanations(self, name: str, make) -> None:
-        """Digest the phi0/phi bytes of ``make()`` and, apart, its warnings."""
+        """Digest the phi0/phi bytes of ``make()`` and, apart, its warnings.
+
+        The same values go to ``<name>.csv``, one row (phi0, phi) per explanation.
+        """
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             explanations = make()
-        self.digests[name] = sha256(b"".join(
-            np.float64(e.phi0).tobytes() + np.asarray(e.phi, float).tobytes()
-            for e in explanations))
+        rows = np.array([np.r_[np.float64(e.phi0), np.asarray(e.phi, float)]
+                         for e in explanations])
+        self.digests[name] = sha256(b"".join(row.tobytes() for row in rows))
+        header = ["phi0"] + [f"phi{j + 1}" for j in range(rows.shape[1] - 1)]
+        write_csv(self.work / f"{name}.csv", header, rows)
         if caught:
             self.digests[f"{name}.warnings"] = sha256(
                 "\n".join(f"{w.category.__name__}: {w.message}" for w in caught).encode())
@@ -216,6 +225,9 @@ def in_process_outputs(run: Run) -> None:
     for label in ("gaussian", "copula", "empirical-0.1+gaussian"):
         run.explanations(f"m5-ridged-{label}",
                          lambda: explainer(train5, ols5, label, k=200).explain(x5[:3]))
+    # A training matrix of its own, whose plans the AICc search builds and warns for.
+    run.explanations("m5-ridged-empirical-aicc-exact", lambda: explainer(
+        TrainingMatrix.from_data(x5), ols5, "empirical-aicc-exact", k=200).explain(x5[:3]))
     x4 = correlated(rng, np.eye(4) + 0.4 * (1 - np.eye(4)), 500)
     x4[:, 2] = 1.5  # constant margin
     train4 = TrainingMatrix.from_data(x4)

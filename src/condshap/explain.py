@@ -6,15 +6,17 @@ the fitted sampler.  v(empty) and v(N) are exact and set here; the sampler
 estimates the proper coalitions.  It keeps one conditioning plan per
 coalition (the ridge, the Cholesky factor of Sigma_SS, the regression
 matrix, and the conditional covariance with its eigen-factor).  The first
-instance hands the design's coalitions to the sampler, which builds every
-missing plan in one stacked LAPACK pass per coalition size, the ridge still
-decided per block; nothing is built when the explainer is made.  The
-Gaussian and copula parts take their conditional means from a plan's
-regression matrix, without a solve, and the empirical and AICc distances
-whiten by its factor.  AICc bandwidths depend on the instance;
-:meth:`Explainer.explain` searches them for a block of instances at once
-(:meth:`Explainer.explain_one` for a block of one), coalition by coalition,
-so that each kernel and hat matrix is built once per block.  Randomness is
+instance, or an AICc estimator's first bandwidth search, hands the design's
+coalitions to the sampler, which builds every missing plan in one stacked
+LAPACK pass per coalition size, the ridge still decided per block; nothing
+is built when the explainer is made.  The Gaussian and copula parts take
+their conditional means from a plan's regression matrix, without a solve,
+and the empirical and AICc distances whiten by its inverse factor
+W = L^{-1}, made once per plan, with one product.  AICc bandwidths depend
+on the instance; :meth:`Explainer.explain` searches them for a block of
+instances at once (:meth:`Explainer.explain_one` for a block of one),
+coalition by coalition, so that each kernel and hat matrix is built once
+per block.  Randomness is
 derived per instance: the Gaussian and copula coalitions draw their normals
 in turn from one stream of the instance, and the independence part draws
 training rows per (seed, instance, coalition row).  So blocked and

@@ -10,12 +10,14 @@ All estimators depend on the predictor only through the contract: a
 deterministic vectorized map from an (n, m) float matrix to n reals.
 What x* leaves alone is kept in one :class:`ConditioningPlan` per
 (covariance, coalition), which checks, ridges (warning once) and factors
-its Sigma_SS block when it is built: the Gaussian and copula parts condition
-through it, and the empirical and AICc distances whiten by its factor.
+its Sigma_SS block when it is built, and keeps every further factor it is
+asked for: the Gaussian and copula parts condition through it, and the
+empirical and AICc distances whiten by its W = L^{-1}, one product each.
 :func:`conditional_moments` builds the plans of many coalitions at once, in
 one stacked LAPACK pass per coalition size, and still decides each block's
 ridge from that block's own condition number; the explainer hands it a
-whole design's coalitions at its first instance.
+whole design's coalitions at its first instance, and an AICc search its
+empirical coalitions first.
 """
 
 from __future__ import annotations
@@ -184,6 +186,26 @@ def _sorted_coalition(s: Iterable[int], x_s) -> tuple[Coalition, np.ndarray]:
 
 
 @dataclass(frozen=True, slots=True)
+class CholeskyFactor:
+    """A lower Cholesky factor L of a covariance A, with W = L^{-1} and log det A.
+
+    |W x|^2 = x^T A^{-1} x.  W is LAPACK's triangular inverse ``dtrtri``,
+    which cannot fail on L's positive diagonal and is exactly lower triangular.
+    """
+
+    chol: np.ndarray
+    inverse: np.ndarray
+    logdet: float
+
+    @classmethod
+    def of(cls, chol: np.ndarray) -> "CholeskyFactor":
+        if not chol.size:
+            return cls(chol, chol, 0.0)
+        inverse, _ = _scipy("linalg.lapack").dtrtri(chol, lower=1)
+        return cls(chol, inverse, 2.0 * np.sum(np.log(np.diag(chol))))
+
+
+@dataclass(frozen=True)
 class ConditioningPlan:
     """The part of conditioning a Gaussian on coalition S that x_S leaves alone.
 
@@ -194,10 +216,13 @@ class ConditioningPlan:
     covariance ``sigma`` and its eigen-factor.  None of it depends on x_S
     or on the Gaussian's mean, so laws that share a covariance share its
     plans: the explainer's samplers and empirical distances, and the
-    simulation lab's features, condition or whiten through them alike.
+    simulation lab's features, condition, whiten and draw through them alike.
     Plans are built many at a time, in one stacked pass per coalition size
     (:func:`conditional_moments`), with the same bytes as one at a time.
-    Each instance only takes its conditional mean through :meth:`mean`.
+    The plan is the one record of its factors, each made on first use:
+    :attr:`marginal` (with W = L^{-1}, :attr:`whiten`), :attr:`conditional`
+    and :attr:`draw_factor`.  Each instance only takes its conditional mean
+    through :meth:`mean` and whitens through :attr:`whiten`.
     """
 
     s: np.ndarray
@@ -211,6 +236,29 @@ class ConditioningPlan:
     def mean(self, mean: np.ndarray, x_s: np.ndarray) -> np.ndarray:
         """E[x_sbar | x_S = x_s] = mean_Sbar + (x_s - mean_S) coef under N(mean, Sigma)."""
         return mean[self.sbar] + (x_s - mean[self.s]) @ self.coef
+
+    @cached_property
+    def marginal(self) -> CholeskyFactor:
+        """The factor record of Sigma_SS + ridge I, whose factor is ``chol``."""
+        return CholeskyFactor.of(self.chol)
+
+    @property
+    def whiten(self) -> np.ndarray:
+        """W = L^{-1}: |W d|^2 = d^T (Sigma_SS + ridge I)^{-1} d."""
+        return self.marginal.inverse
+
+    @cached_property
+    def conditional(self) -> CholeskyFactor:
+        """The factor record of ``sigma``; ``np.linalg.LinAlgError`` where it has none."""
+        return CholeskyFactor.of(np.linalg.cholesky(self.sigma))
+
+    @cached_property
+    def draw_factor(self) -> np.ndarray:
+        """F with F F^T = ``sigma``: its Cholesky factor, else the eigen-factor ``factor``."""
+        try:
+            return self.conditional.chol
+        except np.linalg.LinAlgError:
+            return self.factor
 
 
 def conditional_moments(
@@ -527,14 +575,6 @@ class EmpiricalWeights:
         return rows[np.argsort(-w[rows], kind="stable")]
 
 
-def _whiten(
-    train: TrainingMatrix, s: Coalition, diff: np.ndarray, context: str
-) -> np.ndarray:
-    """L^{-1} diff^T, one column per row of diff, for the Cholesky factor L in s's plan."""
-    (plan,) = _plan_for(train.plans, train.covariance, [s], context)
-    return np.linalg.solve(plan.chol, diff.T)
-
-
 def scaled_mahalanobis(
     train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray
 ) -> np.ndarray:
@@ -543,9 +583,9 @@ def scaled_mahalanobis(
     if not s:
         raise ValueError("distance needs a non-empty conditioning set")
     x_star = np.asarray(x_star, float).reshape(-1)
-    diff = train.data[:, list(s)] - x_star[list(s)][None, :]
-    white = _whiten(train, s, diff, "empirical distance")
-    d2 = np.sum(white ** 2, axis=0) / len(s)
+    (plan,) = _plan_for(train.plans, train.covariance, [s], "empirical distance")
+    white = (train.data[:, list(s)] - x_star[list(s)][None, :]) @ plan.whiten.T
+    d2 = np.sum(white ** 2, axis=1) / len(s)
     return np.sqrt(np.maximum(d2, 0.0))
 
 
@@ -666,7 +706,8 @@ def _aicc_criterion_for_coalition(
     synth = np.tile(sub, (len(x_star), 1))
     synth[:, cols] = np.repeat(x_star[:, cols], len(sub), axis=0)
     responses = call_predictor(predictor, synth).reshape(len(x_star), len(sub))
-    white = _whiten(train, s, sub[:, cols], "aicc distance").T  # (n_sub, |s|)
+    (plan,) = _plan_for(train.plans, train.covariance, [s], "empirical distance")
+    white = sub[:, cols] @ plan.whiten.T  # (n_sub, |s|)
     sq = np.sum(white ** 2, axis=1)
     # d2 = max((sq_i + sq_j - 2 <w_i, w_j>) / |s|, 0).  Two n_sub x n_sub
     # matrices in all: h holds 2 <w_i, w_j>, then each sigma's kernel and
@@ -902,7 +943,8 @@ class FittedSampler:
         ``x_star`` is a block (n, m), or one instance (m,) as a block of one;
         the result holds one table per row (empty without an empirical part).
         AICc runs once per coalition (``aicc_exact``) or once per coalition
-        size (``aicc_approx``), for the whole block at once.
+        size (``aicc_approx``), for the whole block at once, after
+        :meth:`build_plans` has built the plans it whitens by.
         """
         spec = self.spec
         m = self.train.m
@@ -910,6 +952,7 @@ class FittedSampler:
         needs = [s for s in coalitions if 0 < len(s) < m and self._part(s) == "empirical"]
         if spec.bandwidth_mode == "fixed":
             return [{s: spec.sigma for s in needs} for _ in block]
+        self.build_plans(needs)
 
         def aicc(target: Coalition | int) -> np.ndarray:
             return aicc_bandwidth(self.train, predictor, target, block, n_aicc=spec.n_aicc)

@@ -14,23 +14,22 @@ block of points takes a few elementwise passes over the points.
 
 All three families condition as the explainer's samplers do, through one
 :class:`~condshap.samplers.ConditioningPlan` per (covariance, coalition),
-built by the first instance that meets it: the ridge decision for Sigma_SS,
-its Cholesky factor, the regression matrix and the conditional covariance
-depend neither on x_S nor on the law's mean.  The mixture's two components
-share each plan, whose factor whitens x_S for the posterior weights, and the
-conditional covariance's density, factored once per coalition for both.
-Each instance takes each component's conditional mean from the plan's
-regression matrix, with no solve; the GH law also whitens x_S - mu_S and
-beta_S by the plan's factor.  The conditional samplers factor each
-coalition's conditional covariance once, on its first draw, and keep that
-factor next to the plan.
+built by the first instance that meets it and kept in the family's one
+``_plans`` table: none of it depends on x_S or on the law's mean.  Each
+instance takes each component's conditional mean from the plan's regression
+matrix, with no solve.  The plan also holds every factor, made on first use:
+W = L^{-1} of Sigma_SS whitens x_S for the mixture's posterior weights and
+x_S - mu_S and beta_S for the GH law, and the Cholesky factor of the
+conditional covariance gives the conditional densities and draws (the
+mixture's components share both).  The unconditional samplers draw through
+the empty coalition's plan, whose conditional covariance is the law's own.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from ..coalitions import Coalition
 from ..errors import InvalidCovarianceError
 from ..oracles import QuadratureComponent, gauss_legendre
 from ..samplers import (
+    CholeskyFactor,
     ConditioningPlan,
     TrainingMatrix,
     _plan_for,
@@ -69,16 +69,6 @@ class EquicorrelatedCov:
         cov = np.full((self.m, self.m), self.rho)
         np.fill_diagonal(cov, 1.0)
         return cov
-
-
-def _whitening(chol: np.ndarray) -> tuple[np.ndarray, float]:
-    """The inverse of the lower Cholesky factor ``chol``, and log det(chol chol^T)."""
-    if not chol.size:
-        return chol, 0.0
-    # LAPACK's triangular inverse: the factor's diagonal is positive, so it
-    # cannot fail, and the result is exactly lower triangular.
-    whiten, _ = _scipy("linalg.lapack").dtrtri(chol, lower=1)
-    return whiten, 2.0 * np.sum(np.log(np.diag(chol)))
 
 
 def _centered(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -123,28 +113,19 @@ class GaussianDensity:
 
     @classmethod
     def from_moments(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":
-        return cls.from_factor(mean, np.linalg.cholesky(cov))
+        return cls.from_factor(mean, CholeskyFactor.of(np.linalg.cholesky(cov)))
 
     @classmethod
-    def from_factor(cls, mean: np.ndarray, chol: np.ndarray) -> "GaussianDensity":
+    def from_factor(cls, mean: np.ndarray, factor: CholeskyFactor) -> "GaussianDensity":
+        """The density of N(mean, cov) for the factor record ``factor`` of cov."""
         mean = np.asarray(mean, float).reshape(-1)
-        whiten, logdet = _whitening(chol)
-        return cls(mean, whiten, mean.shape[0] * math.log(2.0 * math.pi) + logdet)
+        return cls(mean, factor.inverse, mean.shape[0] * math.log(2.0 * math.pi) + factor.logdet)
 
     def logpdf(self, points: np.ndarray) -> np.ndarray:
         return -0.5 * (self.offset + _mahalanobis(self.whiten, _centered(points, self.mean)))
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(points))
-
-
-def _factored(
-    densities: dict[Coalition, GaussianDensity], s: Coalition, cov: np.ndarray
-) -> GaussianDensity:
-    """The density of N(0, cov), factored on the first call for coalition s."""
-    if s not in densities:
-        densities[s] = GaussianDensity.from_moments(np.zeros(cov.shape[0]), cov)
-    return densities[s]
 
 
 def _conditional_means(
@@ -161,7 +142,6 @@ def _conditional_means(
 
 def _conditional_components(
     plans: dict[Coalition, ConditioningPlan],
-    densities: dict[Coalition, GaussianDensity],
     means: Sequence[np.ndarray],
     cov: np.ndarray,
     weights: Sequence[float],
@@ -170,32 +150,13 @@ def _conditional_components(
 ) -> list[QuadratureComponent]:
     """One weighted component per law N(mean, cov) of ``means``, given x_S = x_s."""
     plan, centers = _conditional_means(plans, means, cov, s, x_s)
-    density = _factored(densities, s, plan.sigma)
     sd = np.sqrt(np.clip(np.diag(plan.sigma), 1e-300, None))
     return [
         QuadratureComponent(
-            weight=float(weight), center=center, sd=sd, density=replace(density, mean=center).pdf
+            float(weight), center, sd, GaussianDensity.from_factor(center, plan.conditional).pdf
         )
         for weight, center in zip(weights, centers)
     ]
-
-
-def _draw_factor(cov: np.ndarray) -> np.ndarray:
-    """F with F F^T = cov: the Cholesky factor, or the clipped eigen-factor if that fails."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
-
-
-def _draw_factor_for(
-    factors: dict[Coalition, np.ndarray], s: Coalition, cov: np.ndarray
-) -> np.ndarray:
-    """The :func:`_draw_factor` of coalition s's conditional covariance, made on its first call."""
-    if s not in factors:
-        factors[s] = _draw_factor(cov)
-    return factors[s]
 
 
 def _sample_gaussian(
@@ -217,12 +178,6 @@ class GaussianFeatures:
     _plans: dict[Coalition, ConditioningPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _densities: dict[Coalition, GaussianDensity] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _draw_factors: dict[Coalition, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, float).reshape(-1)
@@ -239,7 +194,8 @@ class GaussianFeatures:
         return self.mean.shape[0]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _sample_gaussian(self.mean, _draw_factor(self.cov), n, rng)
+        (plan,) = _plan_for(self._plans, self.cov, [()], "gaussian conditional")
+        return _sample_gaussian(self.mean, plan.draw_factor, n, rng)
 
     def conditional_mean(self, s: Coalition, x_s: np.ndarray) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
@@ -250,15 +206,13 @@ class GaussianFeatures:
     ) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
         plan, (mean,) = _conditional_means(self._plans, [self.mean], self.cov, s, x_s)
-        return _sample_gaussian(mean, _draw_factor_for(self._draw_factors, s, plan.sigma), n, rng)
+        return _sample_gaussian(mean, plan.draw_factor, n, rng)
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
         s, x_s = _sorted_coalition(s, x_s)
-        return _conditional_components(
-            self._plans, self._densities, [self.mean], self.cov, [1.0], s, x_s
-        )
+        return _conditional_components(self._plans, [self.mean], self.cov, [1.0], s, x_s)
 
 
 def sample_equicorrelated_gaussian(
@@ -409,14 +363,14 @@ def gh_params_10d() -> GHParams:
 
 def sample_gh(params: GHParams, n: int, rng_seed) -> TrainingMatrix:
     """Draws via the mixture representation X = mu + W beta + sqrt(W) U."""
-    rng = np.random.default_rng(rng_seed)
-    return TrainingMatrix.from_data(_sample_gh(params, _draw_factor(params.sigma), n, rng))
+    data = GHFeatures(params).sample(n, np.random.default_rng(rng_seed))
+    return TrainingMatrix.from_data(data)
 
 
 def _sample_gh(
     params: GHParams, factor: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n draws of the GH law ``params``; ``factor`` is its Sigma's :func:`_draw_factor`."""
+    """n draws of the GH law ``params``; ``factor`` is its Sigma's plan's draw factor."""
     w = sample_gig(params.lam, params.chi, params.psi, n, rng)
     u = _sample_gaussian(np.zeros(params.dim), factor, n, rng)
     return params.mu[None, :] + w[:, None] * params.beta_skew[None, :] + np.sqrt(w)[:, None] * u
@@ -424,7 +378,7 @@ def _sample_gh(
 
 def gh_conditional(params: GHParams, s: Coalition, x_s: np.ndarray) -> GHParams:
     """Conditional GH law of the complement features given x_s, through a fresh plan."""
-    return GHFeatures(params)._conditional(s, x_s)
+    return GHFeatures(params)._conditional(*_sorted_coalition(s, x_s))
 
 
 @dataclass(frozen=True)
@@ -445,18 +399,19 @@ class GHDensity:
     log_norm: float
 
     @classmethod
-    def from_law(cls, law: GHParams) -> "GHDensity":
-        whiten, logdet = _whitening(np.linalg.cholesky(law.sigma))
-        beta_white = whiten @ law.beta_skew
+    def from_law(cls, law: GHParams, factor: CholeskyFactor) -> "GHDensity":
+        """The density of ``law``, for the factor record ``factor`` of its Sigma."""
+        beta_white = factor.inverse @ law.beta_skew
         omega = math.sqrt(law.chi * law.psi)
         log_k_lam = math.log(_scipy("special").kve(law.lam, omega)) - omega
         log_norm = (
             (law.lam / 2.0) * (math.log(law.psi) - math.log(law.chi))
             - (law.dim / 2.0) * math.log(2.0 * math.pi)
-            - 0.5 * logdet
+            - 0.5 * factor.logdet
             - log_k_lam
         )
-        return cls(law, whiten, float(beta_white @ beta_white), whiten.T @ beta_white, log_norm)
+        return cls(law, factor.inverse, float(beta_white @ beta_white),
+                   factor.inverse.T @ beta_white, log_norm)
 
     def logpdf(self, points: np.ndarray) -> np.ndarray:
         law = self.law
@@ -484,41 +439,39 @@ class GHFeatures:
     _plans: dict[Coalition, ConditioningPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _draw_factors: dict[Coalition, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def dim(self) -> int:
         return self.params.dim
 
+    def _plan(self, s: Coalition) -> ConditioningPlan:
+        """The plan for the sorted coalition s, built on its first use."""
+        (plan,) = _plan_for(self._plans, self.params.sigma, [s], "gh conditional")
+        return plan
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _sample_gh(self.params, _draw_factor(self.params.sigma), n, rng)
+        return _sample_gh(self.params, self._plan(()).draw_factor, n, rng)
 
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
-        law = self._conditional(s, x_s)
-        return _sample_gh(law, _draw_factor_for(self._draw_factors, s, law.sigma), n, rng)
+        return _sample_gh(self._conditional(s, x_s), self._plan(s).draw_factor, n, rng)
 
     def _conditional(self, s: Coalition, x_s: np.ndarray) -> GHParams:
-        """The GH law given x_S = x_s, through the plan for s.
+        """The GH law given x_S = x_s (s sorted, x_s in its order), through the plan for s.
 
-        With L the plan's Cholesky factor of Sigma_SS: mu and Sigma condition
-        as a Gaussian's do, beta_c = beta_Sbar - beta_S coef,
-        chi_c = chi + |L^{-1}(x_s - mu_S)|^2, psi_c = psi + |L^{-1} beta_S|^2
-        and lam_c = lam - |S|/2.
+        With W = L^{-1} the plan's whitening matrix of Sigma_SS: mu and Sigma
+        condition as a Gaussian's do, beta_c = beta_Sbar - beta_S coef,
+        chi_c = chi + |W (x_s - mu_S)|^2, psi_c = psi + |W beta_S|^2 and
+        lam_c = lam - |S|/2.
         """
         p = self.params
-        s, x_s = _sorted_coalition(s, x_s)
         if not s:
             return p
-        (plan,) = _plan_for(self._plans, p.sigma, [s], "gh conditional")
+        plan = self._plan(s)
         beta_s = p.beta_skew[plan.s]
-        white = _scipy("linalg").solve_triangular(
-            plan.chol, np.column_stack([x_s - p.mu[plan.s], beta_s]), lower=True
-        )
+        white = plan.whiten @ np.column_stack([x_s - p.mu[plan.s], beta_s])
         return GHParams(
             lam=p.lam - len(s) / 2.0,
             chi=p.chi + float(white[:, 0] @ white[:, 0]),
@@ -536,6 +489,7 @@ class GHFeatures:
             # skewed ridge along the mixing direction); decompose it into
             # Gaussians over mixing-variable quadrature nodes instead.
             return _gh_mixing_components(self.params)
+        s, x_s = _sorted_coalition(s, x_s)
         cond = self._conditional(s, x_s)
         center = cond.mean()
         sd = np.sqrt(np.clip(np.diag(cond.covariance()), 1e-300, None))
@@ -545,7 +499,7 @@ class GHFeatures:
                 weight=1.0,
                 center=center,
                 sd=sd,
-                density=GHDensity.from_law(cond).pdf,
+                density=GHDensity.from_law(cond, self._plan(s).conditional).pdf,
                 lo=lo,
                 hi=hi,
             )
@@ -639,21 +593,13 @@ class MixtureParams:
 class MixtureFeatures:
     """Gaussian mixture with posterior-weighted exact conditionals.
 
-    The components share one covariance, so they share its plans (whose
-    factor of Sigma_SS whitens x_S) and the conditional covariance's density.
+    The components share one covariance, so they share its plans and the
+    plans' factors: of Sigma_SS for the posterior weights, of the conditional
+    covariance for the densities and draws.
     """
 
     params: MixtureParams
     _plans: dict[Coalition, ConditioningPlan] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _densities: dict[Coalition, GaussianDensity] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _marginals: dict[Coalition, GaussianDensity] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _draw_factors: dict[Coalition, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -664,7 +610,8 @@ class MixtureFeatures:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         p = self.params
         comp = rng.random(n) < p.weights[1]
-        out = _sample_gaussian(np.zeros(self.dim), _draw_factor(p.cov), n, rng)
+        (plan,) = _plan_for(self._plans, p.cov, [()], "gaussian conditional")
+        out = _sample_gaussian(np.zeros(self.dim), plan.draw_factor, n, rng)
         out += np.where(comp[:, None], p.means[1][None, :], p.means[0][None, :])
         return out
 
@@ -674,12 +621,10 @@ class MixtureFeatures:
         if not s:
             return np.asarray(p.weights, float)
         (plan,) = _plan_for(self._plans, p.cov, [s], "gaussian conditional")
-        if s not in self._marginals:
-            self._marginals[s] = GaussianDensity.from_factor(np.zeros(len(s)), plan.chol)
-        marginal = self._marginals[s]
         x_s = x_s.reshape(1, -1)
         logs = np.array([
-            math.log(weight) + replace(marginal, mean=mean[plan.s]).logpdf(x_s)[0]
+            math.log(weight)
+            + GaussianDensity.from_factor(mean[plan.s], plan.marginal).logpdf(x_s)[0]
             for weight, mean in zip(p.weights, p.means)
         ])
         logs -= logs.max()
@@ -692,14 +637,13 @@ class MixtureFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         post = self.posterior_weights(s, x_s)
         plan, means = _conditional_means(self._plans, self.params.means, self.params.cov, s, x_s)
-        factor = _draw_factor_for(self._draw_factors, s, plan.sigma)
         comp = rng.random(n) < post[1]
         out = np.empty((n, self.dim - len(s)))
         for k in range(2):
             mask = comp == bool(k)
             if not np.any(mask):
                 continue
-            out[mask] = _sample_gaussian(means[k], factor, int(mask.sum()), rng)
+            out[mask] = _sample_gaussian(means[k], plan.draw_factor, int(mask.sum()), rng)
         return out
 
     def conditional_components(
@@ -708,7 +652,7 @@ class MixtureFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         p = self.params
         return _conditional_components(
-            self._plans, self._densities, p.means, p.cov, self.posterior_weights(s, x_s), s, x_s
+            self._plans, p.means, p.cov, self.posterior_weights(s, x_s), s, x_s
         )
 
 

@@ -16,6 +16,10 @@ Sigma_SS against [Sigma_{S,Sbar}, x_s - mu_S] in one solve, then forms
 
 The closed-form tests and criterion 6 take their conditional means from it.
 
+``reference_whitened`` is the whitening the empirical and AICc distances
+used before their plans held W = L^{-1}: per call, an LU solve of the
+triangular Cholesky factor L against the differences.
+
 ``reference_gh_conditional`` is the generalized hyperbolic conditioning the
 simulation lab used before it read the plans: per call, it gathers the
 blocks, ridges Sigma_SS and solves it against
@@ -150,6 +154,11 @@ def reference_conditional_moments(
     sigma_cond = cov[np.ix_(sbar, sbar)] - cross.T @ b
     sigma_cond = 0.5 * (sigma_cond + sigma_cond.T)
     return mu_cond, sigma_cond
+
+
+def reference_whitened(chol: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """L^{-1} diff^T, one column per row of ``diff``, by ``np.linalg.solve``."""
+    return np.linalg.solve(chol, diff.T)
 
 
 def reference_gh_conditional(star: GHParams, s, x_s: np.ndarray) -> GHParams:

@@ -315,11 +315,14 @@ class TestInstanceStream:
 # SHA-256 of the phi0/phi bytes of non_parametric_digest, computed before the
 # Gaussian and copula parts drew from one stream per instance (numpy 2.4,
 # OpenBLAS).  These labels draw nothing from that stream, so no byte may move.
+# The three empirical values were pinned again when the empirical and AICc
+# distances began to whiten by the plans' W = L^{-1} (a product) instead of
+# an LU solve of L; their phi moved by at most 2.2e-16.
 NON_PARAMETRIC_DIGESTS = {
     "original": "5d9a9995ab93d5fa8f5aabc2ceb4a67b15a451d7d716b8978ff81f0b6bb65a83",
-    "empirical-0.1": "50e29b96272243903da0e80fcb6267b44bc2599c00fffc6f2ee413cd57c38cb7",
-    "empirical-aicc-exact": "beb6a36ef80068bf6d2b8e49da2242a97db83700a80200ee2d0fe73917381ce2",
-    "empirical-aicc-approx": "7dd4a60e9a445fe5363adb6478a38c3eae3c2c52f935295a82a483659dc788b6",
+    "empirical-0.1": "0b56ad601c4c20b868c7f3a1f2bca582e69b33f94b723fb7cec837c530c75bec",
+    "empirical-aicc-exact": "431ccbd7dabc8c309a035dddda14455ceeb5a25eca4e078034563f7bc68f8eb3",
+    "empirical-aicc-approx": "6d6ba776cb3083268a28b8696d87efba82097db4aafd45ae44064526c2dacb06",
 }
 
 

@@ -38,7 +38,11 @@ from condshap.samplers import (
     PredictorError,
 )
 
-from conditioning_reference import reference_conditional_moments, reference_plan
+from conditioning_reference import (
+    reference_conditional_moments,
+    reference_plan,
+    reference_whitened,
+)
 
 
 def exact_moment_data(mean, cov, n, seed=0):
@@ -831,8 +835,12 @@ def _aicc_reference(train, f, s_or_size, x_star, n_aicc, grid=samplers.DEFAULT_A
 
     The slow reference for ``aicc_bandwidth``: a fresh spliced subsample and
     whitening per coalition, a fresh kernel per sigma, and log(tau^2) + Phi
-    from ``_smooth`` on that kernel.
+    from ``_smooth`` on that kernel.  It whitens by the inverse of a fresh
+    Cholesky factor from LAPACK's ``dtrtri`` and one product, as the plan's
+    ``whiten`` does, so that its criteria are the same bits.
     """
+    from scipy.linalg.lapack import dtrtri
+
     if isinstance(s_or_size, int):
         coalitions = list(combinations(range(train.m), s_or_size))
     else:
@@ -844,8 +852,8 @@ def _aicc_reference(train, f, s_or_size, x_star, n_aicc, grid=samplers.DEFAULT_A
         synth = sub.copy()
         synth[:, s] = x_star[s]
         y = f(synth)
-        chol = np.linalg.cholesky(train.covariance[np.ix_(s, s)])
-        white = np.linalg.solve(chol, sub[:, s].T).T
+        whiten, _ = dtrtri(np.linalg.cholesky(train.covariance[np.ix_(s, s)]), lower=1)
+        white = sub[:, s] @ whiten.T
         sq = np.sum(white ** 2, axis=1)
         d2 = np.maximum((sq[:, None] + sq[None, :] - 2.0 * (white @ white.T)) / len(s), 0.0)
         for g, sigma in enumerate(grid):
@@ -1194,12 +1202,8 @@ class TestStackedPlansMatchPerBlockReference:
 
 class TestNoSolveOnceThePlansExist:
     """A warm instance takes its Gaussian and copula conditional means from the
-    plans' regression matrices, without a solve.
-
-    The only ``np.linalg.solve`` left on such an instance is the empirical
-    part's whitening of its own distances (``_whiten``), one per empirical
-    coalition: that solve depends on x*.
-    """
+    plans' regression matrices, and whitens its empirical distances by the
+    plans' inverse factors W = L^{-1}, without a solve."""
 
     @pytest.mark.parametrize("label", ["gaussian", "copula", "empirical-0.1+gaussian"])
     def test_second_instance(self, label, monkeypatch):
@@ -1220,9 +1224,7 @@ class TestNoSolveOnceThePlansExist:
 
         monkeypatch.setattr(np.linalg, "solve", counting)
         explainer.explain_one(data[1], 1)
-        empirical = [s for s in explainer.cm.coalitions
-                     if spec.kind == "combined" and 0 < len(s) <= spec.d_star]
-        assert callers == ["_whiten"] * len(empirical)
+        assert callers == []
 
 
 class TestNoCholeskyOnceThePlansExist:
@@ -1291,3 +1293,97 @@ class TestPlansMatchSlowReference:
                         np.testing.assert_allclose(plan.sigma, sigma, rtol=0, atol=self.BOUND)
         for plans, *_ in spaces:
             assert any(plan.ridge > 0 for plan in plans.values()) == (case == "ridge")
+
+
+class TestPlanFactorsMatchSlowReference:
+    """The plans' inverse factor W = L^{-1} against the LU solve of
+    ``tests/conditioning_reference.py``, at every proper coalition of m=5
+    (plain and ridged) and of m=10.
+
+    W comes from LAPACK's ``dtrtri`` and is exactly lower triangular.  The
+    squared empirical distances through W and through the solve differ by
+    rounding only: at most 1.9e-14 relative on these data (9.4e-15 on the
+    ridged blocks, whose cond is about 1e8).  1e-13 leaves five times that.
+    W L - I reaches 1.3e-12 on the ridged blocks (cond(L) about 1e4) and
+    1e-14 elsewhere; a wrong inverse would miss 1e-11 by orders of magnitude.
+    """
+
+    @staticmethod
+    def data(case: str) -> np.ndarray:
+        if case != "m10":
+            return TestPlansMatchPerCallReference.data(case)
+        rng = np.random.default_rng(35)
+        return rng.standard_normal((300, 10)) @ (np.eye(10) + 0.4 * rng.standard_normal((10, 10)))
+
+    @pytest.mark.parametrize("case", ["plain", "ridge", "m10"])
+    def test_every_coalition(self, case):
+        data = self.data(case)
+        m = data.shape[1]
+        train = TrainingMatrix.from_data(data)
+        coalitions = [s for s in enumerate_coalitions(m).coalitions if 0 < len(s) < m]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            for x_star in 0.8 * data[:2] + 0.1:
+                for s in coalitions:
+                    got = scaled_mahalanobis(train, s, x_star) ** 2
+                    plan = train.plans[s]
+                    assert np.all(np.triu(plan.whiten, 1) == 0.0), s
+                    np.testing.assert_allclose(plan.whiten @ plan.chol, np.eye(len(s)),
+                                               rtol=0, atol=1e-11, err_msg=str(s))
+                    diff = data[:, list(s)] - x_star[list(s)]
+                    expected = np.sum(reference_whitened(plan.chol, diff) ** 2, axis=0) / len(s)
+                    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0, err_msg=str(s))
+        assert any(plan.ridge > 0 for plan in train.plans.values()) == (case == "ridge")
+
+
+class TestDrawFactor:
+    """The plan's draw factor: the Cholesky factor of its conditional
+    covariance, or, where that Cholesky fails, the eigen-factor ``factor``,
+    which is what a fresh ``eigh`` of the same symmetrized matrix gives."""
+
+    @staticmethod
+    def eigen_factor(sigma: np.ndarray) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(sigma)
+        return vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+
+    def test_cholesky_where_it_exists(self):
+        cov = _stack_covariance(4, "plain")
+        for plan in conditional_moments(cov, list(enumerate_coalitions(4).coalitions)):
+            assert plan.draw_factor.tobytes() == np.linalg.cholesky(plan.sigma).tobytes()
+            assert plan.draw_factor is plan.conditional.chol
+
+    def test_eigen_factor_where_cholesky_fails(self):
+        cov = _stack_covariance(4, "clipped")
+        coalitions = list(enumerate_coalitions(4).coalitions)[:-1]  # Sigma is indefinite
+        with pytest.warns(DiagnosticWarning, match="clipped"):
+            plans = conditional_moments(cov, coalitions)
+        for s, plan in zip(coalitions, plans):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(plan.sigma)
+            assert plan.draw_factor.tobytes() == plan.factor.tobytes(), s
+            assert plan.draw_factor.tobytes() == self.eigen_factor(plan.sigma).tobytes(), s
+
+
+class TestAiccPlansBuiltStacked:
+    """An AICc explainer builds its plans before its first search, in one
+    stacked pass per coalition size, not one coalition at a time."""
+
+    def test_first_explain_builds_each_size_group_once(self, monkeypatch):
+        from condshap.explain import Explainer
+
+        rng = np.random.default_rng(36)
+        data = rng.standard_normal((200, 6)) @ (np.eye(6) + 0.3 * np.ones((6, 6)))
+        f = lambda X: np.atleast_2d(X) @ np.arange(1.0, 7.0)
+        spec = SamplerSpec.from_label("empirical-aicc-exact", n_aicc=40)
+        explainer = Explainer(TrainingMatrix.from_data(data), f, spec, k=20)
+        groups = []
+        original = samplers.conditional_moments
+
+        def counting(cov, coalitions, *args, **kwargs):
+            groups.extend(sorted({len(s) for s in coalitions}))
+            return original(cov, coalitions, *args, **kwargs)
+
+        monkeypatch.setattr(samplers, "conditional_moments", counting)
+        explainer.explain(data[:2])
+        assert groups == [1, 2, 3, 4, 5]
+        assert len(explainer.train.plans) == 2 ** 6 - 2

@@ -338,6 +338,13 @@ def _reference_gh_logpdf(points, star):
     )
 
 
+def _gh_density(law):
+    """The density of ``law`` through the empty coalition's plan, whose
+    conditional covariance is the law's own Sigma."""
+    (plan,) = conditional_moments(law.sigma, [()])
+    return GHDensity.from_law(law, plan.conditional)
+
+
 def _correlated_gh(m=3):
     """A skewed GH law with correlated Sigma, so conditionals are not diagonal."""
     scale = np.sqrt([1.0, 2.0, 0.5])[:m]
@@ -395,8 +402,8 @@ def _densities():
     star = gh_conditional(_correlated_gh(), (0,), np.array([0.4]))
     return {
         "gaussian": GaussianDensity.from_moments(mean, cov),
-        "gh": GHDensity.from_law(_correlated_gh()),
-        "gh-conditional": GHDensity.from_law(star),
+        "gh": _gh_density(_correlated_gh()),
+        "gh-conditional": _gh_density(star),
     }
 
 
@@ -446,13 +453,13 @@ class TestGHDensity:
         assert d == 3 - len(s)
         rng = np.random.default_rng(33)
         points = star.mean() + 2.0 * rng.standard_normal((400, d))
-        got = GHDensity.from_law(star).logpdf(points)
+        got = _gh_density(star).logpdf(points)
         np.testing.assert_allclose(got, _reference_gh_logpdf(points, star), rtol=1e-12, atol=0)
 
     def test_one_dimensional_law_integrates_to_one(self):
         star = gh_conditional(_correlated_gh(), (0, 2), np.array([0.4, 1.3]))
         assert star.dim == 1
-        dens = GHDensity.from_law(star)
+        dens = _gh_density(star)
         nodes, weights = np.polynomial.legendre.leggauss(40)
         edges = np.linspace(-120.0, 120.0, 601)
         total = 0.0
@@ -647,7 +654,7 @@ class TestPlansShared:
             for s in coalitions:
                 rng = np.random.default_rng([i, *s])
                 assert dist.conditional_sample(s, x[list(s)], 20, rng).tobytes() == draws[i, s]
-        assert factored.count("_draw_factor") == len(coalitions)
+        assert factored.count("conditional") == len(coalitions)
 
     def test_mixture_posterior_weights_read_the_plan(self, monkeypatch):
         """The posterior weights whiten x_S by the plan's factor of Sigma_SS:
@@ -681,8 +688,89 @@ class TestPlansShared:
         for s in coalitions:
             dist.conditional_components(s, second[list(s)])
         assert built == coalitions
-        # The conditional covariance's density, once per coalition.
-        assert factored == ["from_moments"] * len(coalitions)
+        # The conditional covariance's factor record, once per coalition.
+        assert factored == ["conditional"] * len(coalitions)
+
+
+    def test_gh_components_factor_the_conditional_covariance_once(self, monkeypatch):
+        """Over two instances, each coalition's conditional covariance is
+        factored once, by its plan, and its Sigma_SS once, by the plan build."""
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counting_factors(a):
+            factored.append(sys._getframe(1).f_code.co_name)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_factors)
+        dist = GHFeatures(_correlated_gh())
+        coalitions = [s for s in _ordered_subsets(3) if 0 < len(s) < 3]
+        for x in self.X:
+            for s in coalitions:
+                dist.conditional_components(s, x[list(s)])
+        assert len(self.X) == 2
+        assert sorted(factored) == ["conditional"] * 6 + ["conditional_moments"] * 6
+
+
+# SHA-256 of lab_bytes, computed before the plans held the factors of their
+# conditional covariances (numpy 2.4, OpenBLAS).  Every draw and density here
+# reads the Cholesky factor of a plan's conditional covariance, or its
+# eigen-factor where that Cholesky fails, or the whitening matrix of Sigma_SS:
+# the same factors of the same matrices, so no byte may move.
+LAB_DIGESTS = {
+    "gaussian": "94bb90609ec504b1ef5f6ee27338dff1e1ec518d406bc89e8b3f0111300fd8b9",
+    "gaussian-ridged": "62cb3efabe603211d81e8d4d504990adf3c830d524f472013e0447fb59cbb655",
+    "gaussian-clipped": "b0422a1867c9d4ed76b0dd567a3200f34d6c7f0c693b8f86bdd56b821f43d87a",
+    "mixture": "ceb3a20de0df93e6ce10e3e67c5a8404852423168cb5cf8240a38880660184a0",
+    "mixture-ridged": "88f778bdc4a7318148cd0d5e1d7288e5fb17457f7af1e4c69c6c4765c3d16681",
+    "gh": "1b208ea2b8ee1613f5a4eb62ccdee193863e751ca68f9cfeae0d122c1e4e691f",
+}
+
+
+def lab_bytes(name: str) -> bytes:
+    """The unconditional draws of one lab distribution and, but for the GH
+    law (whose conditional chi and psi read the whitening matrix of Sigma_SS
+    by a product), its conditional draws, densities and posterior weights
+    at every coalition of two instances."""
+    ridged = np.array([[1.0, 0.3, 1.0 - 1e-9], [0.3, 1.0, 0.3], [1.0 - 1e-9, 0.3, 1.0]])
+    vals, vecs = np.linalg.eigh(_SIGMA3)
+    clipped = (vecs * np.array([-1e-6, vals[1], vals[2]])) @ vecs.T
+    dist = {
+        "gaussian": lambda: GaussianFeatures(np.array([0.1, -0.2, 0.3]), _SIGMA3),
+        "gaussian-ridged": lambda: GaussianFeatures(np.array([0.1, -0.2, 0.3]), ridged),
+        "gaussian-clipped": lambda: GaussianFeatures(np.zeros(3), 0.5 * (clipped + clipped.T)),
+        "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
+        "mixture-ridged": lambda: MixtureFeatures(
+            replace(MixtureParams.from_gamma(1.0), cov=ridged)),
+        "gh": lambda: GHFeatures(_correlated_gh()),
+    }[name]()
+    rng = np.random.default_rng(51)
+    points = np.random.default_rng(52).standard_normal((32, 3))
+    chunks = [dist.sample(40, rng)]
+    if name == "gh":
+        chunks.append(dist.conditional_sample((), np.empty(0), 40, rng))
+        chunks.append(sample_gh(_correlated_gh(), 40, rng_seed=53).data)
+    else:
+        for x in TestPlansShared.X:
+            for s in [s for s in _ordered_subsets(3) if len(s) < 3]:
+                x_s = x[list(s)]
+                chunks.append(dist.conditional_sample(s, x_s, 20, rng))
+                if name != "gaussian-clipped":
+                    for comp in dist.conditional_components(s, x_s):
+                        chunks.append(comp.density(points[:, : 3 - len(s)]))
+                if isinstance(dist, MixtureFeatures):
+                    chunks.append(dist.posterior_weights(s, x_s))
+    return b"".join(np.ascontiguousarray(chunk, float).tobytes() for chunk in chunks)
+
+
+@pytest.mark.parametrize("name", sorted(LAB_DIGESTS))
+def test_lab_draws_and_densities_keep_their_digests(name):
+    import hashlib
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiagnosticWarning)
+        digest = hashlib.sha256(lab_bytes(name)).hexdigest()
+    assert digest == LAB_DIGESTS[name]
 
 
 _SIGMA3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])

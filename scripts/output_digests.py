@@ -222,12 +222,14 @@ def in_process_outputs(run: Run) -> None:
     x5[:, 4] = x5[:, 3] + 1e-7 * rng.standard_normal(800)  # near-singular: ridged blocks
     train5 = TrainingMatrix.from_data(x5)
     ols5 = fit_ols(train5, x5 @ [1.0, 2.0, -1.0, 0.5, 0.5])
-    for label in ("gaussian", "copula", "empirical-0.1+gaussian"):
+    for label in ("gaussian", "copula"):
         run.explanations(f"m5-ridged-{label}",
                          lambda: explainer(train5, ols5, label, k=200).explain(x5[:3]))
-    # A training matrix of its own, whose plans the AICc search builds and warns for.
-    run.explanations("m5-ridged-empirical-aicc-exact", lambda: explainer(
-        TrainingMatrix.from_data(x5), ols5, "empirical-aicc-exact", k=200).explain(x5[:3]))
+    # Training matrices of their own, whose plans the empirical distances (with a
+    # fixed bandwidth, or in the AICc search) build and warn for.
+    for label in ("empirical-0.1+gaussian", "empirical-aicc-exact"):
+        run.explanations(f"m5-ridged-{label}", lambda: explainer(
+            TrainingMatrix.from_data(x5), ols5, label, k=200).explain(x5[:3]))
     x4 = correlated(rng, np.eye(4) + 0.4 * (1 - np.eye(4)), 500)
     x4[:, 2] = 1.5  # constant margin
     train4 = TrainingMatrix.from_data(x4)

@@ -32,7 +32,6 @@ import numpy as np
 
 from .coalitions import (
     Coalition,
-    CoalitionMatrix,
     ENUMERATION_CAP,
     Explanation,
     WlsSolver,
@@ -85,7 +84,6 @@ class Explainer:
         spec: SamplerSpec,
         k: int = 1000,
         seed: int = 0,
-        coalition_matrix: CoalitionMatrix | None = None,
         coalition_draws: int = 2048,
     ):
         self.train = train
@@ -94,9 +92,7 @@ class Explainer:
         self.k = int(k)
         self.seed = int(seed)
         m = train.m
-        if coalition_matrix is not None:
-            cm = coalition_matrix
-        elif m <= ENUMERATION_CAP:
+        if m <= ENUMERATION_CAP:
             cm = enumerate_coalitions(m)
         else:
             warnings.warn(

@@ -5,11 +5,10 @@ Gauss-Legendre quadrature of the conditional-expectation integral for low
 dimensions, and Monte Carlo integration with exact conditional samplers for
 moderate dimensions.  Quadrature grids go to the model in chunks of at most
 ``CHUNK_ROWS`` (32,768) rows, so memory no longer grows with points**3
-beyond one float per grid point.  Each chunk is written straight into one
-model batch from the tensor structure: its row range splits into at most
-2d - 1 boxes in which the leading axes are fixed, one axis takes a range
-and the later axes run in full, and each box's node columns and weight
-products are written by broadcasting, with no per-row index arithmetic.
+beyond one float per grid point.  Each chunk is a box of the grid, in which
+the leading axes are fixed, one axis takes a range and the later axes run in
+full; its node columns and weight products are written straight into one
+model batch by broadcasting, with no per-row index arithmetic.
 The component densities a chunk is weighted by are factored once per
 component, when the distribution builds them; the base and the doubled
 grid share one set of components.  Feature distributions enter through a
@@ -19,6 +18,7 @@ small handle protocol (see :mod:`condshap.simlab.distributions`).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
@@ -203,9 +203,9 @@ def _component_integral(
 ) -> float:
     """Integral of f(x_sbar, x_s*) times the component density over its box.
 
-    The tensor grid goes to the density and the model ``CHUNK_ROWS`` rows at
-    a time; the weighted terms are summed once, over the whole grid, so the
-    value does not depend on the chunk size.
+    The tensor grid goes to the density and the model one box of
+    :func:`_grid_chunks` at a time; the weighted terms are summed once, over
+    the whole grid, so the value does not depend on where the chunks fall.
     """
     sbar = [j for j in range(m) if j not in s]
     d = len(sbar)
@@ -230,43 +230,36 @@ def _component_integral(
             ws.append(0.5 * (b - a) * pw)
         axes_nodes.append(np.concatenate(xs))
         axes_weights.append(np.concatenate(ws))
-    size = math.prod(len(axis) for axis in axes_nodes)
-    terms = np.empty(size)
+    terms = np.empty(math.prod(len(axis) for axis in axes_nodes))
     # One model batch and one weight buffer, reused by every chunk: the x*_S
     # columns are set once.
-    batch = np.empty((min(CHUNK_ROWS, size), m))
+    batch = np.empty((min(CHUNK_ROWS, terms.size), m))
     batch[:, list(s)] = x_star[list(s)]
     weights_buf = np.empty(batch.shape[0])
-    for start in range(0, size, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, size)
-        synth, wts = batch[: stop - start], weights_buf[: stop - start]
-        _fill_grid_rows(synth, sbar, wts, axes_nodes, axes_weights, start, stop)
+    start = 0
+    for box in _grid_chunks(tuple(len(axis) for axis in axes_nodes)):
+        rows = _fill_grid_rows(batch, sbar, weights_buf, axes_nodes, axes_weights, *box)
+        synth = batch[:rows]
         dens = np.asarray(comp.density(synth[:, sbar]), float).reshape(-1)
-        terms[start:stop] = wts * dens * call_predictor(predictor, synth)
+        terms[start : start + rows] = weights_buf[:rows] * dens * call_predictor(predictor, synth)
+        start += rows
     return float(np.sum(terms))
 
 
-def _grid_boxes(shape: tuple[int, ...], start: int, stop: int, lead: tuple[int, ...] = ()):
-    """Split rows [start, stop) of the C-order grid of ``shape`` into boxes.
+def _grid_chunks(shape: tuple[int, ...]):
+    """Cut the C-order grid of ``shape`` into boxes of at most ``CHUNK_ROWS`` rows.
 
     Yields ``(lead, lo, hi)`` in row order: the first ``len(lead)`` axes are
-    fixed at the indices ``lead``, axis ``len(lead)`` runs over [lo, hi) and
-    the later axes run in full.  A range needs at most 2 len(shape) - 1 boxes.
+    fixed at the indices ``lead``, axis k = ``len(lead)`` runs over [lo, hi)
+    and the later axes run in full.  Axis k is the first whose slices (the
+    rows of one of its indices) fit in a chunk, and a box holds as many
+    whole slices as fit.
     """
-    block = math.prod(shape[len(lead) + 1 :])  # rows per index of this axis
-    first, head = divmod(start, block)
-    last, tail = divmod(stop, block)
-    if first == last:  # inside one slice of this axis
-        if head < tail:
-            yield from _grid_boxes(shape, head, tail, lead + (first,))
-        return
-    if head:
-        yield from _grid_boxes(shape, head, block, lead + (first,))
-        first += 1
-    if first < last:
-        yield lead, first, last
-    if tail:
-        yield from _grid_boxes(shape, 0, tail, lead + (last,))
+    k = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= CHUNK_ROWS)
+    step = CHUNK_ROWS // math.prod(shape[k + 1 :])
+    for lead in itertools.product(*map(range, shape[:k])):
+        for lo in range(0, shape[k], step):
+            yield lead, lo, min(lo + step, shape[k])
 
 
 def _fill_grid_rows(
@@ -275,37 +268,34 @@ def _fill_grid_rows(
     wts: np.ndarray,
     axes_nodes: list[np.ndarray],
     axes_weights: list[np.ndarray],
-    start: int,
-    stop: int,
-) -> None:
-    """Write rows [start, stop) of the tensor grid into ``batch`` and ``wts``.
+    lead: tuple[int, ...],
+    lo: int,
+    hi: int,
+) -> int:
+    """Write the box ``(lead, lo, hi)`` of :func:`_grid_chunks` into ``batch`` and ``wts``.
 
     Axis j's node goes to column ``cols[j]`` of ``batch`` and the weight
-    product ((w0 * w1) * w2) to ``wts``, both from row 0, one box of
-    :func:`_grid_boxes` at a time by broadcasting.  Each element goes
-    through the same operations as a gather at its unravelled index would.
+    product ((w0 * w1) * w2) to ``wts``, both from row 0, by broadcasting.
+    Each element goes through the same operations as a gather at its
+    unravelled index would.  Returns the box's row count.
     """
-    shape = tuple(len(axis) for axis in axes_nodes)
-    d = len(shape)
-    row = 0
-    for lead, lo, hi in _grid_boxes(shape, start, stop):
-        k = len(lead)
-        box = (hi - lo,) + shape[k + 1 :]
-        rows = math.prod(box)
-        block = batch[row : row + rows].reshape(box + (batch.shape[1],))
-        box_weights = []
-        for j, (col, nodes, weights) in enumerate(zip(cols, axes_nodes, axes_weights)):
-            if j < k:
-                node, weight = nodes[lead[j]], weights[lead[j]]
-            else:
-                # Axis j of the grid is axis j - k of the box.
-                part = slice(lo, hi) if j == k else slice(None)
-                along = (-1,) + (1,) * (d - 1 - j)
-                node, weight = nodes[part].reshape(along), weights[part].reshape(along)
-            block[..., col] = node
-            box_weights.append(weight)
-        wts[row : row + rows].reshape(box)[...] = functools.reduce(np.multiply, box_weights)
-        row += rows
+    d, k = len(axes_nodes), len(lead)
+    box = (hi - lo,) + tuple(len(axis) for axis in axes_nodes[k + 1 :])
+    rows = math.prod(box)
+    block = batch[:rows].reshape(box + (batch.shape[1],))
+    box_weights = []
+    for j, (col, nodes, weights) in enumerate(zip(cols, axes_nodes, axes_weights)):
+        if j < k:
+            node, weight = nodes[lead[j]], weights[lead[j]]
+        else:
+            # Axis j of the grid is axis j - k of the box.
+            part = slice(lo, hi) if j == k else slice(None)
+            along = (-1,) + (1,) * (d - 1 - j)
+            node, weight = nodes[part].reshape(along), weights[part].reshape(along)
+        block[..., col] = node
+        box_weights.append(weight)
+    wts[:rows].reshape(box)[...] = functools.reduce(np.multiply, box_weights)
+    return rows
 
 
 def _coalition_components(

@@ -23,6 +23,8 @@ x_S - mu_S and beta_S for the GH law, and the Cholesky factor of the
 conditional covariance gives the conditional densities and draws (the
 mixture's components share both).  The unconditional samplers draw through
 the empty coalition's plan, whose conditional covariance is the law's own.
+Every Gaussian draw, the GH law's N(0, Sigma) part included, is the
+explainer's :func:`~condshap.samplers.sample_gaussian_conditional`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from ..samplers import (
     _plan_for,
     _scipy,
     _sorted_coalition,
+    sample_gaussian_conditional,
 )
 
 
@@ -128,45 +131,21 @@ class GaussianDensity:
         return np.exp(self.logpdf(points))
 
 
-def _conditional_means(
-    plans: dict[Coalition, ConditioningPlan],
-    means: Sequence[np.ndarray],
-    cov: np.ndarray,
-    s: Coalition,
-    x_s: np.ndarray,
-) -> tuple[ConditioningPlan, list[np.ndarray]]:
-    """The plan for s and E[x_sbar | x_S = x_s] under N(mean, cov) for each of ``means``."""
-    (plan,) = _plan_for(plans, cov, [s], "gaussian conditional")
-    return plan, [plan.mean(mean, x_s) for mean in means]
-
-
 def _conditional_components(
-    plans: dict[Coalition, ConditioningPlan],
+    plan: ConditioningPlan,
     means: Sequence[np.ndarray],
-    cov: np.ndarray,
     weights: Sequence[float],
-    s: Coalition,
     x_s: np.ndarray,
 ) -> list[QuadratureComponent]:
-    """One weighted component per law N(mean, cov) of ``means``, given x_S = x_s."""
-    plan, centers = _conditional_means(plans, means, cov, s, x_s)
+    """One weighted component per law N(mean, Sigma) of ``means``, given x_S = x_s by ``plan``."""
     sd = np.sqrt(np.clip(np.diag(plan.sigma), 1e-300, None))
+    centers = [plan.mean(mean, x_s) for mean in means]
     return [
         QuadratureComponent(
             float(weight), center, sd, GaussianDensity.from_factor(center, plan.conditional).pdf
         )
         for weight, center in zip(weights, centers)
     ]
-
-
-def _sample_gaussian(
-    mean: np.ndarray, factor: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """n draws from N(mean, F F^T) for the factor F."""
-    d = mean.shape[0]
-    if d == 0:
-        return np.empty((n, 0))
-    return mean[None, :] + rng.standard_normal((n, d)) @ factor.T
 
 
 @dataclass
@@ -193,26 +172,30 @@ class GaussianFeatures:
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    def _plan(self, s: Coalition) -> ConditioningPlan:
+        """The plan for the sorted coalition s, built on its first use."""
+        (plan,) = _plan_for(self._plans, self.cov, [s], "gaussian conditional")
+        return plan
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        (plan,) = _plan_for(self._plans, self.cov, [()], "gaussian conditional")
-        return _sample_gaussian(self.mean, plan.draw_factor, n, rng)
+        return sample_gaussian_conditional(self.mean, self._plan(()).draw_factor, n, rng)
 
     def conditional_mean(self, s: Coalition, x_s: np.ndarray) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
-        return _conditional_means(self._plans, [self.mean], self.cov, s, x_s)[1][0]
+        return self._plan(s).mean(self.mean, x_s)
 
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
-        plan, (mean,) = _conditional_means(self._plans, [self.mean], self.cov, s, x_s)
-        return _sample_gaussian(mean, plan.draw_factor, n, rng)
+        plan = self._plan(s)
+        return sample_gaussian_conditional(plan.mean(self.mean, x_s), plan.draw_factor, n, rng)
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
         s, x_s = _sorted_coalition(s, x_s)
-        return _conditional_components(self._plans, [self.mean], self.cov, [1.0], s, x_s)
+        return _conditional_components(self._plan(s), [self.mean], [1.0], x_s)
 
 
 def sample_equicorrelated_gaussian(
@@ -372,7 +355,7 @@ def _sample_gh(
 ) -> np.ndarray:
     """n draws of the GH law ``params``; ``factor`` is its Sigma's plan's draw factor."""
     w = sample_gig(params.lam, params.chi, params.psi, n, rng)
-    u = _sample_gaussian(np.zeros(params.dim), factor, n, rng)
+    u = sample_gaussian_conditional(np.zeros(params.dim), factor, n, rng)
     return params.mu[None, :] + w[:, None] * params.beta_skew[None, :] + np.sqrt(w)[:, None] * u
 
 
@@ -607,11 +590,15 @@ class MixtureFeatures:
     def dim(self) -> int:
         return self.params.dim
 
+    def _plan(self, s: Coalition) -> ConditioningPlan:
+        """The plan for the sorted coalition s, built on its first use."""
+        (plan,) = _plan_for(self._plans, self.params.cov, [s], "gaussian conditional")
+        return plan
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         p = self.params
         comp = rng.random(n) < p.weights[1]
-        (plan,) = _plan_for(self._plans, p.cov, [()], "gaussian conditional")
-        out = _sample_gaussian(np.zeros(self.dim), plan.draw_factor, n, rng)
+        out = sample_gaussian_conditional(np.zeros(self.dim), self._plan(()).draw_factor, n, rng)
         out += np.where(comp[:, None], p.means[1][None, :], p.means[0][None, :])
         return out
 
@@ -620,7 +607,7 @@ class MixtureFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         if not s:
             return np.asarray(p.weights, float)
-        (plan,) = _plan_for(self._plans, p.cov, [s], "gaussian conditional")
+        plan = self._plan(s)
         x_s = x_s.reshape(1, -1)
         logs = np.array([
             math.log(weight)
@@ -636,23 +623,22 @@ class MixtureFeatures:
     ) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
         post = self.posterior_weights(s, x_s)
-        plan, means = _conditional_means(self._plans, self.params.means, self.params.cov, s, x_s)
+        plan = self._plan(s)
         comp = rng.random(n) < post[1]
         out = np.empty((n, self.dim - len(s)))
-        for k in range(2):
-            mask = comp == bool(k)
-            if not np.any(mask):
-                continue
-            out[mask] = _sample_gaussian(means[k], plan.draw_factor, int(mask.sum()), rng)
+        for mask, mean in zip((~comp, comp), self.params.means):
+            if mask.any():
+                out[mask] = sample_gaussian_conditional(
+                    plan.mean(mean, x_s), plan.draw_factor, int(mask.sum()), rng
+                )
         return out
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
         s, x_s = _sorted_coalition(s, x_s)
-        p = self.params
         return _conditional_components(
-            self._plans, p.means, p.cov, self.posterior_weights(s, x_s), s, x_s
+            self._plan(s), self.params.means, self.posterior_weights(s, x_s), x_s
         )
 
 

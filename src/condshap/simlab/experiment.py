@@ -165,18 +165,18 @@ class ExperimentReport:
 def mae(
     estimated: Sequence[Explanation], truth: Sequence[TrueShapleyResult]
 ) -> float:
-    """Mean absolute error over features and instances; phi0 is excluded."""
+    """The mean over instances of each instance's mean absolute error over
+    its features; phi0 is excluded."""
     if len(estimated) != len(truth):
         raise ValueError("estimated and truth lists differ in length")
     if not estimated:
         raise ValueError("empty explanation list")
-    total, count = 0.0, 0
+    errors = []
     for est, ref in zip(estimated, truth):
         if est.phi.shape != ref.phi.shape:
             raise ValueError("feature counts differ between estimate and truth")
-        total += float(np.abs(ref.phi - est.phi).sum())
-        count += est.phi.shape[0]
-    return total / count
+        errors.append(float(np.abs(ref.phi - est.phi).mean()))
+    return float(np.mean(errors))
 
 
 def skill_score(mae_q: float, mae_original: float) -> float:
@@ -204,7 +204,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     labels = tuple(spec.label for spec in config.estimators)
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate estimator labels: {labels}")
-    abs_err: dict[str, list[float]] = {label: [] for label in labels}
+    explained: dict[str, list[Explanation]] = {label: [] for label in labels}
+    truths: list[TrueShapleyResult] = []
     per_batch: dict[str, list[float]] = {label: [] for label in labels}
     timings: dict[str, float] = {}
     missing: list[int] = []
@@ -264,6 +265,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     )
             instance = ""
             timings[f"batch{batch}_truth_s"] = time.perf_counter() - t0
+            truths.extend(truth)
 
             for index, (spec, label) in enumerate(zip(config.estimators, labels)):
                 t1 = time.perf_counter()
@@ -275,12 +277,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     seed=fold_seed([config.seed, batch, 4, index]),
                 )
                 explanations = explainer.explain(test_x)
-                batch_errs = [
-                    float(np.abs(ref.phi - est.phi).mean())
-                    for est, ref in zip(explanations, truth)
-                ]
-                abs_err[label].extend(batch_errs)
-                per_batch[label].append(float(np.mean(batch_errs)))
+                explained[label].extend(explanations)
+                per_batch[label].append(mae(explanations, truth))
                 timings[f"batch{batch}_{label}_s"] = time.perf_counter() - t1
         except Exception as exc:
             raise RuntimeError(
@@ -289,7 +287,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             ) from exc
     timings["total_s"] = time.perf_counter() - t_start
 
-    mae_by_label = {label: float(np.mean(abs_err[label])) for label in labels}
+    mae_by_label = {label: mae(explained[label], truths) for label in labels}
     reference = next(
         (label for spec, label in zip(config.estimators, labels) if spec.kind == "independence"),
         None,

@@ -9,7 +9,7 @@ import pytest
 from numpy.random import SeedSequence
 
 from condshap import samplers
-from condshap.coalitions import CoalitionMatrix, enumerate_coalitions, sample_coalitions
+from condshap.coalitions import CoalitionMatrix, WlsSolver, enumerate_coalitions
 from condshap.errors import DiagnosticWarning
 from condshap.explain import Explainer, instance_stream
 from condshap.samplers import SamplerSpec, TrainingMatrix
@@ -86,9 +86,11 @@ class TestExplainer:
             expected = as_bytes(fresh.explain(x))
             for order in ((0, 1, 2), (2, 1, 0)):
                 train = TrainingMatrix.from_data(data)
-                Explainer(train, predictor, SamplerSpec.from_label(first, d_star=d_star), k=100,
-                          seed=5, coalition_matrix=None if "copula" in first else design
-                          ).explain(x[:1])
+                combined = Explainer(train, predictor, SamplerSpec.from_label(first, d_star=d_star),
+                                     k=100, seed=5)
+                if "gaussian" in first:
+                    combined.cm, combined.solver = design, WlsSolver(design)
+                combined.explain(x[:1])
                 filled = dict(train.plans)
                 assert sorted(filled) == sorted(s for s in full.coalitions if 0 < len(s) <= d_star)
                 built = []
@@ -170,14 +172,6 @@ class TestExplainer:
         for i, e in enumerate(explainer.explain(data[:2])):
             e.check_efficiency()
             assert e.prediction == pytest.approx(float(predictor(data[i])[0]))
-
-    def test_explicit_coalition_matrix_is_used(self, fitted):
-        train, predictor = fitted
-        cm = sample_coalitions(3, 64, rng_seed=7)
-        explainer = Explainer(
-            train, predictor, SamplerSpec(kind="gaussian"), k=100, seed=1, coalition_matrix=cm
-        )
-        assert explainer.cm is cm
 
     def test_aicc_exact_and_approx_modes_run(self, fitted):
         train, predictor = fitted

@@ -268,41 +268,58 @@ class TestChunkedQuadrature:
         dist = GaussianFeatures.equicorrelated(3, 0.5)
         # 40**3 = 64,000 grid rows at the base resolution, 80**3 when refined.
         quadrature_mean_prediction(dist, counting, GridSpec(points_per_axis=40))
-        assert max(batches) == oracles.CHUNK_ROWS
+        assert max(batches) <= oracles.CHUNK_ROWS
         assert sum(batches) == 40 ** 3 + 80 ** 3
         batches.clear()
         true_shapley_quadrature(dist, counting, self.X_STAR, GridSpec(points_per_axis=40))
         assert max(batches) <= oracles.CHUNK_ROWS
 
+    def test_chunks_are_full_where_slices_divide_them(self):
+        batches = []
+
+        def counting(X):
+            batches.append(len(X))
+            return _nonlinear(X)
+
+        dist = GaussianFeatures.equicorrelated(3, 0.5)
+        # 32**3 rows in slices of 1,024, then 64**3 in slices of 4,096: both
+        # divide a chunk, so the grids go in 1 + 8 full chunks.
+        quadrature_mean_prediction(dist, counting, GridSpec(points_per_axis=32))
+        assert batches == [oracles.CHUNK_ROWS] * 9
+
     def test_default_chunk(self):
         assert oracles.CHUNK_ROWS == 2 ** 15
 
 
-class TestGridBoxes:
-    """The box-wise chunk fill against the ``np.unravel_index`` gather it
-    replaced, bit for bit."""
+class TestGridChunks:
+    """The grid's box chunks tile it once, in row order, and each box's fill
+    equals the ``np.unravel_index`` gather bit for bit."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 13, None], ids=["1", "7", "13", "whole"])
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5), (4, 1, 3)])
-    def test_fill_equals_unravel_gather(self, shape, chunk):
+    def test_boxes_tile_the_grid_and_fill_as_the_gather(self, monkeypatch, shape, chunk):
         rng = np.random.default_rng(len(shape))
         nodes = [rng.standard_normal(n) for n in shape]
         weights = [rng.random(n) for n in shape]
         d, size = len(shape), math.prod(shape)
-        chunk = chunk or size
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk or size)
         cols = list(range(d, 0, -1))  # axis j to column d - j; column 0 is left alone
-        for start in range(0, size, chunk):
-            stop = min(start + chunk, size)
-            index = np.unravel_index(np.arange(start, stop), shape)
-            batch = np.full((stop - start, d + 1), np.nan)
-            wts = np.full(stop - start, np.nan)
-            oracles._fill_grid_rows(batch, cols, wts, nodes, weights, start, stop)
+        start = 0
+        for lead, lo, hi in oracles._grid_chunks(shape):
+            batch = np.full((oracles.CHUNK_ROWS, d + 1), np.nan)
+            wts = np.full(oracles.CHUNK_ROWS, np.nan)
+            rows = oracles._fill_grid_rows(batch, cols, wts, nodes, weights, lead, lo, hi)
+            assert 0 < rows <= oracles.CHUNK_ROWS
+            # The box is the next rows of the grid, in row order.
+            index = np.unravel_index(np.arange(start, start + rows), shape)
             for col, axis, k in zip(cols, nodes, index):
-                assert batch[:, col].tobytes() == axis[k].tobytes()
+                assert batch[:rows, col].tobytes() == axis[k].tobytes()
             gathered = functools.reduce(np.multiply, [axis[k] for axis, k in zip(weights, index)])
-            assert wts.tobytes() == gathered.tobytes()
+            assert wts[:rows].tobytes() == gathered.tobytes()
             assert np.isnan(batch[:, 0]).all()
-            assert len(list(oracles._grid_boxes(shape, start, stop))) <= 2 * d - 1
+            assert np.isnan(batch[rows:]).all() and np.isnan(wts[rows:]).all()
+            start += rows
+        assert start == size
 
 
 class TestGaussLegendre:

@@ -491,6 +491,21 @@ class TestMixture:
             MixtureParams(means=np.zeros((2, 3)), cov=np.eye(3), weights=(0.6, 0.6))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GaussianFeatures.equicorrelated(3, 0.6),
+    lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
+    lambda: GHFeatures(GHParams.from_kappa(3, kappa=2.0)),
+], ids=["gaussian", "mixture", "gh"])
+def test_a_draw_of_no_rows_raises_the_explainers_error(make):
+    """Every lab draw is the explainer's Gaussian draw, which needs k >= 1."""
+    dist = make()
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        dist.sample(0, np.random.default_rng(0))
+    if not isinstance(dist, MixtureFeatures):  # its empty masks draw nothing
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            dist.conditional_sample((1,), np.array([0.3]), 0, np.random.default_rng(0))
+
+
 def _reference_components(dist, s, x_s):
     """(weight, mean, sd, density) per component, from a fresh
     ``conditional_moments`` plan and ``GaussianDensity.from_moments`` per call."""
@@ -1033,6 +1048,20 @@ class TestRunExperiment:
             "quadrature not converged"
         )
         assert _exit_code(info.value) == 2
+
+    def test_scores_through_mae(self, micro_config, monkeypatch):
+        """Each batch's error and each estimator's total are :func:`mae`'s."""
+        calls = []
+
+        def counting(estimated, truth):
+            calls.append(len(estimated))
+            return mae(estimated, truth)
+
+        expected = run_experiment(micro_config).to_json()
+        monkeypatch.setattr(experiment, "mae", counting)
+        assert run_experiment(micro_config).to_json() == expected
+        # 2 estimators: a call per batch of 4 instances, then one over all 8.
+        assert sorted(calls) == [4, 4, 4, 4, 8, 8]
 
     def test_gh_features_through_the_runner(self):
         config = ExperimentConfig(

@@ -35,6 +35,10 @@ the same bytes.  The outputs are:
   parameter block with a non-diagonal Sigma: the ``gh_conditional``
   parameters of four coalitions (``gh-conditional.txt``) and a fixed-seed
   ``GHFeatures.conditional_sample`` (``gh-conditional-sample.csv``);
+- the reference oracles' phi0/phi (``truths-*``): tensor quadrature of the
+  3-D Gaussian, mixture and GH families given the mean prediction, Monte
+  Carlo at m=10 with a small draw count, and the linear closed forms under
+  dependent and independent features;
 - a 3-D Gaussian mixture whose common Sigma holds a near-singular pair
   (block cond about 2e9, so that its plans ridge it): the posterior weights,
   component centres and warnings of every proper coalition at a fixed x*
@@ -308,6 +312,51 @@ def gh_outputs(run: Run) -> None:
         run.digests[out] = sha256((run.work / out).read_bytes())
 
 
+def truth_outputs(run: Run) -> None:
+    """Each oracle's phi0/phi, read through those two fields alone."""
+    from condshap.oracles import (
+        GridSpec,
+        LinearModelSpec,
+        linear_dependent_shapley,
+        linear_independent_shapley,
+        quadrature_mean_prediction,
+        true_shapley_mc,
+        true_shapley_quadrature,
+    )
+    from condshap.simlab import (
+        GaussianFeatures,
+        GHFeatures,
+        GHParams,
+        MixtureFeatures,
+        MixtureParams,
+    )
+
+    def nonlinear(x):
+        return 0.3 + x[:, 0] - 0.5 * x[:, 1] ** 2 + np.tanh(x[:, 2]) + 0.2 * x[:, 0] * x[:, -1]
+
+    families = {
+        "gaussian": GaussianFeatures.equicorrelated(3, 0.5),
+        "mixture": MixtureFeatures(MixtureParams.from_gamma(1.0)),
+        "gh": GHFeatures(GHParams.from_kappa(3, kappa=2.0)),
+    }
+    grid = GridSpec(points_per_axis=24, refine=False)
+    for name, dist in families.items():
+        x3 = dist.sample(3, np.random.default_rng(30))
+        mean = quadrature_mean_prediction(dist, nonlinear, grid)
+        run.explanations(f"truths-quadrature-{name}", lambda: [
+            true_shapley_quadrature(dist, nonlinear, x, grid, v_empty=mean) for x in x3])
+
+    dist10 = GaussianFeatures.equicorrelated(10, 0.5)
+    x10 = dist10.sample(2, np.random.default_rng(31))
+    run.explanations("truths-monte-carlo", lambda: [
+        true_shapley_mc(dist10, nonlinear, x, 50, rng_seed=[32, i]) for i, x in enumerate(x10)])
+    model = LinearModelSpec(beta0=0.2, beta=np.linspace(-1.0, 1.5, 10), feature_mean=np.zeros(10))
+    run.explanations("truths-closed-form-dependent", lambda: [
+        linear_dependent_shapley(model, dist10.conditional_mean, x) for x in x10])
+    run.explanations("truths-closed-form-independent", lambda: [
+        linear_independent_shapley(model, x) for x in x10])
+
+
 def mixture_outputs(run: Run) -> None:
     from dataclasses import replace
 
@@ -352,6 +401,7 @@ def main() -> None:
         wide_outputs(run)
         ridged_outputs(run)
         gh_outputs(run)
+        truth_outputs(run)
         mixture_outputs(run)
     for name in sorted(run.digests):
         print(f"{run.digests[name]}  {name}")

@@ -11,6 +11,7 @@ phi0 = v(empty) and phi0 + sum(phi) = v(N).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -228,53 +229,50 @@ class WlsSolver:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def shapley_matrix(m: int) -> np.ndarray:
+    """The (m, 2^m) coefficient matrix C of the exact formula: phi = C @ v.
+
+    Column i belongs to row i of ``enumerate_coalitions(m)``.  For each S not
+    holding j, C[j, S + j] = |S|!(m-|S|-1)!/m! and C[j, S] is its negative.
+    Built once per m and shared by every caller, so it is read-only.
+    """
+    if m < 1:
+        raise ValueError(f"feature count must be >= 1, got {m}")
+    if m > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(f"exact formula limited to m <= {ENUMERATION_CAP}")
+    subsets = _ordered_subsets(m)
+    sizes = np.array([len(s) for s in subsets])
+    codes = np.array([sum(1 << j for j in s) for s in subsets])
+    row_of = np.empty(2 ** m, np.intp)
+    row_of[codes] = np.arange(2 ** m)
+    weight = np.array(
+        [math.factorial(s) * math.factorial(m - s - 1) / math.factorial(m) for s in range(m)]
+    )
+    c = np.zeros((m, 2 ** m))
+    for j in range(m):
+        without = np.flatnonzero((codes & (1 << j)) == 0)
+        c[j, without] = -weight[sizes[without]]
+        c[j, row_of[codes[without] | (1 << j)]] = weight[sizes[without]]
+    c.flags.writeable = False
+    return c
+
+
 def exact_shapley(v: np.ndarray) -> Explanation:
     """Exact combinatorial Shapley values of a complete game.
 
     ``v`` holds all 2^m values of v(S), in the row order of
     ``enumerate_coalitions(m).coalitions``; m is read off its length.
     phi_j = sum over S not containing j of |S|!(m-|S|-1)!/m! * (v(S+j) - v(S)),
-    with phi0 = v(empty).
+    with phi0 = v(empty); phi is ``shapley_matrix(m) @ v``.
     """
     v = np.asarray(v, float)
     m = v.size.bit_length() - 1
     if v.ndim != 1 or m < 1 or v.size != 2 ** m:
         raise ValueError(f"a complete game has 2^m entries for some m >= 1, got {v.shape}")
-    if m > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(f"exact formula limited to m <= {ENUMERATION_CAP}")
-    fact = [math.factorial(i) for i in range(m + 1)]
-    weight = [fact[s] * fact[m - s - 1] / fact[m] for s in range(m)]
-    subsets = _ordered_subsets(m)
-    row = {s: i for i, s in enumerate(subsets)}
-    phi = np.zeros(m)
-    for j in range(m):
-        acc = 0.0
-        for s in subsets:
-            if j not in s:
-                acc += weight[len(s)] * (v[row[tuple(sorted(s + (j,)))]] - v[row[s]])
-        phi[j] = acc
     return Explanation(
         phi0=float(v[0]),
-        phi=phi,
+        phi=shapley_matrix(m) @ v,
         prediction=float(v[-1]),
         estimator_id="exact",
     )
-
-
-def shapley_coefficient_map(m: int) -> dict[int, dict[Coalition, float]]:
-    """Per-feature linear coefficients of each v(S) in the exact formula.
-
-    Used to propagate per-coalition Monte Carlo variances into the phi vector.
-    """
-    fact = [math.factorial(i) for i in range(m + 1)]
-    weight = [fact[s] * fact[m - s - 1] / fact[m] for s in range(m)]
-    coeff: dict[int, dict[Coalition, float]] = {j: {} for j in range(m)}
-    for j in range(m):
-        table = coeff[j]
-        for s in _ordered_subsets(m):
-            if j in s:
-                continue
-            with_j = tuple(sorted(s + (j,)))
-            table[with_j] = table.get(with_j, 0.0) + weight[len(s)]
-            table[s] = table.get(s, 0.0) - weight[len(s)]
-    return coeff

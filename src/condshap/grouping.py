@@ -97,9 +97,6 @@ def dissimilarity(train: TrainingMatrix) -> DissimilarityMatrix:
     n, m = data.shape
     if n < 2:
         raise SchemaError("need at least two rows")
-    for j in range(m):
-        if not np.all(np.isfinite(data[:, j])):
-            raise SchemaError(f"column {train.column_names[j]!r} is not finite")
     constant = [j for j in range(m) if np.ptp(data[:, j]) == 0.0]
     if constant:
         warnings.warn(

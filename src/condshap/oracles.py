@@ -13,6 +13,11 @@ The component densities a chunk is weighted by are factored once per
 component, when the distribution builds them; the base and the doubled
 grid share one set of components.  Feature distributions enter through a
 small handle protocol (see :mod:`condshap.simlab.distributions`).
+
+Every oracle returns an :class:`~condshap.coalitions.Explanation` whose
+``estimator_id`` names its method and whose ``diagnostics`` hold the grid
+settings or the Monte Carlo standard errors.  The mean prediction E[f(x)]
+is integrated by :func:`quadrature_mean_prediction` alone.
 """
 
 from __future__ import annotations
@@ -20,17 +25,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
-from .coalitions import (
-    Coalition,
-    exact_shapley,
-    shapley_coefficient_map,
-    _ordered_subsets,
-)
+from .coalitions import Coalition, Explanation, exact_shapley, shapley_matrix, _ordered_subsets
 from .errors import QuadratureConvergenceError
 from .samplers import Predictor, call_predictor
 
@@ -91,29 +91,13 @@ class LinearModelSpec:
         return self.beta0 + np.atleast_2d(x) @ self.beta
 
 
-@dataclass
-class TrueShapleyResult:
-    """Reference Shapley values with method metadata."""
-
-    phi0: float
-    phi: np.ndarray
-    method: str
-    mc_std_error: np.ndarray | None = None
-    grid: dict = field(default_factory=dict)
-
-    @property
-    def prediction(self) -> float:
-        return self.phi0 + float(np.sum(self.phi))
-
-
-def linear_independent_shapley(
-    model: LinearModelSpec, x_star: np.ndarray
-) -> TrueShapleyResult:
+def linear_independent_shapley(model: LinearModelSpec, x_star: np.ndarray) -> Explanation:
     """Closed form under independent features: phi_j = beta_j (x_j* - E[x_j])."""
     x_star = np.asarray(x_star, float).reshape(-1)
     phi0 = model.beta0 + float(np.dot(model.beta, model.feature_mean))
     phi = model.beta * (x_star - model.feature_mean)
-    return TrueShapleyResult(phi0=phi0, phi=phi, method="closed_form")
+    prediction = float(model.predict(x_star)[0])
+    return Explanation(phi0=phi0, phi=phi, prediction=prediction, estimator_id="closed_form")
 
 
 def linear_dependent_v(
@@ -142,20 +126,16 @@ def linear_dependent_shapley(
     cond_mean: Callable[[Coalition, np.ndarray], np.ndarray],
     x_star: np.ndarray,
     mean_prediction: float | None = None,
-) -> TrueShapleyResult:
+) -> Explanation:
     """Exact Shapley values of a linear predictor under dependent features."""
     x_star = np.asarray(x_star, float).reshape(-1)
-    m = model.m
-
-    def v(s: Coalition) -> float:
-        if len(s) == 0:
-            if mean_prediction is not None:
-                return mean_prediction
-            return model.beta0 + float(np.dot(model.beta, model.feature_mean))
-        return linear_dependent_v(model, cond_mean, s, x_star)
-
-    ex = exact_shapley(np.array([v(s) for s in _ordered_subsets(m)]))
-    return TrueShapleyResult(phi0=ex.phi0, phi=ex.phi, method="closed_form")
+    if mean_prediction is None:
+        mean_prediction = model.beta0 + float(np.dot(model.beta, model.feature_mean))
+    table = [
+        linear_dependent_v(model, cond_mean, s, x_star) if s else mean_prediction
+        for s in _ordered_subsets(model.m)
+    ]
+    return replace(exact_shapley(np.array(table)), estimator_id="closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +279,15 @@ def _fill_grid_rows(
 
 
 def _coalition_components(
-    dist: FeatureDistribution, x_star: np.ndarray, v_empty: float | None
+    dist: FeatureDistribution, x_star: np.ndarray
 ) -> dict[Coalition, list[QuadratureComponent]]:
-    """The components of every coalition that needs an integral, built once
-    and shared by the base and the doubled grid."""
+    """The components of every proper coalition, built once and shared by the
+    base and the doubled grid."""
     m = dist.dim
     return {
         s: dist.conditional_components(s, x_star[list(s)])
         for s in _ordered_subsets(m)
-        if len(s) < m and (s or v_empty is None)
+        if 0 < len(s) < m
     }
 
 
@@ -316,21 +296,21 @@ def _quadrature_v_table(
     x_star: np.ndarray,
     components: dict[Coalition, list[QuadratureComponent]],
     points: int,
-    v_empty: float | None,
+    v_empty: float,
 ) -> np.ndarray:
     """v(S) of every coalition, in the row order of ``enumerate_coalitions(m)``."""
     m = x_star.shape[0]
     table = np.empty(2 ** m)
     for i, s in enumerate(_ordered_subsets(m)):
-        if len(s) == m:
+        if not s:
+            table[i] = v_empty
+        elif len(s) == m:
             table[i] = float(call_predictor(predictor, x_star[None, :])[0])
-        elif s in components:
+        else:
             table[i] = sum(
                 comp.weight * _component_integral(predictor, s, x_star, comp, m, points)
                 for comp in components[s]
             )
-        else:
-            table[i] = v_empty
     return table
 
 
@@ -372,55 +352,39 @@ def true_shapley_quadrature(
     x_star: np.ndarray,
     grid_spec: GridSpec = GridSpec(),
     v_empty: float | None = None,
-) -> TrueShapleyResult:
+) -> Explanation:
     """Exact-conditional quadrature of v(S) for every coalition, aggregated
     by the combinatorial Shapley formula.
 
     With ``refine`` enabled the grid is doubled once and the run fails if any
-    phi_j moves by more than ``REFINE_TOL``.  ``v_empty`` injects a
-    precomputed mean prediction (it is instance-independent; see
-    :func:`quadrature_mean_prediction`).
+    phi_j moves by more than ``REFINE_TOL``.  ``v_empty`` is the mean
+    prediction E[f(x)], which is the same for every instance; when it is not
+    given, :func:`quadrature_mean_prediction` computes it.  The grid settings
+    go to ``diagnostics``.
     """
     m = dist.dim
     if m - 1 > MAX_DIM:
         raise ValueError(f"quadrature limited to integration dimension {MAX_DIM}")
     x_star = np.asarray(x_star, float).reshape(-1)
-    components = _coalition_components(dist, x_star, v_empty)
-    table = _quadrature_v_table(
-        predictor, x_star, components, grid_spec.points_per_axis, v_empty
-    )
+    if v_empty is None:
+        v_empty = quadrature_mean_prediction(dist, predictor, grid_spec)
+    components = _coalition_components(dist, x_star)
+    points = grid_spec.points_per_axis
+    table = _quadrature_v_table(predictor, x_star, components, points, v_empty)
     ex = exact_shapley(table)
-    grid_meta = {
-        "points_per_axis": grid_spec.points_per_axis,
-        "half_width_sds": HALF_WIDTH_SDS,
-        "refined": False,
-    }
+    grid_meta = {"points_per_axis": points, "half_width_sds": HALF_WIDTH_SDS, "refined": False}
     if grid_spec.refine:
-        fine = _quadrature_v_table(
-            predictor, x_star, components, 2 * grid_spec.points_per_axis, v_empty
-        )
+        fine = _quadrature_v_table(predictor, x_star, components, 2 * points, v_empty)
         ex_fine = exact_shapley(fine)
-        delta = np.abs(ex_fine.phi - ex.phi)
-        if np.max(delta) >= REFINE_TOL:
-            residuals = {
-                s: float(r) for s, r in zip(_ordered_subsets(m), np.abs(fine - table))
-            }
+        shift = float(np.max(np.abs(ex_fine.phi - ex.phi)))
+        if shift >= REFINE_TOL:
             raise QuadratureConvergenceError(
-                f"quadrature not converged: max phi shift {np.max(delta):.3e} "
-                f">= {REFINE_TOL:g}",
-                residuals,
+                f"quadrature not converged: max phi shift {shift:.3e} >= {REFINE_TOL:g}",
+                dict(zip(_ordered_subsets(m), np.abs(fine - table).tolist())),
             )
         ex = ex_fine
-        grid_meta.update(
-            {
-                "points_per_axis": 2 * grid_spec.points_per_axis,
-                "refined": True,
-                "max_phi_shift": float(np.max(delta)),
-            }
-        )
-    return TrueShapleyResult(
-        phi0=ex.phi0, phi=ex.phi, method="quadrature", grid=grid_meta
-    )
+        grid_meta.update(points_per_axis=2 * points, refined=True, max_phi_shift=shift)
+    return replace(ex, estimator_id="quadrature", diagnostics=grid_meta)
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +398,24 @@ def true_shapley_mc(
     x_star: np.ndarray,
     n_mc: int,
     rng_seed,
-) -> TrueShapleyResult:
-    """Monte Carlo v(S) with exact conditional draws; per-feature standard
-    errors propagated through the combinatorial weights."""
+) -> Explanation:
+    """Monte Carlo v(S) with exact conditional draws.
+
+    The per-feature standard errors, sqrt((C * C) @ var) for C =
+    ``shapley_matrix(m)`` and the variance of each v(S) estimate, go to
+    ``diagnostics["mc_std_error"]``.
+    """
     if n_mc < 2:
         raise ValueError("n_mc must be >= 2")
     m = dist.dim
     x_star = np.asarray(x_star, float).reshape(-1)
     subsets = _ordered_subsets(m)
     v_est = np.empty(len(subsets))
-    v_var: dict[Coalition, float] = {}
+    v_var = np.zeros(len(subsets))
     for idx, s in enumerate(subsets):
         rng = np.random.default_rng([fold_seed(rng_seed), idx])
         if len(s) == m:
             v_est[idx] = float(call_predictor(predictor, x_star[None, :])[0])
-            v_var[s] = 0.0
             continue
         if len(s) == 0:
             draws = dist.sample(n_mc, rng)
@@ -460,18 +427,13 @@ def true_shapley_mc(
             synth[:, sbar] = cond
             preds = call_predictor(predictor, synth)
         v_est[idx] = float(preds.mean())
-        v_var[s] = float(preds.var(ddof=1) / n_mc)
-    ex = exact_shapley(v_est)
-    coeff = shapley_coefficient_map(m)
-    se = np.zeros(m)
-    for j in range(m):
-        se[j] = np.sqrt(sum(c * c * v_var[s] for s, c in coeff[j].items()))
-    return TrueShapleyResult(
-        phi0=ex.phi0,
-        phi=ex.phi,
-        method="monte_carlo",
-        mc_std_error=se,
-        grid={"n_mc": n_mc},
+        v_var[idx] = float(preds.var(ddof=1) / n_mc)
+    c = shapley_matrix(m)
+    se = np.sqrt((c * c) @ v_var)
+    return replace(
+        exact_shapley(v_est),
+        estimator_id="monte_carlo",
+        diagnostics={"n_mc": n_mc, "mc_std_error": se},
     )
 
 

@@ -119,11 +119,18 @@ class TrainingMatrix:
             column_names = tuple(f"x{j + 1}" for j in range(m))
         elif len(column_names) != m:
             raise ValueError("column_names length does not match feature count")
-        mean = data.mean(axis=0)
-        if n > 1:
-            cov = np.cov(data, rowvar=False, ddof=1).reshape(m, m)
-        else:
-            cov = np.zeros((m, m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = data.mean(axis=0)
+            if n > 1:
+                cov = np.cov(data, rowvar=False, ddof=1).reshape(m, m)
+            else:
+                cov = np.zeros((m, m))
+        # A non-finite value makes its column's mean non-finite too.
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            finite = np.isfinite(data).all(axis=0)
+            if not finite.all():
+                raise SchemaError(f"column {column_names[int(np.argmin(finite))]!r} is not finite")
+            raise SchemaError("training mean or covariance overflows float64")
         return cls(data=data, column_names=tuple(column_names), mean=mean, covariance=cov)
 
     @property
@@ -589,12 +596,26 @@ def scaled_mahalanobis(
     return np.sqrt(np.maximum(d2, 0.0))
 
 
+def _check_bandwidth(sigma: float) -> None:
+    """Raise ValueError unless the kernel's 2 sigma^2 is a positive float.
+
+    Below about 1.6e-162, 2 sigma^2 underflows to 0 and a training row at
+    distance 0 would get the weight exp(-0/0) = NaN.
+    """
+    if not sigma > 0:
+        raise ValueError(f"bandwidth sigma must be positive, got {sigma}")
+    # The kernel's own expression; sigma ** 2 raises OverflowError above about 1e154.
+    if sigma < 1.0 and not 2.0 * sigma ** 2 > 0:
+        raise ValueError(
+            f"bandwidth sigma {sigma} is below about 1.6e-162, where 2 sigma^2 underflows to 0"
+        )
+
+
 def empirical_weights(
     train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray, sigma: float
 ) -> EmpiricalWeights:
     """Gaussian kernel weights exp(-D^2 / (2 sigma^2)) over training rows."""
-    if not sigma > 0:
-        raise ValueError(f"bandwidth sigma must be positive, got {sigma}")
+    _check_bandwidth(sigma)
     d = scaled_mahalanobis(train, s, x_star)
     w = np.exp(-(d ** 2) / (2.0 * sigma ** 2))
     return EmpiricalWeights(distances=d, weights=w)
@@ -818,8 +839,7 @@ class SamplerSpec:
             raise ValueError("eta must be in (0, 1)")
         if self.k_cap < 1:
             raise ValueError("k_cap must be >= 1")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _check_bandwidth(self.sigma)
         if self.n_aicc < 4:  # tr(H) >= 1, so 1 - (tr(H) + 2)/n > 0 needs n >= 4
             raise ValueError(f"n_aicc must be >= 4, got {self.n_aicc}")
 

@@ -9,6 +9,7 @@ ten.  Everything is reproducible from the master seed.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,7 +21,6 @@ from ..errors import ConfigError, DegenerateReferenceError
 from ..explain import Explainer
 from ..oracles import (
     GridSpec,
-    TrueShapleyResult,
     fold_seed,
     quadrature_mean_prediction,
     true_shapley_mc,
@@ -102,6 +102,12 @@ class ExperimentConfig:
             raise ConfigError(f"quadrature_points must be >= 1, got {self.quadrature_points}")
         if self.n_mc < 2:
             raise ConfigError(f"n_mc must be >= 2, got {self.n_mc}")
+        for key in ("kappa", "gamma"):
+            value = getattr(self.features, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ConfigError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.features.kind == "gaussian":
             try:
                 EquicorrelatedCov(self.dimension, self.features.rho)
@@ -126,7 +132,6 @@ class ExperimentReport:
     truth: dict
     config: dict
     timings: dict = field(default_factory=dict)
-    missing_batches: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -138,7 +143,6 @@ class ExperimentReport:
             "per_batch_mae": self.per_batch_mae,
             "truth": self.truth,
             "config": self.config,
-            "missing_batches": self.missing_batches,
         }
 
     def to_json(self) -> str:
@@ -162,9 +166,7 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def mae(
-    estimated: Sequence[Explanation], truth: Sequence[TrueShapleyResult]
-) -> float:
+def mae(estimated: Sequence[Explanation], truth: Sequence[Explanation]) -> float:
     """The mean over instances of each instance's mean absolute error over
     its features; phi0 is excluded."""
     if len(estimated) != len(truth):
@@ -205,10 +207,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate estimator labels: {labels}")
     explained: dict[str, list[Explanation]] = {label: [] for label in labels}
-    truths: list[TrueShapleyResult] = []
+    truths: list[Explanation] = []
     per_batch: dict[str, list[float]] = {label: [] for label in labels}
     timings: dict[str, float] = {}
-    missing: list[int] = []
     truth_meta: dict = {"method": config.truth_method}
     if config.dimension == 3:
         truth_meta.update(
@@ -235,7 +236,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 config.n_test_per_batch, np.random.default_rng([config.seed, batch, 2])
             )
 
-            truth: list[TrueShapleyResult] = []
+            truth: list[Explanation] = []
             grid = GridSpec(
                 points_per_axis=config.quadrature_points,
                 refine=config.quadrature_refine,
@@ -320,6 +321,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         truth=truth_meta,
         config=config_meta,
         timings=timings,
-        missing_batches=missing,
     )
 

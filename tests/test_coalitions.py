@@ -15,14 +15,19 @@ from condshap.coalitions import (
     enumerate_coalitions,
     exact_shapley,
     sample_coalitions,
-    shapley_coefficient_map,
     shapley_kernel_weight,
+    shapley_matrix,
 )
 from condshap.errors import (
     DegenerateDesignError,
     EfficiencyViolationError,
     EnumerationTooLargeError,
     InfiniteWeightCoalitionError,
+)
+from shapley_reference import (
+    reference_coefficient_map,
+    reference_exact_shapley,
+    reference_mc_std_error,
 )
 
 
@@ -208,13 +213,13 @@ class TestWlsSolver:
 class TestExactShapley:
     def test_three_player_expansion_weights(self):
         # The size-0 and size-2 terms carry weight 1/3, size-1 terms 1/6.
-        coeff = shapley_coefficient_map(3)
-        assert coeff[0][(0,)] == pytest.approx(1 / 3)  # v({1}) enters +1/3
-        assert coeff[0][()] == pytest.approx(-1 / 3)
-        assert coeff[0][(0, 1)] == pytest.approx(1 / 6)
-        assert coeff[0][(1,)] == pytest.approx(-1 / 6)
-        assert coeff[0][(0, 1, 2)] == pytest.approx(1 / 3)
-        assert coeff[0][(1, 2)] == pytest.approx(-1 / 3)
+        c = shapley_matrix(3)[0, rows_of(3, [(0,), (), (0, 1), (1,), (0, 1, 2), (1, 2)])]
+        assert c[0] == pytest.approx(1 / 3)  # v({1}) enters +1/3
+        assert c[1] == pytest.approx(-1 / 3)
+        assert c[2] == pytest.approx(1 / 6)
+        assert c[3] == pytest.approx(-1 / 6)
+        assert c[4] == pytest.approx(1 / 3)
+        assert c[5] == pytest.approx(-1 / 3)
 
     def test_full_set_indicator_game(self):
         v = game(3, lambda s: 1.0 if len(s) == 3 else 0.0)
@@ -256,10 +261,30 @@ class TestExactShapley:
     def test_kernel_mass_normalization(self):
         # Combinatorial weights over all S excluding j sum to 1 for each j.
         for m in range(1, 8):
-            coeff = shapley_coefficient_map(m)
-            for j in range(m):
-                positive = sum(c for c in coeff[j].values() if c > 0)
-                assert positive == pytest.approx(1.0, abs=1e-12)
+            c = shapley_matrix(m)
+            positive = np.where(c > 0, c, 0.0).sum(axis=1)
+            assert positive == pytest.approx(np.ones(m), abs=1e-12)
+
+    def test_matrix_is_shared_and_read_only(self):
+        assert shapley_matrix(4) is shapley_matrix(4)
+        with pytest.raises(ValueError, match="read-only"):
+            shapley_matrix(4)[0, 0] = 1.0
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matrix_matches_the_slow_references(self, m):
+        c = shapley_matrix(m)
+        coeff = reference_coefficient_map(m)
+        rows = {s: i for i, s in enumerate(enumerate_coalitions(m).coalitions)}
+        expected = np.zeros((m, 2 ** m))
+        for j, table in coeff.items():
+            expected[j, [rows[s] for s in table]] = list(table.values())
+        assert np.array_equal(c, expected)
+        rng = np.random.default_rng(100 + m)
+        v = rng.standard_normal(2 ** m)
+        assert np.max(np.abs(exact_shapley(v).phi - reference_exact_shapley(v))) <= 1e-12
+        var = rng.uniform(0.0, 2.0, 2 ** m)
+        se = np.sqrt((c * c) @ var)
+        assert np.max(np.abs(se - reference_mc_std_error(m, var))) <= 1e-12
 
 
 class TestAxioms:

@@ -164,9 +164,9 @@ class TestDissimilarity:
     def test_non_finite_column_named(self):
         data = np.random.default_rng(11).standard_normal((50, 3))
         data[7, 1] = np.nan
-        train = TrainingMatrix.from_data(data, column_names=("a", "b", "c"))
+        # The training matrix refuses the column before any Kendall pair is formed.
         with pytest.raises(SchemaError, match="column 'b' is not finite"):
-            dissimilarity(train)
+            dissimilarity(TrainingMatrix.from_data(data, column_names=("a", "b", "c")))
 
     def test_constant_column_warns_and_maxes(self):
         rng = np.random.default_rng(5)

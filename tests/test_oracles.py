@@ -28,6 +28,7 @@ from condshap.simlab.distributions import (
     MixtureFeatures,
     MixtureParams,
 )
+from shapley_reference import reference_mc_std_error
 
 
 class TestLinearIndependent:
@@ -102,7 +103,7 @@ class TestQuadrature:
         quad = true_shapley_quadrature(dist, predictor, x_star, GridSpec(points_per_axis=32))
         assert quad.phi == pytest.approx(ref.phi, abs=1e-6)
         assert quad.phi0 == pytest.approx(ref.phi0, abs=1e-6)
-        assert quad.grid["refined"] is True
+        assert quad.diagnostics["refined"] is True
 
     def test_constant_predictor(self, gaussian_case):
         dist, _, _, x_star = gaussian_case
@@ -117,12 +118,12 @@ class TestQuadrature:
         x_star = np.array([0.5, -0.3, 0.8])
         quad = true_shapley_quadrature(dist, predictor, x_star, GridSpec(points_per_axis=32))
         mc = true_shapley_mc(dist, predictor, x_star, 100_000, rng_seed=4)
-        assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.mc_std_error)
+        assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.diagnostics["mc_std_error"])
 
     def test_efficiency(self, gaussian_case):
         dist, _, predictor, x_star = gaussian_case
         quad = true_shapley_quadrature(dist, predictor, x_star, GridSpec(points_per_axis=32))
-        assert quad.prediction == pytest.approx(float(predictor(x_star[None, :])[0]), abs=1e-6)
+        assert quad.total == pytest.approx(float(predictor(x_star[None, :])[0]), abs=1e-6)
 
     def test_nonconvergent_refinement_raises(self):
         dist = GaussianFeatures.equicorrelated(2, 0.0)
@@ -147,7 +148,7 @@ class TestQuadrature:
             dist, predictor, x_star, GridSpec(points_per_axis=48)
         )
         mc = true_shapley_mc(dist, predictor, x_star, 150_000, rng_seed=9)
-        assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.mc_std_error)
+        assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.diagnostics["mc_std_error"])
 
     def test_gh_mixing_decomposition_mass(self):
         from condshap.simlab.distributions import _gh_mixing_components
@@ -165,7 +166,7 @@ class TestQuadrature:
         x_star = dist.sample(1, rng)[0]
         quad = true_shapley_quadrature(dist, predictor, x_star, GridSpec(points_per_axis=32))
         mc = true_shapley_mc(dist, predictor, x_star, 200_000, rng_seed=1)
-        assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.mc_std_error + 1e-6)
+        assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.diagnostics["mc_std_error"] + 1e-6)
 
 
 def _reference_component_integral(predictor, s, x_star, comp, m, points):
@@ -291,6 +292,51 @@ class TestChunkedQuadrature:
         assert oracles.CHUNK_ROWS == 2 ** 15
 
 
+class TestOneMeanPrediction:
+    """E[f] is integrated by ``quadrature_mean_prediction`` alone."""
+
+    X_STAR = np.array([0.7, -1.2, 0.4])
+
+    @pytest.mark.parametrize(
+        "name, points, refine",
+        [(name, 8, False) for name in sorted(DISTRIBUTIONS)]
+        + [("gaussian", 32, True), ("mixture", 32, True)],
+    )
+    def test_without_v_empty_equals_the_shared_mean(self, name, points, refine):
+        dist = DISTRIBUTIONS[name]()
+        spec = GridSpec(points_per_axis=points, refine=refine)
+        mean = quadrature_mean_prediction(dist, _nonlinear, spec)
+        given = true_shapley_quadrature(dist, _nonlinear, self.X_STAR, spec, v_empty=mean)
+        alone = true_shapley_quadrature(dist, _nonlinear, self.X_STAR, spec)
+        assert alone.phi0 == given.phi0 == mean
+        assert alone.phi.tobytes() == given.phi.tobytes()
+        assert alone.diagnostics == given.diagnostics
+        assert alone.estimator_id == "quadrature"
+        assert alone.diagnostics["refined"] is refine
+
+    def test_without_v_empty_the_mean_must_converge(self):
+        dist = DISTRIBUTIONS["gaussian"]()
+        with pytest.raises(QuadratureConvergenceError, match="mean-prediction") as err:
+            true_shapley_quadrature(dist, _nonlinear, self.X_STAR, GridSpec(points_per_axis=8))
+        assert list(err.value.residuals) == [()]
+
+    def test_an_instance_given_v_empty_integrates_no_mean(self):
+        rows = []
+
+        def counting(X):
+            rows.append(len(X))
+            return _nonlinear(X)
+
+        dist = GaussianFeatures.equicorrelated(3, 0.5)
+        spec = GridSpec(points_per_axis=8, refine=False)
+        true_shapley_quadrature(dist, counting, self.X_STAR, spec, v_empty=0.25)
+        # Three 8 x 8 grids, three 8-node lines and the full row: no 8**3 grid.
+        assert sum(rows) == 3 * 8 ** 2 + 3 * 8 + 1
+        rows.clear()
+        true_shapley_quadrature(dist, counting, self.X_STAR, spec)
+        assert sum(rows) == 8 ** 3 + 3 * 8 ** 2 + 3 * 8 + 1
+
+
 class TestGridChunks:
     """The grid's box chunks tile it once, in row order, and each box's fill
     equals the ``np.unravel_index`` gather bit for bit."""
@@ -374,13 +420,13 @@ class TestMonteCarlo:
         x_star = np.linspace(-0.5, 0.5, 10)
         ref = linear_dependent_shapley(model, dist.conditional_mean, x_star)
         mc = true_shapley_mc(dist, predictor, x_star, 4000, rng_seed=7)
-        assert np.all(np.abs(mc.phi - ref.phi) <= 4 * mc.mc_std_error)
+        assert np.all(np.abs(mc.phi - ref.phi) <= 4 * mc.diagnostics["mc_std_error"])
 
     def test_standard_error_scaling(self, gaussian_case):
         dist, _, predictor, x_star = gaussian_case
         small = true_shapley_mc(dist, predictor, x_star, 5000, rng_seed=3)
         large = true_shapley_mc(dist, predictor, x_star, 10_000, rng_seed=3)
-        ratio = large.mc_std_error / small.mc_std_error
+        ratio = large.diagnostics["mc_std_error"] / small.diagnostics["mc_std_error"]
         assert np.all(ratio > (1 / math.sqrt(2)) * 0.8)
         assert np.all(ratio < (1 / math.sqrt(2)) * 1.2)
 
@@ -389,10 +435,30 @@ class TestMonteCarlo:
         a = true_shapley_mc(dist, predictor, x_star, 2000, rng_seed=11)
         b = true_shapley_mc(dist, predictor, x_star, 2000, rng_seed=11)
         assert np.array_equal(a.phi, b.phi)
-        assert np.array_equal(a.mc_std_error, b.mc_std_error)
+        assert np.array_equal(a.diagnostics["mc_std_error"], b.diagnostics["mc_std_error"])
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_standard_errors_match_the_coefficient_map(self, m):
+        calls = []
+
+        def recording(X):
+            preds = np.sin(X).sum(axis=1) + 0.5 * X[:, 0] * X[:, -1]
+            calls.append(preds)
+            return preds
+
+        dist = GaussianFeatures.equicorrelated(m, 0.4)
+        x_star = np.linspace(-1.0, 1.0, m)
+        mc = true_shapley_mc(dist, recording, x_star, 20, rng_seed=m)
+        # One predictor call per coalition, in row order; the full row has no variance.
+        var = np.array([p.var(ddof=1) / 20 if len(p) > 1 else 0.0 for p in calls])
+        assert len(var) == 2 ** m
+        se = mc.diagnostics["mc_std_error"]
+        assert np.max(np.abs(se - reference_mc_std_error(m, var))) <= 1e-12
+        assert mc.estimator_id == "monte_carlo"
+        assert mc.diagnostics["n_mc"] == 20
 
     def test_efficiency_holds_algebraically(self, gaussian_case):
         dist, _, predictor, x_star = gaussian_case
         mc = true_shapley_mc(dist, predictor, x_star, 2000, rng_seed=2)
         # phi0 + sum(phi) equals the exact v(full) = f(x*) by construction.
-        assert mc.prediction == pytest.approx(float(predictor(x_star[None, :])[0]), abs=1e-10)
+        assert mc.total == pytest.approx(float(predictor(x_star[None, :])[0]), abs=1e-10)

@@ -14,7 +14,6 @@ REPORT = {
     "config": {"batches": 2, "features": "gaussian", "parameter": 0.5, "seed": 5},
     "estimators": ["original", "gaussian"],
     "mae": {"gaussian": 0.08731230839793959, "original": 0.3121592191069132},
-    "missing_batches": [],
     "name": "sim-gaussian",
     "per_batch_mae": {
         "gaussian": [0.06428130571095965, 0.11034331108491953],

@@ -16,7 +16,7 @@ from scipy.special import ndtr, ndtri
 
 from condshap import samplers
 from condshap.coalitions import enumerate_coalitions, sample_coalitions
-from condshap.errors import DiagnosticWarning, InvalidCovarianceError
+from condshap.errors import DiagnosticWarning, InvalidCovarianceError, SchemaError
 from condshap.samplers import (
     EmpiricalWeights,
     FittedSampler,
@@ -78,6 +78,21 @@ class TestTrainingMatrix:
             TrainingMatrix.from_data(np.zeros(5))
         with pytest.raises(ValueError):
             TrainingMatrix.from_data(np.zeros((5, 2)), column_names=("a",))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data(self, bad):
+        data = np.ones((5, 2))
+        data[3, 1] = bad
+        with pytest.raises(SchemaError, match="column 'x2' is not finite"):
+            TrainingMatrix.from_data(data)
+
+    def test_overflowing_covariance(self):
+        # Every value is finite, but the squared deviations are not.
+        data = np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="training mean or covariance overflows"):
+                TrainingMatrix.from_data(data)
 
 
 class TestIndependence:
@@ -360,6 +375,19 @@ class TestEmpiricalWeights:
             empirical_weights(bivariate_train, (0,), np.zeros(2), sigma=0.0)
         with pytest.raises(ValueError, match="got nan"):
             empirical_weights(bivariate_train, (0,), np.zeros(2), sigma=math.nan)
+
+    def test_sigma_whose_kernel_scale_underflows(self, bivariate_train):
+        # A training row at distance 0 took exp(-0/0) = NaN once 2 sigma^2 underflowed.
+        x_star = bivariate_train.data[0]
+        for sigma in (1e-170, 1.5717277847026285e-162):
+            with pytest.raises(ValueError, match="2 sigma\\^2 underflows to 0"):
+                empirical_weights(bivariate_train, (0,), x_star, sigma=sigma)
+            with pytest.raises(ValueError, match="2 sigma\\^2 underflows to 0"):
+                SamplerSpec(kind="empirical", sigma=sigma)
+        with np.errstate(over="ignore"):  # every other row's D^2 / (2 sigma^2) is inf
+            ew = empirical_weights(bivariate_train, (0,), x_star, sigma=1.5717277847026288e-162)
+        assert ew.weights[0] == 1.0
+        assert not np.isnan(ew.weights).any()
 
 
 class TestSelectK:

@@ -943,6 +943,17 @@ class TestCliBadInput:
         assert "sigma must be positive, got nan" in result.output
         assert not (tmp_path / "x.csv").exists()
 
+    def test_explain_underflowing_bandwidth(self, tmp_path):
+        # The test rows are training rows: at distance 0, 2 sigma^2 = 0 gave -0/0 = NaN.
+        train, _ = make_dataset(tmp_path)
+        with train.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        test = self.write_csv(tmp_path / "same.csv", rows[0][:3], [row[:3] for row in rows[1:4]])
+        result = self.explain(tmp_path, train, test, "--estimator", "empirical-1e-170")
+        self.assert_clean_exit(result, 2)
+        assert "2 sigma^2 underflows to 0" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
     def test_explain_negative_seed(self, tmp_path):
         train, test = make_dataset(tmp_path)
         result = self.explain(tmp_path, train, test, "--seed", "-1")
@@ -982,6 +993,34 @@ class TestCliBadInput:
         self.assert_clean_exit(result, 2)
         assert f"rho={rho} outside the positive-definite range (-0.5000, 1)" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("features = gh\nkappa = nan", "kappa must be finite, got nan"),
+            ("features = gh\nkappa = inf", "kappa must be finite, got inf"),
+            ("features = gh\nkappa = 1e200", "training mean or covariance overflows"),
+            ("features = gh\nkappa = -1e200", "training mean or covariance overflows"),
+            ("features = mixture\ngamma = nan", "gamma must be finite, got nan"),
+            ("features = mixture\ngamma = 1e200", "training mean or covariance overflows"),
+            ("noise_sd = nan", "noise_sd must be finite and >= 0, got nan"),
+            ("noise_sd = -1", "noise_sd must be finite and >= 0, got -1.0"),
+        ],
+        ids=["kappa-nan", "kappa-inf", "kappa-1e200", "kappa--1e200", "gamma-nan",
+             "gamma-1e200", "noise-nan", "noise-negative"],
+    )
+    def test_simulate_non_finite_parameters(self, tmp_path, lines, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            f"dimension = 3\nn_train = 50\nn_test = 1\nbatches = 1\nk = 20\n"
+            f"quadrature_points = 8\nestimators = original\n{lines}\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(
+            main, ["simulate", str(cfg), "--output-dir", str(tmp_path / "o")]
+        )
+        self.assert_clean_exit(result, 2)
+        assert message in result.output
 
     @pytest.mark.parametrize("n_aicc", ["0", "-5", "1", "3"])
     def test_simulate_small_n_aicc(self, tmp_path, n_aicc):

@@ -53,7 +53,6 @@ from condshap.simlab.distributions import (
     GHDensity,
     gig_variance,
 )
-from condshap.oracles import TrueShapleyResult
 from condshap.coalitions import Explanation
 from conditioning_reference import reference_conditional_moments, reference_gh_conditional
 
@@ -925,7 +924,7 @@ class TestMetrics:
     @staticmethod
     def truth(phi):
         phi = np.asarray(phi, float)
-        return TrueShapleyResult(phi0=0.0, phi=phi, method="closed_form")
+        return Explanation(phi0=0.0, phi=phi, prediction=float(phi.sum()))
 
     def test_perfect_method(self):
         est = [self.explanation([1.0, 2.0])] * 3
@@ -1036,7 +1035,7 @@ class TestRunExperiment:
             seen.append(x_star)
             if len(seen) == 3:
                 raise QuadratureConvergenceError("quadrature not converged")
-            return TrueShapleyResult(phi0=0.0, phi=np.zeros(3), method="quadrature")
+            return Explanation(phi0=0.0, phi=np.zeros(3), prediction=0.0)
 
         monkeypatch.setattr(experiment, "quadrature_mean_prediction", lambda *args: 0.0)
         monkeypatch.setattr(experiment, "true_shapley_quadrature", oracle)

@@ -23,8 +23,9 @@ the same bytes.  The outputs are:
   in reverse order, near-singular and constant-margin training sets (with
   ``empirical-aicc-exact``, whose ridged plans warn as the fixed-bandwidth
   empirical distances do), and the AICc estimators explained as a block and
-  one instance at a time, and ``original`` and ``gaussian`` at m=14, above
-  the enumeration cap, on the default sampled coalition design, and
+  one instance at a time, and ``original``, ``gaussian`` and
+  ``empirical-aicc-approx`` at m=14, above the enumeration cap, on the
+  default sampled coalition design, and
   ``gaussian`` and ``copula`` at m=6 with a near-collinear pair, so that
   several blocks of each stacked size group are ridged, explained in reverse
   order.  The texts of the warnings each case raises, in the order raised,
@@ -270,6 +271,10 @@ def wide_outputs(run: Run) -> None:
     for label in ("original", "gaussian"):
         run.explanations(f"m14-sampled-{label}", lambda: Explainer(
             train14, ols14, SamplerSpec.from_label(label), k=20, seed=3).explain(x14[:2]))
+    # One AICc search per coalition size, over that size's design coalitions.
+    run.explanations("m14-sampled-empirical-aicc-approx", lambda: Explainer(
+        train14, ols14, SamplerSpec.from_label("empirical-aicc-approx", n_aicc=40),
+        k=20, seed=3).explain(x14[:2]))
 
 
 def ridged_outputs(run: Run) -> None:

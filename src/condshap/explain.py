@@ -38,7 +38,7 @@ from .coalitions import (
     enumerate_coalitions,
     sample_coalitions,
 )
-from .errors import DiagnosticWarning
+from .errors import ConfigError, DiagnosticWarning
 from .samplers import (
     FittedSampler,
     Predictor,
@@ -63,6 +63,16 @@ def instance_stream(seed: int, instance_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(instance_index,))
 
 
+def check_run(k: int, seed: int, coalition_draws: int) -> None:
+    """Raise ConfigError unless an explainer's budget, seed and draw count are valid."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if coalition_draws < 1:
+        raise ConfigError(f"coalition_draws must be >= 1, got {coalition_draws}")
+
+
 class Explainer:
     """Explains individual predictions of one fitted model.
 
@@ -71,7 +81,7 @@ class Explainer:
     train : fitted sampler training data (also the independence pool).
     predictor : deterministic vectorized model, (n, m) -> (n,).
     spec : contribution estimator choice.
-    k : per-coalition sample budget.
+    k : per-coalition sample budget; it also caps the empirical part's rows.
     seed : master seed; all per-instance randomness derives from it.
     coalition_draws : budget for sampled coalitions when m exceeds the
         enumeration cap.
@@ -86,6 +96,7 @@ class Explainer:
         seed: int = 0,
         coalition_draws: int = 2048,
     ):
+        check_run(k, seed, coalition_draws)
         self.train = train
         self.predictor = predictor
         self.spec = spec

@@ -27,7 +27,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations
 from types import ModuleType
 from typing import Callable, Iterable, Sequence
 
@@ -596,6 +595,18 @@ def scaled_mahalanobis(
     return np.sqrt(np.maximum(d2, 0.0))
 
 
+def _kernel_scale(sigma: float) -> float:
+    """The kernel's 2 sigma^2, in exp(-D^2 / (2 sigma^2)).
+
+    Where 2 sigma^2 overflows (sigma above about 9.5e153) it is +inf, the
+    sigma -> infinity limit: every weight is 1.
+    """
+    try:
+        return 2.0 * float(sigma) ** 2
+    except OverflowError:  # float ** raises where float * gives inf
+        return math.inf
+
+
 def _check_bandwidth(sigma: float) -> None:
     """Raise ValueError unless the kernel's 2 sigma^2 is a positive float.
 
@@ -604,8 +615,7 @@ def _check_bandwidth(sigma: float) -> None:
     """
     if not sigma > 0:
         raise ValueError(f"bandwidth sigma must be positive, got {sigma}")
-    # The kernel's own expression; sigma ** 2 raises OverflowError above about 1e154.
-    if sigma < 1.0 and not 2.0 * sigma ** 2 > 0:
+    if not _kernel_scale(sigma) > 0:
         raise ValueError(
             f"bandwidth sigma {sigma} is below about 1.6e-162, where 2 sigma^2 underflows to 0"
         )
@@ -617,7 +627,7 @@ def empirical_weights(
     """Gaussian kernel weights exp(-D^2 / (2 sigma^2)) over training rows."""
     _check_bandwidth(sigma)
     d = scaled_mahalanobis(train, s, x_star)
-    w = np.exp(-(d ** 2) / (2.0 * sigma ** 2))
+    w = np.exp(-(d ** 2) / _kernel_scale(sigma))
     return EmpiricalWeights(distances=d, weights=w)
 
 
@@ -742,7 +752,7 @@ def _aicc_criterion_for_coalition(
     out = np.empty((len(x_star), len(sigma_grid)))
     for g, sigma in enumerate(sigma_grid):
         np.negative(d2, out=h)
-        np.divide(h, 2.0 * sigma ** 2, out=h)
+        np.divide(h, _kernel_scale(sigma), out=h)
         np.exp(h, out=h)
         _, phi_h = _smooth(h)
         if not np.isfinite(phi_h):
@@ -757,16 +767,16 @@ def _aicc_criterion_for_coalition(
 def aicc_bandwidth(
     train: TrainingMatrix,
     predictor: Predictor,
-    s_or_size: Coalition | int,
+    coalitions: Iterable[Coalition],
     x_star: np.ndarray,
     sigma_grid: Sequence[float] = DEFAULT_AICC_GRID,
     n_aicc: int = DEFAULT_N_AICC,
 ) -> np.ndarray:
-    """Grid minimizer of log(tau^2) + Phi(H) for the kernel smoother.
+    """Grid minimizer of log(tau^2) + Phi(H) summed over ``coalitions``.
 
-    Passing a coalition selects the per-coalition ("exact") criterion;
-    passing an integer size sums the criteria over every coalition of that
-    size and shares one bandwidth across them ("approx").  ``x_star`` is a
+    The coalitions share the bandwidth found: one coalition gives the
+    per-coalition ("exact") search, a group of them one shared bandwidth
+    ("approx"); the criteria are added in the order given.  ``x_star`` is a
     block of instances (n, m), or one instance (m,) as a block of one; the
     result holds one bandwidth per row.  A block shares one predictor call
     and one set of hat matrices per coalition.
@@ -774,23 +784,13 @@ def aicc_bandwidth(
     sigma_grid = list(sigma_grid)
     if not sigma_grid or any(s <= 0 for s in sigma_grid):
         raise ValueError("sigma_grid must be non-empty and positive")
+    coalitions = [tuple(sorted(s)) for s in coalitions]
+    if not coalitions or not all(0 < len(s) < train.m for s in coalitions):
+        raise ValueError("AICc needs one or more proper, non-empty coalitions")
     block = np.asarray(x_star, float).reshape(-1, train.m)
-    if isinstance(s_or_size, (int, np.integer)):
-        size = int(s_or_size)
-        if not (0 < size < train.m):
-            raise ValueError("coalition size must be proper")
-        criteria = np.zeros((len(block), len(sigma_grid)))
-        for s in combinations(range(train.m), size):
-            criteria += _aicc_criterion_for_coalition(
-                train, predictor, s, block, sigma_grid, n_aicc
-            )
-    else:
-        s = tuple(sorted(s_or_size))
-        if not (0 < len(s) < train.m):
-            raise ValueError("coalition must be proper and non-empty")
-        criteria = _aicc_criterion_for_coalition(
-            train, predictor, s, block, sigma_grid, n_aicc
-        )
+    criteria = np.zeros((len(block), len(sigma_grid)))
+    for s in coalitions:
+        criteria += _aicc_criterion_for_coalition(train, predictor, s, block, sigma_grid, n_aicc)
     hopeless = ~np.isfinite(criteria).any(axis=1)
     if hopeless.any():
         x_bad = block[int(np.argmax(hopeless))]
@@ -823,7 +823,6 @@ class SamplerSpec:
     d_star: int = 3
     parametric_backend: str = "gaussian"
     eta: float = 0.9
-    k_cap: int = 5000
     n_aicc: int = DEFAULT_N_AICC
 
     def __post_init__(self):
@@ -837,8 +836,6 @@ class SamplerSpec:
             raise ValueError("d_star must be >= 1")
         if not (0.0 < self.eta < 1.0):
             raise ValueError("eta must be in (0, 1)")
-        if self.k_cap < 1:
-            raise ValueError("k_cap must be >= 1")
         _check_bandwidth(self.sigma)
         if self.n_aicc < 4:  # tr(H) >= 1, so 1 - (tr(H) + 2)/n > 0 needs n >= 4
             raise ValueError(f"n_aicc must be >= 4, got {self.n_aicc}")
@@ -962,8 +959,10 @@ class FittedSampler:
 
         ``x_star`` is a block (n, m), or one instance (m,) as a block of one;
         the result holds one table per row (empty without an empirical part).
-        AICc runs once per coalition (``aicc_exact``) or once per coalition
-        size (``aicc_approx``), for the whole block at once, after
+        The groups of coalitions that share a bandwidth are chosen here:
+        :func:`aicc_bandwidth` runs once per coalition (``aicc_exact``), or
+        once per coalition size over the coalitions of that size in
+        ``coalitions`` (``aicc_approx``), for the whole block at once, after
         :meth:`build_plans` has built the plans it whitens by.
         """
         spec = self.spec
@@ -973,16 +972,16 @@ class FittedSampler:
         if spec.bandwidth_mode == "fixed":
             return [{s: spec.sigma for s in needs} for _ in block]
         self.build_plans(needs)
-
-        def aicc(target: Coalition | int) -> np.ndarray:
-            return aicc_bandwidth(self.train, predictor, target, block, n_aicc=spec.n_aicc)
-
         if spec.bandwidth_mode == "aicc_exact":
-            columns = {s: aicc(s) for s in needs}
+            groups = [[s] for s in needs]
         else:
-            by_size = {size: aicc(size) for size in sorted({len(s) for s in needs})}
-            columns = {s: by_size[len(s)] for s in needs}
-        return [{s: float(sigma[i]) for s, sigma in columns.items()} for i in range(len(block))]
+            sizes = sorted({len(s) for s in needs})
+            groups = [[s for s in needs if len(s) == size] for size in sizes]
+        columns: dict[Coalition, np.ndarray] = {}
+        for group in groups:
+            sigma = aicc_bandwidth(self.train, predictor, group, block, n_aicc=spec.n_aicc)
+            columns.update(dict.fromkeys(group, sigma))
+        return [{s: float(columns[s][i]) for s in needs} for i in range(len(block))]
 
     # -- v(S) --------------------------------------------------------------
 
@@ -1026,7 +1025,9 @@ class FittedSampler:
     ) -> float:
         """Estimate v(S) for a proper, non-empty S; ``sigma`` is needed where S is empirical.
 
-        The independence part draws training rows from ``rng_seed``.  The
+        ``k`` is the one sample budget: the draws of the other parts, and
+        the empirical part's cap on its top-K training rows.  The
+        independence part draws training rows from ``rng_seed``.  The
         Gaussian and copula parts draw from ``draws``, the instance's
         :meth:`instance_draws`, made here from ``rng_seed`` when none are
         given.
@@ -1049,7 +1050,7 @@ class FittedSampler:
                 x_star,
                 sigma=sigma,
                 eta=self.spec.eta,
-                k_cap=min(self.spec.k_cap, k),
+                k_cap=k,
             )
         if draws is None:
             draws = self.instance_draws(x_star, rng_seed)

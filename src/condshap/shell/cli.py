@@ -82,13 +82,13 @@ def _exit_codes(command):
 )
 @click.option("--model-command", default=None, help="command for --model external")
 @click.option("--response", default=None, help="response column for builtin models")
-@click.option("--k", default=1000, show_default=True, help="samples per coalition")
+@click.option("--k", default=1000, show_default=True,
+              help="samples per coalition; the empirical row cap")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--output", default="explanations", show_default=True, help="output prefix")
 @click.option("--cluster-alpha", default=None, type=float, help="group features and aggregate")
 @click.option("--d-star", default=3, show_default=True)
 @click.option("--eta", default=0.9, show_default=True)
-@click.option("--k-cap", default=5000, show_default=True)
 @click.option("--coalition-draws", default=2048, show_default=True)
 @click.option("--timeout", default=60.0, show_default=True, help="model protocol timeout (s)")
 @_exit_codes
@@ -105,13 +105,12 @@ def explain(
     cluster_alpha,
     d_star,
     eta,
-    k_cap,
     coalition_draws,
     timeout,
 ) -> None:
     """Explain every row of the test CSV against a model fitted or served."""
     try:
-        spec = SamplerSpec.from_label(estimator, d_star=d_star, eta=eta, k_cap=k_cap)
+        spec = SamplerSpec.from_label(estimator, d_star=d_star, eta=eta)
         request = ExplainRequest(
             train_path=train_path,
             test_path=test_path,

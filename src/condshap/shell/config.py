@@ -17,14 +17,13 @@ Recognized keys (defaults in parentheses):
     n_test              test rows per batch (100)
     batches             batch count (10)
     noise_sd            response noise (0.1)
-    k                   per-coalition sample budget (1000)
+    k                   per-coalition sample budget; caps the empirical rows (1000)
     seed                master seed (0)
     quadrature_points   3-D truth grid per axis (64)
     quadrature_refine   true | false (true)
     n_mc                10-D truth draws per coalition (100000)
     d_star              combined-dispatch threshold (3)
     eta                 empirical weight-mass threshold (0.9)
-    k_cap               empirical row cap (5000)
     n_aicc              AICc subsample size (400)
 """
 
@@ -56,7 +55,6 @@ _DEFAULTS = {
     "n_mc": 100_000,
     "d_star": 3,
     "eta": 0.9,
-    "k_cap": 5000,
     "n_aicc": 400,
 }
 
@@ -102,12 +100,7 @@ def parse_simulation_config(path: str | Path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
 
-    overrides = {
-        "d_star": values["d_star"],
-        "eta": values["eta"],
-        "k_cap": values["k_cap"],
-        "n_aicc": values["n_aicc"],
-    }
+    overrides = {key: values[key] for key in ("d_star", "eta", "n_aicc")}
     try:
         estimators = tuple(
             SamplerSpec.from_label(label, **overrides)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import ConfigError, SchemaError
-from ..explain import Explainer
+from ..errors import SchemaError
+from ..explain import Explainer, check_run
 from ..grouping import check_alpha, complete_linkage, dissimilarity, kgs_cut
 from ..samplers import SamplerSpec, TrainingMatrix
 from ..simlab.models import fit_ols, fit_stump_ensemble
@@ -46,12 +46,7 @@ class ExplainRequest:
             raise ValueError("external model source needs model_command")
         if self.model_source != "external" and self.response is None:
             raise ValueError(f"{self.model_source} requires a response column name")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.coalition_draws < 1:
-            raise ConfigError(f"coalition_draws must be >= 1, got {self.coalition_draws}")
+        check_run(self.k, self.seed, self.coalition_draws)
         if self.cluster_alpha is not None:
             check_alpha(self.cluster_alpha)
 

@@ -10,7 +10,7 @@ from numpy.random import SeedSequence
 
 from condshap import samplers
 from condshap.coalitions import CoalitionMatrix, WlsSolver, enumerate_coalitions
-from condshap.errors import DiagnosticWarning
+from condshap.errors import ConfigError, DiagnosticWarning
 from condshap.explain import Explainer, instance_stream
 from condshap.samplers import SamplerSpec, TrainingMatrix
 from condshap.simlab import fit_ols, linear_sampling_model, sample_equicorrelated_gaussian
@@ -189,6 +189,45 @@ class TestExplainer:
         explainer = Explainer(train, predictor, spec, k=200, seed=8)
         [table] = explainer.sampler.bandwidths(predictor, explainer.cm.coalitions, train.data[0])
         assert set(table) == {(0,), (1,), (2,)}
+
+    def test_aicc_approx_above_cap_searches_the_design(self, monkeypatch):
+        """At m=14 each size's bandwidth sums the criteria of that size's design
+        coalitions, one criterion per coalition, not of all C(14, |S|)."""
+        rng = np.random.default_rng(14)
+        data = rng.standard_normal((300, 14)) @ (np.eye(14) + 0.2 * np.ones((14, 14)))
+        beta = rng.standard_normal(14)
+        predictor = lambda X: np.atleast_2d(X) @ beta
+        train = TrainingMatrix.from_data(data)
+        spec = SamplerSpec.from_label("empirical-aicc-approx", n_aicc=40)
+        with pytest.warns(DiagnosticWarning, match="exceeds the enumeration cap 13"):
+            explainer = Explainer(train, predictor, spec, k=20, seed=3)
+        design = [s for s in explainer.cm.coalitions if 0 < len(s) < 14]
+        by_size = {}
+        for s in design:
+            by_size.setdefault(len(s), []).append(s)
+        expected = {size: samplers.aicc_bandwidth(train, predictor, group, data[0], n_aicc=40)
+                    for size, group in by_size.items()}
+        calls = []
+        original = samplers._aicc_criterion_for_coalition
+
+        def counting(train_, predictor_, s, *args):
+            calls.append(s)
+            return original(train_, predictor_, s, *args)
+
+        monkeypatch.setattr(samplers, "_aicc_criterion_for_coalition", counting)
+        [table] = explainer.sampler.bandwidths(predictor, explainer.cm.coalitions, data[0])
+        assert calls == design
+        assert table == {s: float(expected[len(s)][0]) for s in design}
+
+    @pytest.mark.parametrize("label", ["gaussian", "empirical-0.1", "empirical-aicc-approx"])
+    def test_run_checks(self, fitted, label):
+        train, predictor = fitted
+        spec = SamplerSpec.from_label(label)
+        for kwargs, message in (({"k": 0}, "k must be >= 1, got 0"),
+                                ({"seed": -1}, "seed must be >= 0, got -1"),
+                                ({"coalition_draws": 0}, "coalition_draws must be >= 1, got 0")):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                Explainer(train, predictor, spec, **kwargs)
 
 
 AICC_LABELS = ["empirical-aicc-exact", "empirical-aicc-approx",

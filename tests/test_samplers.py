@@ -5,7 +5,6 @@ import math
 import re
 import sys
 import warnings
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -389,6 +388,19 @@ class TestEmpiricalWeights:
         assert ew.weights[0] == 1.0
         assert not np.isnan(ew.weights).any()
 
+    def test_sigma_whose_kernel_scale_overflows(self, bivariate_train):
+        # sigma ** 2 raised OverflowError above about 1.3e154; 2 sigma^2 is inf above 9.5e153.
+        for sigma in (1.5717277847026288e-162, 0.1, 3.2, 1e150, 9.4e153, 1.3e154):
+            assert samplers._kernel_scale(sigma) == 2.0 * sigma ** 2
+        x_star = np.array([0.3, -2.0])
+        limit = empirical_weights(bivariate_train, (0,), x_star, sigma=math.inf)
+        assert (limit.weights == 1.0).all()
+        for sigma in (9.5e153, 1.4e154, 1e200, sys.float_info.max):
+            assert samplers._kernel_scale(sigma) == math.inf
+            assert SamplerSpec(kind="empirical", sigma=sigma).sigma == sigma
+            ew = empirical_weights(bivariate_train, (0,), x_star, sigma=sigma)
+            assert ew.weights.tobytes() == limit.weights.tobytes()
+
 
 class TestSelectK:
     @staticmethod
@@ -595,15 +607,15 @@ class TestAicc:
             cov = np.array([[1.0, rho], [rho, 1.0]])
             data = exact_moment_data([0, 0], cov, 1200, seed=21)
             train = TrainingMatrix.from_data(data)
-            [sigmas[rho]] = aicc_bandwidth(train, f, (0,), x_star, sigma_grid=grid)
+            [sigmas[rho]] = aicc_bandwidth(train, f, [(0,)], x_star, sigma_grid=grid)
         assert sigmas[0.9] < sigmas[0.0]
 
     def test_duplicate_grid_same_selection(self, bivariate_train):
         f = lambda X: X[:, 0] * X[:, 1]
         x_star = np.array([0.5, 0.2])
-        a = aicc_bandwidth(bivariate_train, f, (0,), x_star, sigma_grid=(0.1, 0.4, 1.6))
+        a = aicc_bandwidth(bivariate_train, f, [(0,)], x_star, sigma_grid=(0.1, 0.4, 1.6))
         b = aicc_bandwidth(
-            bivariate_train, f, (0,), x_star, sigma_grid=(0.1, 0.1, 0.4, 0.4, 1.6)
+            bivariate_train, f, [(0,)], x_star, sigma_grid=(0.1, 0.1, 0.4, 0.4, 1.6)
         )
         assert a.shape == (1,)  # one instance is a block of one
         assert a.tolist() == b.tolist()
@@ -612,27 +624,39 @@ class TestAicc:
         rng = np.random.default_rng(5)
         train = TrainingMatrix.from_data(rng.standard_normal((400, 3)))
         f = lambda X: X.sum(axis=1)
-        [sigma] = aicc_bandwidth(train, f, 1, np.array([0.1, 0.2, 0.3]))
+        x_star = np.array([0.1, 0.2, 0.3])
+        [sigma] = aicc_bandwidth(train, f, [(0,), (1,), (2,)], x_star)
         assert sigma in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
+        # The criteria of the group add up in the order given.
+        criteria = sum(samplers._aicc_criterion_for_coalition(
+            train, f, s, x_star[None, :], samplers.DEFAULT_AICC_GRID, samplers.DEFAULT_N_AICC)
+            for s in ((0,), (1,), (2,)))
+        assert sigma == samplers.DEFAULT_AICC_GRID[int(np.argmin(criteria[0]))]
 
     def test_infinite_grid_names_the_instance(self, bivariate_train):
         f = lambda X: np.where(X[:, 0] > 1e5, np.nan, X.sum(axis=1))
         block = np.array([[0.1, 0.2], [2e5, 0.3], [0.4, -0.1]])
         named = re.escape(np.array2string(block[1], precision=6))
         with pytest.raises(ValueError, match="infinite on the whole bandwidth grid.*" + named):
-            aicc_bandwidth(bivariate_train, f, (0,), block)
+            aicc_bandwidth(bivariate_train, f, [(0,)], block)
         with pytest.raises(ValueError, match=named):
-            aicc_bandwidth(bivariate_train, f, 1, block[1])
-        good = aicc_bandwidth(bivariate_train, f, (0,), block[[0, 2]])
-        one_by_one = [aicc_bandwidth(bivariate_train, f, (0,), x)[0] for x in block[[0, 2]]]
+            aicc_bandwidth(bivariate_train, f, [(0,), (1,)], block[1])
+        good = aicc_bandwidth(bivariate_train, f, [(0,)], block[[0, 2]])
+        one_by_one = [aicc_bandwidth(bivariate_train, f, [(0,)], x)[0] for x in block[[0, 2]]]
         assert good.tolist() == one_by_one
 
     def test_grid_validation(self, bivariate_train):
         f = lambda X: X.sum(axis=1)
         with pytest.raises(ValueError):
-            aicc_bandwidth(bivariate_train, f, (0,), np.zeros(2), sigma_grid=())
+            aicc_bandwidth(bivariate_train, f, [(0,)], np.zeros(2), sigma_grid=())
         with pytest.raises(ValueError):
-            aicc_bandwidth(bivariate_train, f, (0,), np.zeros(2), sigma_grid=(0.0, 0.1))
+            aicc_bandwidth(bivariate_train, f, [(0,)], np.zeros(2), sigma_grid=(0.0, 0.1))
+
+    @pytest.mark.parametrize("coalitions", [[], [()], [(0, 1)], [(0,), (0, 1)]])
+    def test_coalitions_must_be_proper(self, bivariate_train, coalitions):
+        f = lambda X: X.sum(axis=1)
+        with pytest.raises(ValueError, match="proper, non-empty coalitions"):
+            aicc_bandwidth(bivariate_train, f, coalitions, np.zeros(2))
 
 
 class TestSamplerSpec:
@@ -672,8 +696,8 @@ class TestSamplerSpec:
             SamplerSpec(sigma=-0.1)
         with pytest.raises(ValueError, match="sigma must be positive, got nan"):
             SamplerSpec.from_label("empirical-nan")
-        with pytest.raises(ValueError):
-            SamplerSpec(k_cap=0)
+        with pytest.raises(TypeError):  # k, the sample budget, caps the empirical rows
+            SamplerSpec(k_cap=5)
         with pytest.raises(ValueError, match="n_aicc must be >= 4"):
             SamplerSpec(n_aicc=3)
         assert SamplerSpec(n_aicc=4).n_aicc == 4
@@ -772,8 +796,8 @@ class TestEstimateVDispatch:
 
     def test_empirical_k_cap_respects_budget(self, setup):
         train, f, x_star = setup
-        # k below k_cap binds through min(k_cap, k).
-        spec = SamplerSpec(kind="empirical", sigma=5.0, k_cap=5000)
+        # k, the sample budget, is the empirical row cap.
+        spec = SamplerSpec(kind="empirical", sigma=5.0)
         v = contribution(spec, train, f, (0,), x_star, 50, 0)
         ew = empirical_weights(train, (0,), x_star, 5.0)
         k = select_k(ew, spec.eta, 50)
@@ -804,24 +828,24 @@ class TestBandwidths:
         max_size = 3 if kind == "empirical" else 2
         covered = [s for s in coalitions if 0 < len(s) <= max_size]
         exact = mode == "aicc_exact"
-        direct = {
-            s: float(aicc_bandwidth(train, f, s if exact else len(s), x_star, n_aicc=80)[0])
-            for s in covered
-        }
+        groups = [[s] for s in covered] if exact else [
+            [s for s in covered if len(s) == size] for size in range(1, max_size + 1)]
+        direct = {}
+        for group in groups:
+            [sigma] = aicc_bandwidth(train, f, group, x_star, n_aicc=80)
+            direct.update(dict.fromkeys(group, float(sigma)))
         targets = []
         original = samplers.aicc_bandwidth
 
-        def counting(train_, predictor, s_or_size, *args, **kwargs):
-            targets.append(s_or_size)
-            return original(train_, predictor, s_or_size, *args, **kwargs)
+        def counting(train_, predictor, group, *args, **kwargs):
+            targets.append(group)
+            return original(train_, predictor, group, *args, **kwargs)
 
         monkeypatch.setattr(samplers, "aicc_bandwidth", counting)
         [table] = FittedSampler(spec, train).bandwidths(f, coalitions, x_star)
         assert table == direct
-        if exact:
-            assert sorted(targets) == sorted(covered)  # one search per coalition
-        else:
-            assert targets == list(range(1, max_size + 1))  # one search per size
+        # One search per coalition (exact) or per size (approx).
+        assert targets == groups
 
     @pytest.mark.parametrize("kind", ["empirical", "combined"])
     @pytest.mark.parametrize("mode", ["aicc_exact", "aicc_approx"])
@@ -838,14 +862,15 @@ class TestBandwidths:
             assert list(table) == covered
             assert [table] == sampler.bandwidths(f, coalitions, x)
             reference = {
-                s: _aicc_reference(train, f, s if mode == "aicc_exact" else len(s), x, 80)
+                s: _aicc_reference(train, f, [s] if mode == "aicc_exact" else
+                                   [c for c in covered if len(c) == len(s)], x, 80)
                 for s in covered
             }
             assert table == {s: grid[int(np.argmin(reference[s]))] for s in covered}
         for s in covered:  # the criteria themselves, bit for bit
             criteria = samplers._aicc_criterion_for_coalition(train, f, s, block, grid, 80)
             for x, row in zip(block, criteria):
-                assert row.tolist() == _aicc_reference(train, f, s, x, 80).tolist()
+                assert row.tolist() == _aicc_reference(train, f, [s], x, 80).tolist()
 
     def test_fixed_and_parametric_kinds(self, setup):
         train, f, x_star, coalitions = setup
@@ -858,8 +883,8 @@ class TestBandwidths:
             assert sampler.bandwidths(f, coalitions, x_star) == [{}]
 
 
-def _aicc_reference(train, f, s_or_size, x_star, n_aicc, grid=samplers.DEFAULT_AICC_GRID):
-    """One instance's AICc criteria on the grid, coalition by coalition and sigma by sigma.
+def _aicc_reference(train, f, coalitions, x_star, n_aicc, grid=samplers.DEFAULT_AICC_GRID):
+    """One instance's AICc criteria on the grid, summed coalition by coalition, sigma by sigma.
 
     The slow reference for ``aicc_bandwidth``: a fresh spliced subsample and
     whitening per coalition, a fresh kernel per sigma, and log(tau^2) + Phi
@@ -869,10 +894,6 @@ def _aicc_reference(train, f, s_or_size, x_star, n_aicc, grid=samplers.DEFAULT_A
     """
     from scipy.linalg.lapack import dtrtri
 
-    if isinstance(s_or_size, int):
-        coalitions = list(combinations(range(train.m), s_or_size))
-    else:
-        coalitions = [s_or_size]
     total = np.zeros(len(grid))
     for s in coalitions:
         s = list(s)
@@ -951,7 +972,7 @@ class TestPlansMatchPerCallReference:
             kind = "empirical" if len(s) <= spec.d_star else spec.parametric_backend
         if kind == "empirical":
             return estimate_v_empirical(train, self.predictor, s, x_star, sigma=spec.sigma,
-                                        eta=spec.eta, k_cap=min(spec.k_cap, self.K))
+                                        eta=spec.eta, k_cap=self.K)
         if kind == "gaussian":
             draws = sample_gaussian_conditional(*gaussian_conditional(train, s, x_star), self.K, rng)
         else:

@@ -925,6 +925,20 @@ class TestCliBadInput:
         self.assert_clean_exit(result, 2)
         assert "alpha must be positive" in result.output
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--k", "0", "k must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--coalition-draws", "0", "coalition_draws must be >= 1, got 0"),
+    ])
+    def test_explain_bad_run_settings_before_model_start(self, tmp_path, option, value, message):
+        train, test = make_dataset(tmp_path)
+        result = self.explain(
+            tmp_path, train, test, "--model", "external",
+            "--model-command", "condshap-test-no-such-program", option, value,
+        )
+        self.assert_clean_exit(result, 2)
+        assert message in result.output
+
     def test_cluster_bad_alpha_before_kendall(self, tmp_path, monkeypatch):
         def kendall_matrix(train):
             raise AssertionError("dissimilarity computed before the alpha check")
@@ -954,6 +968,34 @@ class TestCliBadInput:
         assert "2 sigma^2 underflows to 0" in result.output
         assert not (tmp_path / "x.csv").exists()
 
+    def test_explain_overflowing_bandwidth_is_the_infinite_limit(self, tmp_path):
+        # 2 sigma^2 overflows: every kernel weight is 1, as at sigma = inf.
+        train, test = make_dataset(tmp_path)
+        written = {}
+        for label in ("empirical-1e200", "empirical-inf"):
+            prefix = tmp_path / label
+            result = self.explain(tmp_path, train, test, "--estimator", label,
+                                  "--output", str(prefix))
+            assert result.exit_code == 0, result.output
+            written[label] = prefix.with_suffix(".csv").read_bytes()
+        assert written["empirical-1e200"] == written["empirical-inf"]
+
+    def test_explain_k_cap_removed(self, tmp_path):
+        # k is the empirical row cap; the option that capped it apart is gone.
+        train, test = make_dataset(tmp_path)
+        result = self.explain(tmp_path, train, test, "--k-cap", "5")
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert "No such option '--k-cap'" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_explain_no_samples(self, tmp_path):
+        train, test = make_dataset(tmp_path)
+        result = self.explain(tmp_path, train, test, "--estimator", "empirical-0.1", "--k", "0")
+        self.assert_clean_exit(result, 2)
+        assert "k must be >= 1, got 0" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
     def test_explain_negative_seed(self, tmp_path):
         train, test = make_dataset(tmp_path)
         result = self.explain(tmp_path, train, test, "--seed", "-1")
@@ -981,6 +1023,15 @@ class TestCliBadInput:
         self.assert_clean_exit(result, 2)
         bound = {"seed": 0, "k": 1, "quadrature_points": 1, "n_mc": 2}[key]
         assert f"{key} must be >= {bound}, got {value}" in result.output
+        assert not out.exists()
+
+    def test_simulate_k_cap_key_removed(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_test = 1\nbatches = 1\nk_cap = 5\n", encoding="utf-8")
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["simulate", str(cfg), "--output-dir", str(out)])
+        self.assert_clean_exit(result, 2)
+        assert "unknown keys: k_cap" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("rho", ["1.5", "-0.6"])

@@ -17,8 +17,8 @@ the same bytes.  The outputs are:
   a model are pinned as well as the outputs;
 - ``condshap cluster`` on a tie-heavy CSV;
 - ``condshap simulate`` reports for a Gaussian, a mixture, a piecewise and
-  a 3-D GH config, and for the ten-feature GH config, whose Monte Carlo
-  truth draws from GH conditionals;
+  an unrefined 3-D GH config, and for the ten-feature GH config, whose Monte
+  Carlo truth draws from GH conditionals;
 - in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
   in reverse order, near-singular and constant-margin training sets (with
   ``empirical-aicc-exact``, whose ridged plans warn as the fixed-bandwidth
@@ -37,7 +37,8 @@ the same bytes.  The outputs are:
   parameters of four coalitions (``gh-conditional.txt``) and a fixed-seed
   ``GHFeatures.conditional_sample`` (``gh-conditional-sample.csv``);
 - the reference oracles' phi0/phi (``truths-*``): tensor quadrature of the
-  3-D Gaussian, mixture and GH families given the mean prediction, Monte
+  3-D Gaussian, mixture and GH families given the mean prediction (each GH
+  law as 48 Gaussian components over its mixing variable), Monte
   Carlo at m=10 with a small draw count, and the linear closed forms under
   dependent and independent features;
 - a 3-D Gaussian mixture whose common Sigma holds a near-singular pair
@@ -85,8 +86,9 @@ SIMULATIONS = {
     "sim-piecewise": {"features": "gaussian", "rho": 0.3, "model": "piecewise",
                       "quadrature_refine": "false",
                       "estimators": "original,copula,empirical-aicc-approx+gaussian"},
-    # GH truth: tail panels on every conditional grid, and the 48-component
-    # GIG mixture for the mean prediction.
+    # GH truth, unrefined: every law, the mean prediction's and each
+    # conditional, integrates as its 48 Gaussian components over the GIG
+    # mixing variable.
     "sim-gh": {"features": "gh", "kappa": 2.0, "quadrature_refine": "false", "n_train": 150,
                "estimators": "original,gaussian,empirical-0.1"},
     # The ten-feature GH block: its Monte Carlo truth draws from GH conditionals.

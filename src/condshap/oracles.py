@@ -9,9 +9,13 @@ beyond one float per grid point.  Each chunk is a box of the grid, in which
 the leading axes are fixed, one axis takes a range and the later axes run in
 full; its node columns and weight products are written straight into one
 model batch by broadcasting, with no per-row index arithmetic.
-The component densities a chunk is weighted by are factored once per
-component, when the distribution builds them; the base and the doubled
-grid share one set of components.  Feature distributions enter through a
+Every conditional law reaches the grid as weighted Gaussian components (one
+per Gaussian, two per mixture, 48 per GH law over its mixing variable), and
+each component is integrated over one Gauss-Legendre panel of
++-``HALF_WIDTH_SDS`` standard deviations per axis.  The component densities
+a chunk is weighted by are factored once per component, when the
+distribution builds them; the base and the doubled grid share one set of
+components.  Feature distributions enter through a
 small handle protocol (see :mod:`condshap.simlab.distributions`).
 
 Every oracle returns an :class:`~condshap.coalitions.Explanation` whose
@@ -54,19 +58,17 @@ class FeatureDistribution(Protocol):
 
 @dataclass
 class QuadratureComponent:
-    """One integrable piece of a (possibly mixture) conditional density.
+    """One weighted Gaussian piece of a (possibly mixture) conditional law.
 
-    The integration box is [center - hw*sd, center + hw*sd] per coordinate
-    unless explicit ``lo``/``hi`` bounds are given (heavy- or skew-tailed
-    laws need wider, asymmetric boxes than a Gaussian rule of thumb).
+    Its integration box is [center - hw*sd, center + hw*sd] per coordinate,
+    with hw = ``HALF_WIDTH_SDS``: every family's components are Gaussian,
+    the GH laws' included, so no component needs a wider or asymmetric box.
     """
 
     weight: float
-    center: np.ndarray  # per-coordinate location used for the grid box
-    sd: np.ndarray  # per-coordinate spread used for the grid box
+    center: np.ndarray  # per-coordinate mean, the middle of the grid box
+    sd: np.ndarray  # per-coordinate standard deviation, the scale of the box
     density: Callable[[np.ndarray], np.ndarray]  # vectorized pdf on (n, d) points
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
 
 
 @dataclass
@@ -190,26 +192,12 @@ def _component_integral(
     sbar = [j for j in range(m) if j not in s]
     d = len(sbar)
     nodes, weights = gauss_legendre(points)
-    tail_nodes, tail_weights = gauss_legendre(max(points // 2, 8))
     axes_nodes, axes_weights = [], []
     for i in range(d):
-        core_lo = comp.center[i] - HALF_WIDTH_SDS * comp.sd[i]
-        core_hi = comp.center[i] + HALF_WIDTH_SDS * comp.sd[i]
-        lo = comp.lo[i] if comp.lo is not None else core_lo
-        hi = comp.hi[i] if comp.hi is not None else core_hi
-        core_lo, core_hi = max(lo, core_lo), min(hi, core_hi)
-        # Composite rule: a dense panel over the bulk, coarser tail panels.
-        panels = [(core_lo, core_hi, nodes, weights)]
-        if lo < core_lo:
-            panels.insert(0, (lo, core_lo, tail_nodes, tail_weights))
-        if hi > core_hi:
-            panels.append((core_hi, hi, tail_nodes, tail_weights))
-        xs, ws = [], []
-        for a, b, pn, pw in panels:
-            xs.append(0.5 * (b - a) * pn + 0.5 * (b + a))
-            ws.append(0.5 * (b - a) * pw)
-        axes_nodes.append(np.concatenate(xs))
-        axes_weights.append(np.concatenate(ws))
+        lo = comp.center[i] - HALF_WIDTH_SDS * comp.sd[i]
+        hi = comp.center[i] + HALF_WIDTH_SDS * comp.sd[i]
+        axes_nodes.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
+        axes_weights.append(0.5 * (hi - lo) * weights)
     terms = np.empty(math.prod(len(axis) for axis in axes_nodes))
     # One model batch and one weight buffer, reused by every chunk: the x*_S
     # columns are set once.

@@ -210,6 +210,11 @@ class CholeskyFactor:
         inverse, _ = _scipy("linalg.lapack").dtrtri(chol, lower=1)
         return cls(chol, inverse, 2.0 * np.sum(np.log(np.diag(chol))))
 
+    def scaled(self, w: float) -> "CholeskyFactor":
+        """The record of w A (w > 0), read off this one with no factorization."""
+        root, d = math.sqrt(w), self.chol.shape[0]
+        return CholeskyFactor(self.chol * root, self.inverse / root, self.logdet + d * math.log(w))
+
 
 @dataclass(frozen=True)
 class ConditioningPlan:
@@ -782,8 +787,10 @@ def aicc_bandwidth(
     and one set of hat matrices per coalition.
     """
     sigma_grid = list(sigma_grid)
-    if not sigma_grid or any(s <= 0 for s in sigma_grid):
-        raise ValueError("sigma_grid must be non-empty and positive")
+    if not sigma_grid:
+        raise ValueError("sigma_grid must be non-empty")
+    for sigma in sigma_grid:
+        _check_bandwidth(sigma)
     coalitions = [tuple(sorted(s)) for s in coalitions]
     if not coalitions or not all(0 < len(s) < train.m for s in coalitions):
         raise ValueError("AICc needs one or more proper, non-empty coalitions")

@@ -1,16 +1,17 @@
 """Flat key-value simulation config files.
 
 Format: one ``key = value`` pair per line, ``#`` comments, UTF-8.  Unknown
-keys are errors so that a config always means what it says.
+keys are errors so that a config always means what it says, and so is a
+family parameter that the chosen law ignores (see the table).
 
 Recognized keys (defaults in parentheses):
 
     name                experiment label ("")
     dimension           3 or 10 (3)
     features            gaussian | gh | mixture (gaussian)
-    rho                 gaussian correlation (0.0)
-    kappa               gh skewness ladder (1.0)
-    gamma               mixture mode separation (1.0)
+    rho                 gaussian correlation (0.0); features = gaussian only
+    kappa               gh skewness ladder (1.0); features = gh at dimension 3 only
+    gamma               mixture mode separation (1.0); features = mixture only
     model               linear | piecewise (linear)
     estimators          comma-separated estimator labels (original,gaussian)
     n_train             training rows per batch (2000)
@@ -58,6 +59,9 @@ _DEFAULTS = {
     "n_aicc": 400,
 }
 
+# The family parameters and the one family each one steers.
+_FAMILY_KEYS = {"rho": "gaussian", "kappa": "gh", "gamma": "mixture"}
+
 
 def _parse_value(key: str, raw: str, path: str, line_no: int):
     """Parse ``raw`` as the type of the key's default value."""
@@ -100,6 +104,13 @@ def parse_simulation_config(path: str | Path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
 
+    kind = str(values["features"])
+    for key, family in _FAMILY_KEYS.items():
+        if key in seen and kind != family:
+            raise ConfigError(f"{path}: {key} applies only to features = {family}, not {kind}")
+    if "kappa" in seen and values["dimension"] == 10:
+        raise ConfigError(f"{path}: kappa does not apply at dimension 10 (one fixed GH law)")
+
     overrides = {key: values[key] for key in ("d_star", "eta", "n_aicc")}
     try:
         estimators = tuple(
@@ -111,7 +122,7 @@ def parse_simulation_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     family = FeatureFamily(
-        kind=str(values["features"]),
+        kind=kind,
         rho=float(values["rho"]),
         kappa=float(values["kappa"]),
         gamma=float(values["gamma"]),

@@ -7,10 +7,12 @@ inverse Gaussian mixing variable), and a two-component Gaussian mixture.
 Every GH law, conditionals included, is one :class:`GHParams` (lam, chi, psi,
 mu, Sigma, beta); the experiments' symmetric laws set chi = psi = omega.
 
-A component density is factored once, when its law is fixed:
-:class:`GaussianDensity` and :class:`GHDensity` hold the whitening matrix
-(the inverse Cholesky factor) and every constant, so evaluating one on a
-block of points takes a few elementwise passes over the points.
+Every quadrature component is Gaussian: a GH law, conditional or not, is a
+normal variance-mean mixture over W, integrated as 48 Gaussian components
+N(mu + w beta, w Sigma) at Gauss-Legendre nodes in log w.  A component's
+:class:`GaussianDensity` holds the whitening matrix (the inverse Cholesky
+factor) and every constant, so evaluating one on a block of points takes a
+few elementwise passes over the points.
 
 All three families condition as the explainer's samplers do, through one
 :class:`~condshap.samplers.ConditioningPlan` per (covariance, coalition),
@@ -21,8 +23,9 @@ matrix, with no solve.  The plan also holds every factor, made on first use:
 W = L^{-1} of Sigma_SS whitens x_S for the mixture's posterior weights and
 x_S - mu_S and beta_S for the GH law, and the Cholesky factor of the
 conditional covariance gives the conditional densities and draws (the
-mixture's components share both).  The unconditional samplers draw through
-the empty coalition's plan, whose conditional covariance is the law's own.
+mixture's components share both; each GH component scales it by sqrt(w)).
+The unconditional samplers draw through the empty coalition's plan, whose
+conditional covariance is the law's own.
 Every Gaussian draw, the GH law's N(0, Sigma) part included, is the
 explainer's :func:`~condshap.samplers.sample_gaussian_conditional`.
 """
@@ -113,10 +116,6 @@ class GaussianDensity:
     mean: np.ndarray
     whiten: np.ndarray
     offset: float
-
-    @classmethod
-    def from_moments(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":
-        return cls.from_factor(mean, CholeskyFactor.of(np.linalg.cholesky(cov)))
 
     @classmethod
     def from_factor(cls, mean: np.ndarray, factor: CholeskyFactor) -> "GaussianDensity":
@@ -364,54 +363,35 @@ def gh_conditional(params: GHParams, s: Coalition, x_s: np.ndarray) -> GHParams:
     return GHFeatures(params)._conditional(*_sorted_coalition(s, x_s))
 
 
-@dataclass(frozen=True)
-class GHDensity:
-    """The density of one GH law, factored once.
+def _gh_mixing_components(law: GHParams, factor: CholeskyFactor) -> list[QuadratureComponent]:
+    """The GH law ``law`` as a mixture of Gaussians over its mixing variable.
 
-    Everything that does not depend on the points is computed when the law
-    is fixed: the whitening matrix W (the inverse Cholesky factor of Sigma),
-    q = beta' Sigma^{-1} beta, Sigma^{-1} beta, and the log normaliser with
-    its log K_lam(omega).  Each evaluation then only whitens the points and
-    evaluates K_nu at them.
+    X | W=w is N(mu + w beta, w Sigma); the mixing density is discretized by
+    48-node Gauss-Legendre in log w between the points where chi/(2w) and
+    psi w/2 reach 25 + omega, omega = sqrt(chi psi): there its factor
+    exp(-(chi/w + psi w)/2) is at most e^-25 of its value at w = sqrt(chi/psi).
+    The cut follows the peak, so a conditional law whose x_S lies far out
+    (a large chi) keeps its mass.  ``factor`` is the factor record of Sigma,
+    and node w's density reads ``factor.scaled(w)``, so no component factors
+    a matrix.  The weights sum to 1 only up to the truncation error of that
+    range, which no check at run time sees.
     """
-
-    law: GHParams
-    whiten: np.ndarray
-    q: float
-    skew: np.ndarray  # Sigma^{-1} beta
-    log_norm: float
-
-    @classmethod
-    def from_law(cls, law: GHParams, factor: CholeskyFactor) -> "GHDensity":
-        """The density of ``law``, for the factor record ``factor`` of its Sigma."""
-        beta_white = factor.inverse @ law.beta_skew
-        omega = math.sqrt(law.chi * law.psi)
-        log_k_lam = math.log(_scipy("special").kve(law.lam, omega)) - omega
-        log_norm = (
-            (law.lam / 2.0) * (math.log(law.psi) - math.log(law.chi))
-            - (law.dim / 2.0) * math.log(2.0 * math.pi)
-            - 0.5 * factor.logdet
-            - log_k_lam
-        )
-        return cls(law, factor.inverse, float(beta_white @ beta_white),
-                   factor.inverse.T @ beta_white, log_norm)
-
-    def logpdf(self, points: np.ndarray) -> np.ndarray:
-        law = self.law
-        nu = law.lam - law.dim / 2.0
-        diff = _centered(points, law.mu)
-        delta = _mahalanobis(self.whiten, diff)
-        arg = np.sqrt((law.chi + delta) * (law.psi + self.q))
-        log_k_nu = np.log(_scipy("special").kve(nu, arg)) - arg
-        return (
-            (nu / 2.0) * (np.log(law.chi + delta) - math.log(law.psi + self.q))
-            + log_k_nu
-            + self.log_norm
-            + np.sum(self.skew[:, None] * diff, axis=0)
-        )
-
-    def pdf(self, points: np.ndarray) -> np.ndarray:
-        return np.exp(self.logpdf(points))
+    reach = 2.0 * (25.0 + math.sqrt(law.chi * law.psi))
+    lo = math.log(law.chi / reach)
+    hi = math.log(reach / law.psi)
+    nodes, weights = gauss_legendre(48)
+    t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    glw = 0.5 * (hi - lo) * weights
+    w = np.exp(t)
+    mass = np.exp(gig_logpdf(w, law.lam, law.chi, law.psi)) * w * glw
+    variances = np.diag(law.sigma)
+    comps = []
+    for wk, pk in zip(w, mass):
+        mean = law.mu + wk * law.beta_skew
+        sd = np.sqrt(np.clip(wk * variances, 1e-300, None))
+        density = GaussianDensity.from_factor(mean, factor.scaled(float(wk))).pdf
+        comps.append(QuadratureComponent(float(pk), mean, sd, density))
+    return comps
 
 
 @dataclass
@@ -467,82 +447,14 @@ class GHFeatures:
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
-        if not s:
-            # The unconditional law integrates poorly as one tensor grid (a
-            # skewed ridge along the mixing direction); decompose it into
-            # Gaussians over mixing-variable quadrature nodes instead.
-            return _gh_mixing_components(self.params)
+        """The 48 Gaussian components of the GH law given x_S = x_s."""
         s, x_s = _sorted_coalition(s, x_s)
-        cond = self._conditional(s, x_s)
-        center = cond.mean()
-        sd = np.sqrt(np.clip(np.diag(cond.covariance()), 1e-300, None))
-        lo, hi = _gh_quadrature_box(cond, center, sd)
-        return [
-            QuadratureComponent(
-                weight=1.0,
-                center=center,
-                sd=sd,
-                density=GHDensity.from_law(cond, self._plan(s).conditional).pdf,
-                lo=lo,
-                hi=hi,
-            )
-        ]
+        return _gh_mixing_components(self._conditional(s, x_s), self._plan(s).conditional)
 
 
 # ---------------------------------------------------------------------------
 # Two-component Gaussian mixture
 # ---------------------------------------------------------------------------
-
-
-def _gh_mixing_components(law: GHParams) -> list[QuadratureComponent]:
-    """Gaussian-mixture decomposition of a GH law over its mixing variable.
-
-    X | W=w is N(mu + w beta, w Sigma); the mixing density is discretized by
-    48-node Gauss-Legendre in log w between the points where its left/right
-    exponential tails reach 25.  The weights sum to 1 up to the (tiny)
-    truncation error, which the refinement check would surface.
-    """
-    lo = math.log(law.chi / 50.0)
-    hi = math.log(50.0 / law.psi)
-    nodes, weights = gauss_legendre(48)
-    t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    glw = 0.5 * (hi - lo) * weights
-    w = np.exp(t)
-    mass = np.exp(gig_logpdf(w, law.lam, law.chi, law.psi)) * w * glw
-    comps = []
-    for wk, pk in zip(w, mass):
-        mean = law.mu + wk * law.beta_skew
-        cov = wk * law.sigma
-        sd = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
-        comps.append(
-            QuadratureComponent(
-                weight=float(pk),
-                center=mean,
-                sd=sd,
-                density=GaussianDensity.from_moments(mean, cov).pdf,
-            )
-        )
-    return comps
-
-
-def _gh_quadrature_box(
-    law: GHParams, center: np.ndarray, sd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Asymmetric integration bounds covering the semi-heavy GH tails.
-
-    The marginal of coordinate i decays like exp(-a |z|) with
-    a = sqrt((psi + beta_i^2/S_ii)/S_ii) -/+ beta_i/S_ii on the right/left;
-    the box extends to where that exponent reaches 20 (relative mass
-    ~ 2e-9), and never less than eight sds.
-    """
-    s_diag = np.clip(np.diag(law.sigma), 1e-12, None)
-    beta = law.beta_skew
-    root = np.sqrt((law.psi + beta**2 / s_diag) / s_diag)
-    a_right = np.clip(root - beta / s_diag, 1e-9, None)
-    a_left = np.clip(root + beta / s_diag, 1e-9, None)
-    hi = np.maximum(center + 8.0 * sd, law.mu + 20.0 / a_right)
-    lo = np.minimum(center - 8.0 * sd, law.mu - 20.0 / a_left)
-    return lo, hi
 
 
 @dataclass

@@ -150,12 +150,49 @@ class TestQuadrature:
         mc = true_shapley_mc(dist, predictor, x_star, 150_000, rng_seed=9)
         assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.diagnostics["mc_std_error"])
 
-    def test_gh_mixing_decomposition_mass(self):
-        from condshap.simlab.distributions import _gh_mixing_components
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 5.0])
+    def test_gh_mixing_weights_sum_to_one(self, kappa):
+        # The log-w range is cut where the mixing density's exponential factor
+        # is e^-25 of its peak; nothing checks that truncation at run time.
+        # The last x* lies far out, where a cut that ignores the peak loses mass.
+        dist = GHFeatures(GHParams.from_kappa(3, kappa=kappa))
+        xs = np.vstack([dist.sample(3, np.random.default_rng(30)), [4.0, -3.0, 6.0]])
+        for x_star in xs:
+            for s in enumerate_coalitions(3).coalitions[:-1]:
+                comps = dist.conditional_components(s, x_star[list(s)])
+                assert len(comps) == 48
+                assert sum(c.weight for c in comps) == pytest.approx(1.0, abs=1e-8)
 
-        star = GHParams.from_kappa(3, kappa=5.0)
-        total = sum(c.weight for c in _gh_mixing_components(star))
-        assert total == pytest.approx(1.0, abs=1e-8)
+    def test_gh_truths_of_the_digest_case_agree_with_monte_carlo(self):
+        """The inputs of the ``truths-quadrature-gh`` digest: 24 points, unrefined."""
+        dist = GHFeatures(GHParams.from_kappa(3, kappa=2.0))
+        grid = GridSpec(points_per_axis=24, refine=False)
+        mean = quadrature_mean_prediction(dist, _digest_nonlinear, grid)
+        for i, x_star in enumerate(dist.sample(3, np.random.default_rng(30))):
+            quad = true_shapley_quadrature(dist, _digest_nonlinear, x_star, grid, v_empty=mean)
+            mc = true_shapley_mc(dist, _digest_nonlinear, x_star, 200_000, rng_seed=[7, i])
+            assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.diagnostics["mc_std_error"])
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    def test_refined_gh_truths_match_the_closed_form(self, kappa):
+        """The default grid, refined, on an OLS model fitted to 2,000 GH rows."""
+        from condshap.samplers import TrainingMatrix
+        from condshap.simlab import fit_ols, gh_conditional, linear_sampling_model
+
+        params = GHParams.from_kappa(3, kappa=kappa)
+        dist = GHFeatures(params)
+        train = dist.sample(2000, np.random.default_rng([0, 0, 0]))
+        model = fit_ols(TrainingMatrix.from_data(train), linear_sampling_model(train, [0, 0, 1]))
+        spec = LinearModelSpec(beta0=model.beta0, beta=model.beta, feature_mean=params.mean())
+        mean = quadrature_mean_prediction(dist, model)
+        assert mean == pytest.approx(float(spec.predict(params.mean())[0]), abs=1e-6)
+        for x_star in dist.sample(3, np.random.default_rng([0, 0, 2])):
+            quad = true_shapley_quadrature(dist, model, x_star, v_empty=mean)
+            assert quad.diagnostics["refined"]
+            exact = linear_dependent_shapley(
+                spec, lambda s, x_s: gh_conditional(params, s, x_s).mean(), x_star
+            )
+            np.testing.assert_allclose(quad.phi, exact.phi, rtol=0, atol=1e-6)
 
     def test_mixture_truth_handles_separated_modes(self):
         params = MixtureParams.from_gamma(6.0)
@@ -177,22 +214,12 @@ def _reference_component_integral(predictor, s, x_star, comp, m, points):
     """
     sbar = [j for j in range(m) if j not in s]
     nodes, weights = np.polynomial.legendre.leggauss(points)
-    tail_nodes, tail_weights = np.polynomial.legendre.leggauss(max(points // 2, 8))
     axes_nodes, axes_weights = [], []
     for i in range(len(sbar)):
-        core_lo = comp.center[i] - HALF_WIDTH_SDS * comp.sd[i]
-        core_hi = comp.center[i] + HALF_WIDTH_SDS * comp.sd[i]
-        lo = comp.lo[i] if comp.lo is not None else core_lo
-        hi = comp.hi[i] if comp.hi is not None else core_hi
-        core_lo, core_hi = max(lo, core_lo), min(hi, core_hi)
-        panels = [(core_lo, core_hi, nodes, weights)]
-        if lo < core_lo:
-            panels.insert(0, (lo, core_lo, tail_nodes, tail_weights))
-        if hi > core_hi:
-            panels.append((core_hi, hi, tail_nodes, tail_weights))
-        axes_nodes.append(np.concatenate([0.5 * (b - a) * pn + 0.5 * (b + a)
-                                          for a, b, pn, _ in panels]))
-        axes_weights.append(np.concatenate([0.5 * (b - a) * pw for a, b, _, pw in panels]))
+        a = comp.center[i] - HALF_WIDTH_SDS * comp.sd[i]
+        b = comp.center[i] + HALF_WIDTH_SDS * comp.sd[i]
+        axes_nodes.append(0.5 * (b - a) * nodes + 0.5 * (b + a))
+        axes_weights.append(0.5 * (b - a) * weights)
     mesh = np.meshgrid(*axes_nodes, indexing="ij")
     pts = np.column_stack([g.reshape(-1) for g in mesh])
     wmesh = np.meshgrid(*axes_weights, indexing="ij")
@@ -202,6 +229,11 @@ def _reference_component_integral(predictor, s, x_star, comp, m, points):
     synth[:, sbar] = pts
     preds = predictor(synth)
     return float(np.sum(wts * dens * preds))
+
+
+def _digest_nonlinear(x):
+    """The nonlinear model of the ``truths-*`` digest cases."""
+    return 0.3 + x[:, 0] - 0.5 * x[:, 1] ** 2 + np.tanh(x[:, 2]) + 0.2 * x[:, 0] * x[:, -1]
 
 
 def _nonlinear(X):
@@ -228,10 +260,8 @@ class TestChunkedQuadrature:
             monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
         dist = DISTRIBUTIONS[name]()
         comps = dist.conditional_components(s, self.X_STAR[list(s)])
-        if name == "gh" and s:
-            assert comps[0].lo is not None  # the tail panels are exercised
-        if name == "gh" and not s:
-            assert len(comps) == 48  # the GIG mixing decomposition
+        if name == "gh":
+            assert len(comps) == 48  # the GIG mixing decomposition, conditional or not
         for comp in comps[:: max(1, len(comps) // 3)]:
             points = 11 if len(s) == 0 else 40  # grids of 40 to 6,400 rows: ragged chunks
             got = oracles._component_integral(_nonlinear, s, self.X_STAR, comp, 3, points)

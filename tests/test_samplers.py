@@ -647,10 +647,16 @@ class TestAicc:
 
     def test_grid_validation(self, bivariate_train):
         f = lambda X: X.sum(axis=1)
-        with pytest.raises(ValueError):
-            aicc_bandwidth(bivariate_train, f, [(0,)], np.zeros(2), sigma_grid=())
-        with pytest.raises(ValueError):
-            aicc_bandwidth(bivariate_train, f, [(0,)], np.zeros(2), sigma_grid=(0.0, 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                aicc_bandwidth(bivariate_train, f, [(0,)], np.zeros(2), sigma_grid=())
+            with pytest.raises(ValueError):
+                aicc_bandwidth(bivariate_train, f, [(0,)], np.zeros(2), sigma_grid=(0.0, 0.1))
+            # 2 sigma^2 underflows to 0: the grid is refused as SamplerSpec refuses
+            # the bandwidth, before any criterion divides by it.
+            with pytest.raises(ValueError, match="2 sigma\\^2 underflows to 0"):
+                aicc_bandwidth(bivariate_train, f, [(0,)], np.zeros(2), sigma_grid=(1e-170,))
 
     @pytest.mark.parametrize("coalitions", [[], [()], [(0, 1)], [(0,), (0, 1)]])
     def test_coalitions_must_be_proper(self, bivariate_train, coalitions):

@@ -291,6 +291,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_simulation_config(path)
 
+    @pytest.mark.parametrize(
+        "lines, kind, parameter",
+        [
+            ("features = gaussian\nrho = 0.3", "gaussian", 0.3),
+            ("features = gh\nkappa = 2", "gh", 2.0),
+            ("features = mixture\ngamma = 1.5", "mixture", 1.5),
+            ("dimension = 10\nfeatures = gh", "gh", 1.0),
+        ],
+        ids=["gaussian", "gh", "mixture", "gh-10d"],
+    )
+    def test_family_parameter_of_its_own_family(self, tmp_path, lines, kind, parameter):
+        path = tmp_path / "sim.cfg"
+        path.write_text(lines + "\n", encoding="utf-8")
+        config = parse_simulation_config(path)
+        assert config.features.kind == kind
+        assert config.features.parameter == parameter
+
 
 # ---------------------------------------------------------------------------
 # External model protocol
@@ -784,6 +801,21 @@ class TestCliSimulate:
         assert result.output.startswith("error: ")
         assert result.output.count("\n") == 1
 
+    def test_refined_gh_truths_converge(self, tmp_path):
+        # Every GH conditional integrates as 48 Gaussian components, so the
+        # doubled grid agrees with the base one.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "features = gh\nkappa = 2.0\nseed = 1\nestimators = original\n"
+            "n_train = 200\nn_test = 2\nbatches = 1\nk = 50\nquadrature_points = 24\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "gh"
+        result = CliRunner().invoke(main, ["simulate", str(cfg), "--output-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["truth"] == {"method": "quadrature", "quadrature_points": 24, "refine": True}
+
     def test_ten_dim_gh_piecewise_summary_rows(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
@@ -1043,6 +1075,30 @@ class TestCliBadInput:
         result = CliRunner().invoke(main, ["simulate", str(cfg), "--output-dir", str(out)])
         self.assert_clean_exit(result, 2)
         assert f"rho={rho} outside the positive-definite range (-0.5000, 1)" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("features = gh\nrho = 0.5", "rho applies only to features = gaussian, not gh"),
+            ("features = mixture\nrho = 0.5",
+             "rho applies only to features = gaussian, not mixture"),
+            ("kappa = 2", "kappa applies only to features = gh, not gaussian"),
+            ("features = mixture\nkappa = 2", "kappa applies only to features = gh, not mixture"),
+            ("dimension = 10\nfeatures = gh\nkappa = 2", "kappa does not apply at dimension 10"),
+            ("gamma = 2", "gamma applies only to features = mixture, not gaussian"),
+            ("features = gh\ngamma = 2", "gamma applies only to features = mixture, not gh"),
+        ],
+        ids=["rho-gh", "rho-mixture", "kappa-gaussian", "kappa-mixture", "kappa-10d",
+             "gamma-gaussian", "gamma-gh"],
+    )
+    def test_simulate_ignored_family_parameter(self, tmp_path, lines, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n_test = 1\nbatches = 1\n{lines}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["simulate", str(cfg), "--output-dir", str(out)])
+        self.assert_clean_exit(result, 2)
+        assert message in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize(

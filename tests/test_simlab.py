@@ -15,7 +15,7 @@ from condshap.errors import (
     DiagnosticWarning,
     QuadratureConvergenceError,
 )
-from condshap.samplers import SamplerSpec, TrainingMatrix, conditional_moments
+from condshap.samplers import CholeskyFactor, SamplerSpec, TrainingMatrix, conditional_moments
 from condshap.shell.cli import _exit_code
 from condshap.simlab import (
     EquicorrelatedCov,
@@ -50,7 +50,6 @@ from condshap.simlab import experiment
 from condshap.simlab.distributions import (
     GaussianDensity,
     GaussianFeatures,
-    GHDensity,
     gig_variance,
 )
 from condshap.coalitions import Explanation
@@ -305,9 +304,9 @@ class TestGHConditionalMatchesReference:
 
 
 def _reference_gh_logpdf(points, star):
-    """The per-call GH log density: a fresh Cholesky and LU solves each call.
+    """The closed-form GH log density, with a fresh Cholesky and LU solves.
 
-    The slow reference for ``GHDensity``, which factors a law once.
+    The reference for the 48 Gaussian components of ``GHFeatures``.
     """
     from scipy.special import kve
 
@@ -335,13 +334,6 @@ def _reference_gh_logpdf(points, star):
         - log_k_lam
         + skew_term
     )
-
-
-def _gh_density(law):
-    """The density of ``law`` through the empty coalition's plan, whose
-    conditional covariance is the law's own Sigma."""
-    (plan,) = conditional_moments(law.sigma, [()])
-    return GHDensity.from_law(law, plan.conditional)
 
 
 def _correlated_gh(m=3):
@@ -378,6 +370,11 @@ def _density_grid(d, per_axis):
     return np.column_stack([g.reshape(-1) for g in mesh])
 
 
+def _gaussian_density(mean, cov):
+    """The density of N(mean, cov), from a fresh Cholesky factor of cov."""
+    return GaussianDensity.from_factor(mean, CholeskyFactor.of(np.linalg.cholesky(cov)))
+
+
 class TestGaussianDensity:
     @pytest.mark.parametrize("law", ["d1", "d2", "d3", "rho95-conditional"])
     def test_matches_scipy(self, law):
@@ -385,31 +382,31 @@ class TestGaussianDensity:
         d = mean.shape[0]
         rng = np.random.default_rng(32)
         points = mean + rng.standard_normal((500, d)) @ np.linalg.cholesky(cov).T * 2.0
-        got = GaussianDensity.from_moments(mean, cov).logpdf(points)
+        got = _gaussian_density(mean, cov).logpdf(points)
         expected = stats.multivariate_normal(mean, cov).logpdf(points).reshape(-1)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_whiten_is_the_inverse_cholesky_factor(self):
         _, cov = _gaussian_laws()["d3"]
-        dens = GaussianDensity.from_moments(np.zeros(3), cov)
+        dens = _gaussian_density(np.zeros(3), cov)
         assert np.allclose(dens.whiten @ np.linalg.cholesky(cov), np.eye(3), atol=1e-14)
         assert np.all(np.triu(dens.whiten, 1) == 0.0)
 
 
 def _densities():
     mean, cov = _gaussian_laws()["rho95-conditional"]
-    star = gh_conditional(_correlated_gh(), (0,), np.array([0.4]))
+    gh = GHFeatures(_correlated_gh()).conditional_components((0,), np.array([0.4]))
     return {
-        "gaussian": GaussianDensity.from_moments(mean, cov),
-        "gh": _gh_density(_correlated_gh()),
-        "gh-conditional": _gh_density(star),
+        "gaussian": _gaussian_density(mean, cov),
+        # A GH component's density reads the plan's factor scaled by sqrt(w).
+        "gh-component": gh[20].density.__self__,
     }
 
 
 class TestDensitySlices:
     """A density gives the same bits on a block of points whatever the block."""
 
-    @pytest.mark.parametrize("name", ["gaussian", "gh", "gh-conditional"])
+    @pytest.mark.parametrize("name", ["gaussian", "gh-component"])
     def test_grid_slices_and_rows(self, name):
         dens = _densities()[name]
         points = _density_grid(dens.whiten.shape[0], 20)
@@ -443,28 +440,35 @@ class TestDensitySlices:
         assert calls == [(3, 3)]
 
 
-class TestGHDensity:
+class TestGHMixture:
+    """A GH law, conditional or not, as its 48 Gaussian components over W."""
+
     @pytest.mark.parametrize("s", [(0, 1), (2,), ()], ids=["d1", "d2", "d3"])
-    def test_matches_per_call_reference(self, s):
+    def test_matches_the_closed_form_density(self, s):
         x_s = np.array([0.4, -0.9, 1.3])[list(s)]
         star = gh_conditional(_correlated_gh(), s, x_s)
         d = star.dim
         assert d == 3 - len(s)
+        comps = GHFeatures(_correlated_gh()).conditional_components(s, x_s)
+        assert len(comps) == 48
         rng = np.random.default_rng(33)
         points = star.mean() + 2.0 * rng.standard_normal((400, d))
-        got = _gh_density(star).logpdf(points)
-        np.testing.assert_allclose(got, _reference_gh_logpdf(points, star), rtol=1e-12, atol=0)
+        got = sum(comp.weight * comp.density(points) for comp in comps)
+        expected = np.exp(_reference_gh_logpdf(points, star))
+        # Largest relative errors seen: 1.6e-9 (d1), 1.9e-12 (d2) and 2.5e-5 (d3,
+        # the unconditional law, at a point where its density is 1e-6 of its peak).
+        np.testing.assert_allclose(got, expected, rtol=1e-8 if s else 1e-4, atol=0)
 
     def test_one_dimensional_law_integrates_to_one(self):
-        star = gh_conditional(_correlated_gh(), (0, 2), np.array([0.4, 1.3]))
-        assert star.dim == 1
-        dens = _gh_density(star)
+        s, x_s = (0, 2), np.array([0.4, 1.3])
+        comps = GHFeatures(_correlated_gh()).conditional_components(s, x_s)
         nodes, weights = np.polynomial.legendre.leggauss(40)
         edges = np.linspace(-120.0, 120.0, 601)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            x = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-            total += float(np.sum(0.5 * (b - a) * weights * dens.pdf(x[:, None])))
+            x = (0.5 * (b - a) * nodes + 0.5 * (b + a))[:, None]
+            dens = sum(comp.weight * comp.density(x) for comp in comps)
+            total += float(np.sum(0.5 * (b - a) * weights * dens))
         assert abs(total - 1.0) < 1e-8
 
 
@@ -515,7 +519,7 @@ def _reference_components(dist, s, x_s):
             idx = list(s)
             logs = np.array([
                 math.log(w)
-                + GaussianDensity.from_moments(mean[idx], cov[np.ix_(idx, idx)]).logpdf(
+                + _gaussian_density(mean[idx], cov[np.ix_(idx, idx)]).logpdf(
                     x_s.reshape(1, -1))[0]
                 for w, mean in zip(p.weights, means)
             ])
@@ -529,7 +533,7 @@ def _reference_components(dist, s, x_s):
     for weight, mean in zip(weights, means):
         mu = plan.mean(mean, x_s)
         sd = np.sqrt(np.clip(np.diag(plan.sigma), 1e-300, None))
-        out.append((float(weight), mu, sd, GaussianDensity.from_moments(mu, plan.sigma)))
+        out.append((float(weight), mu, sd, _gaussian_density(mu, plan.sigma)))
     return out
 
 

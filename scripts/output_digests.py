@@ -16,9 +16,10 @@ the same bytes.  The outputs are:
   ``gaussian`` and ``empirical-aicc-exact`` cases, so that the bytes sent to
   a model are pinned as well as the outputs;
 - ``condshap cluster`` on a tie-heavy CSV;
-- ``condshap simulate`` reports for a Gaussian, a mixture, a piecewise and
-  an unrefined 3-D GH config, and for the ten-feature GH config, whose Monte
-  Carlo truth draws from GH conditionals;
+- ``condshap simulate`` reports for a Gaussian, a mixture, a piecewise, an
+  unrefined 3-D GH config and a 3-D GH config on the default refined grid,
+  and for the ten-feature GH config, whose Monte Carlo truth draws from GH
+  conditionals;
 - in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
   in reverse order, near-singular and constant-margin training sets (with
   ``empirical-aicc-exact``, whose ridged plans warn as the fixed-bandwidth
@@ -37,8 +38,9 @@ the same bytes.  The outputs are:
   parameters of four coalitions (``gh-conditional.txt``) and a fixed-seed
   ``GHFeatures.conditional_sample`` (``gh-conditional-sample.csv``);
 - the reference oracles' phi0/phi (``truths-*``): tensor quadrature of the
-  3-D Gaussian, mixture and GH families given the mean prediction (each GH
-  law as 48 Gaussian components over its mixing variable), Monte
+  3-D Gaussian, mixture and GH families given the mean prediction (each law
+  as Gaussian components, integrated through their factors in whitened
+  coordinates; a GH law as 48 of them over its mixing variable), Monte
   Carlo at m=10 with a small draw count, and the linear closed forms under
   dependent and independent features;
 - a 3-D Gaussian mixture whose common Sigma holds a near-singular pair
@@ -91,6 +93,10 @@ SIMULATIONS = {
     # mixing variable.
     "sim-gh": {"features": "gh", "kappa": 2.0, "quadrature_refine": "false", "n_train": 150,
                "estimators": "original,gaussian,empirical-0.1"},
+    # The default GH truth path: 64 points, refined to 128 and checked.
+    "sim-gh-refined": {"features": "gh", "kappa": 2.0, "quadrature_points": 64,
+                       "quadrature_refine": "true", "n_train": 150, "n_test": 2,
+                       "estimators": "original,gaussian,empirical-0.1"},
     # The ten-feature GH block: its Monte Carlo truth draws from GH conditionals.
     "sim-gh10": {"dimension": 10, "features": "gh", "estimators": "original,gaussian",
                  "n_train": 300, "n_test": 2, "batches": 1, "k": 50, "n_mc": 200},

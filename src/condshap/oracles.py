@@ -9,13 +9,15 @@ beyond one float per grid point.  Each chunk is a box of the grid, in which
 the leading axes are fixed, one axis takes a range and the later axes run in
 full; its node columns and weight products are written straight into one
 model batch by broadcasting, with no per-row index arithmetic.
-Every conditional law reaches the grid as weighted Gaussian components (one
-per Gaussian, two per mixture, 48 per GH law over its mixing variable), and
-each component is integrated over one Gauss-Legendre panel of
-+-``HALF_WIDTH_SDS`` standard deviations per axis.  The component densities
-a chunk is weighted by are factored once per component, when the
-distribution builds them; the base and the doubled grid share one set of
-components.  Feature distributions enter through a
+Every conditional law reaches the grid as weighted Gaussian components
+N(c, F F^T) (one per Gaussian, two per mixture, 48 per GH law over its
+mixing variable), and each component is integrated in whitened coordinates:
+x_Sbar = c + F u over the standard-normal u, one Gauss-Legendre rule on
++-``HALF_WIDTH_SDS`` per axis whose weights carry phi(u).  No grid point
+evaluates a density, so a singular F (a rank-deficient covariance) needs no
+inverse, and every axis of every component reads one cached rule.  F is the
+factor the distribution draws through; the base and the doubled grid share
+one set of components.  Feature distributions enter through a
 small handle protocol (see :mod:`condshap.simlab.distributions`).
 
 Every oracle returns an :class:`~condshap.coalitions.Explanation` whose
@@ -58,17 +60,16 @@ class FeatureDistribution(Protocol):
 
 @dataclass
 class QuadratureComponent:
-    """One weighted Gaussian piece of a (possibly mixture) conditional law.
+    """One weighted Gaussian piece N(center, factor factor^T) of a conditional law.
 
-    Its integration box is [center - hw*sd, center + hw*sd] per coordinate,
-    with hw = ``HALF_WIDTH_SDS``: every family's components are Gaussian,
-    the GH laws' included, so no component needs a wider or asymmetric box.
+    It is integrated over the standard-normal u with x_Sbar = center +
+    factor u, u in [-hw, hw] per axis, hw = ``HALF_WIDTH_SDS``; ``factor``
+    may be singular, as the eigen-factor of a rank-deficient covariance is.
     """
 
     weight: float
-    center: np.ndarray  # per-coordinate mean, the middle of the grid box
-    sd: np.ndarray  # per-coordinate standard deviation, the scale of the box
-    density: Callable[[np.ndarray], np.ndarray]  # vectorized pdf on (n, d) points
+    center: np.ndarray  # (d,) mean of the piece
+    factor: np.ndarray  # (d, d) F with F F^T its covariance
 
 
 @dataclass
@@ -145,13 +146,15 @@ def linear_dependent_shapley(
 # ---------------------------------------------------------------------------
 
 
-#: Half-width of a component's integration box, in its standard deviations.
+#: Half-width of the standard-normal box each component is integrated over.
 HALF_WIDTH_SDS = 8.0
 #: Largest change the doubled grid may make (to any phi_j, or to E[f(x)]).
 REFINE_TOL = 1e-4
 #: Largest integration dimension the tensor grid is used for.
 MAX_DIM = 3
-#: Most grid rows sent to a component density or the model in one call.
+#: Most Gauss-Legendre points per axis: the doubled 3-D grid then holds 256**3 rows.
+MAX_POINTS = 128
+#: Most grid rows sent to the model in one call.
 CHUNK_ROWS = 2 ** 15
 
 
@@ -161,6 +164,11 @@ class GridSpec:
 
     points_per_axis: int = 64
     refine: bool = True
+
+    def __post_init__(self):
+        points = self.points_per_axis
+        if not 1 <= points <= MAX_POINTS:
+            raise ValueError(f"points_per_axis must be in [1, {MAX_POINTS}], got {points}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,43 +183,54 @@ def gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _component_integral(
+@functools.lru_cache(maxsize=None)
+def _whitened_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and weights (GL weight * hw * phi(u)) of E[g(u)], u ~ N(0, 1),
+    on [-hw, hw], hw = ``HALF_WIDTH_SDS``.  Built once per count and read-only,
+    like :func:`gauss_legendre`; every axis of every component reads it."""
+    nodes, weights = gauss_legendre(points)
+    u = HALF_WIDTH_SDS * nodes
+    w = weights * HALF_WIDTH_SDS * (np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
+
+
+def _law_integral(
     predictor: Predictor,
     s: Coalition,
     x_star: np.ndarray,
-    comp: QuadratureComponent,
-    m: int,
+    comps: list[QuadratureComponent],
     points: int,
 ) -> float:
-    """Integral of f(x_sbar, x_s*) times the component density over its box.
+    """E[f(x_sbar, x_s*)] under the law of the weighted components ``comps``.
 
-    The tensor grid goes to the density and the model one box of
-    :func:`_grid_chunks` at a time; the weighted terms are summed once, over
-    the whole grid, so the value does not depend on where the chunks fall.
+    Each component's tensor grid goes to the model one box of
+    :func:`_grid_chunks` at a time; its weighted terms are summed once, over
+    its whole grid, so the value does not depend on where the chunks fall.
     """
+    m = x_star.shape[0]
     sbar = [j for j in range(m) if j not in s]
     d = len(sbar)
-    nodes, weights = gauss_legendre(points)
-    axes_nodes, axes_weights = [], []
-    for i in range(d):
-        lo = comp.center[i] - HALF_WIDTH_SDS * comp.sd[i]
-        hi = comp.center[i] + HALF_WIDTH_SDS * comp.sd[i]
-        axes_nodes.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
-        axes_weights.append(0.5 * (hi - lo) * weights)
-    terms = np.empty(math.prod(len(axis) for axis in axes_nodes))
-    # One model batch and one weight buffer, reused by every chunk: the x*_S
-    # columns are set once.
+    u, w = _whitened_rule(points)
+    terms = np.empty(points ** d)
+    # One model batch and one weight buffer, reused by every chunk of every
+    # component: the x*_S columns are set once.
     batch = np.empty((min(CHUNK_ROWS, terms.size), m))
     batch[:, list(s)] = x_star[list(s)]
     weights_buf = np.empty(batch.shape[0])
-    start = 0
-    for box in _grid_chunks(tuple(len(axis) for axis in axes_nodes)):
-        rows = _fill_grid_rows(batch, sbar, weights_buf, axes_nodes, axes_weights, *box)
-        synth = batch[:rows]
-        dens = np.asarray(comp.density(synth[:, sbar]), float).reshape(-1)
-        terms[start : start + rows] = weights_buf[:rows] * dens * call_predictor(predictor, synth)
-        start += rows
-    return float(np.sum(terms))
+    total = 0.0
+    for comp in comps:
+        start = 0
+        for box in _grid_chunks((points,) * d):
+            rows = _fill_grid_rows(
+                batch, sbar, weights_buf, comp.center, comp.factor, [u] * d, [w] * d, *box
+            )
+            preds = call_predictor(predictor, batch[:rows])
+            terms[start : start + rows] = weights_buf[:rows] * preds
+            start += rows
+        total += comp.weight * float(np.sum(terms))
+    return total
 
 
 def _grid_chunks(shape: tuple[int, ...]):
@@ -234,6 +253,8 @@ def _fill_grid_rows(
     batch: np.ndarray,
     cols: list[int],
     wts: np.ndarray,
+    center: np.ndarray,
+    factor: np.ndarray,
     axes_nodes: list[np.ndarray],
     axes_weights: list[np.ndarray],
     lead: tuple[int, ...],
@@ -242,41 +263,30 @@ def _fill_grid_rows(
 ) -> int:
     """Write the box ``(lead, lo, hi)`` of :func:`_grid_chunks` into ``batch`` and ``wts``.
 
-    Axis j's node goes to column ``cols[j]`` of ``batch`` and the weight
-    product ((w0 * w1) * w2) to ``wts``, both from row 0, by broadcasting.
-    Each element goes through the same operations as a gather at its
-    unravelled index would.  Returns the box's row count.
+    With u_i the node of grid axis i, column ``cols[j]`` of ``batch`` gets
+    ((center[j] + factor[j, 0] u_0) + factor[j, 1] u_1) + ..., and ``wts``
+    the weight product ((w0 * w1) * w2), both from row 0, by broadcasting.
+    Term by term, not by a BLAS product (whose rounding of a row may depend
+    on the rows with it), each element goes through the operations of a
+    gather at its unravelled index, so its bits do not depend on the chunk.
+    Returns the box's row count.
     """
     d, k = len(axes_nodes), len(lead)
     box = (hi - lo,) + tuple(len(axis) for axis in axes_nodes[k + 1 :])
     rows = math.prod(box)
     block = batch[:rows].reshape(box + (batch.shape[1],))
-    box_weights = []
-    for j, (col, nodes, weights) in enumerate(zip(cols, axes_nodes, axes_weights)):
-        if j < k:
-            node, weight = nodes[lead[j]], weights[lead[j]]
-        else:
-            # Axis j of the grid is axis j - k of the box.
-            part = slice(lo, hi) if j == k else slice(None)
-            along = (-1,) + (1,) * (d - 1 - j)
-            node, weight = nodes[part].reshape(along), weights[part].reshape(along)
-        block[..., col] = node
-        box_weights.append(weight)
+    # Axis j < k is fixed at lead[j]; axis j >= k of the grid is axis j - k of the box.
+    index = (*lead, slice(lo, hi)) + (slice(None),) * (d - k - 1)
+    along = [() if j < k else (-1,) + (1,) * (d - 1 - j) for j in range(d)]
+    box_nodes = [a[i].reshape(shape) for a, i, shape in zip(axes_nodes, index, along)]
+    box_weights = [a[i].reshape(shape) for a, i, shape in zip(axes_weights, index, along)]
+    for col, start, row in zip(cols, center, factor):
+        value = start + row[0] * box_nodes[0]
+        for coef, node in zip(row[1:], box_nodes[1:]):
+            value = value + coef * node
+        block[..., col] = value
     wts[:rows].reshape(box)[...] = functools.reduce(np.multiply, box_weights)
     return rows
-
-
-def _coalition_components(
-    dist: FeatureDistribution, x_star: np.ndarray
-) -> dict[Coalition, list[QuadratureComponent]]:
-    """The components of every proper coalition, built once and shared by the
-    base and the doubled grid."""
-    m = dist.dim
-    return {
-        s: dist.conditional_components(s, x_star[list(s)])
-        for s in _ordered_subsets(m)
-        if 0 < len(s) < m
-    }
 
 
 def _quadrature_v_table(
@@ -295,10 +305,7 @@ def _quadrature_v_table(
         elif len(s) == m:
             table[i] = float(call_predictor(predictor, x_star[None, :])[0])
         else:
-            table[i] = sum(
-                comp.weight * _component_integral(predictor, s, x_star, comp, m, points)
-                for comp in components[s]
-            )
+            table[i] = _law_integral(predictor, s, x_star, components[s], points)
     return table
 
 
@@ -312,19 +319,11 @@ def quadrature_mean_prediction(
     Runs at the base and doubled resolution when refinement is on and fails
     if the value has not stabilized.
     """
-    m = dist.dim
     comps = dist.conditional_components((), np.empty(0))
-
-    def integral(points: int) -> float:
-        return sum(
-            comp.weight
-            * _component_integral(predictor, (), np.zeros(m), comp, m, points)
-            for comp in comps
-        )
-
-    value = integral(grid_spec.points_per_axis)
+    origin = np.zeros(dist.dim)
+    value = _law_integral(predictor, (), origin, comps, grid_spec.points_per_axis)
     if grid_spec.refine:
-        fine = integral(2 * grid_spec.points_per_axis)
+        fine = _law_integral(predictor, (), origin, comps, 2 * grid_spec.points_per_axis)
         if abs(fine - value) >= REFINE_TOL:
             raise QuadratureConvergenceError(
                 f"mean-prediction quadrature not converged: shift {abs(fine - value):.3e}",
@@ -356,7 +355,12 @@ def true_shapley_quadrature(
     x_star = np.asarray(x_star, float).reshape(-1)
     if v_empty is None:
         v_empty = quadrature_mean_prediction(dist, predictor, grid_spec)
-    components = _coalition_components(dist, x_star)
+    # Built once, shared by the base and the doubled grid.
+    components = {
+        s: dist.conditional_components(s, x_star[list(s)])
+        for s in _ordered_subsets(m)
+        if 0 < len(s) < m
+    }
     points = grid_spec.points_per_axis
     table = _quadrature_v_table(predictor, x_star, components, points, v_empty)
     ex = exact_shapley(table)

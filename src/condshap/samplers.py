@@ -10,9 +10,11 @@ All estimators depend on the predictor only through the contract: a
 deterministic vectorized map from an (n, m) float matrix to n reals.
 What x* leaves alone is kept in one :class:`ConditioningPlan` per
 (covariance, coalition), which checks, ridges (warning once) and factors
-its Sigma_SS block when it is built, and keeps every further factor it is
-asked for: the Gaussian and copula parts condition through it, and the
-empirical and AICc distances whiten by its W = L^{-1}, one product each.
+its Sigma_SS block when it is built, and keeps the two further factors it
+is asked for: the Gaussian and copula parts condition through it, the
+empirical and AICc distances whiten by its W = L^{-1}, one product each,
+and the simulation lab draws and integrates through its draw factor of the
+conditional covariance.
 :func:`conditional_moments` builds the plans of many coalitions at once, in
 one stacked LAPACK pass per coalition size, and still decides each block's
 ridge from that block's own condition number; the explainer hands it a
@@ -191,31 +193,6 @@ def _sorted_coalition(s: Iterable[int], x_s) -> tuple[Coalition, np.ndarray]:
     return tuple(s[i] for i in order), x_s[order]
 
 
-@dataclass(frozen=True, slots=True)
-class CholeskyFactor:
-    """A lower Cholesky factor L of a covariance A, with W = L^{-1} and log det A.
-
-    |W x|^2 = x^T A^{-1} x.  W is LAPACK's triangular inverse ``dtrtri``,
-    which cannot fail on L's positive diagonal and is exactly lower triangular.
-    """
-
-    chol: np.ndarray
-    inverse: np.ndarray
-    logdet: float
-
-    @classmethod
-    def of(cls, chol: np.ndarray) -> "CholeskyFactor":
-        if not chol.size:
-            return cls(chol, chol, 0.0)
-        inverse, _ = _scipy("linalg.lapack").dtrtri(chol, lower=1)
-        return cls(chol, inverse, 2.0 * np.sum(np.log(np.diag(chol))))
-
-    def scaled(self, w: float) -> "CholeskyFactor":
-        """The record of w A (w > 0), read off this one with no factorization."""
-        root, d = math.sqrt(w), self.chol.shape[0]
-        return CholeskyFactor(self.chol * root, self.inverse / root, self.logdet + d * math.log(w))
-
-
 @dataclass(frozen=True)
 class ConditioningPlan:
     """The part of conditioning a Gaussian on coalition S that x_S leaves alone.
@@ -230,10 +207,11 @@ class ConditioningPlan:
     simulation lab's features, condition, whiten and draw through them alike.
     Plans are built many at a time, in one stacked pass per coalition size
     (:func:`conditional_moments`), with the same bytes as one at a time.
-    The plan is the one record of its factors, each made on first use:
-    :attr:`marginal` (with W = L^{-1}, :attr:`whiten`), :attr:`conditional`
-    and :attr:`draw_factor`.  Each instance only takes its conditional mean
-    through :meth:`mean` and whitens through :attr:`whiten`.
+    The plan is the one record of its two further factors, each made on
+    first use: :attr:`whiten`, W = L^{-1}, and :attr:`draw_factor`, the one
+    factor F F^T = ``sigma`` that both draws and quadrature read.  Each
+    instance only takes its conditional mean through :meth:`mean` and
+    whitens through :attr:`whiten`.
     """
 
     s: np.ndarray
@@ -249,25 +227,18 @@ class ConditioningPlan:
         return mean[self.sbar] + (x_s - mean[self.s]) @ self.coef
 
     @cached_property
-    def marginal(self) -> CholeskyFactor:
-        """The factor record of Sigma_SS + ridge I, whose factor is ``chol``."""
-        return CholeskyFactor.of(self.chol)
-
-    @property
     def whiten(self) -> np.ndarray:
-        """W = L^{-1}: |W d|^2 = d^T (Sigma_SS + ridge I)^{-1} d."""
-        return self.marginal.inverse
-
-    @cached_property
-    def conditional(self) -> CholeskyFactor:
-        """The factor record of ``sigma``; ``np.linalg.LinAlgError`` where it has none."""
-        return CholeskyFactor.of(np.linalg.cholesky(self.sigma))
+        """W = L^{-1}, |W d|^2 = d^T (Sigma_SS + ridge I)^{-1} d, by LAPACK's
+        ``dtrtri``: it cannot fail on L's positive diagonal and is exactly lower triangular."""
+        if not self.chol.size:
+            return self.chol
+        return _scipy("linalg.lapack").dtrtri(self.chol, lower=1)[0]
 
     @cached_property
     def draw_factor(self) -> np.ndarray:
         """F with F F^T = ``sigma``: its Cholesky factor, else the eigen-factor ``factor``."""
         try:
-            return self.conditional.chol
+            return np.linalg.cholesky(self.sigma)
         except np.linalg.LinAlgError:
             return self.factor
 

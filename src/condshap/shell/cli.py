@@ -148,8 +148,10 @@ def simulate(config_path, output_dir) -> None:
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "parameter", "estimator", "batch", "mae"])
-        for row in report.csv_rows():
-            writer.writerow([row[0], repr(float(row[1])), row[2], row[3], repr(float(row[4]))])
+        for name, parameter, label, batch, mae in report.csv_rows():
+            # The ten-feature GH law reads no family parameter: an empty cell.
+            parameter = "" if parameter is None else repr(float(parameter))
+            writer.writerow([name, parameter, label, batch, repr(float(mae))])
     summary_path = out / "summary.txt"
     summary_path.write_text(report.summary_table() + "\n", encoding="utf-8")
     # Wall-clock data goes to a sidecar; the report files stay reproducible.

@@ -20,7 +20,7 @@ Recognized keys (defaults in parentheses):
     noise_sd            response noise (0.1)
     k                   per-coalition sample budget; caps the empirical rows (1000)
     seed                master seed (0)
-    quadrature_points   3-D truth grid per axis (64)
+    quadrature_points   3-D truth grid per axis, 1 to 128 (64)
     quadrature_refine   true | false (true)
     n_mc                10-D truth draws per coalition (100000)
     d_star              combined-dispatch threshold (3)

@@ -1,29 +1,31 @@
 """Feature distributions for the simulation experiments.
 
-Three families, each with exact conditional samplers and densities so the
-oracles can compute reference Shapley values: equicorrelated Gaussian,
-generalized hyperbolic (a normal mean-variance mixture with a generalized
-inverse Gaussian mixing variable), and a two-component Gaussian mixture.
-Every GH law, conditionals included, is one :class:`GHParams` (lam, chi, psi,
-mu, Sigma, beta); the experiments' symmetric laws set chi = psi = omega.
+Three families, each with exact conditional samplers and exact Gaussian
+components of every conditional law, so the oracles can compute reference
+Shapley values: equicorrelated Gaussian, generalized hyperbolic (a normal
+mean-variance mixture with a generalized inverse Gaussian mixing variable),
+and a two-component Gaussian mixture.  Every GH law, conditionals included,
+is one :class:`GHParams` (lam, chi, psi, mu, Sigma, beta); the experiments'
+symmetric laws set chi = psi = omega.
 
-Every quadrature component is Gaussian: a GH law, conditional or not, is a
-normal variance-mean mixture over W, integrated as 48 Gaussian components
-N(mu + w beta, w Sigma) at Gauss-Legendre nodes in log w.  A component's
-:class:`GaussianDensity` holds the whitening matrix (the inverse Cholesky
-factor) and every constant, so evaluating one on a block of points takes a
-few elementwise passes over the points.
+Every quadrature component is Gaussian, a weight, a center c and a factor
+F: the oracle integrates it over x_Sbar = c + F u, u standard normal.  A
+GH law, conditional or not, is a normal variance-mean mixture over W,
+integrated as 48 Gaussian components N(mu + w beta, w Sigma) at
+Gauss-Legendre nodes in log w.
 
 All three families condition as the explainer's samplers do, through one
 :class:`~condshap.samplers.ConditioningPlan` per (covariance, coalition),
 built by the first instance that meets it and kept in the family's one
 ``_plans`` table: none of it depends on x_S or on the law's mean.  Each
 instance takes each component's conditional mean from the plan's regression
-matrix, with no solve.  The plan also holds every factor, made on first use:
-W = L^{-1} of Sigma_SS whitens x_S for the mixture's posterior weights and
-x_S - mu_S and beta_S for the GH law, and the Cholesky factor of the
-conditional covariance gives the conditional densities and draws (the
-mixture's components share both; each GH component scales it by sqrt(w)).
+matrix, with no solve.  The plan holds the two factors the lab reads, each
+made on first use: W = L^{-1} of Sigma_SS whitens x_S for the mixture's
+posterior weights and x_S - mu_S and beta_S for the GH law, and the draw
+factor of the conditional covariance (its Cholesky factor, or its
+eigen-factor where that fails) is the one factor both the draws and the
+quadrature components read (the mixture's components share it; each GH
+component scales it by sqrt(w)).
 The unconditional samplers draw through the empty coalition's plan, whose
 conditional covariance is the law's own.
 Every Gaussian draw, the GH law's N(0, Sigma) part included, is the
@@ -33,7 +35,6 @@ explainer's :func:`~condshap.samplers.sample_gaussian_conditional`.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,6 @@ from ..coalitions import Coalition
 from ..errors import InvalidCovarianceError
 from ..oracles import QuadratureComponent, gauss_legendre
 from ..samplers import (
-    CholeskyFactor,
     ConditioningPlan,
     TrainingMatrix,
     _plan_for,
@@ -75,76 +75,6 @@ class EquicorrelatedCov:
         cov = np.full((self.m, self.m), self.rho)
         np.fill_diagonal(cov, 1.0)
         return cov
-
-
-def _centered(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """(points - mean).T as a C-ordered (d, n) block.
-
-    Transposing first makes every step run along the n points, not along the
-    d <= 3 coordinates; the values are the same.
-    """
-    rows = np.ascontiguousarray(np.atleast_2d(np.asarray(points, float)).T)
-    return rows - mean[:, None]
-
-
-def _mahalanobis(whiten: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """|W diff|^2 for each column of the (d, n) block ``diff``.
-
-    W is lower triangular.  Each whitened row is summed term by term, not by
-    a BLAS product: a BLAS kernel may round one column differently depending
-    on how many columns come with it, and a point's density must not depend
-    on the chunk of the grid it arrives in.
-    """
-    total = np.zeros(diff.shape[1])
-    for i, row in enumerate(whiten):
-        white = row[0] * diff[0]
-        for k in range(1, i + 1):
-            white = white + row[k] * diff[k]
-        total += white * white
-    return total
-
-
-@dataclass(frozen=True)
-class GaussianDensity:
-    """The N(mean, cov) density, factored once.
-
-    ``whiten`` is the inverse Cholesky factor W, so W (x - mean) is standard
-    normal; ``offset`` is d log(2 pi) + log det(cov), minus twice the log
-    normaliser.
-    """
-
-    mean: np.ndarray
-    whiten: np.ndarray
-    offset: float
-
-    @classmethod
-    def from_factor(cls, mean: np.ndarray, factor: CholeskyFactor) -> "GaussianDensity":
-        """The density of N(mean, cov) for the factor record ``factor`` of cov."""
-        mean = np.asarray(mean, float).reshape(-1)
-        return cls(mean, factor.inverse, mean.shape[0] * math.log(2.0 * math.pi) + factor.logdet)
-
-    def logpdf(self, points: np.ndarray) -> np.ndarray:
-        return -0.5 * (self.offset + _mahalanobis(self.whiten, _centered(points, self.mean)))
-
-    def pdf(self, points: np.ndarray) -> np.ndarray:
-        return np.exp(self.logpdf(points))
-
-
-def _conditional_components(
-    plan: ConditioningPlan,
-    means: Sequence[np.ndarray],
-    weights: Sequence[float],
-    x_s: np.ndarray,
-) -> list[QuadratureComponent]:
-    """One weighted component per law N(mean, Sigma) of ``means``, given x_S = x_s by ``plan``."""
-    sd = np.sqrt(np.clip(np.diag(plan.sigma), 1e-300, None))
-    centers = [plan.mean(mean, x_s) for mean in means]
-    return [
-        QuadratureComponent(
-            float(weight), center, sd, GaussianDensity.from_factor(center, plan.conditional).pdf
-        )
-        for weight, center in zip(weights, centers)
-    ]
 
 
 @dataclass
@@ -194,7 +124,8 @@ class GaussianFeatures:
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
         s, x_s = _sorted_coalition(s, x_s)
-        return _conditional_components(self._plan(s), [self.mean], [1.0], x_s)
+        plan = self._plan(s)
+        return [QuadratureComponent(1.0, plan.mean(self.mean, x_s), plan.draw_factor)]
 
 
 def sample_equicorrelated_gaussian(
@@ -363,7 +294,7 @@ def gh_conditional(params: GHParams, s: Coalition, x_s: np.ndarray) -> GHParams:
     return GHFeatures(params)._conditional(*_sorted_coalition(s, x_s))
 
 
-def _gh_mixing_components(law: GHParams, factor: CholeskyFactor) -> list[QuadratureComponent]:
+def _gh_mixing_components(law: GHParams, factor: np.ndarray) -> list[QuadratureComponent]:
     """The GH law ``law`` as a mixture of Gaussians over its mixing variable.
 
     X | W=w is N(mu + w beta, w Sigma); the mixing density is discretized by
@@ -371,10 +302,10 @@ def _gh_mixing_components(law: GHParams, factor: CholeskyFactor) -> list[Quadrat
     psi w/2 reach 25 + omega, omega = sqrt(chi psi): there its factor
     exp(-(chi/w + psi w)/2) is at most e^-25 of its value at w = sqrt(chi/psi).
     The cut follows the peak, so a conditional law whose x_S lies far out
-    (a large chi) keeps its mass.  ``factor`` is the factor record of Sigma,
-    and node w's density reads ``factor.scaled(w)``, so no component factors
-    a matrix.  The weights sum to 1 only up to the truncation error of that
-    range, which no check at run time sees.
+    (a large chi) keeps its mass.  ``factor`` is the draw factor of Sigma,
+    and node w's component reads it scaled by sqrt(w), so no component
+    factors a matrix.  The weights sum to 1 only up to the truncation error
+    of that range, which no check at run time sees.
     """
     reach = 2.0 * (25.0 + math.sqrt(law.chi * law.psi))
     lo = math.log(law.chi / reach)
@@ -384,14 +315,10 @@ def _gh_mixing_components(law: GHParams, factor: CholeskyFactor) -> list[Quadrat
     glw = 0.5 * (hi - lo) * weights
     w = np.exp(t)
     mass = np.exp(gig_logpdf(w, law.lam, law.chi, law.psi)) * w * glw
-    variances = np.diag(law.sigma)
-    comps = []
-    for wk, pk in zip(w, mass):
-        mean = law.mu + wk * law.beta_skew
-        sd = np.sqrt(np.clip(wk * variances, 1e-300, None))
-        density = GaussianDensity.from_factor(mean, factor.scaled(float(wk))).pdf
-        comps.append(QuadratureComponent(float(pk), mean, sd, density))
-    return comps
+    return [
+        QuadratureComponent(float(pk), law.mu + wk * law.beta_skew, factor * math.sqrt(wk))
+        for wk, pk in zip(w, mass)
+    ]
 
 
 @dataclass
@@ -449,7 +376,7 @@ class GHFeatures:
     ) -> list[QuadratureComponent]:
         """The 48 Gaussian components of the GH law given x_S = x_s."""
         s, x_s = _sorted_coalition(s, x_s)
-        return _gh_mixing_components(self._conditional(s, x_s), self._plan(s).conditional)
+        return _gh_mixing_components(self._conditional(s, x_s), self._plan(s).draw_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +416,8 @@ class MixtureFeatures:
     """Gaussian mixture with posterior-weighted exact conditionals.
 
     The components share one covariance, so they share its plans and the
-    plans' factors: of Sigma_SS for the posterior weights, of the conditional
-    covariance for the densities and draws.
+    plans' factors: W of Sigma_SS for the posterior weights, the draw factor
+    of the conditional covariance for the components and the draws.
     """
 
     params: MixtureParams
@@ -520,12 +447,9 @@ class MixtureFeatures:
         if not s:
             return np.asarray(p.weights, float)
         plan = self._plan(s)
-        x_s = x_s.reshape(1, -1)
-        logs = np.array([
-            math.log(weight)
-            + GaussianDensity.from_factor(mean[plan.s], plan.marginal).logpdf(x_s)[0]
-            for weight, mean in zip(p.weights, p.means)
-        ])
+        # The components share Sigma_SS, so its log-determinant cancels.
+        white = (x_s[None, :] - p.means[:, plan.s]) @ plan.whiten.T
+        logs = np.log(np.asarray(p.weights, float)) - 0.5 * np.sum(white * white, axis=1)
         logs -= logs.max()
         w = np.exp(logs)
         return w / w.sum()
@@ -549,9 +473,11 @@ class MixtureFeatures:
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
         s, x_s = _sorted_coalition(s, x_s)
-        return _conditional_components(
-            self._plan(s), self.params.means, self.posterior_weights(s, x_s), x_s
-        )
+        plan = self._plan(s)
+        return [
+            QuadratureComponent(float(weight), plan.mean(mean, x_s), plan.draw_factor)
+            for weight, mean in zip(self.posterior_weights(s, x_s), self.params.means)
+        ]
 
 
 def sample_mixture(params: MixtureParams, n: int, rng_seed) -> TrainingMatrix:

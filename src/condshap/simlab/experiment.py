@@ -20,6 +20,7 @@ from ..coalitions import Explanation
 from ..errors import ConfigError, DegenerateReferenceError
 from ..explain import Explainer
 from ..oracles import (
+    MAX_POINTS,
     GridSpec,
     fold_seed,
     quadrature_mean_prediction,
@@ -98,8 +99,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.quadrature_points < 1:
-            raise ConfigError(f"quadrature_points must be >= 1, got {self.quadrature_points}")
+        if not 1 <= self.quadrature_points <= MAX_POINTS:
+            bound = ">= 1" if self.quadrature_points < 1 else f"<= {MAX_POINTS}"
+            raise ConfigError(f"quadrature_points must be {bound}, got {self.quadrature_points}")
         if self.n_mc < 2:
             raise ConfigError(f"n_mc must be >= 2, got {self.n_mc}")
         for key in ("kappa", "gamma"):
@@ -118,13 +120,20 @@ class ExperimentConfig:
     def truth_method(self) -> str:
         return "quadrature" if self.dimension == 3 else "monte_carlo"
 
+    @property
+    def parameter(self) -> float | None:
+        """The family parameter the law reads; None for the fixed ten-feature GH law."""
+        if self.features.kind == "gh" and self.dimension == 10:
+            return None
+        return self.features.parameter
+
 
 @dataclass
 class ExperimentReport:
     """Aggregated accuracy results; serialized forms exclude wall-clock data."""
 
     name: str
-    parameter: float
+    parameter: float | None
     estimator_labels: tuple[str, ...]
     mae: dict[str, float]
     skill: dict[str, float | None]
@@ -195,9 +204,12 @@ def _fit_predictor(config: ExperimentConfig, train: TrainingMatrix, y: np.ndarra
 
 
 def _sample_response(config: ExperimentConfig, x: np.ndarray, rng_seed) -> np.ndarray:
-    if config.sampling_model == "linear":
-        return linear_sampling_model(x, rng_seed, noise_sd=config.noise_sd)
-    return piecewise_sampling_model(x, rng_seed, noise_sd=config.noise_sd)
+    model = linear_sampling_model if config.sampling_model == "linear" else piecewise_sampling_model
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = model(x, rng_seed, noise_sd=config.noise_sd)
+    if not np.isfinite(y).all():
+        raise ConfigError(f"noise_sd = {config.noise_sd:g} overflows the responses")
+    return y
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -302,7 +314,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config_meta = {
         "dimension": config.dimension,
         "features": config.features.kind,
-        "parameter": config.features.parameter,
+        "parameter": config.parameter,
         "sampling_model": config.sampling_model,
         "n_train": config.n_train,
         "n_test_per_batch": config.n_test_per_batch,
@@ -313,7 +325,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport(
         name=config.name or f"{config.features.kind}-{config.sampling_model}",
-        parameter=config.features.parameter,
+        parameter=config.parameter,
         estimator_labels=labels,
         mae=mae_by_label,
         skill=skill,

@@ -1,14 +1,17 @@
 """Reference Shapley computation: closed forms, quadrature, Monte Carlo."""
 
+import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from condshap import oracles
 from condshap.coalitions import enumerate_coalitions, exact_shapley
-from condshap.errors import QuadratureConvergenceError
+from condshap.errors import DiagnosticWarning, QuadratureConvergenceError
 from condshap.oracles import (
     HALF_WIDTH_SDS,
     GridSpec,
@@ -104,6 +107,29 @@ class TestQuadrature:
         assert quad.phi == pytest.approx(ref.phi, abs=1e-6)
         assert quad.phi0 == pytest.approx(ref.phi0, abs=1e-6)
         assert quad.diagnostics["refined"] is True
+
+    def test_rank_deficient_gaussian_matches_closed_form(self):
+        """x3 = x1 + x2: Sigma has rank 2 and several conditional covariances
+        are singular; their components integrate through the eigen-factor."""
+        rho = 0.3
+        cov = np.array([[1.0, rho, 1.0 + rho], [rho, 1.0, 1.0 + rho],
+                        [1.0 + rho, 1.0 + rho, 2.0 + 2.0 * rho]])
+        model = LinearModelSpec(beta0=0.2, beta=[1.0, -0.5, 2.0], feature_mean=np.zeros(3))
+        x_star = np.array([0.4, -0.7, -0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            dist = GaussianFeatures(np.zeros(3), cov)
+            quad = true_shapley_quadrature(dist, model.predict, x_star)
+            exact = linear_dependent_shapley(model, dist.conditional_mean, x_star)
+        assert quad.diagnostics["refined"] is True
+        np.testing.assert_allclose(quad.phi, exact.phi, rtol=0, atol=1e-9)
+        assert quad.phi0 == pytest.approx(exact.phi0, abs=1e-9)
+
+    @pytest.mark.parametrize("points", [0, 129, 100_000])
+    def test_grid_spec_refuses_points_out_of_range(self, points):
+        message = rf"points_per_axis must be in \[1, 128\], got {points}"
+        with pytest.raises(ValueError, match=message):
+            GridSpec(points_per_axis=points)
 
     def test_constant_predictor(self, gaussian_case):
         dist, _, _, x_star = gaussian_case
@@ -206,29 +232,39 @@ class TestQuadrature:
         assert np.all(np.abs(quad.phi - mc.phi) <= 4 * mc.diagnostics["mc_std_error"] + 1e-6)
 
 
-def _reference_component_integral(predictor, s, x_star, comp, m, points):
-    """The whole tensor grid in one batch: meshgrid, column_stack and tile.
+def _reference_gather(center, factor, axes_nodes, index):
+    """Column j at the grid rows ``index``: ((center[j] + F[j, 0] u_0) + F[j, 1] u_1) + ...
 
-    The slow reference for ``oracles._component_integral``, with a fresh
-    ``leggauss`` rule per call.
+    The nodes are gathered at each row's unravelled index, then summed term
+    by term in the order the oracle's broadcast fill uses.
+    """
+    nodes = [axis[k] for axis, k in zip(axes_nodes, index)]
+    columns = []
+    for start, row in zip(center, factor):
+        value = start + row[0] * nodes[0]
+        for coef, node in zip(row[1:], nodes[1:]):
+            value = value + coef * node
+        columns.append(value)
+    return columns
+
+
+def _reference_component_integral(predictor, s, x_star, comp, m, points):
+    """The whole tensor grid in one batch, gathered at unravelled indices.
+
+    The slow reference for ``oracles._law_integral`` of one unit-weight
+    component, with a fresh ``leggauss`` rule per call: nodes u = hw t and
+    weights hw w phi(u).
     """
     sbar = [j for j in range(m) if j not in s]
+    d = len(sbar)
     nodes, weights = np.polynomial.legendre.leggauss(points)
-    axes_nodes, axes_weights = [], []
-    for i in range(len(sbar)):
-        a = comp.center[i] - HALF_WIDTH_SDS * comp.sd[i]
-        b = comp.center[i] + HALF_WIDTH_SDS * comp.sd[i]
-        axes_nodes.append(0.5 * (b - a) * nodes + 0.5 * (b + a))
-        axes_weights.append(0.5 * (b - a) * weights)
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    pts = np.column_stack([g.reshape(-1) for g in mesh])
-    wmesh = np.meshgrid(*axes_weights, indexing="ij")
-    wts = np.prod(np.column_stack([g.reshape(-1) for g in wmesh]), axis=1)
-    dens = np.asarray(comp.density(pts), float).reshape(-1)
-    synth = np.tile(x_star, (len(pts), 1))
-    synth[:, sbar] = pts
-    preds = predictor(synth)
-    return float(np.sum(wts * dens * preds))
+    u = HALF_WIDTH_SDS * nodes
+    w = weights * HALF_WIDTH_SDS * (np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    index = np.unravel_index(np.arange(points ** d), (points,) * d)
+    synth = np.tile(x_star, (points ** d, 1))
+    synth[:, sbar] = np.column_stack(_reference_gather(comp.center, comp.factor, [u] * d, index))
+    wts = functools.reduce(np.multiply, [w[k] for k in index])
+    return float(np.sum(wts * predictor(synth)))
 
 
 def _digest_nonlinear(x):
@@ -264,7 +300,8 @@ class TestChunkedQuadrature:
             assert len(comps) == 48  # the GIG mixing decomposition, conditional or not
         for comp in comps[:: max(1, len(comps) // 3)]:
             points = 11 if len(s) == 0 else 40  # grids of 40 to 6,400 rows: ragged chunks
-            got = oracles._component_integral(_nonlinear, s, self.X_STAR, comp, 3, points)
+            unit = dataclasses.replace(comp, weight=1.0)
+            got = oracles._law_integral(_nonlinear, s, self.X_STAR, [unit], points)
             expected = _reference_component_integral(
                 _nonlinear, s, self.X_STAR, comp, 3, points
             )
@@ -369,7 +406,7 @@ class TestOneMeanPrediction:
 
 class TestGridChunks:
     """The grid's box chunks tile it once, in row order, and each box's fill
-    equals the ``np.unravel_index`` gather bit for bit."""
+    equals the gather at its rows' unravelled indices bit for bit."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 13, None], ids=["1", "7", "13", "whole"])
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5), (4, 1, 3)])
@@ -378,18 +415,21 @@ class TestGridChunks:
         nodes = [rng.standard_normal(n) for n in shape]
         weights = [rng.random(n) for n in shape]
         d, size = len(shape), math.prod(shape)
+        center, factor = rng.standard_normal(d), rng.standard_normal((d, d))
         monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk or size)
         cols = list(range(d, 0, -1))  # axis j to column d - j; column 0 is left alone
         start = 0
         for lead, lo, hi in oracles._grid_chunks(shape):
             batch = np.full((oracles.CHUNK_ROWS, d + 1), np.nan)
             wts = np.full(oracles.CHUNK_ROWS, np.nan)
-            rows = oracles._fill_grid_rows(batch, cols, wts, nodes, weights, lead, lo, hi)
+            rows = oracles._fill_grid_rows(
+                batch, cols, wts, center, factor, nodes, weights, lead, lo, hi
+            )
             assert 0 < rows <= oracles.CHUNK_ROWS
             # The box is the next rows of the grid, in row order.
             index = np.unravel_index(np.arange(start, start + rows), shape)
-            for col, axis, k in zip(cols, nodes, index):
-                assert batch[:rows, col].tobytes() == axis[k].tobytes()
+            for col, gathered in zip(cols, _reference_gather(center, factor, nodes, index)):
+                assert batch[:rows, col].tobytes() == gathered.tobytes()
             gathered = functools.reduce(np.multiply, [axis[k] for axis, k in zip(weights, index)])
             assert wts[:rows].tobytes() == gathered.tobytes()
             assert np.isnan(batch[:, 0]).all()
@@ -421,7 +461,11 @@ class TestMixtureConditionalDensity:
         comps = mix.conditional_components((0,), np.array([1.0]))
 
         def density(points):
-            return sum(c.weight * c.density(points) for c in comps)
+            # Each component's N(center, F F^T) density, built here from (center, F).
+            return sum(
+                c.weight * stats.multivariate_normal(c.center, c.factor @ c.factor.T).pdf(points)
+                for c in comps
+            )
 
         nodes, weights = np.polynomial.legendre.leggauss(200)
         lo, hi = -20.0, 20.0

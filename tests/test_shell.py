@@ -307,6 +307,8 @@ class TestConfig:
         config = parse_simulation_config(path)
         assert config.features.kind == kind
         assert config.features.parameter == parameter
+        # The ten-feature GH law is fixed: the reports label it with no parameter.
+        assert config.parameter == (None if "dimension = 10" in lines else parameter)
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +843,9 @@ class TestCliSimulate:
             assert row in summary
         report = json.loads((out / "report.json").read_text())
         assert report["truth"]["method"] == "monte_carlo"
+        assert report["parameter"] is None and report["config"]["parameter"] is None
+        with (out / "report.csv").open(newline="") as fh:
+            assert {row["parameter"] for row in csv.DictReader(fh)} == {""}
 
 
 class TestCliCluster:
@@ -1045,7 +1050,8 @@ class TestCliBadInput:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("seed", "-1"), ("k", "0"), ("quadrature_points", "0"), ("n_mc", "1")],
+        [("seed", "-1"), ("k", "0"), ("quadrature_points", "0"), ("quadrature_points", "100000"),
+         ("n_mc", "1")],
     )
     def test_simulate_out_of_range(self, tmp_path, key, value):
         cfg = tmp_path / "sim.cfg"
@@ -1053,8 +1059,12 @@ class TestCliBadInput:
         out = tmp_path / "o"
         result = CliRunner().invoke(main, ["simulate", str(cfg), "--output-dir", str(out)])
         self.assert_clean_exit(result, 2)
-        bound = {"seed": 0, "k": 1, "quadrature_points": 1, "n_mc": 2}[key]
-        assert f"{key} must be >= {bound}, got {value}" in result.output
+        if value == "100000":
+            # The Gauss-Legendre rule alone would take tens of GiB.
+            assert f"{key} must be <= 128, got {value}" in result.output
+        else:
+            bound = {"seed": 0, "k": 1, "quadrature_points": 1, "n_mc": 2}[key]
+            assert f"{key} must be >= {bound}, got {value}" in result.output
         assert not out.exists()
 
     def test_simulate_k_cap_key_removed(self, tmp_path):
@@ -1112,9 +1122,10 @@ class TestCliBadInput:
             ("features = mixture\ngamma = 1e200", "training mean or covariance overflows"),
             ("noise_sd = nan", "noise_sd must be finite and >= 0, got nan"),
             ("noise_sd = -1", "noise_sd must be finite and >= 0, got -1.0"),
+            ("noise_sd = 1e308", "noise_sd = 1e+308 overflows the responses"),
         ],
         ids=["kappa-nan", "kappa-inf", "kappa-1e200", "kappa--1e200", "gamma-nan",
-             "gamma-1e200", "noise-nan", "noise-negative"],
+             "gamma-1e200", "noise-nan", "noise-negative", "noise-1e308"],
     )
     def test_simulate_non_finite_parameters(self, tmp_path, lines, message):
         cfg = tmp_path / "sim.cfg"

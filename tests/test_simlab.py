@@ -15,7 +15,7 @@ from condshap.errors import (
     DiagnosticWarning,
     QuadratureConvergenceError,
 )
-from condshap.samplers import CholeskyFactor, SamplerSpec, TrainingMatrix, conditional_moments
+from condshap.samplers import SamplerSpec, conditional_moments
 from condshap.shell.cli import _exit_code
 from condshap.simlab import (
     EquicorrelatedCov,
@@ -47,11 +47,7 @@ from condshap.simlab import (
 from condshap import oracles, samplers
 from condshap.coalitions import _ordered_subsets
 from condshap.simlab import experiment
-from condshap.simlab.distributions import (
-    GaussianDensity,
-    GaussianFeatures,
-    gig_variance,
-)
+from condshap.simlab.distributions import GaussianFeatures, gig_variance
 from condshap.coalitions import Explanation
 from conditioning_reference import reference_conditional_moments, reference_gh_conditional
 
@@ -349,95 +345,15 @@ def _correlated_gh(m=3):
     )
 
 
-def _gaussian_laws():
-    """(mean, cov) pairs for d = 1, 2, 3, and a rho = 0.95 conditional law."""
-    rng = np.random.default_rng(31)
-    laws = {}
-    for d in (1, 2, 3):
-        a = rng.standard_normal((d, d))
-        laws[f"d{d}"] = (rng.standard_normal(d), a @ a.T + 0.3 * np.eye(d))
-    cov95 = EquicorrelatedCov(4, 0.95).matrix()
-    laws["rho95-conditional"] = reference_conditional_moments(
-        np.zeros(4), cov95, (1,), np.array([0.8])
-    )
-    return laws
-
-
-def _density_grid(d, per_axis):
-    """A tensor grid of points in C order, the layout the oracle walks."""
-    axis = np.linspace(-3.0, 3.0, per_axis)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.column_stack([g.reshape(-1) for g in mesh])
-
-
-def _gaussian_density(mean, cov):
-    """The density of N(mean, cov), from a fresh Cholesky factor of cov."""
-    return GaussianDensity.from_factor(mean, CholeskyFactor.of(np.linalg.cholesky(cov)))
-
-
-class TestGaussianDensity:
-    @pytest.mark.parametrize("law", ["d1", "d2", "d3", "rho95-conditional"])
-    def test_matches_scipy(self, law):
-        mean, cov = _gaussian_laws()[law]
-        d = mean.shape[0]
-        rng = np.random.default_rng(32)
-        points = mean + rng.standard_normal((500, d)) @ np.linalg.cholesky(cov).T * 2.0
-        got = _gaussian_density(mean, cov).logpdf(points)
-        expected = stats.multivariate_normal(mean, cov).logpdf(points).reshape(-1)
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
-
-    def test_whiten_is_the_inverse_cholesky_factor(self):
-        _, cov = _gaussian_laws()["d3"]
-        dens = _gaussian_density(np.zeros(3), cov)
-        assert np.allclose(dens.whiten @ np.linalg.cholesky(cov), np.eye(3), atol=1e-14)
-        assert np.all(np.triu(dens.whiten, 1) == 0.0)
-
-
-def _densities():
-    mean, cov = _gaussian_laws()["rho95-conditional"]
-    gh = GHFeatures(_correlated_gh()).conditional_components((0,), np.array([0.4]))
-    return {
-        "gaussian": _gaussian_density(mean, cov),
-        # A GH component's density reads the plan's factor scaled by sqrt(w).
-        "gh-component": gh[20].density.__self__,
-    }
-
-
-class TestDensitySlices:
-    """A density gives the same bits on a block of points whatever the block."""
-
-    @pytest.mark.parametrize("name", ["gaussian", "gh-component"])
-    def test_grid_slices_and_rows(self, name):
-        dens = _densities()[name]
-        points = _density_grid(dens.whiten.shape[0], 20)
-        whole = dens.logpdf(points)
-        for size in (1000, 7):
-            for start in range(0, len(points), size):
-                part = dens.logpdf(points[start : start + size])
-                assert np.array_equal(part, whole[start : start + size])
-        for row in range(0, len(points), 97):
-            assert np.array_equal(dens.logpdf(points[row]), whole[row : row + 1])
-            assert np.array_equal(dens.logpdf(points[row : row + 1]), whole[row : row + 1])
-
-    def test_mean_prediction_factors_once_for_both_components(self, monkeypatch):
-        calls = []
-        cholesky = np.linalg.cholesky
-
-        def counting(a):
-            calls.append(np.shape(a))
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
-        monkeypatch.setattr(oracles, "CHUNK_ROWS", 7)
-        dist = MixtureFeatures(MixtureParams.from_gamma(1.0))
-        value = oracles.quadrature_mean_prediction(
-            dist, lambda X: 0.3 + X @ np.array([1.0, -0.5, 2.0]), oracles.GridSpec(20)
-        )
-        assert value == pytest.approx(0.3, abs=1e-9)
-        # The two components share their covariance and its one factorization,
-        # for both resolutions; the 20**3 and 40**3 grids go in 10,286 chunks
-        # of at most 7 rows.
-        assert calls == [(3, 3)]
+def _component_pdf(comp, points):
+    """The density of N(center, factor factor^T) at ``points``, from a fresh
+    Cholesky factor of that covariance and a triangular solve."""
+    cov = comp.factor @ comp.factor.T
+    chol = np.linalg.cholesky(cov)
+    white = np.linalg.solve(chol, (np.atleast_2d(points) - comp.center[None, :]).T)
+    d = comp.center.shape[0]
+    log_norm = np.sum(np.log(np.diag(chol))) + 0.5 * d * math.log(2.0 * math.pi)
+    return np.exp(-0.5 * np.sum(white * white, axis=0) - log_norm)
 
 
 class TestGHMixture:
@@ -453,7 +369,7 @@ class TestGHMixture:
         assert len(comps) == 48
         rng = np.random.default_rng(33)
         points = star.mean() + 2.0 * rng.standard_normal((400, d))
-        got = sum(comp.weight * comp.density(points) for comp in comps)
+        got = sum(comp.weight * _component_pdf(comp, points) for comp in comps)
         expected = np.exp(_reference_gh_logpdf(points, star))
         # Largest relative errors seen: 1.6e-9 (d1), 1.9e-12 (d2) and 2.5e-5 (d3,
         # the unconditional law, at a point where its density is 1e-6 of its peak).
@@ -464,11 +380,10 @@ class TestGHMixture:
         comps = GHFeatures(_correlated_gh()).conditional_components(s, x_s)
         nodes, weights = np.polynomial.legendre.leggauss(40)
         edges = np.linspace(-120.0, 120.0, 601)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            x = (0.5 * (b - a) * nodes + 0.5 * (b + a))[:, None]
-            dens = sum(comp.weight * comp.density(x) for comp in comps)
-            total += float(np.sum(0.5 * (b - a) * weights * dens))
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        x = (half * nodes + 0.5 * (edges[1:] + edges[:-1])[:, None]).reshape(-1, 1)
+        dens = sum(comp.weight * _component_pdf(comp, x) for comp in comps)
+        total = float(np.sum((half * weights).reshape(-1) * dens))
         assert abs(total - 1.0) < 1e-8
 
 
@@ -510,31 +425,29 @@ def test_a_draw_of_no_rows_raises_the_explainers_error(make):
 
 
 def _reference_components(dist, s, x_s):
-    """(weight, mean, sd, density) per component, from a fresh
-    ``conditional_moments`` plan and ``GaussianDensity.from_moments`` per call."""
+    """(weight, center, factor) per component, from a fresh ``conditional_moments``
+    plan, a fresh factor of its conditional covariance and, for the mixture's
+    posterior weights, a fresh whitening matrix of Sigma_SS."""
+    from scipy.linalg.lapack import dtrtri
+
     if isinstance(dist, MixtureFeatures):
         p = dist.params
         means, cov, weights = p.means, p.cov, np.asarray(p.weights, float)
         if s:
             idx = list(s)
-            logs = np.array([
-                math.log(w)
-                + _gaussian_density(mean[idx], cov[np.ix_(idx, idx)]).logpdf(
-                    x_s.reshape(1, -1))[0]
-                for w, mean in zip(p.weights, means)
-            ])
-            logs -= logs.max()
-            weights = np.exp(logs)
+            whiten, _ = dtrtri(np.linalg.cholesky(cov[np.ix_(idx, idx)]), lower=1)
+            white = (x_s[None, :] - means[:, idx]) @ whiten.T
+            logs = np.log(weights) - 0.5 * np.sum(white * white, axis=1)
+            weights = np.exp(logs - logs.max())
             weights = weights / weights.sum()
     else:
         means, cov, weights = [dist.mean], dist.cov, [1.0]
-    out = []
     (plan,) = conditional_moments(cov, [s])
-    for weight, mean in zip(weights, means):
-        mu = plan.mean(mean, x_s)
-        sd = np.sqrt(np.clip(np.diag(plan.sigma), 1e-300, None))
-        out.append((float(weight), mu, sd, _gaussian_density(mu, plan.sigma)))
-    return out
+    try:
+        factor = np.linalg.cholesky(plan.sigma)
+    except np.linalg.LinAlgError:
+        factor = plan.factor
+    return [(float(weight), plan.mean(mean, x_s), factor) for weight, mean in zip(weights, means)]
 
 
 def _near_singular_gaussian():
@@ -552,7 +465,6 @@ class TestConditioningPlansMatchPerCallReference:
     """
 
     X = np.array([[0.7, -1.2, 0.4], [-1.9, 0.8, 2.3]])
-    POINTS = np.random.default_rng(41).standard_normal((64, 3))
     DISTS = {
         "gaussian": lambda: GaussianFeatures.equicorrelated(3, 0.6),
         "ridge": _near_singular_gaussian,
@@ -572,16 +484,10 @@ class TestConditioningPlansMatchPerCallReference:
                     got = dist.conditional_components(s, x_s)
                     expected = _reference_components(dist, s, x_s)
                     assert len(got) == len(expected)
-                    for comp, (weight, mu, sd, density) in zip(got, expected):
+                    for comp, (weight, mu, factor) in zip(got, expected):
                         assert comp.weight == weight
                         assert comp.center.tobytes() == mu.tobytes()
-                        assert comp.sd.tobytes() == sd.tobytes()
-                        planned = comp.density.__self__
-                        assert planned.mean.tobytes() == density.mean.tobytes()
-                        assert planned.whiten.tobytes() == density.whiten.tobytes()
-                        assert planned.offset == density.offset
-                        points = self.POINTS[:, : 3 - len(s)]
-                        assert comp.density(points).tobytes() == density.pdf(points).tobytes()
+                        assert comp.factor.tobytes() == factor.tobytes()
                     if isinstance(dist, GaussianFeatures):
                         assert dist.conditional_mean(s, x_s).tobytes() == expected[0][1].tobytes()
         assert len(dist._plans) == len(coalitions)
@@ -672,7 +578,7 @@ class TestPlansShared:
             for s in coalitions:
                 rng = np.random.default_rng([i, *s])
                 assert dist.conditional_sample(s, x[list(s)], 20, rng).tobytes() == draws[i, s]
-        assert factored.count("conditional") == len(coalitions)
+        assert factored.count("draw_factor") == len(coalitions)
 
     def test_mixture_posterior_weights_read_the_plan(self, monkeypatch):
         """The posterior weights whiten x_S by the plan's factor of Sigma_SS:
@@ -706,8 +612,8 @@ class TestPlansShared:
         for s in coalitions:
             dist.conditional_components(s, second[list(s)])
         assert built == coalitions
-        # The conditional covariance's factor record, once per coalition.
-        assert factored == ["conditional"] * len(coalitions)
+        # The conditional covariance's draw factor, once per coalition.
+        assert factored == ["draw_factor"] * len(coalitions)
 
 
     def test_gh_components_factor_the_conditional_covariance_once(self, monkeypatch):
@@ -727,33 +633,57 @@ class TestPlansShared:
             for s in coalitions:
                 dist.conditional_components(s, x[list(s)])
         assert len(self.X) == 2
-        assert sorted(factored) == ["conditional"] * 6 + ["conditional_moments"] * 6
+        assert sorted(factored) == ["conditional_moments"] * 6 + ["draw_factor"] * 6
+
+    def test_mean_prediction_factors_once_for_both_components(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", 7)
+        dist = MixtureFeatures(MixtureParams.from_gamma(1.0))
+        value = oracles.quadrature_mean_prediction(
+            dist, lambda X: 0.3 + X @ np.array([1.0, -0.5, 2.0]), oracles.GridSpec(20)
+        )
+        assert value == pytest.approx(0.3, abs=1e-9)
+        # The two components share their covariance and its one factorization,
+        # for both resolutions; the 20**3 and 40**3 grids go in 10,286 chunks
+        # of at most 7 rows.
+        assert calls == [(3, 3)]
 
 
-# SHA-256 of lab_bytes, computed before the plans held the factors of their
-# conditional covariances (numpy 2.4, OpenBLAS).  Every draw and density here
+# SHA-256 of lab_draw_bytes, computed on the tree before the quadrature
+# components read the plans' draw factors (numpy 2.4, OpenBLAS).  Every draw
 # reads the Cholesky factor of a plan's conditional covariance, or its
-# eigen-factor where that Cholesky fails, or the whitening matrix of Sigma_SS:
-# the same factors of the same matrices, so no byte may move.
-LAB_DIGESTS = {
-    "gaussian": "94bb90609ec504b1ef5f6ee27338dff1e1ec518d406bc89e8b3f0111300fd8b9",
-    "gaussian-ridged": "62cb3efabe603211d81e8d4d504990adf3c830d524f472013e0447fb59cbb655",
+# eigen-factor where that Cholesky fails, so no byte may move.
+LAB_DRAW_DIGESTS = {
+    "gaussian": "46ecf85ebe2d74368a953531b88556c6ab6d96711c403c6c7d92cb42acc12022",
+    "gaussian-ridged": "9639b2fbdd3457dfc5e45e30526130aea27dfaf6816762f97b5b2de3ac118ad8",
     "gaussian-clipped": "b0422a1867c9d4ed76b0dd567a3200f34d6c7f0c693b8f86bdd56b821f43d87a",
-    "mixture": "ceb3a20de0df93e6ce10e3e67c5a8404852423168cb5cf8240a38880660184a0",
-    "mixture-ridged": "88f778bdc4a7318148cd0d5e1d7288e5fb17457f7af1e4c69c6c4765c3d16681",
+    "mixture": "4e049a05b9aa27f7701bb7d88089ddf6af4673996307dbd6ca41983a324a8a6d",
+    "mixture-ridged": "3e7223a21ee3e26004e4be24d1e4dd0e421759b3603cc21758ee5abbf822d8ec",
     "gh": "1b208ea2b8ee1613f5a4eb62ccdee193863e751ca68f9cfeae0d122c1e4e691f",
+}
+# SHA-256 of lab_component_bytes (numpy 2.4, OpenBLAS).
+LAB_COMPONENT_DIGESTS = {
+    "gaussian": "3e393a3254c80494c353e9600e86d15ff7acd7bfa734c163a4de28cee8762ce0",
+    "gaussian-ridged": "4c833843f2f09d5d9eecbc2dedeb4c351b0bc206288059fe10e4092e14dc72d4",
+    "gaussian-clipped": "3c8fcb3cf57b8b4fd9c05367b230b3926adf481e46e7d01c519a358364c8a98d",
+    "mixture": "7434273b44669d355714c6daee5066209ceb56a727832ccddff252690e2a105c",
+    "mixture-ridged": "563292a4e983d24462824457bd3623f5d824c0d648ed180e2e9901edfa46a111",
+    "gh": "f8973acfa5ec074b3dc46e51c8c5aaf45d6feb72b509f433726ee664c433e8d8",
 }
 
 
-def lab_bytes(name: str) -> bytes:
-    """The unconditional draws of one lab distribution and, but for the GH
-    law (whose conditional chi and psi read the whitening matrix of Sigma_SS
-    by a product), its conditional draws, densities and posterior weights
-    at every coalition of two instances."""
+def _lab_distribution(name: str):
     ridged = np.array([[1.0, 0.3, 1.0 - 1e-9], [0.3, 1.0, 0.3], [1.0 - 1e-9, 0.3, 1.0]])
     vals, vecs = np.linalg.eigh(_SIGMA3)
     clipped = (vecs * np.array([-1e-6, vals[1], vals[2]])) @ vecs.T
-    dist = {
+    return {
         "gaussian": lambda: GaussianFeatures(np.array([0.1, -0.2, 0.3]), _SIGMA3),
         "gaussian-ridged": lambda: GaussianFeatures(np.array([0.1, -0.2, 0.3]), ridged),
         "gaussian-clipped": lambda: GaussianFeatures(np.zeros(3), 0.5 * (clipped + clipped.T)),
@@ -762,33 +692,60 @@ def lab_bytes(name: str) -> bytes:
             replace(MixtureParams.from_gamma(1.0), cov=ridged)),
         "gh": lambda: GHFeatures(_correlated_gh()),
     }[name]()
+
+
+def _lab_conditions():
+    """(s, x_s) at every coalition but the full one, for two instances."""
+    return [(s, x[list(s)]) for x in TestPlansShared.X
+            for s in _ordered_subsets(3) if len(s) < 3]
+
+
+def lab_draw_bytes(name: str) -> bytes:
+    """The unconditional draws of one lab distribution and, but for the GH
+    law, its conditional draws at every condition of :func:`_lab_conditions`."""
+    dist = _lab_distribution(name)
     rng = np.random.default_rng(51)
-    points = np.random.default_rng(52).standard_normal((32, 3))
     chunks = [dist.sample(40, rng)]
     if name == "gh":
         chunks.append(dist.conditional_sample((), np.empty(0), 40, rng))
         chunks.append(sample_gh(_correlated_gh(), 40, rng_seed=53).data)
     else:
-        for x in TestPlansShared.X:
-            for s in [s for s in _ordered_subsets(3) if len(s) < 3]:
-                x_s = x[list(s)]
-                chunks.append(dist.conditional_sample(s, x_s, 20, rng))
-                if name != "gaussian-clipped":
-                    for comp in dist.conditional_components(s, x_s):
-                        chunks.append(comp.density(points[:, : 3 - len(s)]))
-                if isinstance(dist, MixtureFeatures):
-                    chunks.append(dist.posterior_weights(s, x_s))
+        chunks += [dist.conditional_sample(s, x_s, 20, rng) for s, x_s in _lab_conditions()]
     return b"".join(np.ascontiguousarray(chunk, float).tobytes() for chunk in chunks)
 
 
-@pytest.mark.parametrize("name", sorted(LAB_DIGESTS))
-def test_lab_draws_and_densities_keep_their_digests(name):
+def lab_component_bytes(name: str) -> bytes:
+    """The quadrature components (weight, center, factor) of one lab
+    distribution, and the mixtures' posterior weights, at every condition of
+    :func:`_lab_conditions`."""
+    dist = _lab_distribution(name)
+    chunks = []
+    for s, x_s in _lab_conditions():
+        for comp in dist.conditional_components(s, x_s):
+            chunks += [[comp.weight], comp.center, comp.factor]
+        if isinstance(dist, MixtureFeatures):
+            chunks.append(dist.posterior_weights(s, x_s))
+    return b"".join(np.ascontiguousarray(chunk, float).tobytes() for chunk in chunks)
+
+
+@pytest.mark.parametrize("name", sorted(LAB_DRAW_DIGESTS))
+def test_lab_draws_keep_their_digests(name):
     import hashlib
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DiagnosticWarning)
-        digest = hashlib.sha256(lab_bytes(name)).hexdigest()
-    assert digest == LAB_DIGESTS[name]
+        digest = hashlib.sha256(lab_draw_bytes(name)).hexdigest()
+    assert digest == LAB_DRAW_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LAB_COMPONENT_DIGESTS))
+def test_lab_components_keep_their_digests(name):
+    import hashlib
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiagnosticWarning)
+        digest = hashlib.sha256(lab_component_bytes(name)).hexdigest()
+    assert digest == LAB_COMPONENT_DIGESTS[name]
 
 
 _SIGMA3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
@@ -799,14 +756,11 @@ def _conditioning_entry_points():
     gaussian = GaussianFeatures(np.array([0.1, -0.2, 0.3]), _SIGMA3)
     mixture = MixtureFeatures(MixtureParams.from_gamma(1.5))
     gh = GHFeatures(_correlated_gh())
-    points = np.random.default_rng(5).standard_normal((16, 1))
 
     def components(dist):
         def call(s, x_s):
             comps = dist.conditional_components(s, x_s)
-            return np.concatenate(
-                [np.r_[c.weight, c.center, c.sd, c.density(points)] for c in comps]
-            )
+            return np.concatenate([np.r_[c.weight, c.center, c.factor.ravel()] for c in comps])
 
         return call
 

@@ -329,7 +329,6 @@ def truth_outputs(run: Run) -> None:
     """Each oracle's phi0/phi, read through those two fields alone."""
     from condshap.oracles import (
         GridSpec,
-        LinearModelSpec,
         linear_dependent_shapley,
         linear_independent_shapley,
         quadrature_mean_prediction,
@@ -341,7 +340,7 @@ def truth_outputs(run: Run) -> None:
         GHFeatures,
         GHParams,
         MixtureFeatures,
-        MixtureParams,
+        OlsModel,
     )
 
     def nonlinear(x):
@@ -349,7 +348,7 @@ def truth_outputs(run: Run) -> None:
 
     families = {
         "gaussian": GaussianFeatures.equicorrelated(3, 0.5),
-        "mixture": MixtureFeatures(MixtureParams.from_gamma(1.0)),
+        "mixture": MixtureFeatures.from_gamma(1.0),
         "gh": GHFeatures(GHParams.from_kappa(3, kappa=2.0)),
     }
     grid = GridSpec(points_per_axis=24, refine=False)
@@ -363,22 +362,22 @@ def truth_outputs(run: Run) -> None:
     x10 = dist10.sample(2, np.random.default_rng(31))
     run.explanations("truths-monte-carlo", lambda: [
         true_shapley_mc(dist10, nonlinear, x, 50, rng_seed=[32, i]) for i, x in enumerate(x10)])
-    model = LinearModelSpec(beta0=0.2, beta=np.linspace(-1.0, 1.5, 10), feature_mean=np.zeros(10))
+    model = OlsModel(beta0=0.2, beta=np.linspace(-1.0, 1.5, 10))
     run.explanations("truths-closed-form-dependent", lambda: [
-        linear_dependent_shapley(model, dist10.conditional_mean, x) for x in x10])
+        linear_dependent_shapley(model, dist10.mean, dist10.conditional_mean, x) for x in x10])
     run.explanations("truths-closed-form-independent", lambda: [
-        linear_independent_shapley(model, x) for x in x10])
+        linear_independent_shapley(model, dist10.mean, x) for x in x10])
 
 
 def mixture_outputs(run: Run) -> None:
     from dataclasses import replace
 
-    from condshap.simlab import MixtureFeatures, MixtureParams
+    from condshap.simlab import MixtureFeatures
 
     # Features 0 and 2 nearly collinear: every Sigma_SS holding both has
     # cond about 2e9, above the ridge threshold, yet its Cholesky succeeds.
     cov = np.array([[1.0, 0.3, 1.0 - 1e-9], [0.3, 1.0, 0.3], [1.0 - 1e-9, 0.3, 1.0]])
-    dist = MixtureFeatures(replace(MixtureParams.from_gamma(1.0), cov=cov))
+    dist = replace(MixtureFeatures.from_gamma(1.0), cov=cov)
     x = np.array([0.5, -0.2, 0.45])
     lines = []
     with warnings.catch_warnings(record=True) as caught:

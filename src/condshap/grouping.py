@@ -7,13 +7,14 @@ the dense ranks of both columns, count the inversions of the second
 column's ranks by bottom-up merging, and correct the pair count for ties.
 Complete-linkage agglomeration builds the dendrogram, and a
 Kelley-Gardner-Sutcliffe-style penalty picks the cut.  Group Shapley values
-are the sums of their members' values, which preserves efficiency exactly.
+are the sums of their members' values, which preserves efficiency exactly;
+:func:`aggregate_shapley` returns an ``Explanation`` with one phi per group.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -305,21 +306,9 @@ def kgs_cut(
     return finish(partitions[best], table)
 
 
-@dataclass
-class GroupExplanation:
-    """Per-group Shapley sums plus the waterfall display order."""
-
-    phi0: float
-    group_phi: np.ndarray
-    labels: list[str]
-    prediction: float
-    waterfall_order: list[str]
-
-
-def aggregate_shapley(
-    explanation: Explanation, assignment: ClusterAssignment
-) -> GroupExplanation:
-    """Sum member Shapley values per group; efficiency is preserved exactly."""
+def aggregate_shapley(explanation: Explanation, assignment: ClusterAssignment) -> Explanation:
+    """The explanation with ``phi`` summed per group, in ``assignment.groups`` order,
+    and a copy of its diagnostics; everything else carries over."""
     m = explanation.phi.shape[0]
     covered = sorted(j for g in assignment.groups for j in g)
     if covered != list(range(m)):
@@ -329,11 +318,4 @@ def aggregate_shapley(
     group_phi = np.array(
         [float(explanation.phi[list(g)].sum()) for g in assignment.groups]
     )
-    order = np.argsort(-np.abs(group_phi), kind="stable")
-    return GroupExplanation(
-        phi0=explanation.phi0,
-        group_phi=group_phi,
-        labels=list(assignment.labels),
-        prediction=explanation.prediction,
-        waterfall_order=[assignment.labels[i] for i in order],
-    )
+    return replace(explanation, phi=group_phi, diagnostics=dict(explanation.diagnostics))

@@ -3,7 +3,9 @@
 Three routes: closed forms for linear predictors, tensor-product
 Gauss-Legendre quadrature of the conditional-expectation integral for low
 dimensions, and Monte Carlo integration with exact conditional samplers for
-moderate dimensions.  Quadrature grids go to the model in chunks of at most
+moderate dimensions.  The closed forms take the fitted model itself (a
+:class:`LinearPredictor`, such as :class:`~condshap.simlab.OlsModel`) and
+the feature mean.  Quadrature grids go to the model in chunks of at most
 ``CHUNK_ROWS`` (32,768) rows, so memory no longer grows with points**3
 beyond one float per grid point.  Each chunk is a box of the grid, in which
 the leading axes are fixed, one axis takes a range and the later axes run in
@@ -72,39 +74,29 @@ class QuadratureComponent:
     factor: np.ndarray  # (d, d) F with F F^T its covariance
 
 
-@dataclass
-class LinearModelSpec:
-    """Intercept, coefficients, and feature means of a linear predictor."""
+class LinearPredictor(Protocol):
+    """f(x) = beta0 + x beta, as the fitted :class:`~condshap.simlab.OlsModel` is."""
 
     beta0: float
     beta: np.ndarray
-    feature_mean: np.ndarray
 
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, float).reshape(-1)
-        self.feature_mean = np.asarray(self.feature_mean, float).reshape(-1)
-        if self.beta.shape != self.feature_mean.shape:
-            raise ValueError("beta and feature_mean must have equal length")
-
-    @property
-    def m(self) -> int:
-        return self.beta.shape[0]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.beta0 + np.atleast_2d(x) @ self.beta
+    def __call__(self, x: np.ndarray) -> np.ndarray: ...
 
 
-def linear_independent_shapley(model: LinearModelSpec, x_star: np.ndarray) -> Explanation:
+def linear_independent_shapley(
+    model: LinearPredictor, feature_mean: np.ndarray, x_star: np.ndarray
+) -> Explanation:
     """Closed form under independent features: phi_j = beta_j (x_j* - E[x_j])."""
+    feature_mean = np.asarray(feature_mean, float).reshape(-1)
     x_star = np.asarray(x_star, float).reshape(-1)
-    phi0 = model.beta0 + float(np.dot(model.beta, model.feature_mean))
-    phi = model.beta * (x_star - model.feature_mean)
-    prediction = float(model.predict(x_star)[0])
+    phi0 = model.beta0 + float(np.dot(model.beta, feature_mean))
+    phi = model.beta * (x_star - feature_mean)
+    prediction = float(model(x_star)[0])
     return Explanation(phi0=phi0, phi=phi, prediction=prediction, estimator_id="closed_form")
 
 
 def linear_dependent_v(
-    model: LinearModelSpec,
+    model: LinearPredictor,
     cond_mean: Callable[[Coalition, np.ndarray], np.ndarray],
     s: Iterable[int],
     x_star: np.ndarray,
@@ -116,27 +108,26 @@ def linear_dependent_v(
     """
     s = tuple(sorted(s))
     x_star = np.asarray(x_star, float).reshape(-1)
-    m = model.m
     point = np.array(x_star, copy=True)
-    sbar = [j for j in range(m) if j not in s]
+    sbar = [j for j in range(x_star.shape[0]) if j not in s]
     if sbar:
         point[sbar] = np.asarray(cond_mean(s, x_star[list(s)]), float).reshape(-1)
-    return float(model.predict(point[None, :])[0])
+    return float(model(point[None, :])[0])
 
 
 def linear_dependent_shapley(
-    model: LinearModelSpec,
+    model: LinearPredictor,
+    feature_mean: np.ndarray,
     cond_mean: Callable[[Coalition, np.ndarray], np.ndarray],
     x_star: np.ndarray,
-    mean_prediction: float | None = None,
 ) -> Explanation:
-    """Exact Shapley values of a linear predictor under dependent features."""
+    """Exact Shapley values of a linear predictor under dependent features: v(empty)
+    is f at ``feature_mean``, every other v(S) f at ``cond_mean``'s E[x_Sbar | x_S]."""
     x_star = np.asarray(x_star, float).reshape(-1)
-    if mean_prediction is None:
-        mean_prediction = model.beta0 + float(np.dot(model.beta, model.feature_mean))
+    mean_prediction = model.beta0 + float(np.dot(model.beta, feature_mean))
     table = [
         linear_dependent_v(model, cond_mean, s, x_star) if s else mean_prediction
-        for s in _ordered_subsets(model.m)
+        for s in _ordered_subsets(x_star.shape[0])
     ]
     return replace(exact_shapley(np.array(table)), estimator_id="closed_form")
 

@@ -106,7 +106,7 @@ def write_explanations(
     labels, group_phi = [], [None] * len(explanations)
     if assignment is not None:
         labels = assignment.labels
-        group_phi = [aggregate_shapley(e, assignment).group_phi for e in explanations]
+        group_phi = [aggregate_shapley(e, assignment).phi for e in explanations]
     first = explanations[0]
     prefix = Path(output_prefix)
     csv_path = prefix.parent / (prefix.name + ".csv")

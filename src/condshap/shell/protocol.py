@@ -3,9 +3,10 @@
 Requests are single lines ``{"id": n, "rows": [[...], ...]}``; the model
 answers ``{"id": n, "predictions": [...]}`` with one prediction per row.
 Responses may arrive in any order and are matched by id.  Any malformed
-line, length mismatch, non-finite prediction, timeout, or mid-stream exit
-raises ModelProtocolError with an excerpt of the offending payload; noise on
-stdout never crashes the host.
+line, id that is not a JSON integer, prediction that is not a finite JSON
+number, length mismatch, timeout, or mid-stream exit raises
+ModelProtocolError with an excerpt of the offending payload; noise on stdout
+never crashes the host.
 
 A request line is byte for byte what ``json.dumps({"id": n, "rows":
 rows.tolist()})`` writes for the float64 rows.  The host writes it from a
@@ -224,24 +225,27 @@ class ExternalModel:
                 raise ModelProtocolError(
                     f"response missing predictions array: {_excerpt(line)!r}"
                 )
-            try:
-                response_id = int(payload["id"])
-            except (TypeError, ValueError):
+            response_id = payload["id"]
+            if type(response_id) is not int:  # not a JSON integer (a bool is no id either)
                 raise ModelProtocolError(
-                    f"non-integer response id: {_excerpt(line)!r}"
-                ) from None
+                    f"non-integer response id {_excerpt(repr(response_id))}: {_excerpt(line)!r}"
+                )
             self._stash[response_id] = payload["predictions"]
         if len(preds) != n_rows:
             raise ModelProtocolError(
                 f"id {request_id}: got {len(preds)} predictions for {n_rows} rows"
             )
-        try:
-            values = [float(p) for p in preds]
-        except (TypeError, ValueError):
+        # JSON numbers parse to int or float; a string or a bool is not one.
+        if not set(map(type, preds)) <= {int, float}:
             raise ModelProtocolError(
                 f"id {request_id}: non-numeric prediction in {_excerpt(str(preds))!r}"
-            ) from None
-        if not all(map(math.isfinite, values)):
+            )
+        try:
+            values = [float(p) for p in preds]
+            finite = all(map(math.isfinite, values))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ModelProtocolError(
                 f"id {request_id}: non-finite prediction in {_excerpt(str(preds))!r}"
             )

@@ -2,20 +2,16 @@
 predictors, the batch experiment runner, and the MAE / skill-score metrics."""
 
 from .distributions import (
-    EquicorrelatedCov,
     GaussianFeatures,
     GHFeatures,
     GHParams,
     MixtureFeatures,
-    MixtureParams,
+    equicorrelated_cov,
     gh_conditional,
     gh_params_10d,
     gig_mean,
     gig_moment,
-    sample_equicorrelated_gaussian,
-    sample_gh,
     sample_gig,
-    sample_mixture,
 )
 from .models import (
     OlsModel,
@@ -38,7 +34,6 @@ from .experiment import (
 )
 
 __all__ = [
-    "EquicorrelatedCov",
     "ExperimentConfig",
     "ExperimentReport",
     "FeatureFamily",
@@ -46,9 +41,9 @@ __all__ = [
     "GHFeatures",
     "GHParams",
     "MixtureFeatures",
-    "MixtureParams",
     "OlsModel",
     "StumpEnsembleModel",
+    "equicorrelated_cov",
     "fit_ols",
     "fit_stump_ensemble",
     "fun1",
@@ -62,9 +57,6 @@ __all__ = [
     "mae",
     "piecewise_sampling_model",
     "run_experiment",
-    "sample_equicorrelated_gaussian",
-    "sample_gh",
     "sample_gig",
-    "sample_mixture",
     "skill_score",
 ]

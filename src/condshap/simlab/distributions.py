@@ -2,11 +2,14 @@
 
 Three families, each with exact conditional samplers and exact Gaussian
 components of every conditional law, so the oracles can compute reference
-Shapley values: equicorrelated Gaussian, generalized hyperbolic (a normal
-mean-variance mixture with a generalized inverse Gaussian mixing variable),
-and a two-component Gaussian mixture.  Every GH law, conditionals included,
-is one :class:`GHParams` (lam, chi, psi, mu, Sigma, beta); the experiments'
-symmetric laws set chi = psi = omega.
+Shapley values: equicorrelated Gaussian (:func:`equicorrelated_cov`),
+generalized hyperbolic (a normal mean-variance mixture with a generalized
+inverse Gaussian mixing variable), and an equal-weight two-component
+Gaussian mixture, :class:`MixtureFeatures` (means, cov), whose experiments'
+laws are :meth:`MixtureFeatures.from_gamma`.  Every GH law, conditionals
+included, is one :class:`GHParams` (lam, chi, psi, mu, Sigma, beta); the
+experiments' symmetric laws set chi = psi = omega.  A training set of any
+law is ``TrainingMatrix.from_data(law.sample(n, rng))``.
 
 Every quadrature component is Gaussian, a weight, a center c and a factor
 F: the oracle integrates it over x_Sbar = c + F u, u standard normal.  A
@@ -44,7 +47,6 @@ from ..errors import InvalidCovarianceError
 from ..oracles import QuadratureComponent, gauss_legendre
 from ..samplers import (
     ConditioningPlan,
-    TrainingMatrix,
     _plan_for,
     _scipy,
     _sorted_coalition,
@@ -57,24 +59,18 @@ from ..samplers import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquicorrelatedCov:
-    """Unit-variance covariance with a common off-diagonal correlation."""
+def equicorrelated_cov(m: int, rho: float) -> np.ndarray:
+    """The m x m unit-variance covariance with common off-diagonal correlation rho.
 
-    m: int
-    rho: float
-
-    def __post_init__(self):
-        lo = -1.0 / (self.m - 1) if self.m > 1 else -1.0
-        if not (lo < self.rho < 1.0):
-            raise ValueError(
-                f"rho={self.rho} outside the positive-definite range ({lo:.4f}, 1)"
-            )
-
-    def matrix(self) -> np.ndarray:
-        cov = np.full((self.m, self.m), self.rho)
-        np.fill_diagonal(cov, 1.0)
-        return cov
+    Raises ValueError unless rho lies in the positive-definite range
+    (-1/(m-1), 1).
+    """
+    lo = -1.0 / (m - 1) if m > 1 else -1.0
+    if not (lo < rho < 1.0):
+        raise ValueError(f"rho={rho} outside the positive-definite range ({lo:.4f}, 1)")
+    cov = np.full((m, m), rho)
+    np.fill_diagonal(cov, 1.0)
+    return cov
 
 
 @dataclass
@@ -95,7 +91,7 @@ class GaussianFeatures:
 
     @classmethod
     def equicorrelated(cls, m: int, rho: float) -> "GaussianFeatures":
-        return cls(mean=np.zeros(m), cov=EquicorrelatedCov(m, rho).matrix())
+        return cls(mean=np.zeros(m), cov=equicorrelated_cov(m, rho))
 
     @property
     def dim(self) -> int:
@@ -126,15 +122,6 @@ class GaussianFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         plan = self._plan(s)
         return [QuadratureComponent(1.0, plan.mean(self.mean, x_s), plan.draw_factor)]
-
-
-def sample_equicorrelated_gaussian(
-    m: int, rho: float, n: int, rng_seed
-) -> TrainingMatrix:
-    """n i.i.d. draws from N(0, Sigma(rho)) packaged as a training matrix."""
-    dist = GaussianFeatures.equicorrelated(m, rho)
-    data = dist.sample(n, np.random.default_rng(rng_seed))
-    return TrainingMatrix.from_data(data)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +261,6 @@ def gh_params_10d() -> GHParams:
     )
 
 
-def sample_gh(params: GHParams, n: int, rng_seed) -> TrainingMatrix:
-    """Draws via the mixture representation X = mu + W beta + sqrt(W) U."""
-    data = GHFeatures(params).sample(n, np.random.default_rng(rng_seed))
-    return TrainingMatrix.from_data(data)
-
-
 def _sample_gh(
     params: GHParams, factor: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -384,72 +365,64 @@ class GHFeatures:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MixtureParams:
-    """Equal-weight two-component Gaussian mixture with opposite means."""
-
-    means: np.ndarray  # (2, m)
-    cov: np.ndarray
-    weights: tuple[float, float] = (0.5, 0.5)
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, float)
-        self.cov = np.asarray(self.cov, float)
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
-
-    @classmethod
-    def from_gamma(cls, gamma: float, m: int = 3) -> "MixtureParams":
-        """Mode-separation parameterization: mu1 = gamma*(1,-0.5,1), mu2 = -mu1,
-        and a common equicorrelated covariance with rho = 0.2."""
-        pattern = np.resize(np.array([1.0, -0.5, 1.0]), m)
-        mu1 = gamma * pattern
-        return cls(means=np.stack([mu1, -mu1]), cov=EquicorrelatedCov(m, 0.2).matrix())
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
+#: The two components' weights.  Every mixture law weighs its modes equally.
+MIXTURE_WEIGHTS = (0.5, 0.5)
 
 
 @dataclass
 class MixtureFeatures:
-    """Gaussian mixture with posterior-weighted exact conditionals.
+    """Two-component Gaussian mixture, equal weights, one shared covariance,
+    with posterior-weighted exact conditionals.
 
     The components share one covariance, so they share its plans and the
     plans' factors: W of Sigma_SS for the posterior weights, the draw factor
     of the conditional covariance for the components and the draws.
     """
 
-    params: MixtureParams
+    means: np.ndarray  # (2, m)
+    cov: np.ndarray  # (m, m)
     _plans: dict[Coalition, ConditioningPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        self.means = np.asarray(self.means, float)
+        self.cov = np.asarray(self.cov, float)
+        if self.means.ndim != 2 or self.means.shape[0] != 2:
+            raise ValueError(f"mixture means must be (2, m), got shape {self.means.shape}")
+        if self.cov.shape != (self.dim, self.dim):
+            raise ValueError(f"mixture covariance must be (m, m), got shape {self.cov.shape}")
+
+    @classmethod
+    def from_gamma(cls, gamma: float, m: int = 3) -> "MixtureFeatures":
+        """Mode-separation parameterization: mu1 = gamma*(1,-0.5,1), mu2 = -mu1,
+        and a common equicorrelated covariance with rho = 0.2."""
+        mu1 = gamma * np.resize(np.array([1.0, -0.5, 1.0]), m)
+        return cls(means=np.stack([mu1, -mu1]), cov=equicorrelated_cov(m, 0.2))
+
     @property
     def dim(self) -> int:
-        return self.params.dim
+        return self.means.shape[1]
 
     def _plan(self, s: Coalition) -> ConditioningPlan:
         """The plan for the sorted coalition s, built on its first use."""
-        (plan,) = _plan_for(self._plans, self.params.cov, [s], "gaussian conditional")
+        (plan,) = _plan_for(self._plans, self.cov, [s], "gaussian conditional")
         return plan
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        p = self.params
-        comp = rng.random(n) < p.weights[1]
+        comp = rng.random(n) < MIXTURE_WEIGHTS[1]
         out = sample_gaussian_conditional(np.zeros(self.dim), self._plan(()).draw_factor, n, rng)
-        out += np.where(comp[:, None], p.means[1][None, :], p.means[0][None, :])
+        out += np.where(comp[:, None], self.means[1][None, :], self.means[0][None, :])
         return out
 
     def posterior_weights(self, s: Coalition, x_s: np.ndarray) -> np.ndarray:
-        p = self.params
         s, x_s = _sorted_coalition(s, x_s)
         if not s:
-            return np.asarray(p.weights, float)
+            return np.asarray(MIXTURE_WEIGHTS, float)
         plan = self._plan(s)
         # The components share Sigma_SS, so its log-determinant cancels.
-        white = (x_s[None, :] - p.means[:, plan.s]) @ plan.whiten.T
-        logs = np.log(np.asarray(p.weights, float)) - 0.5 * np.sum(white * white, axis=1)
+        white = (x_s[None, :] - self.means[:, plan.s]) @ plan.whiten.T
+        logs = np.log(np.asarray(MIXTURE_WEIGHTS, float)) - 0.5 * np.sum(white * white, axis=1)
         logs -= logs.max()
         w = np.exp(logs)
         return w / w.sum()
@@ -462,7 +435,7 @@ class MixtureFeatures:
         plan = self._plan(s)
         comp = rng.random(n) < post[1]
         out = np.empty((n, self.dim - len(s)))
-        for mask, mean in zip((~comp, comp), self.params.means):
+        for mask, mean in zip((~comp, comp), self.means):
             if mask.any():
                 out[mask] = sample_gaussian_conditional(
                     plan.mean(mean, x_s), plan.draw_factor, int(mask.sum()), rng
@@ -476,10 +449,6 @@ class MixtureFeatures:
         plan = self._plan(s)
         return [
             QuadratureComponent(float(weight), plan.mean(mean, x_s), plan.draw_factor)
-            for weight, mean in zip(self.posterior_weights(s, x_s), self.params.means)
+            for weight, mean in zip(self.posterior_weights(s, x_s), self.means)
         ]
 
-
-def sample_mixture(params: MixtureParams, n: int, rng_seed) -> TrainingMatrix:
-    data = MixtureFeatures(params).sample(n, np.random.default_rng(rng_seed))
-    return TrainingMatrix.from_data(data)

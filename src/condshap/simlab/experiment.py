@@ -29,12 +29,11 @@ from ..oracles import (
 )
 from ..samplers import SamplerSpec, TrainingMatrix
 from .distributions import (
-    EquicorrelatedCov,
     GaussianFeatures,
     GHFeatures,
     GHParams,
     MixtureFeatures,
-    MixtureParams,
+    equicorrelated_cov,
     gh_params_10d,
 )
 from .models import fit_ols, fit_stump_ensemble, linear_sampling_model, piecewise_sampling_model
@@ -57,7 +56,7 @@ class FeatureFamily:
                 return GHFeatures(gh_params_10d())
             return GHFeatures(GHParams.from_kappa(dimension, self.kappa))
         if self.kind == "mixture":
-            return MixtureFeatures(MixtureParams.from_gamma(self.gamma, m=dimension))
+            return MixtureFeatures.from_gamma(self.gamma, m=dimension)
         raise ConfigError(f"unknown feature family {self.kind!r}")
 
     @property
@@ -112,7 +111,7 @@ class ExperimentConfig:
             raise ConfigError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.features.kind == "gaussian":
             try:
-                EquicorrelatedCov(self.dimension, self.features.rho)
+                equicorrelated_cov(self.dimension, self.features.rho)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
 

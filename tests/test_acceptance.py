@@ -28,7 +28,6 @@ from condshap.grouping import (
 )
 from condshap.oracles import (
     GridSpec,
-    LinearModelSpec,
     linear_dependent_shapley,
     linear_independent_shapley,
     quadrature_mean_prediction,
@@ -51,11 +50,9 @@ from condshap.simlab import (
     fit_ols,
     linear_sampling_model,
     run_experiment,
-    sample_equicorrelated_gaussian,
-    sample_gh,
     sample_gig,
 )
-from condshap.simlab.distributions import GaussianFeatures, gig_mean, gig_variance
+from condshap.simlab.distributions import GHFeatures, GaussianFeatures, gig_mean, gig_variance
 from condshap.oracles import fold_seed
 from conditioning_reference import reference_conditional_moments
 from kendall_reference import kendall_tau_naive
@@ -164,13 +161,10 @@ def _replicated_pipeline_check(
     Returns the number of (point, feature) pairs whose mean phi over those
     runs lies further from the oracle than the bound above.
     """
-    train = sample_equicorrelated_gaussian(3, rho, 2000, rng_seed=seed)
+    dist = GaussianFeatures.equicorrelated(3, rho)
+    train = TrainingMatrix.from_data(dist.sample(2000, np.random.default_rng(seed)))
     y = linear_sampling_model(train.data, rng_seed=seed + 1)
     predictor = fit_ols(train, y)
-    model = LinearModelSpec(
-        beta0=predictor.beta0, beta=predictor.beta, feature_mean=train.mean
-    )
-    dist = GaussianFeatures.equicorrelated(3, rho)
     test_x = dist.sample(n_points, np.random.default_rng(seed + 2))
 
     explainers = [Explainer(train, predictor, spec, k=1000, seed=seed + 9)] + [
@@ -182,7 +176,7 @@ def _replicated_pipeline_check(
 
     failures = 0
     for i, x_star in enumerate(test_x):
-        ref = oracle(model, train, x_star)
+        ref = oracle(predictor, train, x_star)
         phis = np.stack([e.explain_one(x_star, instance_index=i).phi for e in explainers])
         se = phis.std(axis=0, ddof=1) / math.sqrt(runs)
         failures += int(np.sum(np.abs(phis.mean(axis=0) - ref.phi) > bound * se))
@@ -192,7 +186,7 @@ def _replicated_pipeline_check(
 def test_criterion_03_linear_independent_closed_form():
     with criterion(3, "independence pipeline reproduces the independent-linear closed form"):
         def oracle(model, train, x_star):
-            return linear_independent_shapley(model, x_star)
+            return linear_independent_shapley(model, train.mean, x_star)
 
         failures = _replicated_pipeline_check(
             rho=0.0, spec=SamplerSpec(kind="independence"), oracle=oracle, seed=2300
@@ -206,7 +200,7 @@ def test_criterion_04_linear_dependent_oracle():
             cond_mean = lambda s, x_s: reference_conditional_moments(
                 train.mean, train.covariance, s, x_s
             )[0]
-            return linear_dependent_shapley(model, cond_mean, x_star)
+            return linear_dependent_shapley(model, train.mean, cond_mean, x_star)
 
         failures = _replicated_pipeline_check(
             rho=0.7, spec=SamplerSpec(kind="gaussian"), oracle=oracle, seed=2600
@@ -221,7 +215,7 @@ def test_criterion_05_gig_and_gh_moments():
 
         params = GHParams.from_kappa(3, kappa=6.0)
         n = 150_000
-        train = sample_gh(params, n, rng_seed=3006)
+        train = TrainingMatrix.from_data(GHFeatures(params).sample(n, np.random.default_rng(3006)))
         ew = gig_mean(1.0, 0.5, 0.5)
         vw = gig_variance(1.0, 0.5, 0.5)
         target = ew * params.sigma + vw * np.outer(params.beta_skew, params.beta_skew)
@@ -356,9 +350,6 @@ def _tilt_matched_skills(report) -> dict:
             for x in test_x
         ]
 
-        model = LinearModelSpec(
-            beta0=predictor.beta0, beta=predictor.beta, feature_mean=train.mean
-        )
         copula = fit_copula(train)
         cond_means = {
             "original": lambda s, x_s: train.mean[[j for j in range(train.m) if j not in s]],
@@ -368,7 +359,9 @@ def _tilt_matched_skills(report) -> dict:
             "copula": lambda s, x_s: _copula_conditional_mean(copula, s, x_s),
         }
         exact = {
-            label: np.stack([linear_dependent_shapley(model, cm, x).phi for x in test_x])
+            label: np.stack(
+                [linear_dependent_shapley(predictor, train.mean, cm, x).phi for x in test_x]
+            )
             for label, cm in cond_means.items()
         }
 
@@ -482,7 +475,9 @@ def test_criterion_07_desk_scale_mixture():
 
 def test_criterion_08_sigma_infinity_limit():
     with criterion(8, "sigma -> infinity empirical equals deterministic independence"):
-        train = sample_equicorrelated_gaussian(3, 0.4, 800, rng_seed=5000)
+        train = TrainingMatrix.from_data(
+            GaussianFeatures.equicorrelated(3, 0.4).sample(800, np.random.default_rng(5000))
+        )
         y = linear_sampling_model(train.data, rng_seed=5001)
         predictor = fit_ols(train, y)
         rng = np.random.default_rng(5002)
@@ -504,7 +499,9 @@ def test_criterion_08_sigma_infinity_limit():
 
 def test_criterion_09_aicc_fast_path_audit():
     with criterion(9, "hat-matrix AICc equals the naive double loop (1e-10)"):
-        train = sample_equicorrelated_gaussian(3, 0.6, 500, rng_seed=6000)
+        train = TrainingMatrix.from_data(
+            GaussianFeatures.equicorrelated(3, 0.6).sample(500, np.random.default_rng(6000))
+        )
         y = linear_sampling_model(train.data, rng_seed=6001)
         predictor = fit_ols(train, y)
         x_star = np.array([0.4, -0.2, 0.9])

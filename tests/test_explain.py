@@ -13,12 +13,13 @@ from condshap.coalitions import CoalitionMatrix, WlsSolver, enumerate_coalitions
 from condshap.errors import ConfigError, DiagnosticWarning
 from condshap.explain import Explainer, instance_stream
 from condshap.samplers import SamplerSpec, TrainingMatrix
-from condshap.simlab import fit_ols, linear_sampling_model, sample_equicorrelated_gaussian
+from condshap.simlab import GaussianFeatures, fit_ols, linear_sampling_model
 
 
 @pytest.fixture(scope="module")
 def fitted():
-    train = sample_equicorrelated_gaussian(3, 0.5, 600, rng_seed=1)
+    data = GaussianFeatures.equicorrelated(3, 0.5).sample(600, np.random.default_rng(1))
+    train = TrainingMatrix.from_data(data)
     y = linear_sampling_model(train.data, rng_seed=2)
     return train, fit_ols(train, y)
 

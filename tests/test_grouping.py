@@ -332,17 +332,17 @@ class TestAggregate:
     def test_singletons_identity(self):
         e = Explanation(phi0=0.5, phi=np.array([0.2, -0.5, 1.0]), prediction=1.2)
         grouped = aggregate_shapley(e, self.assignment([(0,), (1,), (2,)], 3))
-        assert grouped.group_phi == pytest.approx(e.phi)
+        assert grouped.phi == pytest.approx(e.phi)
 
     def test_single_group_gets_everything(self):
         e = Explanation(phi0=0.5, phi=np.array([0.2, -0.5, 1.0]), prediction=1.2)
         grouped = aggregate_shapley(e, self.assignment([(0, 1, 2)], 3))
-        assert grouped.group_phi == pytest.approx([e.prediction - e.phi0])
+        assert grouped.phi == pytest.approx([e.prediction - e.phi0])
 
     def test_pairwise_sum_example(self):
         e = Explanation(phi0=0.0, phi=np.array([0.2, -0.5, 1.0]), prediction=0.7)
         grouped = aggregate_shapley(e, self.assignment([(0, 1), (2,)], 3))
-        assert grouped.group_phi == pytest.approx([-0.3, 1.0])
+        assert grouped.phi == pytest.approx([-0.3, 1.0])
 
     def test_efficiency_preserved_for_random_partitions(self):
         rng = np.random.default_rng(11)
@@ -356,12 +356,18 @@ class TestAggregate:
                 tuple(np.nonzero(labels == g)[0]) for g in np.unique(labels)
             ]
             grouped = aggregate_shapley(e, self.assignment(groups, m))
-            assert grouped.phi0 + grouped.group_phi.sum() == pytest.approx(e.prediction)
+            assert grouped.phi0 + grouped.phi.sum() == pytest.approx(e.prediction)
 
-    def test_waterfall_order_by_magnitude(self):
-        e = Explanation(phi0=0.0, phi=np.array([0.1, -2.0, 0.5]), prediction=-1.4)
-        grouped = aggregate_shapley(e, self.assignment([(0,), (1,), (2,)], 3))
-        assert grouped.waterfall_order == ["g2", "g3", "g1"]
+    def test_carries_the_explanation_over(self):
+        e = Explanation(phi0=0.5, phi=np.array([0.2, -0.5, 1.0]), prediction=1.2,
+                        estimator_id="gaussian", seed=7, sample_budget=1000,
+                        diagnostics={"ridged": 1})
+        grouped = aggregate_shapley(e, self.assignment([(0, 2), (1,)], 3))
+        assert (grouped.phi0, grouped.prediction) == (e.phi0, e.prediction)
+        assert (grouped.estimator_id, grouped.seed, grouped.sample_budget) == ("gaussian", 7, 1000)
+        assert grouped.diagnostics == e.diagnostics
+        assert grouped.diagnostics is not e.diagnostics
+        grouped.check_efficiency()
 
     def test_partition_mismatch_raises(self):
         e = Explanation(phi0=0.0, phi=np.array([1.0, 2.0, 3.0]), prediction=6.0)

@@ -15,7 +15,6 @@ from condshap.errors import DiagnosticWarning, QuadratureConvergenceError
 from condshap.oracles import (
     HALF_WIDTH_SDS,
     GridSpec,
-    LinearModelSpec,
     gauss_legendre,
     linear_dependent_shapley,
     linear_dependent_v,
@@ -29,72 +28,70 @@ from condshap.simlab.distributions import (
     GHFeatures,
     GHParams,
     MixtureFeatures,
-    MixtureParams,
 )
+from condshap.simlab.models import OlsModel
 from shapley_reference import reference_mc_std_error
 
 
 class TestLinearIndependent:
     def test_direct_substitution(self):
-        model = LinearModelSpec(beta0=0.0, beta=[2.0, -1.0], feature_mean=[0.0, 0.0])
-        res = linear_independent_shapley(model, np.array([1.0, 1.0]))
+        model = OlsModel(beta0=0.0, beta=np.array([2.0, -1.0]))
+        res = linear_independent_shapley(model, [0.0, 0.0], np.array([1.0, 1.0]))
         assert res.phi == pytest.approx([2.0, -1.0])
         assert res.phi0 == 0.0
 
     def test_zero_at_the_mean(self):
-        model = LinearModelSpec(beta0=1.5, beta=[3.0, 4.0], feature_mean=[0.2, -0.4])
-        res = linear_independent_shapley(model, np.array([0.2, -0.4]))
+        model = OlsModel(beta0=1.5, beta=np.array([3.0, 4.0]))
+        res = linear_independent_shapley(model, [0.2, -0.4], np.array([0.2, -0.4]))
         assert res.phi == pytest.approx([0.0, 0.0], abs=1e-14)
-        assert res.phi0 == pytest.approx(model.predict(np.array([[0.2, -0.4]]))[0])
+        assert res.phi0 == pytest.approx(model(np.array([[0.2, -0.4]]))[0])
 
     def test_agrees_with_exact_shapley_on_derived_table(self):
-        model = LinearModelSpec(
-            beta0=0.7, beta=[1.0, -2.0, 0.5], feature_mean=[0.3, 0.1, -0.2]
-        )
+        model = OlsModel(beta0=0.7, beta=np.array([1.0, -2.0, 0.5]))
+        feature_mean = np.array([0.3, 0.1, -0.2])
         x_star = np.array([1.0, 0.5, -1.0])
 
         def v(s):
             total = model.beta0
             for j in range(3):
-                total += model.beta[j] * (x_star[j] if j in s else model.feature_mean[j])
+                total += model.beta[j] * (x_star[j] if j in s else feature_mean[j])
             return total
 
         table = np.array([v(s) for s in enumerate_coalitions(3).coalitions])
         combinatorial = exact_shapley(table)
-        closed = linear_independent_shapley(model, x_star)
+        closed = linear_independent_shapley(model, feature_mean, x_star)
         assert combinatorial.phi == pytest.approx(closed.phi, abs=1e-10)
         assert combinatorial.phi0 == pytest.approx(closed.phi0, abs=1e-10)
 
 
 class TestLinearDependent:
     def test_reduces_to_independence_when_uncorrelated(self):
-        model = LinearModelSpec(beta0=0.0, beta=[1.0, 2.0], feature_mean=[0.5, -0.5])
-        cond_mean = lambda s, x_s: np.array(
-            [model.feature_mean[j] for j in range(2) if j not in s]
-        )
+        model = OlsModel(beta0=0.0, beta=np.array([1.0, 2.0]))
+        feature_mean = np.array([0.5, -0.5])
+        cond_mean = lambda s, x_s: np.array([feature_mean[j] for j in range(2) if j not in s])
         v = linear_dependent_v(model, cond_mean, (0,), np.array([1.0, 9.9]))
         assert v == pytest.approx(1.0 * 1.0 + 2.0 * (-0.5))
 
     def test_equicorrelated_hand_example(self):
         rho, a, b = 0.6, 1.3, -0.7
-        model = LinearModelSpec(beta0=0.0, beta=[1.0, 1.0], feature_mean=[0.0, 0.0])
+        model = OlsModel(beta0=0.0, beta=np.array([1.0, 1.0]))
         dist = GaussianFeatures.equicorrelated(2, rho)
         v = linear_dependent_v(model, dist.conditional_mean, (0,), np.array([a, b]))
         assert v == pytest.approx(a + rho * a)
 
     def test_full_coalition_returns_prediction(self):
-        model = LinearModelSpec(beta0=0.2, beta=[1.0, -1.0], feature_mean=[0.0, 0.0])
+        model = OlsModel(beta0=0.2, beta=np.array([1.0, -1.0]))
         x_star = np.array([0.4, 0.9])
         cond_mean = lambda s, x_s: np.zeros(0)
         v = linear_dependent_v(model, cond_mean, (0, 1), x_star)
-        assert v == pytest.approx(float(model.predict(x_star[None, :])[0]))
+        assert v == pytest.approx(float(model(x_star[None, :])[0]))
 
 
 @pytest.fixture(scope="module")
 def gaussian_case():
     dist = GaussianFeatures.equicorrelated(3, 0.6)
-    model = LinearModelSpec(beta0=0.3, beta=[1.0, 2.0, -1.5], feature_mean=np.zeros(3))
-    predictor = lambda X: model.predict(X)
+    model = OlsModel(beta0=0.3, beta=np.array([1.0, 2.0, -1.5]))
+    predictor = lambda X: model(X)
     x_star = np.array([0.7, -1.2, 0.4])
     return dist, model, predictor, x_star
 
@@ -102,7 +99,7 @@ def gaussian_case():
 class TestQuadrature:
     def test_linear_gaussian_matches_closed_form(self, gaussian_case):
         dist, model, predictor, x_star = gaussian_case
-        ref = linear_dependent_shapley(model, dist.conditional_mean, x_star)
+        ref = linear_dependent_shapley(model, dist.mean, dist.conditional_mean, x_star)
         quad = true_shapley_quadrature(dist, predictor, x_star, GridSpec(points_per_axis=32))
         assert quad.phi == pytest.approx(ref.phi, abs=1e-6)
         assert quad.phi0 == pytest.approx(ref.phi0, abs=1e-6)
@@ -114,13 +111,13 @@ class TestQuadrature:
         rho = 0.3
         cov = np.array([[1.0, rho, 1.0 + rho], [rho, 1.0, 1.0 + rho],
                         [1.0 + rho, 1.0 + rho, 2.0 + 2.0 * rho]])
-        model = LinearModelSpec(beta0=0.2, beta=[1.0, -0.5, 2.0], feature_mean=np.zeros(3))
+        model = OlsModel(beta0=0.2, beta=np.array([1.0, -0.5, 2.0]))
         x_star = np.array([0.4, -0.7, -0.3])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DiagnosticWarning)
             dist = GaussianFeatures(np.zeros(3), cov)
-            quad = true_shapley_quadrature(dist, model.predict, x_star)
-            exact = linear_dependent_shapley(model, dist.conditional_mean, x_star)
+            quad = true_shapley_quadrature(dist, model, x_star)
+            exact = linear_dependent_shapley(model, dist.mean, dist.conditional_mean, x_star)
         assert quad.diagnostics["refined"] is True
         np.testing.assert_allclose(quad.phi, exact.phi, rtol=0, atol=1e-9)
         assert quad.phi0 == pytest.approx(exact.phi0, abs=1e-9)
@@ -209,22 +206,20 @@ class TestQuadrature:
         dist = GHFeatures(params)
         train = dist.sample(2000, np.random.default_rng([0, 0, 0]))
         model = fit_ols(TrainingMatrix.from_data(train), linear_sampling_model(train, [0, 0, 1]))
-        spec = LinearModelSpec(beta0=model.beta0, beta=model.beta, feature_mean=params.mean())
         mean = quadrature_mean_prediction(dist, model)
-        assert mean == pytest.approx(float(spec.predict(params.mean())[0]), abs=1e-6)
+        assert mean == pytest.approx(float(model(params.mean())[0]), abs=1e-6)
         for x_star in dist.sample(3, np.random.default_rng([0, 0, 2])):
             quad = true_shapley_quadrature(dist, model, x_star, v_empty=mean)
             assert quad.diagnostics["refined"]
             exact = linear_dependent_shapley(
-                spec, lambda s, x_s: gh_conditional(params, s, x_s).mean(), x_star
+                model, params.mean(), lambda s, x_s: gh_conditional(params, s, x_s).mean(), x_star
             )
             np.testing.assert_allclose(quad.phi, exact.phi, rtol=0, atol=1e-6)
 
     def test_mixture_truth_handles_separated_modes(self):
-        params = MixtureParams.from_gamma(6.0)
-        dist = MixtureFeatures(params)
-        model = LinearModelSpec(beta0=0.0, beta=[1.0, 1.0, 1.0], feature_mean=np.zeros(3))
-        predictor = lambda X: model.predict(X)
+        dist = MixtureFeatures.from_gamma(6.0)
+        model = OlsModel(beta0=0.0, beta=np.array([1.0, 1.0, 1.0]))
+        predictor = lambda X: model(X)
         rng = np.random.default_rng(0)
         x_star = dist.sample(1, rng)[0]
         quad = true_shapley_quadrature(dist, predictor, x_star, GridSpec(points_per_axis=32))
@@ -278,7 +273,7 @@ def _nonlinear(X):
 
 DISTRIBUTIONS = {
     "gaussian": lambda: GaussianFeatures.equicorrelated(3, 0.6),
-    "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.0)),
+    "mixture": lambda: MixtureFeatures.from_gamma(1.0),
     "gh": lambda: GHFeatures(GHParams.from_kappa(3, kappa=2.0)),
 }
 
@@ -457,7 +452,7 @@ class TestGaussLegendre:
 
 class TestMixtureConditionalDensity:
     def test_integrates_to_one(self):
-        mix = MixtureFeatures(MixtureParams.from_gamma(2.0))
+        mix = MixtureFeatures.from_gamma(2.0)
         comps = mix.conditional_components((0,), np.array([1.0]))
 
         def density(points):
@@ -477,7 +472,7 @@ class TestMixtureConditionalDensity:
         assert abs(total - 1.0) < 1e-6
 
     def test_posterior_weights_favor_nearer_mode(self):
-        mix = MixtureFeatures(MixtureParams.from_gamma(5.0))
+        mix = MixtureFeatures.from_gamma(5.0)
         post = mix.posterior_weights((0,), np.array([5.0]))
         assert post[0] > 0.999  # component 1 has mean +5 in coordinate 0
 
@@ -485,14 +480,10 @@ class TestMixtureConditionalDensity:
 class TestMonteCarlo:
     def test_ten_dim_linear_matches_closed_form(self):
         dist = GaussianFeatures.equicorrelated(10, 0.5)
-        model = LinearModelSpec(
-            beta0=0.1,
-            beta=np.linspace(-1.0, 1.0, 10),
-            feature_mean=np.zeros(10),
-        )
-        predictor = lambda X: model.predict(X)
+        model = OlsModel(beta0=0.1, beta=np.linspace(-1.0, 1.0, 10))
+        predictor = lambda X: model(X)
         x_star = np.linspace(-0.5, 0.5, 10)
-        ref = linear_dependent_shapley(model, dist.conditional_mean, x_star)
+        ref = linear_dependent_shapley(model, dist.mean, dist.conditional_mean, x_star)
         mc = true_shapley_mc(dist, predictor, x_star, 4000, rng_seed=7)
         assert np.all(np.abs(mc.phi - ref.phi) <= 4 * mc.diagnostics["mc_std_error"])
 

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -116,6 +118,30 @@ SHORT_MODEL = textwrap.dedent(
         print(json.dumps({"id": req["id"], "predictions": [0.0] * n}), flush=True)
     """
 )
+
+# Answers request n > 0 with the id text ``sys.argv[1] % n`` and the prediction
+# text ``sys.argv[2]`` per row, both written into the line as they are.
+VERBATIM_MODEL = textwrap.dedent(
+    """
+    import json, sys
+    id_format, value = sys.argv[1:]
+    for line in sys.stdin:
+        req = json.loads(line)
+        rid = id_format % req["id"] if req["id"] else "0"
+        values = ", ".join([value] * len(req["rows"]))
+        print('{"id": %s, "predictions": [%s]}' % (rid, values), flush=True)
+    """
+)
+
+# (id format, prediction text, error) of answers that are not JSON integer ids
+# with JSON number predictions, or whose number is not a finite float.
+MALFORMED_ANSWERS = {
+    "string-prediction": ("%d", '"0.5"', "id 1: non-numeric prediction"),
+    "bool-prediction": ("%d", "true", "id 1: non-numeric prediction"),
+    "fractional-id": ("%d.4", "0.5", "non-integer response id 1.4"),
+    "string-id": ('"%d"', "0.5", "non-integer response id '1'"),
+    "integer-beyond-float": ("%d", "1" + "0" * 400, "id 1: non-finite prediction"),
+}
 
 GARBAGE_MODEL = textwrap.dedent(
     """
@@ -367,6 +393,14 @@ class TestProtocol:
     def test_non_finite_prediction_names_its_id(self):
         with pytest.raises(ModelProtocolError, match="id 1: non-finite prediction"):
             with ExternalModel(model_command(NAN_MODEL), timeout=15) as model:
+                model(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("answer", MALFORMED_ANSWERS, ids=list(MALFORMED_ANSWERS))
+    def test_malformed_answer_names_its_id(self, answer):
+        id_format, value, error = MALFORMED_ANSWERS[answer]
+        command = model_command(VERBATIM_MODEL) + [id_format, value]
+        with pytest.raises(ModelProtocolError, match=re.escape(error)):
+            with ExternalModel(command, timeout=15) as model:
                 model(np.ones((2, 2)))
 
     def test_handshake_failure_on_bad_length(self):
@@ -1016,6 +1050,19 @@ class TestCliBadInput:
             assert result.exit_code == 0, result.output
             written[label] = prefix.with_suffix(".csv").read_bytes()
         assert written["empirical-1e200"] == written["empirical-inf"]
+
+    @pytest.mark.parametrize("answer", MALFORMED_ANSWERS, ids=list(MALFORMED_ANSWERS))
+    def test_explain_malformed_model_answer(self, tmp_path, answer):
+        id_format, value, error = MALFORMED_ANSWERS[answer]
+        train, test = make_dataset(tmp_path)
+        script = tmp_path / "verbatim_model.py"
+        script.write_text(VERBATIM_MODEL, encoding="utf-8")
+        command = shlex.join([sys.executable, "-u", str(script), id_format, value])
+        result = self.explain(tmp_path, train, test, "--model", "external",
+                              "--model-command", command)
+        self.assert_clean_exit(result, 3)
+        assert error in result.output
+        assert not (tmp_path / "x.csv").exists()
 
     def test_explain_k_cap_removed(self, tmp_path):
         # k is the empirical row cap; the option that capped it apart is gone.

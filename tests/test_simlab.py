@@ -15,16 +15,15 @@ from condshap.errors import (
     DiagnosticWarning,
     QuadratureConvergenceError,
 )
-from condshap.samplers import SamplerSpec, conditional_moments
+from condshap.samplers import SamplerSpec, TrainingMatrix, conditional_moments
 from condshap.shell.cli import _exit_code
 from condshap.simlab import (
-    EquicorrelatedCov,
     ExperimentConfig,
     FeatureFamily,
     GHFeatures,
     GHParams,
     MixtureFeatures,
-    MixtureParams,
+    equicorrelated_cov,
     fit_ols,
     fit_stump_ensemble,
     fun1,
@@ -38,10 +37,7 @@ from condshap.simlab import (
     mae,
     piecewise_sampling_model,
     run_experiment,
-    sample_equicorrelated_gaussian,
-    sample_gh,
     sample_gig,
-    sample_mixture,
     skill_score,
 )
 from condshap import oracles, samplers
@@ -52,33 +48,38 @@ from condshap.coalitions import Explanation
 from conditioning_reference import reference_conditional_moments, reference_gh_conditional
 
 
+def training_set(law, n: int, seed) -> TrainingMatrix:
+    """n draws of ``law`` from a generator seeded with ``seed``."""
+    return TrainingMatrix.from_data(law.sample(n, np.random.default_rng(seed)))
+
+
 class TestEquicorrelated:
     def test_matrix_shape(self):
-        cov = EquicorrelatedCov(3, 0.4).matrix()
+        cov = equicorrelated_cov(3, 0.4)
         assert np.allclose(np.diag(cov), 1.0)
         assert cov[0, 1] == cov[1, 2] == 0.4
 
     def test_independent_sample_correlations(self):
-        train = sample_equicorrelated_gaussian(3, 0.0, 2000, rng_seed=0)
+        train = training_set(GaussianFeatures.equicorrelated(3, 0.0), 2000, 0)
         corr = np.corrcoef(train.data, rowvar=False)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off) < 0.05)
 
     def test_high_correlation_sample(self):
-        train = sample_equicorrelated_gaussian(3, 0.98, 2000, rng_seed=1)
+        train = training_set(GaussianFeatures.equicorrelated(3, 0.98), 2000, 1)
         corr = np.corrcoef(train.data, rowvar=False)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.all(off > 0.9)
 
     def test_unit_variances(self):
-        train = sample_equicorrelated_gaussian(4, 0.3, 2000, rng_seed=2)
+        train = training_set(GaussianFeatures.equicorrelated(4, 0.3), 2000, 2)
         assert np.all(np.abs(train.data.var(axis=0) - 1.0) < 0.1)
 
     def test_invalid_rho(self):
         with pytest.raises(ValueError, match="positive-definite"):
-            EquicorrelatedCov(3, -0.6)
+            equicorrelated_cov(3, -0.6)
         with pytest.raises(ValueError):
-            EquicorrelatedCov(3, 1.0)
+            equicorrelated_cov(3, 1.0)
 
 
 class TestGig:
@@ -125,10 +126,10 @@ def _inline_gh_draw(star, n, rng):
 
 class TestGH:
     def test_draws_equal_the_inline_gig_draw(self):
-        """``sample_gh`` and a conditional GH draw (chi != psi) keep their bytes."""
+        """An unconditional and a conditional GH draw (chi != psi) keep their bytes."""
         params = _correlated_gh()
         expected = _inline_gh_draw(params, 500, np.random.default_rng(21))
-        assert sample_gh(params, 500, rng_seed=21).data.tobytes() == expected.tobytes()
+        assert training_set(GHFeatures(params), 500, 21).data.tobytes() == expected.tobytes()
         s, x_s = (0,), np.array([0.4])
         star = gh_conditional(params, s, x_s)
         assert star.chi != star.psi
@@ -139,26 +140,26 @@ class TestGH:
     def test_symmetric_when_no_skew(self):
         params = GHParams(lam=1.0, chi=0.5, psi=0.5, mu=np.zeros(2), sigma=np.eye(2),
                           beta_skew=np.zeros(2))
-        train = sample_gh(params, 100_000, rng_seed=6)
+        train = training_set(GHFeatures(params), 100_000, 6)
         skew = stats.skew(train.data, axis=0)
         assert np.all(np.abs(skew) < 0.05)
 
     def test_kappa_parameterization_centers_at_zero(self):
         params = GHParams.from_kappa(3, kappa=10.0)
-        train = sample_gh(params, 100_000, rng_seed=7)
+        train = training_set(GHFeatures(params), 100_000, 7)
         se = train.data.std(axis=0, ddof=1) / math.sqrt(train.n)
         assert np.all(np.abs(train.data.mean(axis=0)) <= 4 * se)
 
     def test_skew_induces_positive_correlation(self):
         params = GHParams.from_kappa(3, kappa=10.0)
-        train = sample_gh(params, 100_000, rng_seed=8)
+        train = training_set(GHFeatures(params), 100_000, 8)
         corr = np.corrcoef(train.data, rowvar=False)
         assert np.all(corr[~np.eye(3, dtype=bool)] > 0.2)
 
     def test_covariance_matches_mixture_moments(self):
         params = GHParams.from_kappa(2, kappa=4.0)
         n = 200_000
-        train = sample_gh(params, n, rng_seed=9)
+        train = training_set(GHFeatures(params), n, 9)
         ew = gig_mean(1.0, 0.5, 0.5)
         vw = gig_variance(1.0, 0.5, 0.5)
         target = ew * params.sigma + vw * np.outer(params.beta_skew, params.beta_skew)
@@ -340,7 +341,7 @@ def _correlated_gh(m=3):
         chi=0.5,
         psi=0.5,
         mu=np.array([0.2, -0.1, 0.3])[:m],
-        sigma=EquicorrelatedCov(m, 0.6).matrix() * np.outer(scale, scale),
+        sigma=equicorrelated_cov(m, 0.6) * np.outer(scale, scale),
         beta_skew=np.array([0.5, -0.25, 0.75])[:m],
     )
 
@@ -389,29 +390,34 @@ class TestGHMixture:
 
 class TestMixture:
     def test_zero_gamma_is_gaussian(self):
-        train = sample_mixture(MixtureParams.from_gamma(0.0), 5000, rng_seed=12)
+        train = training_set(MixtureFeatures.from_gamma(0.0), 5000, 12)
         stat, p = stats.kstest(
             train.data[:, 0], "norm", args=(0.0, train.data[:, 0].std())
         )
         assert p > 0.01
 
     def test_large_gamma_is_bimodal(self):
-        train = sample_mixture(MixtureParams.from_gamma(10.0), 20_000, rng_seed=13)
+        train = training_set(MixtureFeatures.from_gamma(10.0), 20_000, 13)
         first = train.data[:, 0]
         assert not np.any((first > -5.0) & (first < 5.0))
 
     def test_sample_mean_near_zero(self):
-        train = sample_mixture(MixtureParams.from_gamma(3.0), 20_000, rng_seed=14)
+        train = training_set(MixtureFeatures.from_gamma(3.0), 20_000, 14)
         assert np.all(np.abs(train.data.mean(axis=0)) < 0.05)
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            MixtureParams(means=np.zeros((2, 3)), cov=np.eye(3), weights=(0.6, 0.6))
+    @pytest.mark.parametrize("means, cov", [
+        (np.zeros((3, 3)), np.eye(3)),
+        (np.zeros(3), np.eye(3)),
+        (np.zeros((2, 3)), np.eye(2)),
+    ], ids=["three-means", "one-mean", "cov-2x2"])
+    def test_shapes_must_agree(self, means, cov):
+        with pytest.raises(ValueError, match="mixture"):
+            MixtureFeatures(means=means, cov=cov)
 
 
 @pytest.mark.parametrize("make", [
     lambda: GaussianFeatures.equicorrelated(3, 0.6),
-    lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
+    lambda: MixtureFeatures.from_gamma(1.5),
     lambda: GHFeatures(GHParams.from_kappa(3, kappa=2.0)),
 ], ids=["gaussian", "mixture", "gh"])
 def test_a_draw_of_no_rows_raises_the_explainers_error(make):
@@ -431,8 +437,7 @@ def _reference_components(dist, s, x_s):
     from scipy.linalg.lapack import dtrtri
 
     if isinstance(dist, MixtureFeatures):
-        p = dist.params
-        means, cov, weights = p.means, p.cov, np.asarray(p.weights, float)
+        means, cov, weights = dist.means, dist.cov, np.array([0.5, 0.5])
         if s:
             idx = list(s)
             whiten, _ = dtrtri(np.linalg.cholesky(cov[np.ix_(idx, idx)]), lower=1)
@@ -468,7 +473,7 @@ class TestConditioningPlansMatchPerCallReference:
     DISTS = {
         "gaussian": lambda: GaussianFeatures.equicorrelated(3, 0.6),
         "ridge": _near_singular_gaussian,
-        "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
+        "mixture": lambda: MixtureFeatures.from_gamma(1.5),
     }
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["forward", "reverse"])
@@ -510,7 +515,7 @@ class TestPlansShared:
     X = TestConditioningPlansMatchPerCallReference.X
     DISTS = {
         "gaussian": lambda: GaussianFeatures.equicorrelated(3, 0.6),
-        "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
+        "mixture": lambda: MixtureFeatures.from_gamma(1.5),
     }
 
     @pytest.mark.parametrize("name", sorted(DISTS))
@@ -556,7 +561,7 @@ class TestPlansShared:
         which factors it anew."""
         make = {
             "gaussian": lambda: GaussianFeatures.equicorrelated(3, 0.6),
-            "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
+            "mixture": lambda: MixtureFeatures.from_gamma(1.5),
             "gh": lambda: GHFeatures(_correlated_gh()),
         }[name]
         coalitions = [s for s in _ordered_subsets(3) if len(s) < 3]
@@ -598,7 +603,7 @@ class TestPlansShared:
 
         monkeypatch.setattr(samplers, "conditional_moments", counting_plans)
         monkeypatch.setattr(np.linalg, "cholesky", counting_factors)
-        dist = MixtureFeatures(MixtureParams.from_gamma(1.5))
+        dist = MixtureFeatures.from_gamma(1.5)
         coalitions = [s for s in _ordered_subsets(3) if 0 < len(s) < 3]
         first, second = self.X
         for s in coalitions:
@@ -645,7 +650,7 @@ class TestPlansShared:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         monkeypatch.setattr(oracles, "CHUNK_ROWS", 7)
-        dist = MixtureFeatures(MixtureParams.from_gamma(1.0))
+        dist = MixtureFeatures.from_gamma(1.0)
         value = oracles.quadrature_mean_prediction(
             dist, lambda X: 0.3 + X @ np.array([1.0, -0.5, 2.0]), oracles.GridSpec(20)
         )
@@ -687,9 +692,8 @@ def _lab_distribution(name: str):
         "gaussian": lambda: GaussianFeatures(np.array([0.1, -0.2, 0.3]), _SIGMA3),
         "gaussian-ridged": lambda: GaussianFeatures(np.array([0.1, -0.2, 0.3]), ridged),
         "gaussian-clipped": lambda: GaussianFeatures(np.zeros(3), 0.5 * (clipped + clipped.T)),
-        "mixture": lambda: MixtureFeatures(MixtureParams.from_gamma(1.5)),
-        "mixture-ridged": lambda: MixtureFeatures(
-            replace(MixtureParams.from_gamma(1.0), cov=ridged)),
+        "mixture": lambda: MixtureFeatures.from_gamma(1.5),
+        "mixture-ridged": lambda: replace(MixtureFeatures.from_gamma(1.0), cov=ridged),
         "gh": lambda: GHFeatures(_correlated_gh()),
     }[name]()
 
@@ -708,7 +712,7 @@ def lab_draw_bytes(name: str) -> bytes:
     chunks = [dist.sample(40, rng)]
     if name == "gh":
         chunks.append(dist.conditional_sample((), np.empty(0), 40, rng))
-        chunks.append(sample_gh(_correlated_gh(), 40, rng_seed=53).data)
+        chunks.append(training_set(GHFeatures(_correlated_gh()), 40, 53).data)
     else:
         chunks += [dist.conditional_sample(s, x_s, 20, rng) for s, x_s in _lab_conditions()]
     return b"".join(np.ascontiguousarray(chunk, float).tobytes() for chunk in chunks)
@@ -754,7 +758,7 @@ _SIGMA3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
 def _conditioning_entry_points():
     """name -> (s, x_s in the order of s, call returning a flat array)."""
     gaussian = GaussianFeatures(np.array([0.1, -0.2, 0.3]), _SIGMA3)
-    mixture = MixtureFeatures(MixtureParams.from_gamma(1.5))
+    mixture = MixtureFeatures.from_gamma(1.5)
     gh = GHFeatures(_correlated_gh())
 
     def components(dist):

@@ -23,7 +23,10 @@ the same bytes.  The outputs are:
 - in-process ``Explainer`` phi0/phi bytes: six labels at m=10, a copula run
   in reverse order, near-singular and constant-margin training sets (with
   ``empirical-aicc-exact``, whose ridged plans warn as the fixed-bandwidth
-  empirical distances do), and the AICc estimators explained as a block and
+  empirical distances do), ``gaussian`` and ``empirical-0.1`` sharing one
+  near-singular training matrix, run in both orders (each order's warnings
+  digest is the same: a plan warns once, in its table's words, whichever
+  explainer builds it), and the AICc estimators explained as a block and
   one instance at a time, and ``original``, ``gaussian`` and
   ``empirical-aicc-approx`` at m=14, above the enumeration cap, on the
   default sampled coalition design, and
@@ -243,6 +246,15 @@ def in_process_outputs(run: Run) -> None:
     for label in ("empirical-0.1+gaussian", "empirical-aicc-exact"):
         run.explanations(f"m5-ridged-{label}", lambda: explainer(
             TrainingMatrix.from_data(x5), ols5, label, k=200).explain(x5[:3]))
+    # Two explainers on one training matrix, hence one plan table: whichever
+    # runs first builds the ridged plans and warns for them.  Both orders list
+    # the gaussian explanations first.
+    for order in (("gaussian", "empirical-0.1"), ("empirical-0.1", "gaussian")):
+        def shared():
+            train = TrainingMatrix.from_data(x5)
+            done = {label: explainer(train, ols5, label, k=200).explain(x5[:3]) for label in order}
+            return done["gaussian"] + done["empirical-0.1"]
+        run.explanations(f"m5-ridged-shared-{order[0]}-first", shared)
     x4 = correlated(rng, np.eye(4) + 0.4 * (1 - np.eye(4)), 500)
     x4[:, 2] = 1.5  # constant margin
     train4 = TrainingMatrix.from_data(x4)

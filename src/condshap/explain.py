@@ -5,11 +5,13 @@ coalition design, the solver factorization, the mean training prediction and
 the fitted sampler.  v(empty) and v(N) are exact and set here; the sampler
 estimates the proper coalitions.  It keeps one conditioning plan per
 coalition (the ridge, the Cholesky factor of Sigma_SS, the regression
-matrix, and the conditional covariance with its eigen-factor).  The first
-instance, or an AICc estimator's first bandwidth search, hands the design's
-coalitions to the sampler, which builds every missing plan in one stacked
-LAPACK pass per coalition size, the ridge still decided per block; nothing
-is built when the explainer is made.  The Gaussian and copula parts take
+matrix, and the conditional covariance with its eigen-factor) in the plan
+table of its covariance: the training matrix's, shared by every explainer
+on it, or the copula's latent one.  The first instance, or an AICc
+estimator's first bandwidth search, hands the design's coalitions to the
+sampler, whose tables build every missing plan in one stacked LAPACK pass
+per coalition size; nothing is built when the explainer is made.  The
+Gaussian and copula parts take
 their conditional means from a plan's regression matrix, without a solve,
 and the empirical and AICc distances whiten by its inverse factor
 W = L^{-1}, made once per plan, with one product.  AICc bandwidths depend

@@ -7,19 +7,16 @@ scaled Mahalanobis distance, and a combined scheme that uses the empirical
 estimator for small conditioning sets and a parametric backend otherwise.
 
 All estimators depend on the predictor only through the contract: a
-deterministic vectorized map from an (n, m) float matrix to n reals.
-What x* leaves alone is kept in one :class:`ConditioningPlan` per
-(covariance, coalition), which checks, ridges (warning once) and factors
-its Sigma_SS block when it is built, and keeps the two further factors it
-is asked for: the Gaussian and copula parts condition through it, the
-empirical and AICc distances whiten by its W = L^{-1}, one product each,
-and the simulation lab draws and integrates through its draw factor of the
-conditional covariance.
-:func:`conditional_moments` builds the plans of many coalitions at once, in
-one stacked LAPACK pass per coalition size, and still decides each block's
-ridge from that block's own condition number; the explainer hands it a
-whole design's coalitions at its first instance, and an AICc search its
-empirical coalitions first.
+deterministic vectorized map from an (n, m) float matrix to n reals, called
+once per v(S) by :func:`_spliced_mean` on rows with x*_S spliced in.
+What x* leaves alone is one :class:`ConditioningPlan` per (covariance,
+coalition), kept in the covariance's one :class:`PlanTable` with the label
+its ridge and clip warnings name: the training matrix's (shared by the
+Gaussian part and the empirical and AICc distances), the copula state's and
+each simulation law's.  A plan is reached as ``table[s]``, built on a miss;
+:meth:`PlanTable.build` builds many in one stacked LAPACK pass per
+coalition size (:func:`conditional_moments`), at an explainer's first
+instance or before an AICc search.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from __future__ import annotations
 import importlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from types import ModuleType
 from typing import Callable, Iterable, Sequence
@@ -95,18 +92,15 @@ def call_predictor(predictor: Predictor, rows: np.ndarray) -> np.ndarray:
 class TrainingMatrix:
     """Training data with its exact sample mean and covariance (1/(n-1)).
 
-    ``plans`` holds one :class:`ConditioningPlan` per coalition for the
-    Gaussian on these moments, filled by the Gaussian part and the empirical
-    distances of every sampler fitted to this matrix.
+    :attr:`plans` is the :class:`PlanTable` of the covariance, shared by the
+    Gaussian part and the empirical distances of every sampler fitted to
+    this matrix.
     """
 
     data: np.ndarray
     column_names: tuple[str, ...]
     mean: np.ndarray
     covariance: np.ndarray
-    plans: dict[Coalition, ConditioningPlan] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_data(
@@ -147,6 +141,10 @@ class TrainingMatrix:
         """The covariance, checked once to be symmetric positive semi-definite."""
         _check_psd(self.covariance)
         return self.covariance
+
+    @cached_property
+    def plans(self) -> PlanTable:
+        return PlanTable(self.covariance, "training covariance")
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +200,11 @@ class ConditioningPlan:
     Cholesky factor ``chol`` of Sigma_SS + ridge I, the regression matrix
     ``coef`` = (Sigma_SS + ridge I)^{-1} Sigma_{S,Sbar}, the conditional
     covariance ``sigma`` and its eigen-factor.  None of it depends on x_S
-    or on the Gaussian's mean, so laws that share a covariance share its
-    plans: the explainer's samplers and empirical distances, and the
-    simulation lab's features, condition, whiten and draw through them alike.
-    Plans are built many at a time, in one stacked pass per coalition size
-    (:func:`conditional_moments`), with the same bytes as one at a time.
-    The plan is the one record of its two further factors, each made on
-    first use: :attr:`whiten`, W = L^{-1}, and :attr:`draw_factor`, the one
-    factor F F^T = ``sigma`` that both draws and quadrature read.  Each
-    instance only takes its conditional mean through :meth:`mean` and
-    whitens through :attr:`whiten`.
+    or on the Gaussian's mean, so every user of a covariance shares its
+    plans through that covariance's :class:`PlanTable`.  The plan is the
+    one record of its two further factors, each made on first use:
+    :attr:`whiten`, W = L^{-1}, and :attr:`draw_factor`, the one factor
+    F F^T = ``sigma`` that both draws and quadrature read.
     """
 
     s: np.ndarray
@@ -317,31 +310,36 @@ def conditional_moments(
     return plans
 
 
-def _plan_for(
-    plans: dict[Coalition, ConditioningPlan],
-    cov: np.ndarray,
-    coalitions: Sequence[Coalition],
-    context: str,
-) -> list[ConditioningPlan]:
-    """The plans in ``plans`` for the sorted coalitions, every missing one built first.
+class PlanTable(dict):
+    """The :class:`ConditioningPlan` of each sorted coalition under covariance ``cov``.
 
-    One :func:`conditional_moments` call builds all the missing plans, so
-    each runs once per coalition of each ``plans`` table; a caller that
-    needs one coalition passes a list of one.
+    The table owns ``cov`` and the ``label`` its warnings name, so each plan
+    is built once and warns in the same words whichever caller meets it
+    first.  A lookup ``table[s]`` builds a missing plan alone.
     """
-    missing = [s for s in dict.fromkeys(coalitions) if s not in plans]
-    if missing:
-        plans.update(zip(missing, conditional_moments(cov, missing, context)))
-    return [plans[s] for s in coalitions]
+
+    def __init__(self, cov: np.ndarray, label: str):
+        super().__init__()
+        self.cov = cov
+        self.label = label
+
+    def build(self, coalitions: Iterable[Coalition]) -> None:
+        """Build the plans of the sorted ``coalitions`` not yet in the table."""
+        missing = [s for s in dict.fromkeys(coalitions) if s not in self]
+        if missing:
+            self.update(zip(missing, conditional_moments(self.cov, missing, self.label)))
+
+    def __missing__(self, s: Coalition) -> ConditioningPlan:
+        self.build([s])
+        return dict.__getitem__(self, s)
 
 
 def gaussian_conditional(
     train: TrainingMatrix, s: Iterable[int], x_star: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and eigen-factor of the unknown features' law under a fitted Gaussian, by s's plan."""
-    (plan,) = _plan_for(
-        train.plans, train.checked_covariance, [tuple(sorted(s))], "gaussian conditional"
-    )
+    train.checked_covariance  # an invalid covariance fails before its first plan
+    plan = train.plans[tuple(sorted(s))]
     x_star = np.asarray(x_star, float).reshape(-1)
     return plan.mean(train.mean, x_star[plan.s]), plan.factor
 
@@ -365,11 +363,16 @@ def sample_gaussian_conditional(
 # ---------------------------------------------------------------------------
 
 
-def _splice(rows: np.ndarray, s: Coalition, x_star: np.ndarray) -> np.ndarray:
-    out = np.array(rows, float, copy=True)
-    if s:
-        out[:, list(s)] = x_star[list(s)]
-    return out
+def _spliced_mean(
+    predictor: Predictor, s: Coalition, x_star: np.ndarray, rows: np.ndarray, weights=None
+) -> float:
+    """v(S) as the mean, or the ``weights``-weighted mean, of f over ``rows``
+    (n, m) with x*_S spliced into the features of S, in place: pass a copy."""
+    rows[:, list(s)] = x_star[list(s)]
+    preds = call_predictor(predictor, rows)
+    if weights is None:
+        return float(preds.mean())
+    return float(np.dot(weights, preds) / weights.sum())
 
 
 def estimate_v_independent(
@@ -389,8 +392,7 @@ def estimate_v_independent(
     rng = np.random.default_rng(rng_seed)
     idx = rng.integers(0, train.n, size=k)
     x_star = np.asarray(x_star, float).reshape(-1)
-    synth = _splice(train.data[idx], s, x_star)
-    return float(call_predictor(predictor, synth).mean())
+    return _spliced_mean(predictor, s, x_star, train.data[idx])
 
 
 def estimate_v_independent_full(
@@ -399,8 +401,7 @@ def estimate_v_independent_full(
     """Deterministic variant: average over every training row exactly once."""
     s = tuple(sorted(s))
     x_star = np.asarray(x_star, float).reshape(-1)
-    synth = _splice(train.data, s, x_star)
-    return float(call_predictor(predictor, synth).mean())
+    return _spliced_mean(predictor, s, x_star, train.data.copy())
 
 
 def mean_training_prediction(train: TrainingMatrix, predictor: Predictor) -> float:
@@ -418,16 +419,17 @@ class CopulaState:
     """Sorted training columns, the latent Gaussian correlation and its plans.
 
     Row j of ``sorted_columns`` holds feature j's training values in
-    ascending order.  ``plans`` holds one latent :class:`ConditioningPlan`
-    per coalition, filled by :meth:`FittedSampler.build_plans` or, for a
-    coalition not yet planned, by :func:`sample_copula_conditional`.
+    ascending order.  :attr:`plans` is the latent correlation's
+    :class:`PlanTable`, filled by :meth:`FittedSampler.build_plans` or, for
+    a coalition not yet planned, by :func:`sample_copula_conditional`.
     """
 
     sorted_columns: np.ndarray
     latent_correlation: np.ndarray
-    plans: dict[Coalition, ConditioningPlan] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+
+    @cached_property
+    def plans(self) -> PlanTable:
+        return PlanTable(self.latent_correlation, "copula conditional")
 
     @property
     def n(self) -> int:
@@ -517,7 +519,7 @@ def sample_copula_conditional(
     (inverse empirical CDF lookup).
     """
     s, v_s = _sorted_coalition(s, v_s)
-    (plan,) = _plan_for(state.plans, state.latent_correlation, [s], "copula conditional")
+    plan = state.plans[s]
     mean = plan.mean(np.zeros(state.m), v_s)
     latent = sample_gaussian_conditional(mean, plan.factor, k, rng_seed)
     return state.quantiles(plan.sbar, _scipy("special").ndtr(latent))
@@ -565,8 +567,7 @@ def scaled_mahalanobis(
     if not s:
         raise ValueError("distance needs a non-empty conditioning set")
     x_star = np.asarray(x_star, float).reshape(-1)
-    (plan,) = _plan_for(train.plans, train.covariance, [s], "empirical distance")
-    white = (train.data[:, list(s)] - x_star[list(s)][None, :]) @ plan.whiten.T
+    white = (train.data[:, list(s)] - x_star[list(s)][None, :]) @ train.plans[s].whiten.T
     d2 = np.sum(white ** 2, axis=1) / len(s)
     return np.sqrt(np.maximum(d2, 0.0))
 
@@ -653,10 +654,7 @@ def estimate_v_empirical(
         return estimate_v_independent_full(train, predictor, s, x_star)
     k = select_k(ew, eta, k_cap)
     top = ew.top(k)
-    w = ew.weights[top]
-    synth = _splice(train.data[top], s, x_star)
-    preds = call_predictor(predictor, synth)
-    return float(np.dot(w, preds) / w.sum())
+    return _spliced_mean(predictor, s, x_star, train.data[top], ew.weights[top])
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +711,7 @@ def _aicc_criterion_for_coalition(
     synth = np.tile(sub, (len(x_star), 1))
     synth[:, cols] = np.repeat(x_star[:, cols], len(sub), axis=0)
     responses = call_predictor(predictor, synth).reshape(len(x_star), len(sub))
-    (plan,) = _plan_for(train.plans, train.covariance, [s], "empirical distance")
-    white = sub[:, cols] @ plan.whiten.T  # (n_sub, |s|)
+    white = sub[:, cols] @ train.plans[s].whiten.T  # (n_sub, |s|)
     sq = np.sum(white ** 2, axis=1)
     # d2 = max((sq_i + sq_j - 2 <w_i, w_j>) / |s|, 0).  Two n_sub x n_sub
     # matrices in all: h holds 2 <w_i, w_j>, then each sigma's kernel and
@@ -891,10 +888,11 @@ class FittedSampler:
     """A sampler spec bound to training data (and its fitted copula, if any).
 
     The Gaussian and copula parts condition through one
-    :class:`ConditioningPlan` per coalition: data-space plans kept on the
-    training matrix, latent plans kept on the copula state.
-    :meth:`build_plans` fills them for a whole design in one stacked pass per
-    part; a coalition not yet planned is built on its first use.  A plan is
+    :class:`ConditioningPlan` per coalition: data-space plans in the
+    training matrix's :class:`PlanTable`, latent plans in the copula
+    state's.  :meth:`build_plans` fills them for a whole design in one
+    stacked pass per table; a coalition not yet planned is built on its
+    first use.  A plan is
     a function of the training data and the coalition alone, so the order
     in which instances build the plans does not change any result.  Those
     parts draw from one :class:`InstanceDraws` per instance.
@@ -968,23 +966,14 @@ class FittedSampler:
 
         Each part fills the table it conditions or whitens through: the
         Gaussian and empirical parts the training matrix's, the copula part
-        its latent one.  Only missing plans are built, in one stacked
-        :func:`_plan_for` call per part; the independence part needs none.
+        its latent one.  Each table builds its missing plans in one
+        :meth:`PlanTable.build` call; the independence part needs none.
         """
         m = self.train.m
-        parts: dict[str, list[Coalition]] = {}
-        for s in coalitions:
-            if 0 < len(s) < m:
-                parts.setdefault(self._part(s), []).append(s)
-        for part, group in parts.items():
-            if part == "gaussian":
-                _plan_for(self.train.plans, self.train.checked_covariance, group,
-                          "gaussian conditional")
-            elif part == "empirical":
-                _plan_for(self.train.plans, self.train.covariance, group, "empirical distance")
-            elif part == "copula":
-                _plan_for(self.copula.plans, self.copula.latent_correlation, group,
-                          "copula conditional")
+        parts = [(s, self._part(s)) for s in coalitions if 0 < len(s) < m]
+        self.train.plans.build(s for s, part in parts if part in ("gaussian", "empirical"))
+        if self.copula is not None:
+            self.copula.plans.build(s for s, part in parts if part == "copula")
 
     def instance_draws(self, x_star: np.ndarray, rng_seed) -> InstanceDraws:
         """The instance's :class:`InstanceDraws`, its stream seeded by ``rng_seed``."""
@@ -1037,6 +1026,6 @@ class FittedSampler:
             sample = sample_gaussian_conditional(mean, factor, k, draws.rng)
         else:
             sample = sample_copula_conditional(self.copula, s, draws.latent[list(s)], k, draws.rng)
-        synth = np.repeat(x_star[None, :], k, axis=0)
-        synth[:, [j for j in range(m) if j not in s]] = sample
-        return float(call_predictor(predictor, synth).mean())
+        rows = np.empty((k, m))
+        rows[:, [j for j in range(m) if j not in s]] = sample
+        return _spliced_mean(predictor, s, x_star, rows)

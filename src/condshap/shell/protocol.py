@@ -3,8 +3,9 @@
 Requests are single lines ``{"id": n, "rows": [[...], ...]}``; the model
 answers ``{"id": n, "predictions": [...]}`` with one prediction per row.
 Responses may arrive in any order and are matched by id.  Any malformed
-line, id that is not a JSON integer, prediction that is not a finite JSON
-number, length mismatch, timeout, or mid-stream exit raises
+line, id that is not a JSON integer, id that was never requested or is
+answered twice, prediction that is not a finite JSON number, length
+mismatch, timeout, or mid-stream exit raises
 ModelProtocolError with an excerpt of the offending payload; noise on stdout
 never crashes the host.
 
@@ -148,6 +149,8 @@ class ExternalModel:
         self.timeout = timeout
         self._lock = threading.Lock()
         self._next_id = HANDSHAKE_ID + 1
+        # Ids sent and not yet answered; an answer to any other id is an error.
+        self._pending: set[int] = set()
         self._stash: dict[int, list] = {}
         self._encoder = RequestEncoder()
         try:
@@ -189,6 +192,7 @@ class ExternalModel:
             raise ModelProtocolError(
                 f"model process closed its input (exit code {self._proc.poll()})"
             ) from exc
+        self._pending.add(request_id)
 
     def _receive(self, request_id: int, n_rows: int) -> list:
         deadline = time.monotonic() + self.timeout
@@ -230,6 +234,12 @@ class ExternalModel:
                 raise ModelProtocolError(
                     f"non-integer response id {_excerpt(repr(response_id))}: {_excerpt(line)!r}"
                 )
+            if response_id not in self._pending:
+                raise ModelProtocolError(
+                    f"response id {_excerpt(repr(response_id))} was never requested "
+                    f"or is already answered: {_excerpt(line)!r}"
+                )
+            self._pending.remove(response_id)
             self._stash[response_id] = payload["predictions"]
         if len(preds) != n_rows:
             raise ModelProtocolError(

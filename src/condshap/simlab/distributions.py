@@ -19,8 +19,9 @@ Gauss-Legendre nodes in log w.
 
 All three families condition as the explainer's samplers do, through one
 :class:`~condshap.samplers.ConditioningPlan` per (covariance, coalition),
-built by the first instance that meets it and kept in the family's one
-``_plans`` table: none of it depends on x_S or on the law's mean.  Each
+built by the first instance that meets it and kept in the law's
+:class:`~condshap.samplers.PlanTable` of its covariance, ``plans``: none of
+it depends on x_S or on the law's mean.  Each
 instance takes each component's conditional mean from the plan's regression
 matrix, with no solve.  The plan holds the two factors the lab reads, each
 made on first use: W = L^{-1} of Sigma_SS whitens x_S for the mixture's
@@ -38,20 +39,15 @@ explainer's :func:`~condshap.samplers.sample_gaussian_conditional`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..coalitions import Coalition
-from ..errors import InvalidCovarianceError
+from ..errors import InvalidCovarianceError, QuadratureConvergenceError
 from ..oracles import QuadratureComponent, gauss_legendre
-from ..samplers import (
-    ConditioningPlan,
-    _plan_for,
-    _scipy,
-    _sorted_coalition,
-    sample_gaussian_conditional,
-)
+from ..samplers import PlanTable, _scipy, _sorted_coalition, sample_gaussian_conditional
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +75,6 @@ class GaussianFeatures:
 
     mean: np.ndarray
     cov: np.ndarray
-    _plans: dict[Coalition, ConditioningPlan] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, float).reshape(-1)
@@ -97,30 +90,29 @@ class GaussianFeatures:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def _plan(self, s: Coalition) -> ConditioningPlan:
-        """The plan for the sorted coalition s, built on its first use."""
-        (plan,) = _plan_for(self._plans, self.cov, [s], "gaussian conditional")
-        return plan
+    @cached_property
+    def plans(self) -> PlanTable:
+        return PlanTable(self.cov, "gaussian conditional")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_gaussian_conditional(self.mean, self._plan(()).draw_factor, n, rng)
+        return sample_gaussian_conditional(self.mean, self.plans[()].draw_factor, n, rng)
 
     def conditional_mean(self, s: Coalition, x_s: np.ndarray) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
-        return self._plan(s).mean(self.mean, x_s)
+        return self.plans[s].mean(self.mean, x_s)
 
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
-        plan = self._plan(s)
+        plan = self.plans[s]
         return sample_gaussian_conditional(plan.mean(self.mean, x_s), plan.draw_factor, n, rng)
 
     def conditional_components(
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
         s, x_s = _sorted_coalition(s, x_s)
-        plan = self._plan(s)
+        plan = self.plans[s]
         return [QuadratureComponent(1.0, plan.mean(self.mean, x_s), plan.draw_factor)]
 
 
@@ -285,8 +277,8 @@ def _gh_mixing_components(law: GHParams, factor: np.ndarray) -> list[QuadratureC
     The cut follows the peak, so a conditional law whose x_S lies far out
     (a large chi) keeps its mass.  ``factor`` is the draw factor of Sigma,
     and node w's component reads it scaled by sqrt(w), so no component
-    factors a matrix.  The weights sum to 1 only up to the truncation error
-    of that range, which no check at run time sees.
+    factors a matrix.  Weights that miss a sum of 1 by more than 1e-6 (a
+    large lam puts mass beyond the cut) raise QuadratureConvergenceError.
     """
     reach = 2.0 * (25.0 + math.sqrt(law.chi * law.psi))
     lo = math.log(law.chi / reach)
@@ -296,6 +288,12 @@ def _gh_mixing_components(law: GHParams, factor: np.ndarray) -> list[QuadratureC
     glw = 0.5 * (hi - lo) * weights
     w = np.exp(t)
     mass = np.exp(gig_logpdf(w, law.lam, law.chi, law.psi)) * w * glw
+    total = float(mass.sum())
+    if not abs(total - 1.0) <= 1e-6:
+        raise QuadratureConvergenceError(
+            f"GH mixing weights of GIG(lam={law.lam:g}, chi={law.chi:g}, psi={law.psi:g}) "
+            f"sum to {total:.9g}, not 1: the 48-node rule misses its mass"
+        )
     return [
         QuadratureComponent(float(pk), law.mu + wk * law.beta_skew, factor * math.sqrt(wk))
         for wk, pk in zip(w, mass)
@@ -307,27 +305,23 @@ class GHFeatures:
     """GH feature distribution exposing the oracle handle protocol; one plan per coalition."""
 
     params: GHParams
-    _plans: dict[Coalition, ConditioningPlan] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def dim(self) -> int:
         return self.params.dim
 
-    def _plan(self, s: Coalition) -> ConditioningPlan:
-        """The plan for the sorted coalition s, built on its first use."""
-        (plan,) = _plan_for(self._plans, self.params.sigma, [s], "gh conditional")
-        return plan
+    @cached_property
+    def plans(self) -> PlanTable:
+        return PlanTable(self.params.sigma, "gh conditional")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _sample_gh(self.params, self._plan(()).draw_factor, n, rng)
+        return _sample_gh(self.params, self.plans[()].draw_factor, n, rng)
 
     def conditional_sample(
         self, s: Coalition, x_s: np.ndarray, n: int, rng: np.random.Generator
     ) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
-        return _sample_gh(self._conditional(s, x_s), self._plan(s).draw_factor, n, rng)
+        return _sample_gh(self._conditional(s, x_s), self.plans[s].draw_factor, n, rng)
 
     def _conditional(self, s: Coalition, x_s: np.ndarray) -> GHParams:
         """The GH law given x_S = x_s (s sorted, x_s in its order), through the plan for s.
@@ -340,7 +334,7 @@ class GHFeatures:
         p = self.params
         if not s:
             return p
-        plan = self._plan(s)
+        plan = self.plans[s]
         beta_s = p.beta_skew[plan.s]
         white = plan.whiten @ np.column_stack([x_s - p.mu[plan.s], beta_s])
         return GHParams(
@@ -357,7 +351,7 @@ class GHFeatures:
     ) -> list[QuadratureComponent]:
         """The 48 Gaussian components of the GH law given x_S = x_s."""
         s, x_s = _sorted_coalition(s, x_s)
-        return _gh_mixing_components(self._conditional(s, x_s), self._plan(s).draw_factor)
+        return _gh_mixing_components(self._conditional(s, x_s), self.plans[s].draw_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +375,6 @@ class MixtureFeatures:
 
     means: np.ndarray  # (2, m)
     cov: np.ndarray  # (m, m)
-    _plans: dict[Coalition, ConditioningPlan] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.means = np.asarray(self.means, float)
@@ -404,14 +395,13 @@ class MixtureFeatures:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _plan(self, s: Coalition) -> ConditioningPlan:
-        """The plan for the sorted coalition s, built on its first use."""
-        (plan,) = _plan_for(self._plans, self.cov, [s], "gaussian conditional")
-        return plan
+    @cached_property
+    def plans(self) -> PlanTable:
+        return PlanTable(self.cov, "gaussian conditional")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comp = rng.random(n) < MIXTURE_WEIGHTS[1]
-        out = sample_gaussian_conditional(np.zeros(self.dim), self._plan(()).draw_factor, n, rng)
+        out = sample_gaussian_conditional(np.zeros(self.dim), self.plans[()].draw_factor, n, rng)
         out += np.where(comp[:, None], self.means[1][None, :], self.means[0][None, :])
         return out
 
@@ -419,7 +409,7 @@ class MixtureFeatures:
         s, x_s = _sorted_coalition(s, x_s)
         if not s:
             return np.asarray(MIXTURE_WEIGHTS, float)
-        plan = self._plan(s)
+        plan = self.plans[s]
         # The components share Sigma_SS, so its log-determinant cancels.
         white = (x_s[None, :] - self.means[:, plan.s]) @ plan.whiten.T
         logs = np.log(np.asarray(MIXTURE_WEIGHTS, float)) - 0.5 * np.sum(white * white, axis=1)
@@ -432,7 +422,7 @@ class MixtureFeatures:
     ) -> np.ndarray:
         s, x_s = _sorted_coalition(s, x_s)
         post = self.posterior_weights(s, x_s)
-        plan = self._plan(s)
+        plan = self.plans[s]
         comp = rng.random(n) < post[1]
         out = np.empty((n, self.dim - len(s)))
         for mask, mean in zip((~comp, comp), self.means):
@@ -446,7 +436,7 @@ class MixtureFeatures:
         self, s: Coalition, x_s: np.ndarray
     ) -> list[QuadratureComponent]:
         s, x_s = _sorted_coalition(s, x_s)
-        plan = self._plan(s)
+        plan = self.plans[s]
         return [
             QuadratureComponent(float(weight), plan.mean(mean, x_s), plan.draw_factor)
             for weight, mean in zip(self.posterior_weights(s, x_s), self.means)

@@ -1061,9 +1061,7 @@ class TestPlansMatchPerCallReference:
                     assert np.array_equal(cond_mean, mu), (i, s)
                     assert np.array_equal(cond_factor, factor), (i, s)
                     v_star = ndtri(state.cdf(s, x_s))
-                    (plan,) = samplers._plan_for(
-                        state.plans, state.latent_correlation, [s], "copula conditional"
-                    )
+                    plan = state.plans[s]
                     mu, factor = reference(zero, state.latent_correlation, s, v_star)
                     assert np.array_equal(plan.mean(zero, v_star), mu), (i, s)
                     assert np.array_equal(plan.factor, factor), (i, s)
@@ -1341,7 +1339,7 @@ class TestPlansMatchSlowReference:
                 for (plans, mean, cov), values in zip(spaces, (x_star, latent)):
                     for s in coalitions:
                         x_s = values[list(s)]
-                        (plan,) = samplers._plan_for(plans, cov, [s], "reference")
+                        plan = plans[s]
                         mu, sigma = reference_conditional_moments(mean, cov, s, x_s)
                         got = plan.mean(mean, x_s)
                         np.testing.assert_allclose(got, mu, rtol=0, atol=self.BOUND)
@@ -1442,3 +1440,54 @@ class TestAiccPlansBuiltStacked:
         explainer.explain(data[:2])
         assert groups == [1, 2, 3, 4, 5]
         assert len(explainer.train.plans) == 2 ** 6 - 2
+
+
+class TestPlanTable:
+    """One plan table per covariance: each plan is built once, and warns in
+    the table's words whichever caller meets it first."""
+
+    @staticmethod
+    def ridged_train() -> TrainingMatrix:
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((300, 4)) @ (np.eye(4) + 0.3 * np.ones((4, 4)))
+        x[:, 3] = x[:, 2] + 1e-6 * rng.standard_normal(300)
+        return TrainingMatrix.from_data(x)
+
+    def test_shared_matrix_warns_alike_in_either_order(self):
+        from condshap.explain import Explainer
+
+        f = lambda X: np.atleast_2d(X) @ np.array([1.0, -0.5, 2.0, 0.5])
+        texts, ridged = {}, {}
+        for order in (("gaussian", "empirical-0.1"), ("empirical-0.1", "gaussian")):
+            train = self.ridged_train()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for label in order:
+                    Explainer(train, f, SamplerSpec.from_label(label), k=20).explain(train.data[:2])
+            texts[order] = [str(w.message) for w in caught if "near-singular" in str(w.message)]
+            ridged[order] = sorted(s for s, plan in train.plans.items() if plan.ridge > 0)
+        first, second = texts.values()
+        assert first == second
+        # The blocks holding features 2 and 3, each warned for once.
+        assert all(r == [(0, 2, 3), (1, 2, 3), (2, 3)] for r in ridged.values())
+        assert len(first) == 3
+        assert all(" in training covariance " in text for text in first)
+
+    def test_a_miss_builds_once_and_a_hit_builds_nothing(self, monkeypatch):
+        calls = []
+        original = samplers.conditional_moments
+
+        def counting(cov, coalitions, *args, **kwargs):
+            calls.append(list(coalitions))
+            return original(cov, coalitions, *args, **kwargs)
+
+        monkeypatch.setattr(samplers, "conditional_moments", counting)
+        table = samplers.PlanTable(np.eye(3) + 0.5, "test covariance")
+        plan = table[(0, 2)]
+        assert calls == [[(0, 2)]]
+        assert table[(0, 2)] is plan
+        assert (0, 2) in table and (0,) not in table and len(table) == 1
+        assert calls == [[(0, 2)]]
+        table.build([(1,), (0, 2), (0,), (1,)])
+        assert calls == [[(0, 2)], [(1,), (0,)]]
+        assert sorted(table) == [(0,), (0, 2), (1,)]

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,27 @@ MALFORMED_ANSWERS = {
     "fractional-id": ("%d.4", "0.5", "non-integer response id 1.4"),
     "string-id": ('"%d"', "0.5", "non-integer response id '1'"),
     "integer-beyond-float": ("%d", "1" + "0" * 400, "id 1: non-finite prediction"),
+}
+
+# Answers the handshake once; answers request n > 0 as id n + int(sys.argv[1]),
+# int(sys.argv[2]) times.
+STRAY_ID_MODEL = textwrap.dedent(
+    """
+    import json, sys
+    offset, times = int(sys.argv[1]), int(sys.argv[2])
+    for line in sys.stdin:
+        req = json.loads(line)
+        n = req["id"]
+        answer = json.dumps({"id": n + offset if n else 0, "predictions": [0.5] * len(req["rows"])})
+        print("\\n".join([answer] * (times if n else 1)), flush=True)
+    """
+)
+
+# (offset, answers per request, error) of answers to an id that was never sent
+# or is already answered.
+STRAY_ANSWERS = {
+    "id-plus-100": ("100", "1", "response id 101 was never requested or is already answered"),
+    "answered-twice": ("0", "2", "response id 1 was never requested or is already answered"),
 }
 
 GARBAGE_MODEL = textwrap.dedent(
@@ -402,6 +424,17 @@ class TestProtocol:
         with pytest.raises(ModelProtocolError, match=re.escape(error)):
             with ExternalModel(command, timeout=15) as model:
                 model(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("answer", STRAY_ANSWERS, ids=list(STRAY_ANSWERS))
+    def test_stray_answer_fails_at_once(self, answer):
+        offset, times, error = STRAY_ANSWERS[answer]
+        command = model_command(STRAY_ID_MODEL) + [offset, times]
+        start = time.monotonic()
+        with pytest.raises(ModelProtocolError, match=re.escape(error)):
+            with ExternalModel(command, timeout=5) as model:
+                model(np.ones((2, 2)))
+                model(np.ones((2, 2)))
+        assert time.monotonic() - start < 4.0
 
     def test_handshake_failure_on_bad_length(self):
         bad = textwrap.dedent(
@@ -1060,6 +1093,21 @@ class TestCliBadInput:
         command = shlex.join([sys.executable, "-u", str(script), id_format, value])
         result = self.explain(tmp_path, train, test, "--model", "external",
                               "--model-command", command)
+        self.assert_clean_exit(result, 3)
+        assert error in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("answer", STRAY_ANSWERS, ids=list(STRAY_ANSWERS))
+    def test_explain_stray_model_answer(self, tmp_path, answer):
+        offset, times, error = STRAY_ANSWERS[answer]
+        train, test = make_dataset(tmp_path)
+        script = tmp_path / "stray_model.py"
+        script.write_text(STRAY_ID_MODEL, encoding="utf-8")
+        command = shlex.join([sys.executable, "-u", str(script), offset, times])
+        start = time.monotonic()
+        result = self.explain(tmp_path, train, test, "--model", "external",
+                              "--model-command", command, "--timeout", "5")
+        assert time.monotonic() - start < 4.0
         self.assert_clean_exit(result, 3)
         assert error in result.output
         assert not (tmp_path / "x.csv").exists()

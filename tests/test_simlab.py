@@ -388,6 +388,42 @@ class TestGHMixture:
         assert abs(total - 1.0) < 1e-8
 
 
+class TestGHMixingWeights:
+    """The 48 mixing weights must sum to 1 within 1e-6, or the law raises.
+
+    At lam=20 (chi = psi = 0.5) they sum to 0.886: the GIG mass lies beyond
+    the node range.  The experiments' laws (kappa up to 10), conditionals
+    included, miss by at most about 2e-8, and lam=5 by about 2e-7.
+    """
+
+    @staticmethod
+    def law(lam: float) -> GHFeatures:
+        return GHFeatures(GHParams(lam=lam, chi=0.5, psi=0.5, mu=np.zeros(3),
+                                   sigma=np.eye(3), beta_skew=np.ones(3)))
+
+    def test_lost_mass_raises(self):
+        dist = self.law(20.0)
+        message = r"GIG\(lam=20, chi=0.5, psi=0.5\) sum to 0\.8858"
+        with pytest.raises(QuadratureConvergenceError, match=message):
+            dist.conditional_components((), np.empty(0))
+        with pytest.raises(QuadratureConvergenceError, match=message):
+            oracles.quadrature_mean_prediction(
+                dist, lambda x: x.sum(axis=1), oracles.GridSpec(points_per_axis=8, refine=False))
+
+    @pytest.mark.parametrize("make", [lambda: GHFeatures(GHParams.from_kappa(3, 10.0)),
+                                      lambda: TestGHMixingWeights.law(5.0)],
+                             ids=["kappa-10", "lam-5"])
+    def test_kept_mass_passes(self, make):
+        dist = make()
+        x = dist.sample(3, np.random.default_rng(44))
+        for s in _ordered_subsets(3):
+            if len(s) == 3:
+                continue
+            for row in x:
+                comps = dist.conditional_components(s, row[list(s)])
+                assert abs(sum(comp.weight for comp in comps) - 1.0) <= 1e-6, s
+
+
 class TestMixture:
     def test_zero_gamma_is_gaussian(self):
         train = training_set(MixtureFeatures.from_gamma(0.0), 5000, 12)
@@ -495,7 +531,7 @@ class TestConditioningPlansMatchPerCallReference:
                         assert comp.factor.tobytes() == factor.tobytes()
                     if isinstance(dist, GaussianFeatures):
                         assert dist.conditional_mean(s, x_s).tobytes() == expected[0][1].tobytes()
-        assert len(dist._plans) == len(coalitions)
+        assert len(dist.plans) == len(coalitions)
 
     def test_ridge_warning_text_is_kept(self):
         s, x_s = (0, 2), self.X[0][[0, 2]]

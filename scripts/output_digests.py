@@ -127,9 +127,7 @@ class Run:
     def __init__(self, src: Path, work: Path):
         self.work = work
         self.digests: dict[str, str] = {}
-        # Trees before the thread pool's removal read CONDSHAP_WORKERS; keep it
-        # unset so that a base tree runs serially too.
-        self.env = {k: v for k, v in os.environ.items() if k != "CONDSHAP_WORKERS"}
+        self.env = dict(os.environ)
         self.env["PYTHONPATH"] = str(src)
 
     def cli(self, name: str, args: list[str], outputs: list[str]):

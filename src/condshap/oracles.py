@@ -9,8 +9,11 @@ the feature mean.  Quadrature grids go to the model in chunks of at most
 ``CHUNK_ROWS`` (32,768) rows, so memory no longer grows with points**3
 beyond one float per grid point.  Each chunk is a box of the grid, in which
 the leading axes are fixed, one axis takes a range and the later axes run in
-full; its node columns and weight products are written straight into one
-model batch by broadcasting, with no per-row index arithmetic.
+full.  Each box is written once, by broadcasting and with no per-row index
+arithmetic: the partial sums of its node columns and weight products stay
+on their small broadcast shapes, and only the last axis's step is written,
+straight into the model batch and the weight buffer; the weighted terms go
+straight into the grid's term buffer.
 Every conditional law reaches the grid as weighted Gaussian components
 N(c, F F^T) (one per Gaussian, two per mixture, 48 per GH law over its
 mixing variable), and each component is integrated in whitened coordinates:
@@ -218,7 +221,7 @@ def _law_integral(
                 batch, sbar, weights_buf, comp.center, comp.factor, [u] * d, [w] * d, *box
             )
             preds = call_predictor(predictor, batch[:rows])
-            terms[start : start + rows] = weights_buf[:rows] * preds
+            np.multiply(weights_buf[:rows], preds, out=terms[start : start + rows])
             start += rows
         total += comp.weight * float(np.sum(terms))
     return total
@@ -271,12 +274,16 @@ def _fill_grid_rows(
     along = [() if j < k else (-1,) + (1,) * (d - 1 - j) for j in range(d)]
     box_nodes = [a[i].reshape(shape) for a, i, shape in zip(axes_nodes, index, along)]
     box_weights = [a[i].reshape(shape) for a, i, shape in zip(axes_weights, index, along)]
+    # Partial sums and products stay on small broadcast shapes; only the last
+    # axis's step spans the box, and it is written straight into its buffer.
     for col, start, row in zip(cols, center, factor):
-        value = start + row[0] * box_nodes[0]
-        for coef, node in zip(row[1:], box_nodes[1:]):
+        value = start
+        for coef, node in zip(row[:-1], box_nodes[:-1]):
             value = value + coef * node
-        block[..., col] = value
-    wts[:rows].reshape(box)[...] = functools.reduce(np.multiply, box_weights)
+        np.add(value, row[-1] * box_nodes[-1], out=block[..., col])
+    # Seeded with 1.0, whose product with w0 is w0 exactly, so a 1-D box needs no branch.
+    lead_weight = functools.reduce(np.multiply, box_weights[:-1], 1.0)
+    np.multiply(lead_weight, box_weights[-1], out=wts[:rows].reshape(box))
     return rows
 
 

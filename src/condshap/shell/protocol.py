@@ -217,7 +217,7 @@ class ExternalModel:
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:  # JSONDecodeError, or an integer past Python's digit limit
                 raise ModelProtocolError(
                     f"malformed response line: {_excerpt(line)!r}"
                 ) from None

@@ -403,15 +403,9 @@ class TestGridChunks:
     """The grid's box chunks tile it once, in row order, and each box's fill
     equals the gather at its rows' unravelled indices bit for bit."""
 
-    @pytest.mark.parametrize("chunk", [1, 7, 13, None], ids=["1", "7", "13", "whole"])
-    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5), (4, 1, 3)])
-    def test_boxes_tile_the_grid_and_fill_as_the_gather(self, monkeypatch, shape, chunk):
-        rng = np.random.default_rng(len(shape))
-        nodes = [rng.standard_normal(n) for n in shape]
-        weights = [rng.random(n) for n in shape]
+    @staticmethod
+    def check_fill(shape, nodes, weights, center, factor):
         d, size = len(shape), math.prod(shape)
-        center, factor = rng.standard_normal(d), rng.standard_normal((d, d))
-        monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk or size)
         cols = list(range(d, 0, -1))  # axis j to column d - j; column 0 is left alone
         start = 0
         for lead, lo, hi in oracles._grid_chunks(shape):
@@ -431,6 +425,28 @@ class TestGridChunks:
             assert np.isnan(batch[rows:]).all() and np.isnan(wts[rows:]).all()
             start += rows
         assert start == size
+
+    @pytest.mark.parametrize("chunk", [1, 7, 13, None], ids=["1", "7", "13", "whole"])
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5), (4, 1, 3)])
+    def test_boxes_tile_the_grid_and_fill_as_the_gather(self, monkeypatch, shape, chunk):
+        rng = np.random.default_rng(len(shape))
+        nodes = [rng.standard_normal(n) for n in shape]
+        weights = [rng.random(n) for n in shape]
+        d = len(shape)
+        center, factor = rng.standard_normal(d), rng.standard_normal((d, d))
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk or math.prod(shape))
+        self.check_fill(shape, nodes, weights, center, factor)
+
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (128, 128)], ids=["64x64x64", "128x128"])
+    def test_workload_grids_at_the_default_chunk(self, shape):
+        """The grids of a 3-D experiment: E[f] at 64 points (eight full
+        boxes) and a one-feature coalition refined to 128 (one box), on the
+        whitened rule and at the default ``CHUNK_ROWS``."""
+        rng = np.random.default_rng(len(shape))
+        u, w = oracles._whitened_rule(shape[0])
+        d = len(shape)
+        center, factor = rng.standard_normal(d), rng.standard_normal((d, d))
+        self.check_fill(shape, [u] * d, [w] * d, center, factor)
 
 
 class TestGaussLegendre:

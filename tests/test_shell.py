@@ -135,13 +135,17 @@ VERBATIM_MODEL = textwrap.dedent(
 )
 
 # (id format, prediction text, error) of answers that are not JSON integer ids
-# with JSON number predictions, or whose number is not a finite float.
+# with JSON number predictions, whose number is not a finite float, or that
+# json.loads refuses with a plain ValueError: an integer of 5,000 digits is
+# past Python's integer-string limit (4,300 digits).
 MALFORMED_ANSWERS = {
     "string-prediction": ("%d", '"0.5"', "id 1: non-numeric prediction"),
     "bool-prediction": ("%d", "true", "id 1: non-numeric prediction"),
     "fractional-id": ("%d.4", "0.5", "non-integer response id 1.4"),
     "string-id": ('"%d"', "0.5", "non-integer response id '1'"),
     "integer-beyond-float": ("%d", "1" + "0" * 400, "id 1: non-finite prediction"),
+    "id-of-5000-digits": ("1" + "0" * 4998 + "%d", "0.5", "malformed response line"),
+    "prediction-of-5000-digits": ("%d", "1" + "0" * 4999, "malformed response line"),
 }
 
 # Answers the handshake once; answers request n > 0 as id n + int(sys.argv[1]),

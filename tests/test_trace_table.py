@@ -2,8 +2,8 @@
 
 The traced benchmark step patches condshap functions and methods by name and
 requires a set of spans to fire on each workload.  These checks catch a
-traced name that was renamed away or that the explain path no longer calls,
-without running the benchmark.
+traced name that was renamed away or that the explain or simulate path no
+longer calls, without running the benchmark.
 """
 
 import importlib
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from condshap import Explainer, SamplerSpec, TrainingMatrix
+from condshap.simlab import experiment
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -53,3 +54,21 @@ def test_explain_m10_spans_fire_on_a_small_run(tracing):
             explainer = Explainer(train, traced, SamplerSpec.from_label(label), k=50, seed=1)
             explainer.explain_one(x[0], 0)
     assert tracing.missing_spans(tracer.spans, "explain-m10") == []
+
+
+def test_simulate_3d_spans_fire_on_a_small_run(tracing):
+    """A small Gaussian and mixture 3-D linear experiment, with the
+    ``simulate-3d`` labels, fires every span that workload expects."""
+    labels = ("original", "gaussian", "copula", "empirical-0.1")
+    specs = tuple(SamplerSpec.from_label(label) for label in labels)
+    families = (experiment.FeatureFamily("gaussian", rho=0.5),
+                experiment.FeatureFamily("mixture", gamma=1.0))
+    configs = [experiment.ExperimentConfig(
+        dimension=3, features=family, sampling_model="linear", estimators=specs,
+        n_train=200, n_test_per_batch=1, batches=1, k=50, seed=1,
+        quadrature_points=8, quadrature_refine=False) for family in families]
+    with tracing.Tracer() as tracer:
+        for config in configs:
+            # Looked up at call time, so that the tracer's wrapper runs.
+            experiment.run_experiment(config)
+    assert tracing.missing_spans(tracer.spans, "simulate-3d") == []

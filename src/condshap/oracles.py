@@ -6,14 +6,16 @@ dimensions, and Monte Carlo integration with exact conditional samplers for
 moderate dimensions.  The closed forms take the fitted model itself (a
 :class:`LinearPredictor`, such as :class:`~condshap.simlab.OlsModel`) and
 the feature mean.  Quadrature grids go to the model in chunks of at most
-``CHUNK_ROWS`` (32,768) rows, so memory no longer grows with points**3
-beyond one float per grid point.  Each chunk is a box of the grid, in which
-the leading axes are fixed, one axis takes a range and the later axes run in
-full.  Each box is written once, by broadcasting and with no per-row index
-arithmetic: the partial sums of its node columns and weight products stay
-on their small broadcast shapes, and only the last axis's step is written,
-straight into the model batch and the weight buffer; the weighted terms go
-straight into the grid's term buffer.
+``CHUNK_ROWS`` (32,768) rows and are summed chunk by chunk, so an integral
+holds a few chunk-sized buffers whatever the number of points per axis.
+Each chunk is a box of the grid, in which the leading axes are fixed, one
+axis takes a range and the later axes run in full.  Each box is written
+once, by broadcasting and with no per-row index arithmetic: the partial
+sums of its node columns and weight products stay on their small broadcast
+shapes, and only the last axis's step is written, straight into the model
+batch and the weight buffer; the weighted terms go into one reused buffer.
+The box sums are combined in numpy's pairwise order, so a grid's sum has
+the bits of one ``np.sum`` over all its terms (:func:`_streamed_sum`).
 Every conditional law reaches the grid as weighted Gaussian components
 N(c, F F^T) (one per Gaussian, two per mixture, 48 per GH law over its
 mixing variable), and each component is integrated in whitened coordinates:
@@ -37,7 +39,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -200,31 +202,110 @@ def _law_integral(
     """E[f(x_sbar, x_s*)] under the law of the weighted components ``comps``.
 
     Each component's tensor grid goes to the model one box of
-    :func:`_grid_chunks` at a time; its weighted terms are summed once, over
-    its whole grid, so the value does not depend on where the chunks fall.
+    :func:`_grid_chunks` at a time, and each box's weighted terms are summed
+    as soon as the model has answered, in the order of one ``np.sum`` over
+    the whole grid, so the value does not depend on where the chunks fall.
+    The batch, the weights and the terms are one chunk each, reused by every
+    box of every component.
     """
     m = x_star.shape[0]
     sbar = [j for j in range(m) if j not in s]
-    d = len(sbar)
-    u, w = _whitened_rule(points)
-    terms = np.empty(points ** d)
-    # One model batch and one weight buffer, reused by every chunk of every
-    # component: the x*_S columns are set once.
-    batch = np.empty((min(CHUNK_ROWS, terms.size), m))
+    size = points ** len(sbar)
+    # The x*_S columns are set once.
+    batch = np.empty((min(CHUNK_ROWS, size), m))
     batch[:, list(s)] = x_star[list(s)]
     weights_buf = np.empty(batch.shape[0])
+    terms = np.empty(batch.shape[0])
     total = 0.0
     for comp in comps:
-        start = 0
-        for box in _grid_chunks((points,) * d):
-            rows = _fill_grid_rows(
-                batch, sbar, weights_buf, comp.center, comp.factor, [u] * d, [w] * d, *box
-            )
-            preds = call_predictor(predictor, batch[:rows])
-            np.multiply(weights_buf[:rows], preds, out=terms[start : start + rows])
-            start += rows
-        total += comp.weight * float(np.sum(terms))
+        boxes = _box_terms(predictor, comp, sbar, points, batch, weights_buf, terms)
+        total += comp.weight * _streamed_sum(boxes, size)
     return total
+
+
+def _box_terms(
+    predictor: Predictor,
+    comp: QuadratureComponent,
+    sbar: list[int],
+    points: int,
+    batch: np.ndarray,
+    weights_buf: np.ndarray,
+    terms: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Yield the weighted terms w f(x) of ``comp``'s grid one box at a time,
+    each in the front of ``terms``, which the next box overwrites.
+
+    The model's output is only read: the array may belong to the model.
+    """
+    d = len(sbar)
+    u, w = _whitened_rule(points)
+    for box in _grid_chunks((points,) * d):
+        rows = _fill_grid_rows(
+            batch, sbar, weights_buf, comp.center, comp.factor, [u] * d, [w] * d, *box
+        )
+        preds = call_predictor(predictor, batch[:rows])
+        yield np.multiply(weights_buf[:rows], preds, out=terms[:rows])
+
+
+#: numpy sums a run of at most this many terms as one leaf of its pairwise tree.
+_PAIRWISE_LEAF = 128
+
+
+class _TermStream:
+    """The terms of one sum, read a piece at a time in index order: ``piece``
+    holds the terms [lo, hi) and may be overwritten by the next piece."""
+
+    __slots__ = ("pieces", "piece", "lo", "hi")
+
+    def __init__(self, pieces: Iterable[np.ndarray]):
+        self.pieces = iter(pieces)
+        self.piece = np.empty(0)
+        self.lo = self.hi = 0
+
+    def advance(self) -> None:
+        self.piece = next(self.pieces)
+        self.lo, self.hi = self.hi, self.hi + len(self.piece)
+
+
+def _streamed_sum(pieces: Iterable[np.ndarray], n: int) -> float:
+    """``np.sum`` of the ``n`` float64 terms that ``pieces`` yields in order,
+    bit for bit, holding one piece at a time.
+
+    numpy sums a contiguous array pairwise (Higham, SIAM J. Sci. Comput.
+    1993): a run of n > 128 terms splits at n2 = n // 2 rounded down to a
+    multiple of 8, and a shorter run is one leaf.  The same tree is walked
+    over the index range.  A node that lies inside the piece at hand is
+    ``np.sum`` of that slice, which runs the same recursion, and a leaf that
+    straddles pieces is summed from a copy of its terms.
+    """
+    return float(_pairwise_sum(_TermStream(pieces), 0, n))
+
+
+def _pairwise_sum(stream: _TermStream, lo: int, n: int) -> float:
+    """numpy's pairwise sum of the terms [lo, lo + n) of ``stream``, whose
+    piece at hand starts at or before ``lo``.
+
+    A module-level function, not a closure: a closure that calls itself is a
+    reference cycle, which would keep each integral's buffers alive until
+    the cyclic collector ran.
+    """
+    if lo == stream.hi:
+        stream.advance()
+    if lo + n <= stream.hi:
+        return np.sum(stream.piece[lo - stream.lo : lo - stream.lo + n])
+    if n > _PAIRWISE_LEAF:
+        n2 = n // 2
+        n2 -= n2 % 8
+        return _pairwise_sum(stream, lo, n2) + _pairwise_sum(stream, lo + n2, n - n2)
+    leaf = np.empty(n)
+    start = lo
+    while True:
+        stop = min(stream.hi, lo + n)
+        leaf[start - lo : stop - lo] = stream.piece[start - stream.lo : stop - stream.lo]
+        if stop == lo + n:
+            return np.sum(leaf)
+        start = stop
+        stream.advance()
 
 
 def _grid_chunks(shape: tuple[int, ...]):
@@ -293,15 +374,17 @@ def _quadrature_v_table(
     components: dict[Coalition, list[QuadratureComponent]],
     points: int,
     v_empty: float,
+    v_full: float,
 ) -> np.ndarray:
-    """v(S) of every coalition, in the row order of ``enumerate_coalitions(m)``."""
+    """v(S) of every coalition, in the row order of ``enumerate_coalitions(m)``;
+    v(empty) and v(full) = f(x*) are given."""
     m = x_star.shape[0]
     table = np.empty(2 ** m)
     for i, s in enumerate(_ordered_subsets(m)):
         if not s:
             table[i] = v_empty
         elif len(s) == m:
-            table[i] = float(call_predictor(predictor, x_star[None, :])[0])
+            table[i] = v_full
         else:
             table[i] = _law_integral(predictor, s, x_star, components[s], points)
     return table
@@ -359,12 +442,14 @@ def true_shapley_quadrature(
         for s in _ordered_subsets(m)
         if 0 < len(s) < m
     }
+    # f(x*) once, shared by the base and the doubled grid.
+    v_full = float(call_predictor(predictor, x_star[None, :])[0])
     points = grid_spec.points_per_axis
-    table = _quadrature_v_table(predictor, x_star, components, points, v_empty)
+    table = _quadrature_v_table(predictor, x_star, components, points, v_empty, v_full)
     ex = exact_shapley(table)
     grid_meta = {"points_per_axis": points, "half_width_sds": HALF_WIDTH_SDS, "refined": False}
     if grid_spec.refine:
-        fine = _quadrature_v_table(predictor, x_star, components, 2 * points, v_empty)
+        fine = _quadrature_v_table(predictor, x_star, components, 2 * points, v_empty, v_full)
         ex_fine = exact_shapley(fine)
         shift = float(np.max(np.abs(ex_fine.phi - ex.phi)))
         if shift >= REFINE_TOL:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -399,6 +401,26 @@ class TestOneMeanPrediction:
         assert sum(rows) == 8 ** 3 + 3 * 8 ** 2 + 3 * 8 + 1
 
 
+class TestOneFullPrediction:
+    """f(x*) is computed once per instance and shared by both grids."""
+
+    def test_a_refined_instance_calls_the_model_once_on_x_star(self, gaussian_case):
+        dist, _, predictor, x_star = gaussian_case
+        rows = []
+
+        def counting(X):
+            rows.append(len(X))
+            return predictor(X)
+
+        for x in [x_star, -x_star]:
+            rows.clear()
+            res = true_shapley_quadrature(dist, counting, x, GridSpec(32), v_empty=0.25)
+            assert res.diagnostics["refined"] is True
+            # Three lines and three squares at 32 and at 64 points, and f(x*).
+            assert rows.count(1) == 1
+            assert sum(rows) == 3 * (32 + 64) + 3 * (32 ** 2 + 64 ** 2) + 1
+
+
 class TestGridChunks:
     """The grid's box chunks tile it once, in row order, and each box's fill
     equals the gather at its rows' unravelled indices bit for bit."""
@@ -447,6 +469,59 @@ class TestGridChunks:
         d = len(shape)
         center, factor = rng.standard_normal(d), rng.standard_normal((d, d))
         self.check_fill(shape, [u] * d, [w] * d, center, factor)
+
+
+def _pieces(terms, size):
+    """``terms`` in consecutive pieces of ``size``, each written over the
+    last in one reused buffer, as the oracle's boxes are."""
+    buf = np.empty(size)
+    for lo in range(0, len(terms), size):
+        piece = buf[: min(size, len(terms) - lo)]
+        piece[:] = terms[lo : lo + len(piece)]
+        yield piece
+
+
+class TestStreamedSum:
+    """The sum streamed a piece at a time against one ``np.sum``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 7, 8, 129, 24 ** 3, 48 ** 3, 2 ** 18, 1_000_000, 2 ** 21]
+    )
+    def test_equals_np_sum(self, n):
+        rng = np.random.default_rng(n)
+        # Magnitudes from e^-30 to e^30 and both signs: every order of
+        # addition rounds differently.
+        terms = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+        expected = float(np.sum(terms))
+        for size in [7, 100, 128, 1000, 2 ** 15]:
+            assert oracles._streamed_sum(_pieces(terms, size), n) == expected, size
+
+
+class TestQuadratureMemory:
+    """A refined E[f] on the 128**3 grid holds a few chunks, not the grid."""
+
+    def test_mean_prediction_holds_no_grid_sized_buffer(self):
+        beta = np.array([1.0, -2.0, 0.5])
+        linear = lambda X: 0.3 + X @ beta
+        dist = GaussianFeatures.equicorrelated(3, 0.5)
+        spec = GridSpec(points_per_axis=64)  # refined: 128**3 rows, 16 MiB a float each
+        expected = quadrature_mean_prediction(dist, linear, spec)  # builds the cached rules
+        gc.collect()
+        gc.disable()
+        try:
+            tracemalloc.start()
+            try:
+                value = quadrature_mean_prediction(dist, linear, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # Each call's buffers are freed when it returns, not by the cyclic collector.
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert value == expected
+        assert peak < 4 * 2 ** 20
+        assert garbage == 0
 
 
 class TestGaussLegendre:

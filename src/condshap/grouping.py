@@ -123,7 +123,6 @@ class Dendrogram:
 
     m: int
     merges: list[tuple[int, int, float]]
-    leaf_labels: tuple[str, ...]
 
     def heights(self) -> np.ndarray:
         return np.array([h for _, _, h in self.merges])
@@ -187,7 +186,7 @@ def complete_linkage(dmatrix: DissimilarityMatrix) -> Dendrogram:
             dist[(min(next_id, c), max(next_id, c))] = max(da, db)
         active.append(next_id)
         next_id += 1
-    return Dendrogram(m=m, merges=merges, leaf_labels=dmatrix.column_names)
+    return Dendrogram(m=m, merges=merges)
 
 
 @dataclass
@@ -243,10 +242,9 @@ def check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be positive, got {alpha}")
 
 
-def kgs_cut(
-    dendrogram: Dendrogram, alpha: float = 1.0, *, dmatrix: DissimilarityMatrix
-) -> ClusterAssignment:
-    """Cut by minimizing the Kelley-Gardner-Sutcliffe penalty.
+def kgs_cut(dmatrix: DissimilarityMatrix, alpha: float = 1.0) -> ClusterAssignment:
+    """Cut the complete-linkage dendrogram of ``dmatrix`` by minimizing the
+    Kelley-Gardner-Sutcliffe penalty.
 
     For each level with c clusters (2 <= c <= m-1) the penalty is the average
     within-cluster mean pairwise dissimilarity, min-max rescaled across levels
@@ -256,6 +254,7 @@ def kgs_cut(
     returns its only nontrivial cut.
     """
     check_alpha(alpha)
+    dendrogram = complete_linkage(dmatrix)
     m = dendrogram.m
     d = dmatrix.d
 
@@ -265,7 +264,7 @@ def kgs_cut(
         return ClusterAssignment(
             groups=ordered,
             labels=labels,
-            column_names=dendrogram.leaf_labels,
+            column_names=dmatrix.column_names,
             penalty_table=table,
             alpha=alpha,
         )

@@ -203,8 +203,9 @@ class ConditioningPlan:
     or on the Gaussian's mean, so every user of a covariance shares its
     plans through that covariance's :class:`PlanTable`.  The plan is the
     one record of its two further factors, each made on first use:
-    :attr:`whiten`, W = L^{-1}, and :attr:`draw_factor`, the one factor
-    F F^T = ``sigma`` that both draws and quadrature read.
+    :attr:`whiten`, W = L^{-1}, and :attr:`draw_factor`, F F^T = ``sigma``,
+    which the simulation lab's draws and quadrature read.  The explainer's
+    ``gaussian`` and ``copula`` draws read the eigen-factor ``factor``.
     """
 
     s: np.ndarray

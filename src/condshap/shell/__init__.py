@@ -4,10 +4,9 @@ external-model prediction protocol."""
 from .io import read_numeric_csv, write_explanations
 from .protocol import ExternalModel
 from .config import parse_simulation_config
-from .run import ExplainRequest, run_explain
+from .run import run_explain
 
 __all__ = [
-    "ExplainRequest",
     "ExternalModel",
     "parse_simulation_config",
     "read_numeric_csv",

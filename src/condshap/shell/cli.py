@@ -16,12 +16,16 @@ from pathlib import Path
 import click
 
 from ..errors import CondShapError, EfficiencyViolationError, ModelProtocolError
-from ..grouping import check_alpha, complete_linkage, dissimilarity, kgs_cut
+from ..grouping import check_alpha, dissimilarity, kgs_cut
 from ..samplers import SamplerSpec, TrainingMatrix
 from ..simlab.experiment import run_experiment
 from .config import parse_simulation_config
 from .io import read_numeric_csv, write_numeric_csv
-from .run import ExplainRequest, run_explain
+from .run import run_explain
+
+
+# A file to read; a directory or a missing path is a usage error (exit 2).
+INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 
 @click.group()
@@ -34,8 +38,10 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-# First match wins; CondShapError covers every remaining package error.
-EXIT_CODES = ((ModelProtocolError, 3), (EfficiencyViolationError, 1), (CondShapError, 2))
+# First match wins; CondShapError covers every remaining package error.  An
+# OSError is a file that cannot be read or written (ExternalModel wraps its own).
+EXIT_CODES = ((ModelProtocolError, 3), (OSError, 2),
+              (EfficiencyViolationError, 1), (CondShapError, 2))
 
 
 def _exit_code(exc: BaseException | None) -> int | None:
@@ -65,8 +71,8 @@ def _exit_codes(command):
 
 
 @main.command()
-@click.option("--train", "train_path", required=True, type=click.Path(exists=True))
-@click.option("--test", "test_path", required=True, type=click.Path(exists=True))
+@click.option("--train", "train_path", required=True, type=INPUT_FILE)
+@click.option("--test", "test_path", required=True, type=INPUT_FILE)
 @click.option(
     "--estimator",
     default="gaussian",
@@ -92,47 +98,18 @@ def _exit_codes(command):
 @click.option("--coalition-draws", default=2048, show_default=True)
 @click.option("--timeout", default=60.0, show_default=True, help="model protocol timeout (s)")
 @_exit_codes
-def explain(
-    train_path,
-    test_path,
-    estimator,
-    model,
-    model_command,
-    response,
-    k,
-    seed,
-    output,
-    cluster_alpha,
-    d_star,
-    eta,
-    coalition_draws,
-    timeout,
-) -> None:
+def explain(estimator, d_star, eta, **options) -> None:
     """Explain every row of the test CSV against a model fitted or served."""
     try:
         spec = SamplerSpec.from_label(estimator, d_star=d_star, eta=eta)
-        request = ExplainRequest(
-            train_path=train_path,
-            test_path=test_path,
-            estimator=spec,
-            model_source=model,
-            model_command=model_command,
-            response=response,
-            seed=seed,
-            k=k,
-            output_path=output,
-            cluster_alpha=cluster_alpha,
-            coalition_draws=coalition_draws,
-            timeout=timeout,
-        )
     except ValueError as exc:
         _fail(2, str(exc))
-    csv_path, json_path = run_explain(request)
+    csv_path, json_path = run_explain(spec, **options)
     click.echo(f"wrote {csv_path} and {json_path}")
 
 
 @main.command()
-@click.argument("config_path", type=click.Path(exists=True))
+@click.argument("config_path", type=INPUT_FILE)
 @click.option("--output-dir", default=".", show_default=True)
 @_exit_codes
 def simulate(config_path, output_dir) -> None:
@@ -163,7 +140,7 @@ def simulate(config_path, output_dir) -> None:
 
 
 @main.command()
-@click.argument("train_path", type=click.Path(exists=True))
+@click.argument("train_path", type=INPUT_FILE)
 @click.option("--alpha", default=1.0, show_default=True, help="penalty scale")
 @click.option("--output", default="clusters", show_default=True, help="output prefix")
 @_exit_codes
@@ -175,7 +152,7 @@ def cluster(train_path, alpha, output) -> None:
         _fail(2, f"{train_path}: need at least two numeric columns")
     train = TrainingMatrix.from_data(matrix, header)
     dmat = dissimilarity(train)
-    assignment = kgs_cut(complete_linkage(dmat), alpha=alpha, dmatrix=dmat)
+    assignment = kgs_cut(dmat, alpha=alpha)
     prefix = Path(output)
     json_path = prefix.parent / (prefix.name + ".json")
     json_path.write_text(

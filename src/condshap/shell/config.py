@@ -87,7 +87,11 @@ def parse_simulation_config(path: str | Path) -> ExperimentConfig:
     values = dict(_DEFAULTS)
     unknown: list[str] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

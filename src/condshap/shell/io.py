@@ -29,49 +29,52 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read a fully numeric CSV with a header row.
 
     Raises SchemaError naming the offending columns for non-numeric cells,
-    and rejects missing/blank and non-finite values outright.
+    and rejects missing/blank and non-finite values and non-UTF-8 bytes outright.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate column names in header")
-        rows: list[list[float]] = []
-        bad_columns: dict[str, str] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            parsed = []
-            for name, cell in zip(header, row):
-                cell = cell.strip()
-                if cell == "":
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, header row required") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise SchemaError(f"{path}: duplicate column names in header")
+            rows: list[list[float]] = []
+            bad_columns: dict[str, str] = {}
+            for line_no, row in enumerate(reader, start=2):
+                if not row or all(cell.strip() == "" for cell in row):
+                    continue
+                if len(row) != len(header):
                     raise SchemaError(
-                        f"{path}:{line_no}: missing value in column {name!r}"
+                        f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
                     )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    bad_columns.setdefault(name, cell)
-                    value = math.nan
-                else:
-                    if not math.isfinite(value):
+                parsed = []
+                for name, cell in zip(header, row):
+                    cell = cell.strip()
+                    if cell == "":
                         raise SchemaError(
-                            f"{path}:{line_no}: non-finite value in column {name!r}"
+                            f"{path}:{line_no}: missing value in column {name!r}"
                         )
-                parsed.append(value)
-            rows.append(parsed)
-        if bad_columns:
-            cols = ", ".join(f"{k} (e.g. {v!r})" for k, v in sorted(bad_columns.items()))
-            raise SchemaError(f"{path}: non-numeric columns: {cols}")
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        bad_columns.setdefault(name, cell)
+                        value = math.nan
+                    else:
+                        if not math.isfinite(value):
+                            raise SchemaError(
+                                f"{path}:{line_no}: non-finite value in column {name!r}"
+                            )
+                    parsed.append(value)
+                rows.append(parsed)
+            if bad_columns:
+                cols = ", ".join(f"{k} (e.g. {v!r})" for k, v in sorted(bad_columns.items()))
+                raise SchemaError(f"{path}: non-numeric columns: {cols}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     return header, np.asarray(rows, float)

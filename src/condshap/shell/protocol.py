@@ -171,8 +171,14 @@ class ExternalModel:
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
         # Handshake: an empty request must get an empty answer (checked in _receive).
-        self._send(HANDSHAKE_ID, np.empty((0, 0)))
-        self._receive(HANDSHAKE_ID, 0)
+        try:
+            self._send(HANDSHAKE_ID, np.empty((0, 0)))
+            self._receive(HANDSHAKE_ID, 0)
+        except ModelProtocolError:
+            # No caller will ever hold this object to close it.
+            self._proc.kill()
+            self.close()
+            raise
 
     def _read_loop(self) -> None:
         try:

@@ -1,57 +1,19 @@
-"""The explain workflow behind the CLI: validated request in, files out."""
+"""The explain workflow behind ``condshap explain``: parsed options in, files out."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import SchemaError
+from ..errors import ConfigError, SchemaError
 from ..explain import Explainer, check_run
-from ..grouping import check_alpha, complete_linkage, dissimilarity, kgs_cut
+from ..grouping import check_alpha, dissimilarity, kgs_cut
 from ..samplers import SamplerSpec, TrainingMatrix
 from ..simlab.models import fit_ols, fit_stump_ensemble
 from .io import read_numeric_csv, write_explanations
 from .protocol import ExternalModel
 
-MODEL_SOURCES = ("ols", "stumps", "external")
 
-
-@dataclass
-class ExplainRequest:
-    """Everything one explanation run needs, validated before any work."""
-
-    train_path: Path
-    test_path: Path
-    estimator: SamplerSpec
-    model_source: str = "ols"
-    model_command: str | None = None
-    response: str | None = None
-    seed: int = 0
-    k: int = 1000
-    output_path: str = "explanations"
-    cluster_alpha: float | None = None
-    coalition_draws: int = 2048
-    timeout: float = 60.0
-
-    def __post_init__(self):
-        self.train_path = Path(self.train_path)
-        self.test_path = Path(self.test_path)
-        if self.model_source not in MODEL_SOURCES:
-            raise ValueError(f"unknown model source {self.model_source!r}")
-        if not self.train_path.exists():
-            raise SchemaError(f"training CSV not found: {self.train_path}")
-        if not self.test_path.exists():
-            raise SchemaError(f"test CSV not found: {self.test_path}")
-        if self.model_source == "external" and not self.model_command:
-            raise ValueError("external model source needs model_command")
-        if self.model_source != "external" and self.response is None:
-            raise ValueError(f"{self.model_source} requires a response column name")
-        check_run(self.k, self.seed, self.coalition_draws)
-        if self.cluster_alpha is not None:
-            check_alpha(self.cluster_alpha)
-
-
-def _load_features(path: Path, response: str | None):
+def _load_features(path: str | Path, response: str | None):
     header, matrix = read_numeric_csv(path)
     if response is None:
         return header, matrix, None
@@ -62,10 +24,24 @@ def _load_features(path: Path, response: str | None):
     return [header[j] for j in keep], matrix[:, keep], matrix[:, r_idx]
 
 
-def run_explain(request: ExplainRequest) -> tuple[Path, Path]:
-    """Fit or connect the model, explain every test row, write CSV + JSON."""
-    train_names, train_x, y = _load_features(request.train_path, request.response)
-    test_names, test_x, _ = _load_features(request.test_path, None)
+def run_explain(
+    spec: SamplerSpec, *, train_path, test_path, model, model_command, response, k, seed,
+    output, cluster_alpha, coalition_draws, timeout,
+) -> tuple[Path, Path]:
+    """Fit (``model`` ols or stumps) or start (external) the model, explain every
+    test row, write CSV + JSON.  The keywords are ``condshap explain``'s options
+    as click names them; they are checked before any CSV is read or model started.
+    """
+    if model == "external" and not model_command:
+        raise ConfigError("--model external needs --model-command")
+    if model != "external" and response is None:
+        raise ConfigError(f"--model {model} needs --response, the response column")
+    check_run(k, seed, coalition_draws)
+    if cluster_alpha is not None:
+        check_alpha(cluster_alpha)
+
+    train_names, train_x, y = _load_features(train_path, response)
+    test_names, test_x, _ = _load_features(test_path, None)
     missing = [c for c in train_names if c not in test_names]
     extra = [c for c in test_names if c not in train_names]
     if missing or extra:
@@ -77,33 +53,21 @@ def run_explain(request: ExplainRequest) -> tuple[Path, Path]:
 
     train = TrainingMatrix.from_data(train_x, train_names)
     model_handle = None
-    if request.model_source == "ols":
+    if model == "ols":
         predictor = fit_ols(train, y)
-    elif request.model_source == "stumps":
+    elif model == "stumps":
         predictor = fit_stump_ensemble(train, y)
     else:
-        predictor = model_handle = ExternalModel(
-            request.model_command, timeout=request.timeout
-        )
+        predictor = model_handle = ExternalModel(model_command, timeout=timeout)
 
     try:
         explainer = Explainer(
-            train,
-            predictor,
-            request.estimator,
-            k=request.k,
-            seed=request.seed,
-            coalition_draws=request.coalition_draws,
+            train, predictor, spec, k=k, seed=seed, coalition_draws=coalition_draws
         )
         assignment = None
-        if request.cluster_alpha is not None:
-            dmat = dissimilarity(train)
-            assignment = kgs_cut(
-                complete_linkage(dmat), alpha=request.cluster_alpha, dmatrix=dmat
-            )
-        return write_explanations(
-            request.output_path, explainer.explain(test_x), train_names, assignment
-        )
+        if cluster_alpha is not None:
+            assignment = kgs_cut(dissimilarity(train), alpha=cluster_alpha)
+        return write_explanations(output, explainer.explain(test_x), train_names, assignment)
     finally:
         if model_handle is not None:
             model_handle.close()

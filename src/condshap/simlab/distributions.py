@@ -226,18 +226,8 @@ class GHParams:
             beta_skew=beta,
         )
 
-    def mixing_moments(self) -> tuple[float, float]:
-        return (
-            gig_mean(self.lam, self.chi, self.psi),
-            gig_variance(self.lam, self.chi, self.psi),
-        )
-
     def mean(self) -> np.ndarray:
-        return self.mu + self.mixing_moments()[0] * self.beta_skew
-
-    def covariance(self) -> np.ndarray:
-        ew, vw = self.mixing_moments()
-        return ew * self.sigma + vw * np.outer(self.beta_skew, self.beta_skew)
+        return self.mu + gig_mean(self.lam, self.chi, self.psi) * self.beta_skew
 
 
 def gh_params_10d() -> GHParams:

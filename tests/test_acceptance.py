@@ -582,7 +582,7 @@ def test_criterion_10_kendall_and_clustering():
             for j in block:
                 data[:, j] = latent + 0.15 * rng.standard_normal(n)
         dm = dissimilarity(TrainingMatrix.from_data(data))
-        cut = kgs_cut(complete_linkage(dm), alpha=1.0, dmatrix=dm)
+        cut = kgs_cut(dm, alpha=1.0)
         assert sorted(cut.groups, key=min) == [tuple(b) for b in blocks]
 
 

@@ -241,7 +241,7 @@ class TestKgsCut:
                 for b in block:
                     d[a, b] = 0.0
         dm = dmatrix(d)
-        cut = kgs_cut(complete_linkage(dm), alpha=1.0, dmatrix=dm)
+        cut = kgs_cut(dm, alpha=1.0)
         assert sorted(cut.groups, key=min) == [(0, 1, 2), (3, 4, 5)]
 
     def test_cluster_count_non_increasing_in_alpha(self):
@@ -253,10 +253,7 @@ class TestKgsCut:
         d[0, 1] = d[1, 0] = 0.05
         d[2, 3] = d[3, 2] = 0.08
         dm = dmatrix(d)
-        tree = complete_linkage(dm)
-        counts = [
-            kgs_cut(tree, alpha=a, dmatrix=dm).n_groups for a in (0.01, 1.0, 10.0)
-        ]
+        counts = [kgs_cut(dm, alpha=a).n_groups for a in (0.01, 1.0, 10.0)]
         assert counts[0] >= counts[1] >= counts[2]
 
     def test_identical_features_single_cluster(self):
@@ -264,13 +261,13 @@ class TestKgsCut:
         d = np.zeros((m, m))
         dm = dmatrix(d)
         for alpha in (0.1, 1.0, 7.0):
-            cut = kgs_cut(complete_linkage(dm), alpha=alpha, dmatrix=dm)
+            cut = kgs_cut(dm, alpha=alpha)
             assert cut.n_groups == 1
             assert cut.groups[0] == tuple(range(m))
 
     def test_two_features(self):
         dm = dmatrix([[0.0, 0.8], [0.8, 0.0]])
-        cut = kgs_cut(complete_linkage(dm), alpha=1.0, dmatrix=dm)
+        cut = kgs_cut(dm, alpha=1.0)
         assert cut.n_groups == 2
 
     def test_penalty_table_exported(self):
@@ -280,7 +277,7 @@ class TestKgsCut:
         d = 0.5 * (raw + raw.T)
         np.fill_diagonal(d, 0.0)
         dm = dmatrix(d)
-        cut = kgs_cut(complete_linkage(dm), alpha=1.0, dmatrix=dm)
+        cut = kgs_cut(dm, alpha=1.0)
         assert len(cut.penalty_table) == m - 2
         for entry in cut.penalty_table:
             assert {"n_clusters", "spread", "scaled_spread", "penalty"} <= set(entry)
@@ -292,8 +289,7 @@ class TestKgsCut:
         d[2, 3] = d[3, 2] = 0.0
         np.fill_diagonal(d, 0.0)
         dm = dmatrix(d)
-        tree = complete_linkage(dm)
-        cut = kgs_cut(tree, alpha=1.0, dmatrix=dm)
+        cut = kgs_cut(dm, alpha=1.0)
         assert cut.labels == [f"g{i + 1}" for i in range(cut.n_groups)]
 
     def test_reorder_invariance_up_to_relabeling(self):
@@ -313,8 +309,8 @@ class TestKgsCut:
         perm = [2, 0, 3, 1]
         dm1 = dissimilarity(TrainingMatrix.from_data(data))
         dm2 = dissimilarity(TrainingMatrix.from_data(data[:, perm]))
-        cut1 = kgs_cut(complete_linkage(dm1), alpha=1.0, dmatrix=dm1)
-        cut2 = kgs_cut(complete_linkage(dm2), alpha=1.0, dmatrix=dm2)
+        cut1 = kgs_cut(dm1, alpha=1.0)
+        cut2 = kgs_cut(dm2, alpha=1.0)
         back = [set(perm[j] for j in g) for g in cut2.groups]
         assert sorted(map(sorted, back)) == sorted(map(sorted, (set(g) for g in cut1.groups)))
 
@@ -388,5 +384,5 @@ class TestPlantedBlocks:
             for j in block:
                 data[:, j] = latent + 0.1 * rng.standard_normal(n)
         dm = dissimilarity(TrainingMatrix.from_data(data))
-        cut = kgs_cut(complete_linkage(dm), alpha=1.0, dmatrix=dm)
+        cut = kgs_cut(dm, alpha=1.0)
         assert sorted(cut.groups, key=min) == [tuple(b) for b in blocks]

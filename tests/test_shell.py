@@ -440,16 +440,23 @@ class TestProtocol:
                 model(np.ones((2, 2)))
         assert time.monotonic() - start < 4.0
 
-    def test_handshake_failure_on_bad_length(self):
+    def test_handshake_failure_on_bad_length(self, tmp_path):
+        pid_path = tmp_path / "pid"
         bad = textwrap.dedent(
             """
-            import json, sys
+            import json, os, sys, time
+            with open(sys.argv[1], "w") as fh:
+                fh.write(str(os.getpid()))
             sys.stdin.readline()
             print(json.dumps({"id": 0, "predictions": [1.0]}), flush=True)
+            time.sleep(30)
             """
         )
         with pytest.raises(ModelProtocolError, match="0 rows"):
-            ExternalModel(model_command(bad), timeout=15)
+            ExternalModel(model_command(bad) + [str(pid_path)], timeout=15)
+        # The failed start ends the model process: no caller holds it to close.
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_path.read_text()), 0)
 
     def test_missing_command(self):
         with pytest.raises(ModelProtocolError, match="cannot start"):
@@ -616,43 +623,26 @@ def make_wide_dataset(tmp_path: Path, m=14, n=120, seed=0):
     return train, test
 
 
-class TestExplainRequest:
-    def test_validation(self, tmp_path):
-        from condshap.samplers import SamplerSpec
-        from condshap.shell.run import ExplainRequest
-
-        train, test = make_dataset(tmp_path)
-        spec = SamplerSpec(kind="gaussian")
-        with pytest.raises(ValueError, match="model source"):
-            ExplainRequest(train, test, spec, model_source="oracle", response="target")
-        with pytest.raises(ValueError, match="model source"):
-            ExplainRequest(train, test, spec, model_source="builtin_ols", response="target")
-        with pytest.raises(ValueError, match="model_command"):
-            ExplainRequest(train, test, spec, model_source="external")
-        with pytest.raises(ValueError, match="response"):
-            ExplainRequest(train, test, spec, model_source="ols")
-        with pytest.raises(SchemaError, match="not found"):
-            ExplainRequest(tmp_path / "nope.csv", test, spec, response="target")
-        for alpha in (0.0, -1.0, float("nan")):
-            with pytest.raises(ConfigError, match="alpha must be positive"):
-                ExplainRequest(train, test, spec, response="target", cluster_alpha=alpha)
-
+class TestRunExplain:
     def test_programmatic_run(self, tmp_path):
         from condshap.samplers import SamplerSpec
-        from condshap.shell.run import ExplainRequest, run_explain
+        from condshap.shell.run import run_explain
 
         train, test = make_dataset(tmp_path)
-        request = ExplainRequest(
+        csv_path, json_path = run_explain(
+            SamplerSpec(kind="gaussian"),
             train_path=train,
             test_path=test,
-            estimator=SamplerSpec(kind="gaussian"),
-            model_source="ols",
+            model="ols",
+            model_command=None,
             response="target",
             k=200,
             seed=3,
-            output_path=str(tmp_path / "direct"),
+            output=str(tmp_path / "direct"),
+            cluster_alpha=None,
+            coalition_draws=2048,
+            timeout=60.0,
         )
-        csv_path, json_path = run_explain(request)
         header, matrix = read_numeric_csv(csv_path)
         assert header[:3] == ["instance_id", "prediction", "phi0"]
         assert matrix.shape[0] == 4
@@ -748,6 +738,7 @@ class TestCliExplain:
             ["explain", "--train", str(train), "--test", str(test), "--output", str(tmp_path / "x")],
         )
         assert result.exit_code == 2
+        assert "--response" in result.output
 
     def test_protocol_error_exits_3(self, tmp_path):
         train, test = make_dataset(tmp_path)
@@ -986,6 +977,13 @@ class TestCliBadInput:
         assert result.output.startswith("error: ")
         assert result.output.count("\n") == 1
 
+    @staticmethod
+    def assert_usage_error(result, message):
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert result.output.startswith("Usage: ")
+        assert message in result.output
+
     def explain(self, tmp_path, train, test, *extra):
         return CliRunner().invoke(
             main,
@@ -1017,12 +1015,90 @@ class TestCliBadInput:
         self.assert_clean_exit(result, 2)
         assert "more rows" in result.output
 
-    def test_explain_zero_cluster_alpha(self, tmp_path):
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan"])
+    def test_explain_non_positive_cluster_alpha(self, tmp_path, alpha):
         train, test = make_dataset(tmp_path)
-        result = self.explain(tmp_path, train, test, "--cluster-alpha", "0")
+        result = self.explain(tmp_path, train, test, "--cluster-alpha", alpha)
         self.assert_clean_exit(result, 2)
-        assert "alpha" in result.output
+        assert "alpha must be positive" in result.output
         assert not (tmp_path / "x.csv").exists()
+
+    def test_explain_unknown_model_source(self, tmp_path):
+        train, test = make_dataset(tmp_path)
+        result = self.explain(tmp_path, train, test, "--model", "oracle")
+        self.assert_usage_error(result, "'oracle' is not one of")
+
+    def test_explain_external_model_without_command(self, tmp_path):
+        train, test = make_dataset(tmp_path)
+        result = self.explain(tmp_path, train, test, "--model", "external")
+        self.assert_clean_exit(result, 2)
+        assert "--model-command" in result.output
+
+    def test_explain_missing_training_file(self, tmp_path):
+        _, test = make_dataset(tmp_path)
+        result = self.explain(tmp_path, tmp_path / "nope.csv", test)
+        self.assert_usage_error(result, "does not exist")
+
+    @pytest.mark.parametrize("option", ["--train", "--test"])
+    def test_explain_directory_as_input(self, tmp_path, option):
+        train, test = make_dataset(tmp_path)
+        paths = {"--train": train, "--test": test, option: tmp_path}
+        result = self.explain(tmp_path, paths["--train"], paths["--test"])
+        self.assert_usage_error(result, "is a directory")
+
+    def test_cluster_directory_as_input(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["cluster", str(tmp_path), "--output", str(tmp_path / "cl")]
+        )
+        self.assert_usage_error(result, "is a directory")
+
+    def test_simulate_directory_as_config(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["simulate", str(tmp_path), "--output-dir", str(tmp_path / "o")]
+        )
+        self.assert_usage_error(result, "is a directory")
+
+    def test_cluster_non_utf8_csv(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,2\n3,4\n\xe9,5\n")
+        result = CliRunner().invoke(main, ["cluster", str(path), "--output", str(tmp_path / "cl")])
+        self.assert_clean_exit(result, 2)
+        assert f"{path}: not UTF-8 text" in result.output
+
+    def test_simulate_non_utf8_config(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"name = caf\xe9\n")
+        result = CliRunner().invoke(main, ["simulate", str(cfg), "--output-dir", str(tmp_path / "o")])
+        self.assert_clean_exit(result, 2)
+        assert f"{cfg}: not UTF-8 text" in result.output
+
+    @pytest.mark.parametrize("case", ["missing-directory", "csv-is-a-directory"])
+    def test_explain_unwritable_output(self, tmp_path, case):
+        train, test = make_dataset(tmp_path)
+        prefix = tmp_path / "missing" / "x"
+        if case == "csv-is-a-directory":
+            prefix = tmp_path / "p"
+            (tmp_path / "p.csv").mkdir()
+        result = self.explain(tmp_path, train, test, "--output", str(prefix))
+        self.assert_clean_exit(result, 2)
+        assert f"{prefix}.csv" in result.output
+
+    def test_cluster_unwritable_output(self, tmp_path):
+        rows = [[1, 2, 3], [2, 1, 3], [3, 4, 1], [4, 3, 2]]
+        path = self.write_csv(tmp_path / "four.csv", ["a", "b", "c"], rows)
+        prefix = tmp_path / "missing" / "cl"
+        result = CliRunner().invoke(main, ["cluster", str(path), "--output", str(prefix)])
+        self.assert_clean_exit(result, 2)
+        assert f"{prefix}.json" in result.output
+
+    def test_simulate_output_dir_below_a_file(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_test = 1\nbatches = 1\n", encoding="utf-8")
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out"
+        result = CliRunner().invoke(main, ["simulate", str(cfg), "--output-dir", str(out)])
+        self.assert_clean_exit(result, 2)
+        assert str(out) in result.output
 
     def test_explain_bad_alpha_before_model_start(self, tmp_path):
         train, test = make_dataset(tmp_path)
